@@ -45,7 +45,7 @@ from .exponential import (
     infinite_equilibrium,
     solve_n_bins,
 )
-from .dynamics import fixed_point_iterate, lloyd_method_i
+from .dynamics import _random_start, fixed_point_iterate, lloyd_method_i
 from .gaussian import solve_n_bins_gauss, solve_truncated_ladder, solve_two_bin_gauss
 from .sources import EXPONENTIAL, GAUSSIAN, SourceModel
 
@@ -475,13 +475,13 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         excluded = tuple(int(i) for i in cert_doc.get("excluded_edges", ()))
         stored_decoder = _parse_number(doc["costs"]["decoder"])
         stored_encoder = _parse_number(doc["costs"]["encoder"])
+        cert = certify(partition, tol=stored_tol, excluded_edges=excluded)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             DomainError) as err:
         sys.stderr.write(f"cannot parse result document: {err}\n")
         return 1
 
     failures: list[str] = []
-    cert = certify(partition, tol=stored_tol, excluded_edges=excluded)
     if not stored_verdict:
         failures.append("stored certificate already reports failure")
     if not cert.verdict:
@@ -546,13 +546,8 @@ def _dynamics_init(source: SourceModel, args: argparse.Namespace,
             return Partition((lo, *interior, hi), source, args.bias)
         except DomainError as err:
             parser.error(str(err))
-    rng = np.random.default_rng(args.seed)
-    box = (source.quantile(0.001), source.quantile(0.999))
-    while True:
-        draws = np.sort(rng.uniform(box[0], box[1], size=args.bins - 1))
-        if draws.size < 2 or np.all(np.diff(draws) > 0.0):
-            break
-    return Partition((lo, *draws, hi), source, args.bias)
+    return _random_start(source, args.bias, args.bins,
+                         np.random.default_rng(args.seed))
 
 
 def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -562,12 +557,16 @@ def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("--bins must be at least 2 for dynamics runs")
     if (args.init is None) == (args.seed is None):
         parser.error("provide exactly one of --init or --seed")
-    init = _dynamics_init(source, args, parser)
-    if args.method == "lloyd":
-        trace = lloyd_method_i(source, args.bias, init, args.max_iter, args.tol)
-    else:
-        trace = fixed_point_iterate(source, args.bias, init, args.damping,
-                                    args.max_iter, args.tol)
+    try:
+        init = _dynamics_init(source, args, parser)
+        if args.method == "lloyd":
+            trace = lloyd_method_i(source, args.bias, init, args.max_iter,
+                                   args.tol)
+        else:
+            trace = fixed_point_iterate(source, args.bias, init, args.damping,
+                                        args.max_iter, args.tol)
+    except DomainError as err:
+        parser.error(str(err))
 
     outcome = {
         "status": trace.outcome.status,

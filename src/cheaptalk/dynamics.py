@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import ActionProfile, Partition, decoder_best_response
+from .equilibrium import (
+    Partition,
+    _check_iteration_params,
+    _midpoints,
+    decoder_best_response,
+)
 from .errors import DomainError
 from .sources import SourceModel
 
@@ -98,60 +103,58 @@ class IterationTrace:
 
 
 class _Recorder:
-    """Thinned (step, partition, residual) log."""
+    """Thinned (step, edges, residual) log; partitions are built only for
+    the steps it keeps, when the trace is assembled."""
 
-    def __init__(self) -> None:
+    def __init__(self, source: SourceModel, bias: float) -> None:
+        self.source = source
+        self.bias = bias
         self.steps: list[int] = []
-        self.partitions: list[Partition] = []
+        self.edges: list[list[float]] = []
         self.residuals: list[float] = []
 
-    def add(self, step: int, partition: Partition, residual: float,
+    def add(self, step: int, edges: np.ndarray, residual: float,
             force: bool = False) -> None:
         if not (force or step <= _THIN_AFTER or step % _THIN_STRIDE == 0):
             return
         if self.steps and self.steps[-1] == step:
             return
         self.steps.append(step)
-        self.partitions.append(partition)
+        self.edges.append(edges.tolist())
         self.residuals.append(residual)
 
     def trace(self, outcome: IterationOutcome, iterations: int) -> IterationTrace:
         return IterationTrace(
-            iterates=tuple(self.partitions),
+            iterates=tuple(Partition(e, self.source, self.bias)
+                           for e in self.edges),
             residual_history=tuple(self.residuals),
             recorded_steps=tuple(self.steps),
             outcome=outcome,
             iterations=iterations,
         )
 
-
-def _max_residual(partition: Partition, actions: ActionProfile) -> float:
-    """Max-abs equilibrium defect of a partition given decoder actions."""
-    edges = partition.interior_edges
-    u = actions.centroids
-    bias = partition.bias
-    return max(
-        (abs(edges[k] - 0.5 * (u[k] + u[k + 1]) - bias) for k in range(len(edges))),
-        default=0.0,
-    )
+    def collapsed(self, iteration: int, bin_index: int | None) -> IterationTrace:
+        return self.trace(IterationOutcome("collapsed", iteration, bin_index),
+                          iteration)
 
 
-def _collapsed_bin(partition: Partition) -> int | None:
-    """1-based index of the first dead bin, or None if all alive."""
-    edges = partition.edges
-    for k in range(partition.n_bins):
-        lo, hi = edges[k], edges[k + 1]
-        if math.isfinite(lo) and math.isfinite(hi) and hi - lo < COLLAPSE_LENGTH:
-            return k + 1
-        if partition.source.interval_prob(lo, hi) < COLLAPSE_PROB:
-            return k + 1
-    return None
+def _dead_bin(source: SourceModel, edges: np.ndarray) -> int | None:
+    """1-based index of the first bin below a collapse floor, or None."""
+    dead = ((edges[1:] - edges[:-1] < COLLAPSE_LENGTH)
+            | (source.bin_probs(edges) < COLLAPSE_PROB))
+    k = int(dead.argmax())
+    return k + 1 if dead[k] else None
 
 
-def _finish_collapsed(rec: _Recorder, iteration: int,
-                      bin_index: int | None) -> IterationTrace:
-    outcome = IterationOutcome("collapsed", iteration, bin_index)
-    return rec.trace(outcome, iteration)
+def _random_start(source: SourceModel, bias: float, n_bins: int,
+                  rng: np.random.Generator) -> Partition:
+    """Interior edges drawn as sorted uniforms between the 0.001 and 0.999
+    source quantiles, redrawn until strictly increasing."""
+    box = (source.quantile(0.001), source.quantile(0.999))
+    while True:
+        draws = np.sort(rng.uniform(box[0], box[1], size=n_bins - 1))
+        if draws.size < 2 or np.all(np.diff(draws) > 0.0):
+            return Partition.from_interior(draws, source, bias)
 
 
 def lloyd_method_i(source: SourceModel, bias: float, init: Partition,
@@ -184,63 +187,53 @@ def fixed_point_iterate(source: SourceModel, bias: float, init: Partition,
     return _run(source, bias, init, max_iter, tol, damping=damping)
 
 
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.abs(values).max(initial=0.0))
+
+
 def _run(source: SourceModel, bias: float, init: Partition, max_iter: int,
          tol: float, damping: float) -> IterationTrace:
-    if not 0.0 < damping <= 1.0:
-        raise DomainError(f"damping must lie in (0, 1], got {damping!r}")
-    if not (isinstance(max_iter, int) and max_iter >= 1):
-        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    _check_iteration_params(damping, max_iter, tol)
     # Rebind the edges to this run's source and bias; validates support.
-    current = Partition(init.edges, source, bias)
-    rec = _Recorder()
+    start = Partition(init.edges, source, bias)
+    edges = np.asarray(start.edges)
+    rec = _Recorder(source, bias)
 
-    dead = _collapsed_bin(current)
+    dead = _dead_bin(source, edges)
     if dead is not None:
-        rec.add(0, current, math.nan, force=True)
-        return _finish_collapsed(rec, 0, dead)
-    actions = decoder_best_response(current)
-    rec.add(0, current, _max_residual(current, actions), force=True)
+        rec.add(0, edges, math.nan, force=True)
+        return rec.collapsed(0, dead)
+    means = np.asarray(decoder_best_response(start).centroids)
+    targets = _midpoints(means, bias)
+    residual = _max_abs(edges[1:-1] - targets)
+    rec.add(0, edges, residual, force=True)
 
     lo, hi = source.support
     for it in range(1, max_iter + 1):
+        old = edges[1:-1]
+        moved = (1.0 - damping) * old + damping * targets
+        edges = np.concatenate(([lo], moved, [hi]))
         try:
-            u = np.asarray(actions.centroids)
-            rows = 0.5 * (u[:-1] + u[1:]) + bias
-            old = np.asarray(current.interior_edges)
-            moved = (1.0 - damping) * old + damping * rows
-            if moved.size and not (
-                    lo < moved[0] and moved[-1] < hi
-                    and np.all(np.diff(moved) > 0.0)):
-                bad = int(np.flatnonzero(np.diff(
-                    np.concatenate(([lo], moved, [hi]))) <= 0.0)[0]) + 1
-                return _finish_collapsed(rec, it, bad)
-            nxt = Partition((lo, *moved, hi), source, bias)
+            dead = _dead_bin(source, edges)
         except DomainError:
-            return _finish_collapsed(rec, it, None)
-
-        dead = _collapsed_bin(nxt)
+            # an edge left the support or crossed a neighbor (NaN included)
+            alive = edges[1:] > edges[:-1]
+            return rec.collapsed(it, int(alive.argmin()) + 1)
         if dead is not None:
-            rec.add(it, nxt, math.nan, force=True)
-            return _finish_collapsed(rec, it, dead)
-
-        try:
-            nxt_actions = decoder_best_response(nxt)
-        except DomainError:
-            return _finish_collapsed(rec, it, None)
-        residual = _max_residual(nxt, nxt_actions)
-        movement = max(
-            (abs(a - b)
-             for a, b in zip(nxt.interior_edges, current.interior_edges)),
-            default=0.0)
-        current, actions = nxt, nxt_actions
-        rec.add(it, current, residual)
-        if movement <= tol and residual <= tol:
-            rec.add(it, current, residual, force=True)
+            rec.add(it, edges, math.nan, force=True)
+            return rec.collapsed(it, dead)
+        means = source.bin_means(edges)
+        if not (means[1:] > means[:-1]).all():
+            # the centroids crossed: no valid decoder profile to continue from
+            return rec.collapsed(it, None)
+        targets = _midpoints(means, bias)
+        residual = _max_abs(moved - targets)
+        rec.add(it, edges, residual)
+        if residual <= tol and _max_abs(moved - old) <= tol:
+            rec.add(it, edges, residual, force=True)
             return rec.trace(IterationOutcome("converged", it), it)
 
-    rec.add(max_iter, current, _max_residual(current, actions), force=True)
+    rec.add(max_iter, edges, residual, force=True)
     return rec.trace(IterationOutcome("max_iter", max_iter), max_iter)
 
 
@@ -287,8 +280,6 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
     if not (isinstance(n_bins, int) and n_bins >= 2):
         raise DomainError(f"basin probing needs n_bins >= 2, got {n_bins!r}")
     rng = np.random.default_rng(seed)
-    lo, hi = source.support
-    box = (source.quantile(0.001), source.quantile(0.999))
 
     converged = 0
     collapsed = 0
@@ -296,11 +287,7 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
     reps: list[np.ndarray] = []
     sizes: list[int] = []
     for _ in range(n_inits):
-        while True:
-            draws = np.sort(rng.uniform(box[0], box[1], size=n_bins - 1))
-            if draws.size < 2 or np.all(np.diff(draws) > 0.0):
-                break
-        init = Partition((lo, *draws, hi), source, bias)
+        init = _random_start(source, bias, n_bins, rng)
         if method == "lloyd":
             trace = lloyd_method_i(source, bias, init, max_iter, tol)
         else:

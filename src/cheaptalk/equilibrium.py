@@ -2,11 +2,13 @@
 
 The shared substrate for both solvers and the dynamics engine. A
 Partition carries the full game context (edges, source, bias) as an
-immutable value; everything else is derived from it:
+immutable value; everything else is derived from it through the
+source's array bin moments:
 
 - the decoder's best response maps each bin to its conditional mean;
 - the encoder's best response places each interior edge at the midpoint
-  of adjacent actions, shifted by the bias;
+  of adjacent actions, shifted by the bias (``_midpoints``, the one map
+  the Gaussian solvers and the dynamics also iterate);
 - a certificate reports the per-edge defect of the midpoint condition
   under the conditional-mean actions, which vanishes exactly at a Nash
   equilibrium of the quantized game;
@@ -164,12 +166,25 @@ class CostReport:
     per_bin: tuple[tuple[float, float], ...]
 
 
+def _midpoints(means: np.ndarray, bias: float) -> np.ndarray:
+    """Each interior edge's target: the midpoint of the means of the two
+    bins it separates, plus the bias. Equilibria are its fixed points."""
+    return 0.5 * (means[:-1] + means[1:]) + bias
+
+
+def _check_iteration_params(damping: float, max_iter: int, tol: float) -> None:
+    if not (0.0 < damping <= 1.0):
+        raise DomainError(f"damping must lie in (0, 1], got {damping!r}")
+    if not (isinstance(max_iter, int) and max_iter >= 1):
+        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+
+
 def decoder_best_response(partition: Partition) -> ActionProfile:
     """Conditional mean of the source on each bin (the centroid rule)."""
-    src = partition.source
-    e = partition.edges
     return ActionProfile(tuple(
-        src.truncated_mean(e[k], e[k + 1]) for k in range(partition.n_bins)))
+        partition.source.bin_means(partition.edges).tolist()))
 
 
 def encoder_best_response(actions: ActionProfile, source: SourceModel,
@@ -181,15 +196,14 @@ def encoder_best_response(actions: ActionProfile, source: SourceModel,
     own bin; either way no equilibrium with this structure exists at
     this step, and the exception carries the offending bin index.
     """
-    u = actions.centroids
     lo, hi = source.support
-    interior = [0.5 * (u[k] + u[k + 1]) + bias for k in range(len(u) - 1)]
-    if interior and interior[0] <= lo:
+    interior = _midpoints(np.asarray(actions.centroids), bias)
+    if interior.size and interior[0] <= lo:
         raise BinCollapseError(
-            f"first edge {interior[0]!r} fell at or below the support "
+            f"first edge {float(interior[0])!r} fell at or below the support "
             f"endpoint {lo}", bin_index=1)
     p = Partition((lo, *interior, hi), source, bias)
-    for k, v in enumerate(u):
+    for k, v in enumerate(actions.centroids):
         if not p.edges[k] < v < p.edges[k + 1]:
             raise BinCollapseError(
                 f"action {v!r} left its bin ({p.edges[k]!r}, "
@@ -206,21 +220,18 @@ def certify(partition: Partition, tol: float = 1e-8,
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    u = decoder_best_response(partition).centroids
-    e = partition.edges
-    residuals = tuple(
-        e[k] - 0.5 * (u[k - 1] + u[k]) - partition.bias
-        for k in range(1, partition.n_bins))
+    e = np.asarray(partition.edges)
+    residuals = e[1:-1] - _midpoints(partition.source.bin_means(e),
+                                     partition.bias)
     excluded = tuple(sorted({int(k) for k in excluded_edges}))
     for k in excluded:
         if not 1 <= k <= len(residuals):
             raise DomainError(
                 f"excluded edge {k} out of range 1..{len(residuals)}")
-    skip = set(excluded)
-    max_abs = max((abs(r) for i, r in enumerate(residuals, start=1)
-                   if i not in skip), default=0.0)
+    kept = np.delete(residuals, [k - 1 for k in excluded])
+    max_abs = float(np.max(np.abs(kept), initial=0.0))
     return EquilibriumCertificate(
-        residuals=residuals,
+        residuals=tuple(residuals.tolist()),
         max_abs_residual=max_abs,
         tolerance=float(tol),
         verdict=max_abs <= tol,
@@ -235,16 +246,12 @@ def decoder_cost(partition: Partition) -> CostReport:
     side adds the squared bias on top, for any partition.
     """
     src = partition.source
-    e = partition.edges
-    per = []
-    for k in range(partition.n_bins):
-        prob = src.interval_prob(e[k], e[k + 1])
-        var = src.truncated_variance(e[k], e[k + 1])
-        per.append((prob, var))
-    jd = math.fsum(p * v for p, v in per)
+    probs = src.bin_probs(partition.edges)
+    variances = src.bin_variances(partition.edges)
+    jd = math.fsum((probs * variances).tolist())
     b = partition.bias
     return CostReport(decoder_cost=jd, encoder_cost=jd + b * b,
-                      per_bin=tuple(per))
+                      per_bin=tuple(zip(probs.tolist(), variances.tolist())))
 
 
 def monte_carlo_cost(partition: Partition, n: int, seed: int) -> tuple[float, float]:

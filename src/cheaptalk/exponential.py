@@ -63,7 +63,7 @@ def h(length: float, rate: float) -> float:
     _check_rate(rate)
     if math.isnan(length) or length < 0.0 or math.isinf(length):
         raise DomainError(f"window length must be finite and >= 0, got {length!r}")
-    return _exp_gap(length, rate)
+    return float(_exp_gap(length, rate))
 
 
 def g(length: float, rate: float) -> float:
@@ -262,4 +262,4 @@ def decoder_cost_infinite(rate: float, bias: float) -> float:
     variance sum telescopes to exactly that.
     """
     lstar = fixed_point_length(rate, bias)
-    return _exp_window_variance(lstar, rate)
+    return float(_exp_window_variance(lstar, rate))

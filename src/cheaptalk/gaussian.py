@@ -5,7 +5,9 @@ two_bin_balance(c) = 2*bias/std, and the balance map is odd and strictly
 increasing, so an expanding bracket plus the shared root-finder settles
 it. Finite bin counts above two and the (truncated) infinite ladder have
 no closed form; they are found by damped fixed-point iteration of the
-midpoint map on the interior edges.
+shared midpoint map on the interior edges. One loop serves both: a
+finite-bin game closes its last bin at +inf, a truncated ladder one
+synthetic bin past its last edge.
 
 An infinite ladder cannot be iterated whole. The artifact keeps a
 truncated window of edges anchored at the two-bin edge on the bounded
@@ -23,13 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .equilibrium import EquilibriumCertificate, Partition, certify
+from .equilibrium import (
+    EquilibriumCertificate,
+    Partition,
+    _check_iteration_params,
+    _midpoints,
+    certify,
+)
 from .errors import (
     DomainError,
     EdgeOrderingError,
     NonConvergenceError,
 )
-from .sources import GAUSSIAN, SourceModel, _std_interval_mean
+from .sources import GAUSSIAN, SourceModel
 from .special import Bracket, find_root, mills_ratio, std_normal_cdf, std_normal_pdf
 
 __all__ = [
@@ -225,48 +233,27 @@ class LadderResult:
     final_change: float
 
 
-def _midpoint_rows(edges: np.ndarray, mean: float, std: float, bias: float,
-                   closing_edge: float) -> np.ndarray:
-    """One application of the midpoint map to a truncated edge vector.
-
-    Bins are (-inf, e_0), (e_0, e_1), ..., (e_last, closing_edge); row i
-    averages the conditional means of the bins flanking edge i and adds
-    the bias.
-    """
-    full = np.concatenate(([-np.inf], edges, [closing_edge]))
-    za = (full[:-1] - mean) / std
-    zb = (full[1:] - mean) / std
-    means = mean + std * _std_interval_mean(za, zb)
-    return 0.5 * (means[:-1] + means[1:]) + bias
-
-
-def _iterate_ladder(mean: float, std: float, bias: float, edges: np.ndarray,
-                    damping: float, max_iter: int,
-                    tol: float) -> tuple[np.ndarray, bool, int, float]:
-    """Damped ladder iteration for bias > 0; returns
-    (edges, converged, iterations, last_change)."""
-    step = asymptotic_bin_length(bias)
+def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
+                      damping: float, max_iter: int, tol: float,
+                      ladder_step: float | None = None
+                      ) -> tuple[np.ndarray, bool, int, float]:
+    """Damped midpoint iteration; returns (edges, converged, iterations,
+    last_change). Bins are (-inf, e_0), ..., (e_last, close), with close
+    = +inf, or e_last + ladder_step for a truncated ladder."""
     delta = math.inf
     for it in range(1, max_iter + 1):
-        rows = _midpoint_rows(edges, mean, std, bias, edges[-1] + step)
+        close = np.inf if ladder_step is None else edges[-1] + ladder_step
+        full = np.concatenate(([-np.inf], edges, [close]))
+        rows = _midpoints(source.bin_means(full), bias)
         new = (1.0 - damping) * edges + damping * rows
-        if not np.all(np.diff(new) > 0.0):
+        if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(
-                f"ladder edges crossed at iteration {it}", iteration=it)
-        delta = float(np.max(np.abs(new - edges)))
+                f"edges crossed at iteration {it}", iteration=it)
+        delta = float(np.abs(new - edges).max())
         edges = new
         if delta <= tol:
             return edges, True, it, delta
     return edges, False, max_iter, delta
-
-
-def _check_iteration_params(damping: float, max_iter: int, tol: float) -> None:
-    if not (0.0 < damping <= 1.0):
-        raise DomainError(f"damping must lie in (0, 1], got {damping!r}")
-    if not (isinstance(max_iter, int) and max_iter >= 1):
-        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
 
 
 def solve_truncated_ladder(source: SourceModel, bias: float,
@@ -310,8 +297,9 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     flip = bias < 0.0
     work_bias = abs(bias)
     work_edges = np.sort(2.0 * mean - edges) if flip else np.asarray(edges, float)
-    work_edges, converged, iterations, change = _iterate_ladder(
-        mean, std, work_bias, work_edges, damping, max_iter, tol)
+    work_edges, converged, iterations, change = _damped_midpoints(
+        source, work_bias, work_edges, damping, max_iter, tol,
+        ladder_step=asymptotic_bin_length(work_bias))
     final = np.sort(2.0 * mean - work_edges) if flip else work_edges
 
     anchor = float(final[-1] if flip else final[0])
@@ -369,21 +357,10 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     else:
         edges = _default_interior(mean, std, bias, n_bins)
 
-    delta = math.inf
-    for it in range(1, max_iter + 1):
-        full = np.concatenate(([-np.inf], edges, [np.inf]))
-        za = (full[:-1] - mean) / std
-        zb = (full[1:] - mean) / std
-        means = mean + std * _std_interval_mean(za, zb)
-        rows = 0.5 * (means[:-1] + means[1:]) + bias
-        new = (1.0 - damping) * edges + damping * rows
-        if len(new) > 1 and not np.all(np.diff(new) > 0.0):
-            raise EdgeOrderingError(
-                f"interior edges crossed at iteration {it}", iteration=it)
-        delta = float(np.max(np.abs(new - edges)))
-        edges = new
-        if delta <= tol:
-            return Partition((-math.inf, *edges, math.inf), source, bias)
+    edges, converged, _, delta = _damped_midpoints(
+        source, bias, edges, damping, max_iter, tol)
+    if converged:
+        return Partition((-math.inf, *edges, math.inf), source, bias)
     raise NonConvergenceError(
         f"midpoint iteration did not reach tol={tol} within {max_iter} "
         f"iterations (last change {delta:.3e})",

@@ -1,9 +1,10 @@
-"""Source distributions and their conditional interval moments.
+"""Source distributions and their conditional bin moments.
 
-Solvers, certificates, and dynamics touch a distribution only through the
-operations here: interval probabilities, means and variances conditional
-on an interval, quantiles, and sampling. Interval endpoints may be
-infinite on either side.
+Solvers, certificates, and dynamics touch a distribution through the
+array methods here (bin_probs, bin_means, bin_variances: one value per
+bin of an increasing edge array, which may have infinite ends and need
+not span the support), plus quantiles and sampling. The scalar interval
+methods are the same code on a single bin.
 
 Numerical ground rules:
 
@@ -26,10 +27,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf as _erf_arr
 from scipy.special import erfcx as _erfcx
+from scipy.special import exprel as _exprel
 from scipy.special import ndtri as _ndtri
 
 from .errors import DomainError, QuadratureError, ZeroProbabilityError
-from .special import std_normal_cdf, std_normal_pdf, std_normal_sf
+from .special import std_normal_cdf, std_normal_pdf
 
 __all__ = ["SourceModel"]
 
@@ -41,44 +43,39 @@ EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
 
 
-def _scaled_sf(x: float) -> float:
+def _scaled_sf(x):
     """sf(x) / pdf(x) without forming either factor; grows like 1/x."""
-    return _SQRT_PI_OVER_2 * float(_erfcx(x / _SQRT2))
-
-
-def _scaled_sf_arr(x: np.ndarray) -> np.ndarray:
     return _SQRT_PI_OVER_2 * _erfcx(x / _SQRT2)
 
 
-def _exp_gap(length: float, rate: float) -> float:
-    """length / (exp(rate*length) - 1) for finite length >= 0.
+def _exp_gap(length, rate: float):
+    """length / (exp(rate*length) - 1) for lengths >= 0, elementwise.
 
     This is the amount by which truncating an exponential to a window of
-    the given length pulls the conditional mean below lo + 1/rate. The
-    negative-exponent form never overflows; it decays to 0 for long
-    windows and tends to 1/rate as length -> 0.
+    the given length pulls the conditional mean below lo + 1/rate. Written
+    through exprel(s) = expm1(s)/s, which is 1 at s = 0 and overflows
+    cleanly to inf, so the gap tends to 1/rate as length -> 0 and decays
+    to exactly 0 for long and infinite windows.
     """
-    s = rate * length
-    if s == 0.0:
-        return 1.0 / rate
-    return length * math.exp(-s) / -math.expm1(-s)
+    return 1.0 / (rate * _exprel(rate * np.asarray(length, dtype=float)))[()]
 
 
-def _exp_window_variance(length: float, rate: float) -> float:
+def _exp_window_variance(length, rate: float):
     """Variance of an exponential conditioned on a window of this length.
 
-    Depends on the window only through its length. Uses a short-window
-    series below s = 1e-3 because the closed form subtracts two nearly
-    equal squares there, and saturates to 1/rate^2 once sinh would
-    overflow (the true value is within 1e-300 of that limit).
+    Elementwise; depends on the window only through its length. Uses a
+    short-window series below s = 1e-3 because the closed form subtracts
+    two nearly equal squares there, and saturates to 1/rate^2 once sinh
+    would overflow (the true value is within 1e-300 of that limit).
     """
+    length = np.asarray(length, dtype=float)
     s = 0.5 * rate * length
-    if s < 1e-3:
-        return (length * length / 12.0) * (1.0 - 0.2 * s * s)
-    if s > 350.0:
-        return 1.0 / (rate * rate)
-    half = length / (2.0 * math.sinh(s))
-    return 1.0 / (rate * rate) - half * half
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = (length * length / 12.0) * (1.0 - 0.2 * s * s)
+        half = length / (2.0 * np.sinh(s))
+        closed = 1.0 / (rate * rate) - half * half
+    return np.where(s < 1e-3, series,
+                    np.where(s > 350.0, 1.0 / (rate * rate), closed))[()]
 
 
 def _std_interval_mean(alpha, beta):
@@ -112,7 +109,7 @@ def _std_interval_mean(alpha, beta):
     if right.any():
         va, vb = a[right], b[right]
         d = 0.5 * (vb - va) * (vb + va)
-        den = _scaled_sf_arr(va) - np.exp(-d) * _scaled_sf_arr(vb)
+        den = _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
         num = -np.expm1(-d)
         ok = den > 0.0
         out[right] = np.where(ok, num / np.where(ok, den, 1.0),
@@ -121,7 +118,7 @@ def _std_interval_mean(alpha, beta):
     if left.any():
         va, vb = -b[left], -a[left]
         d = 0.5 * (vb - va) * (vb + va)
-        den = _scaled_sf_arr(va) - np.exp(-d) * _scaled_sf_arr(vb)
+        den = _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
         num = -np.expm1(-d)
         ok = den > 0.0
         out[left] = -np.where(ok, num / np.where(ok, den, 1.0),
@@ -154,8 +151,9 @@ def _std_conditional(za: float, zb: float):
         if math.isinf(zb):
             tail = 0.0
         else:
-            tail = math.exp(-0.5 * (zb - za) * (zb + za)) * _scaled_sf(zb)
-        den = _scaled_sf(za) - tail
+            tail = (math.exp(-0.5 * (zb - za) * (zb + za))
+                    * float(_scaled_sf(zb)))
+        den = float(_scaled_sf(za)) - tail
         if den <= 0.0:
             raise ZeroProbabilityError(
                 f"interval [{za}, {zb}] carries no representable mass")
@@ -277,81 +275,101 @@ class SourceModel:
             raise DomainError(
                 f"interval endpoints must satisfy lo < hi, got [{lo}, {hi}]")
 
+    def _bin_edges(self, edges) -> np.ndarray:
+        e = np.asarray(edges, dtype=float)
+        if (e.ndim != 1 or e.size < 2
+                or np.count_nonzero(e[1:] > e[:-1]) < e.size - 1):
+            raise DomainError(
+                f"bin edges must be a strictly increasing sequence of at "
+                f"least two values, got {edges!r}")
+        return e
+
+    def _exp_windows(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and in-support length of each exponential bin."""
+        if e[1] <= 0.0:
+            raise ZeroProbabilityError(
+                f"[{e[0]}, {e[1]}] lies outside the exponential support")
+        a = np.maximum(e, 0.0)
+        return a[:-1], a[1:] - a[:-1]
+
+    def bin_probs(self, edges) -> np.ndarray:
+        """P(e_k < M < e_{k+1}) for every bin of an increasing edge array.
+
+        Bins outside the support get 0. Gaussian bins use whichever of
+        the two tails or the central erf sum avoids cancellation.
+        """
+        e = self._bin_edges(edges)
+        if self.kind == EXPONENTIAL:
+            a = np.maximum(e, 0.0)
+            return np.exp(-self.rate * a[:-1]) * -np.expm1(
+                -self.rate * (a[1:] - a[:-1]))
+        z = (e - self.mean) / (self.std * _SQRT2)
+        # (a, b) is the bin folded onto the upper half-line; a < 0 exactly
+        # when the bin straddles the mean. Same-tail bins factor exp(-a^2)
+        # out of erfc(a) - erfc(b), so short and deep-tail bins stay exact.
+        a = np.maximum(z[:-1], -z[1:])
+        b = np.maximum(z[1:], -z[:-1])
+        c = np.maximum(a, 0.0)
+        tail = np.exp(-c * c) * (
+            _erfcx(c) - np.exp(-(b - c) * (b + c)) * _erfcx(b))
+        return 0.5 * np.where(a >= 0.0, tail, _erf_arr(b) - _erf_arr(a))
+
+    def bin_means(self, edges) -> np.ndarray:
+        """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
+
+        Raises ZeroProbabilityError only when a bin misses the support;
+        same-tail Gaussian bins stay well-defined even where their
+        probability underflows.
+        """
+        e = self._bin_edges(edges)
+        if self.kind == EXPONENTIAL:
+            start, length = self._exp_windows(e)
+            return start + 1.0 / self.rate - _exp_gap(length, self.rate)
+        z = (e - self.mean) / self.std
+        return self.mean + self.std * _std_interval_mean(z[:-1], z[1:])
+
+    def bin_variances(self, edges) -> np.ndarray:
+        """Var(M | e_k <= M <= e_{k+1}) for every bin.
+
+        Exponential bins have a closed form in their in-support length;
+        Gaussian bins take one quad each against the tail-normalized
+        conditional density, centered on the closed-form mean.
+        """
+        e = self._bin_edges(edges)
+        if self.kind == EXPONENTIAL:
+            return _exp_window_variance(self._exp_windows(e)[1], self.rate)
+        z = (e - self.mean) / self.std
+        means = _std_interval_mean(z[:-1], z[1:]).tolist()
+        out = []
+        for k, (za, zb, m) in enumerate(zip(z[:-1].tolist(), z[1:].tolist(),
+                                            means)):
+            if math.isinf(za) and math.isinf(zb):
+                out.append(1.0)
+                continue
+            cond = _std_conditional(za, zb)
+            val, err = quad(lambda t: (t - m) ** 2 * cond(t), za, zb,
+                            epsabs=1e-13, epsrel=1e-11, limit=200)
+            if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
+                raise QuadratureError(
+                    f"conditional variance quadrature on [{e[k]}, {e[k + 1]}] "
+                    f"reported error {err:.3e}")
+            out.append(max(val, 0.0))
+        return np.array(out) * self.std * self.std
+
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""
         self._check_interval(lo, hi)
-        if self.kind == EXPONENTIAL:
-            lam = self.rate
-            if hi <= 0.0:
-                return 0.0
-            a = max(lo, 0.0)
-            scale = math.exp(-lam * a)
-            if math.isinf(hi):
-                return scale
-            return scale * -math.expm1(-lam * (hi - a))
-        za = -math.inf if math.isinf(lo) and lo < 0 else (lo - self.mean) / self.std
-        zb = math.inf if math.isinf(hi) and hi > 0 else (hi - self.mean) / self.std
-        if za >= 0.0:
-            return std_normal_sf(za) - (0.0 if math.isinf(zb) else std_normal_sf(zb))
-        if zb <= 0.0:
-            return std_normal_cdf(zb) - (0.0 if math.isinf(za) else std_normal_cdf(za))
-        lo_mass = 1.0 if math.isinf(za) else math.erf(-za / _SQRT2)
-        hi_mass = 1.0 if math.isinf(zb) else math.erf(zb / _SQRT2)
-        return 0.5 * (lo_mass + hi_mass)
+        return float(self.bin_probs((lo, hi))[0])
 
     def truncated_mean(self, lo: float, hi: float) -> float:
-        """E[M | lo <= M <= hi], valid for intervals deep in either tail.
-
-        Raises ZeroProbabilityError only when the interval misses the
-        support entirely; same-tail Gaussian intervals remain well-defined
-        through the scaled-complement forms even where interval_prob
-        underflows to zero.
-        """
+        """E[M | lo <= M <= hi]; see bin_means."""
         self._check_interval(lo, hi)
-        if self.kind == EXPONENTIAL:
-            lam = self.rate
-            if hi <= 0.0:
-                raise ZeroProbabilityError(
-                    f"[{lo}, {hi}] lies outside the exponential support")
-            a = max(lo, 0.0)
-            if math.isinf(hi):
-                return a + 1.0 / lam
-            return a + 1.0 / lam - _exp_gap(hi - a, lam)
-        za = (lo - self.mean) / self.std
-        zb = (hi - self.mean) / self.std
-        return self.mean + self.std * _std_interval_mean(za, zb)
+        return float(self.bin_means((lo, hi))[0])
 
     def truncated_variance(self, lo: float, hi: float) -> float:
-        """Var(M | lo <= M <= hi).
-
-        Exponential windows have a closed form depending only on the
-        in-support length. Gaussian windows are integrated numerically
-        against the tail-normalized conditional density, centered on the
-        closed-form conditional mean.
-        """
+        """Var(M | lo <= M <= hi); see bin_variances."""
         self._check_interval(lo, hi)
-        if self.kind == EXPONENTIAL:
-            lam = self.rate
-            if hi <= 0.0:
-                raise ZeroProbabilityError(
-                    f"[{lo}, {hi}] lies outside the exponential support")
-            a = max(lo, 0.0)
-            if math.isinf(hi):
-                return 1.0 / (lam * lam)
-            return _exp_window_variance(hi - a, lam)
-        za = (lo - self.mean) / self.std
-        zb = (hi - self.mean) / self.std
-        if math.isinf(za) and math.isinf(zb):
-            return self.std * self.std
-        m = _std_interval_mean(za, zb)
-        cond = _std_conditional(za, zb)
-        val, err = quad(lambda t: (t - m) ** 2 * cond(t), za, zb,
-                        epsabs=1e-13, epsrel=1e-11, limit=200)
-        if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-            raise QuadratureError(
-                f"conditional variance quadrature on [{lo}, {hi}] reported "
-                f"error {err:.3e}")
-        return max(val, 0.0) * self.std * self.std
+        return float(self.bin_variances((lo, hi))[0])
 
     def quadrature_moment(self, lo: float, hi: float, power: int) -> float:
         """E[M**power | lo <= M <= hi] by adaptive quadrature, power 1 or 2.

@@ -9,6 +9,7 @@ assertion messages carry the measured values.
 import json
 import math
 import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -343,7 +344,7 @@ def test_criterion_11_monte_carlo_agrees_with_closed_forms():
 
 def test_criterion_12_cli_round_trip_exit_codes_and_step_function(tmp_path):
     def cli(*argv):
-        return subprocess.run(["cheaptalk", *argv],
+        return subprocess.run([sys.executable, "-m", "cheaptalk", *argv],
                               capture_output=True, text=True)
 
     doc = tmp_path / "solve.json"

@@ -1,9 +1,11 @@
 """Command line interface: exit codes, document formats, round trips."""
 
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,9 +129,19 @@ class TestSolve:
             ("solve", "--source", "exp", "--rate", "1", "--bias", "0.5"),
             ("solve", "--source", "gauss", "--std", "0", "--bias", "0.5",
              "--bins", "2"),
+            ("dynamics", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--bins", "3", "--init", "1,2", "--max-iter", "0"),
+            ("dynamics", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--bins", "3", "--init", "1,2", "--method", "fixed-point",
+             "--damping", "0"),
+            ("dynamics", "--source", "gauss", "--bias", "0.5", "--bins", "3",
+             "--seed", "1", "--tol", "-1"),
+            ("dynamics", "--source", "gauss", "--bias", "nan", "--bins", "3",
+             "--seed", "1"),
         ):
-            code, _, _ = run(capsys, *argv)
+            code, _, err = run(capsys, *argv)
             assert code == 1, argv
+            assert "usage:" in err, argv
 
 
 class TestSweep:
@@ -219,6 +231,14 @@ class TestVerify:
         missing = tmp_path / "missing.json"
         code, _, _ = run(capsys, "verify", str(missing), "--seed", "1")
         assert code == 1
+        # documents that parse but whose certificate cannot be re-evaluated
+        for key, value in (("tolerance", 0), ("excluded_edges", [99])):
+            doc = json.loads(self.write_doc(capsys, tmp_path).read_text())
+            doc["equilibrium"]["certificate"][key] = value
+            bad.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "verify", str(bad), "--seed", "1")
+            assert code == 1, key
+            assert "cannot parse result document" in err, key
 
 
 class TestDynamics:
@@ -289,7 +309,19 @@ class TestConsoleScript:
 
     def test_version_flag(self):
         import cheaptalk
-        proc = subprocess.run(["cheaptalk", "--version"],
+        proc = subprocess.run([sys.executable, "-m", "cheaptalk", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert cheaptalk.__version__ in proc.stdout
+
+    def test_console_script_targets_cli_entry(self):
+        # the [project.scripts] wiring an install turns into `cheaptalk`
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module, _, attr = scripts["cheaptalk"].partition(":")
+        target = getattr(importlib.import_module(module), attr)
+        assert target is entry
+        with pytest.raises(SystemExit) as exc:
+            target(["--version"])
+        assert exc.value.code == 0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,32 @@ from cheaptalk.sources import (
 
 EXP = SourceModel.exponential(1.0)
 GAUSS = SourceModel.gaussian(0.0, 1.0)
+
+INF = math.inf
+# (source, increasing edges) for the array bin-moment layer: half-infinite
+# bins on either side, short and deep-tail bins, and ladder-style arrays
+# whose last edge is a finite cut rather than the support endpoint
+BIN_CASES = (
+    (SourceModel.gaussian(0.7, 1.3),
+     (-INF, -2.0, -0.5, 0.3, 0.31, 2.5, 4.0, INF)),
+    (GAUSS, (-INF, -1.0, 0.2, 1.1, 1.9)),
+    (GAUSS, (-7.5, -7.0, -6.0, 5.0, 5.5, INF)),
+    (SourceModel.exponential(1.7), (0.0, 0.2, 0.9, 3.0, INF)),
+    (SourceModel.exponential(0.4), (-INF, 0.5, 2.0, 2.0005, 6.5)),
+    (EXP, (-1.0, 1e-3, 30.0, 31.0)),
+)
+
+
+def mp_bin_prob(src, lo, hi):
+    """50-digit probability of (lo, hi), independent of the float code."""
+    with mp.workdps(50):
+        if src.kind == "exponential":
+            def sf(x):
+                return mp.mpf(1) if x <= 0 else mp.exp(-src.rate * mp.mpf(x))
+        else:
+            def sf(x):
+                return mp.ncdf(-(mp.mpf(x) - src.mean) / src.std)
+        return float(sf(lo) - sf(hi))
 
 
 class TestConstruction:
@@ -235,7 +262,51 @@ class TestVectorIntervalMean:
         assert a < m < a + w
 
 
+    @pytest.mark.parametrize("src, edges", BIN_CASES)
+    def test_bin_means_against_quadrature(self, src, edges):
+        means = src.bin_means(edges)
+        assert means.shape == (len(edges) - 1,)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            assert lo <= means[k] <= hi
+            assert means[k] == pytest.approx(
+                src.quadrature_moment(lo, hi, 1), abs=1e-10)
+
+    def test_bin_edges_validated(self):
+        for src in (EXP, GAUSS):
+            for bad in ((1.0,), (0.0, 0.0, 1.0), (0.0, math.nan, 1.0),
+                        (2.0, 1.0), ((0.0, 1.0), (2.0, 3.0))):
+                for method in (src.bin_means, src.bin_probs,
+                               src.bin_variances):
+                    with pytest.raises(DomainError):
+                        method(bad)
+
+    def test_bins_outside_exponential_support(self):
+        assert EXP.bin_probs((-3.0, -1.0, 2.0)).tolist() == [
+            0.0, pytest.approx(1.0 - math.exp(-2.0), rel=1e-14)]
+        with pytest.raises(ZeroProbabilityError):
+            EXP.bin_means((-3.0, -1.0, 2.0))
+        with pytest.raises(ZeroProbabilityError):
+            EXP.bin_variances((-3.0, -1.0, 2.0))
+
+
 class TestQuadratureMoment:
+    @pytest.mark.parametrize("src, edges", BIN_CASES)
+    def test_bin_variances_against_quadrature(self, src, edges):
+        variances = src.bin_variances(edges)
+        assert variances.shape == (len(edges) - 1,)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            m1 = src.quadrature_moment(lo, hi, 1)
+            m2 = src.quadrature_moment(lo, hi, 2)
+            assert variances[k] == pytest.approx(m2 - m1 * m1, abs=1e-9)
+
+    @pytest.mark.parametrize("src, edges", BIN_CASES)
+    def test_bin_probs_against_mpmath(self, src, edges):
+        probs = src.bin_probs(edges)
+        assert probs.shape == (len(edges) - 1,)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            assert probs[k] == pytest.approx(mp_bin_prob(src, lo, hi),
+                                             rel=1e-12, abs=1e-300)
+
     def test_exponential_against_closed_forms(self):
         for lo, hi in [(0.0, 1.0), (0.5, 2.5), (3.0, math.inf), (0.0, math.inf)]:
             m = EXP.quadrature_moment(lo, hi, 1)

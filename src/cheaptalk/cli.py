@@ -204,49 +204,36 @@ def _certificate_doc(cert) -> dict:
     return doc
 
 
-def _solve_document(source: SourceModel, bias: float, solver: str,
-                    partition: Partition, cert, started: float,
-                    note: str | None) -> dict:
-    actions = decoder_best_response(partition)
+def _solve_bins(source: SourceModel, bias: float, n_bins: int,
+                args: argparse.Namespace) -> tuple[str, Partition]:
+    """The n-bin equilibrium and the name of the solver that found it."""
+    if source.kind == EXPONENTIAL:
+        return "exp-n-bins", solve_n_bins(source.rate, bias, n_bins)
+    if n_bins == 2:
+        return "gauss-two-bin", solve_two_bin_gauss(source.mean, source.std, bias)
+    return "gauss-fixed-point", solve_n_bins_gauss(
+        source.mean, source.std, bias, n_bins,
+        damping=args.damping, max_iter=args.max_iter, tol=args.tol)
+
+
+_REPORT_COLUMNS = ["edges", "centroids", "lengths", "residuals",
+                   "max_abs_residual", "tolerance", "verdict", "excluded_edges",
+                   "decoder_cost", "encoder_cost"]
+
+
+def _report(partition: Partition, cert) -> dict:
+    """Flat fields of a solved partition, keyed as _REPORT_COLUMNS (the
+    excluded_edges key only when some edge is excluded); the solve
+    document, the solve CSV row and each sweep row are cut from it."""
     costs = decoder_cost(partition)
     return {
-        "source": source.describe(),
-        "bias": bias,
-        "solver": solver,
-        "equilibrium": {
-            "edges": list(partition.edges),
-            "centroids": list(actions.centroids),
-            "lengths": list(partition.lengths),
-            "certificate": _certificate_doc(cert),
-        },
-        "costs": {"decoder": costs.decoder_cost, "encoder": costs.encoder_cost},
-        "meta": _meta(started, note),
+        "edges": list(partition.edges),
+        "centroids": list(decoder_best_response(partition).centroids),
+        "lengths": list(partition.lengths),
+        **_certificate_doc(cert),
+        "decoder_cost": costs.decoder_cost,
+        "encoder_cost": costs.encoder_cost,
     }
-
-
-def _document_csv(doc: dict) -> str:
-    src = doc["source"]
-    eq = doc["equilibrium"]
-    cert = eq["certificate"]
-    row = {
-        "kind": src["kind"],
-        "rate": src.get("rate"),
-        "mean": src.get("mean"),
-        "std": src.get("std"),
-        "bias": doc["bias"],
-        "solver": doc["solver"],
-        "edges": eq["edges"],
-        "centroids": eq["centroids"],
-        "lengths": eq["lengths"],
-        "residuals": cert["residuals"],
-        "max_abs_residual": cert["max_abs_residual"],
-        "tolerance": cert["tolerance"],
-        "verdict": cert["verdict"],
-        "excluded_edges": cert.get("excluded_edges", ()),
-        "decoder_cost": doc["costs"]["decoder"],
-        "encoder_cost": doc["costs"]["encoder"],
-    }
-    return _rows_to_csv(list(row), [row])
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -258,46 +245,33 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     note = None
     converged = True
     try:
-        if args.source == "exp":
-            if args.ladder:
-                n_edges = args.edges if args.edges is not None else 64
-                partition = infinite_equilibrium(source.rate, bias, n_edges)
-                cert = certify(partition, tol=args.cert_tol,
-                               excluded_edges=(n_edges,))
-                solver = "exp-equal-ladder"
-                note = ("equal-length window of the infinite-bin equilibrium; "
-                        f"its decoder cost is "
-                        f"{_fmt(decoder_cost_infinite(source.rate, bias))}")
-            else:
-                partition = solve_n_bins(source.rate, bias, args.bins)
-                cert = certify(partition, tol=args.cert_tol)
-                solver = "exp-n-bins"
-        else:
-            if args.ladder:
-                n_edges = args.edges if args.edges is not None else 40
-                result = solve_truncated_ladder(
-                    source, bias, n_edges=n_edges, margin=args.margin,
-                    damping=args.damping, max_iter=args.max_iter,
-                    tol=args.tol, cert_tol=args.cert_tol)
-                partition, cert = result.partition, result.certificate
-                converged = result.converged
-                solver = "gauss-ladder"
-                note = (f"truncated ladder, {result.iterations} iterations, "
-                        f"last edge movement {_fmt(result.final_change)}"
-                        + ("" if result.converged else "; did not converge"))
-            elif args.bins == 2:
-                partition = solve_two_bin_gauss(source.mean, source.std, bias)
-                cert = certify(partition, tol=args.cert_tol)
-                solver = "gauss-two-bin"
-            else:
-                partition = solve_n_bins_gauss(
-                    source.mean, source.std, bias, args.bins,
-                    damping=args.damping, max_iter=args.max_iter, tol=args.tol)
-                cert = certify(partition, tol=args.cert_tol)
-                solver = "gauss-fixed-point"
-            if bias == 0.0 and not args.ladder:
+        if not args.ladder:
+            solver, partition = _solve_bins(source, bias, args.bins, args)
+            cert = certify(partition, tol=args.cert_tol)
+            if bias == 0.0 and source.kind == GAUSSIAN:
                 note = ("bias 0 is the classical minimum-distortion quantizer, "
                         "included as a reference point")
+        elif source.kind == EXPONENTIAL:
+            n_edges = args.edges if args.edges is not None else 64
+            partition = infinite_equilibrium(source.rate, bias, n_edges)
+            cert = certify(partition, tol=args.cert_tol,
+                           excluded_edges=(n_edges,))
+            solver = "exp-equal-ladder"
+            note = ("equal-length window of the infinite-bin equilibrium; "
+                    f"its decoder cost is "
+                    f"{_fmt(decoder_cost_infinite(source.rate, bias))}")
+        else:
+            n_edges = args.edges if args.edges is not None else 40
+            result = solve_truncated_ladder(
+                source, bias, n_edges=n_edges, margin=args.margin,
+                damping=args.damping, max_iter=args.max_iter,
+                tol=args.tol, cert_tol=args.cert_tol)
+            partition, cert = result.partition, result.certificate
+            converged = result.converged
+            solver = "gauss-ladder"
+            note = (f"truncated ladder, {result.iterations} iterations, "
+                    f"last edge movement {_fmt(result.final_change)}"
+                    + ("" if result.converged else "; did not converge"))
     except NoInformativeEquilibriumError as err:
         sys.stderr.write(f"no informative equilibrium: {err}\n")
         return 2
@@ -310,8 +284,26 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except DomainError as err:
         parser.error(str(err))
 
-    doc = _solve_document(source, bias, solver, partition, cert, started, note)
-    text = _render_json(doc) if args.format == "json" else _document_csv(doc)
+    report = _report(partition, cert)
+    if args.format == "json":
+        text = _render_json({
+            "source": source.describe(),
+            "bias": bias,
+            "solver": solver,
+            "equilibrium": {
+                "edges": report["edges"],
+                "centroids": report["centroids"],
+                "lengths": report["lengths"],
+                "certificate": _certificate_doc(cert),
+            },
+            "costs": {"decoder": report["decoder_cost"],
+                      "encoder": report["encoder_cost"]},
+            "meta": _meta(started, note),
+        })
+    else:
+        text = _rows_to_csv(
+            ["kind", "rate", "mean", "std", "bias", "solver", *_REPORT_COLUMNS],
+            [{**source.describe(), "bias": bias, "solver": solver, **report}])
     _emit(text, args.out)
     if not cert.verdict:
         sys.stderr.write(
@@ -345,7 +337,7 @@ def _classify(err: Exception) -> str:
 
 
 def _sweep_row(source: SourceModel, bias: float, n_bins: int,
-               cert_tol: float, args: argparse.Namespace) -> dict:
+               args: argparse.Namespace) -> dict:
     row: dict[str, Any] = {"bias": bias, "bins": n_bins, "status": "ok"}
     if source.kind == EXPONENTIAL:
         if bias < 0.0:
@@ -356,30 +348,11 @@ def _sweep_row(source: SourceModel, bias: float, n_bins: int,
             row["fixed_point_length"] = fixed_point_length(source.rate, bias)
             row["decoder_cost_infinite"] = decoder_cost_infinite(source.rate, bias)
     try:
-        if source.kind == EXPONENTIAL:
-            partition = solve_n_bins(source.rate, bias, n_bins)
-        elif n_bins == 2:
-            partition = solve_two_bin_gauss(source.mean, source.std, bias)
-        else:
-            partition = solve_n_bins_gauss(
-                source.mean, source.std, bias, n_bins,
-                damping=args.damping, max_iter=args.max_iter, tol=args.tol)
+        _, partition = _solve_bins(source, bias, n_bins, args)
     except Exception as err:  # status column carries the failure
         row["status"] = _classify(err)
         return row
-    cert = certify(partition, tol=cert_tol)
-    costs = decoder_cost(partition)
-    actions = decoder_best_response(partition)
-    row.update({
-        "edges": partition.edges,
-        "centroids": actions.centroids,
-        "lengths": partition.lengths,
-        "residuals": cert.residuals,
-        "max_abs_residual": cert.max_abs_residual,
-        "verdict": cert.verdict,
-        "decoder_cost": costs.decoder_cost,
-        "encoder_cost": costs.encoder_cost,
-    })
+    row.update(_report(partition, certify(partition, tol=args.cert_tol)))
     return row
 
 
@@ -417,7 +390,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("empty sweep grid")
 
     rows = [
-        {"index": i, **_sweep_row(source, b, n, args.cert_tol, args)}
+        {"index": i, **_sweep_row(source, b, n, args)}
         for i, (b, n) in enumerate(grid)
     ]
     header = ["index", "bias", "bins", "status"]
@@ -425,8 +398,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         header.append("max_bins")
         if any("fixed_point_length" in r for r in rows):
             header += ["fixed_point_length", "decoder_cost_infinite"]
-    header += ["edges", "centroids", "lengths", "residuals",
-               "max_abs_residual", "verdict", "decoder_cost", "encoder_cost"]
+    header += [c for c in _REPORT_COLUMNS
+               if c not in ("tolerance", "excluded_edges")]
 
     if args.format == "csv":
         text = _rows_to_csv(header, rows)
@@ -596,12 +569,11 @@ def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     if args.format == "csv":
         rows = [
-            {"step": s, "residual": r, "edges": p.edges}
+            {"step": s, "residual": r, "edges": p.edges,
+             "status": trace.outcome.status}
             for s, r, p in zip(trace.recorded_steps, trace.residual_history,
                                trace.iterates)
         ]
-        for row in rows:
-            row["status"] = trace.outcome.status
         text = _rows_to_csv(["step", "residual", "edges", "status"], rows)
     else:
         text = _render_json(doc)

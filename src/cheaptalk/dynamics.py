@@ -24,7 +24,6 @@ from .equilibrium import (
     Partition,
     _check_iteration_params,
     _midpoints,
-    decoder_best_response,
 )
 from .errors import DomainError
 from .sources import SourceModel
@@ -203,7 +202,10 @@ def _run(source: SourceModel, bias: float, init: Partition, max_iter: int,
     if dead is not None:
         rec.add(0, edges, math.nan, force=True)
         return rec.collapsed(0, dead)
-    means = np.asarray(decoder_best_response(start).centroids)
+    means = source.bin_means(edges)
+    if not (means[1:] > means[:-1]).all():
+        rec.add(0, edges, math.nan, force=True)
+        return rec.collapsed(0, None)
     targets = _midpoints(means, bias)
     residual = _max_abs(edges[1:-1] - targets)
     rec.add(0, edges, residual, force=True)

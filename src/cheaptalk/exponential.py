@@ -142,14 +142,32 @@ def solve_two_bin(rate: float, bias: float) -> Partition:
     return Partition((0.0, m1, math.inf), SourceModel.exponential(rate), bias)
 
 
+def _backward_lengths(rate: float, bias: float, count: int) -> list[float]:
+    """Up to count finite bin lengths of the backward recursion, last bin
+    first.
+
+    The last finite length solves g(l) = 2/rate + 2*bias; each earlier
+    target subtracts the h-value of the length just found. The n-bin
+    equilibrium takes the first n-1 lengths, so one walk serves every bin
+    count. The walk stops early at the first target at or below g's
+    infimum 1/rate: the next bin cannot fit.
+    """
+    c = 2.0 / rate + 2.0 * bias
+    walk: list[float] = []
+    while len(walk) < count:
+        target = c - h(walk[-1], rate) if walk else c
+        if rate * target <= 1.0:
+            break
+        walk.append(_invert_g(target, rate, bias > 0.0))
+    return walk
+
+
 def solve_n_bins(rate: float, bias: float, n_bins: int) -> Partition:
     """The n-bin equilibrium by backward recursion on bin lengths.
 
-    The last finite length solves g(l) = 2/rate + 2*bias; each earlier
-    target subtracts the h-value of the length just found. A target at
-    or below g's infimum 1/rate means the next bin cannot fit:
-    BinCollapseError (with the failing bin index) for bias <= 0, where
-    bin counts are limited; for bias > 0 every count succeeds.
+    A target at or below g's infimum 1/rate means the next bin cannot
+    fit: BinCollapseError (with the failing bin index) for bias <= 0,
+    where bin counts are limited; for bias > 0 every count succeeds.
     NoInformativeEquilibriumError when n_bins >= 2 yet even two bins are
     infeasible.
     """
@@ -158,44 +176,29 @@ def solve_n_bins(rate: float, bias: float, n_bins: int) -> Partition:
         raise DomainError(f"bias must be finite, got {bias!r}")
     if not (isinstance(n_bins, int) and n_bins >= 1):
         raise DomainError(f"n_bins must be a positive integer, got {n_bins!r}")
-    source = SourceModel.exponential(rate)
-    if n_bins == 1:
-        return Partition((0.0, math.inf), source, bias)
-    c = 2.0 / rate + 2.0 * bias
-    if rate * c <= 1.0:
+    walk = _backward_lengths(rate, bias, n_bins - 1)
+    if n_bins >= 2 and not walk:
         raise NoInformativeEquilibriumError(
             f"no informative equilibrium at rate={rate}, bias={bias}: "
             f"requires bias > {bias_threshold(rate, 2)}")
-    use_lambert = bias > 0.0
-    lengths: list[float] = [0.0] * (n_bins - 1)
-    lengths[-1] = _invert_g(c, rate, use_lambert)
-    for k in range(n_bins - 3, -1, -1):
-        target = c - h(lengths[k + 1], rate)
-        if rate * target <= 1.0:
-            raise BinCollapseError(
-                f"bin {k + 1} of {n_bins} collapses at rate={rate}, "
-                f"bias={bias}: no equilibrium with this many bins",
-                bin_index=k + 1)
-        lengths[k] = _invert_g(target, rate, use_lambert)
-    edges = (0.0, *accumulate(lengths), math.inf)
-    return Partition(edges, source, bias)
+    if len(walk) < n_bins - 1:
+        k = n_bins - 1 - len(walk)
+        raise BinCollapseError(
+            f"bin {k} of {n_bins} collapses at rate={rate}, "
+            f"bias={bias}: no equilibrium with this many bins",
+            bin_index=k)
+    edges = (0.0, *accumulate(reversed(walk)), math.inf)
+    return Partition(edges, SourceModel.exponential(rate), bias)
 
 
 def empirical_max_bins(rate: float, bias: float) -> int:
     """Largest bin count the recursion actually attains for bias < 0.
 
-    Existence is monotone in the bin count, so this walks upward until
-    the first collapse, never trying past the hard bound.
+    Existence is monotone in the bin count, so this is one backward walk
+    run until the first collapse, never past the hard bound.
     """
     cap = max_bins_negative_bias(rate, bias)
-    best = 1
-    for n in range(2, cap + 1):
-        try:
-            solve_n_bins(rate, bias, n)
-        except BinCollapseError:
-            break
-        best = n
-    return best
+    return len(_backward_lengths(rate, bias, cap - 1)) + 1
 
 
 def equal_length_defect(length: float, rate: float, bias: float) -> float:

@@ -104,6 +104,26 @@ class TestSolve:
         assert "certificate failed" in err
         assert json.loads(out)["meta"]["note"].endswith("did not converge")
 
+    def test_gauss_ladder_csv(self, capsys):
+        code, out, _ = run(capsys, "solve", "--source", "gauss", "--bias",
+                           "-0.3", "--ladder", "--edges", "30", "--format",
+                           "csv")
+        assert code == 0
+        header, line = out.strip().split("\n")
+        row = dict(zip(header.split(","), line.split(",")))
+        assert header.split(",") == [
+            "kind", "rate", "mean", "std", "bias", "solver", "edges",
+            "centroids", "lengths", "residuals", "max_abs_residual",
+            "tolerance", "verdict", "excluded_edges", "decoder_cost",
+            "encoder_cost"]
+        assert row["solver"] == "gauss-ladder"
+        assert row["rate"] == ""
+        assert row["excluded_edges"] == "1;2;3;4;5"
+        assert row["verdict"] == "true"
+        assert len(row["edges"].split(";")) == 32
+        assert float(row["encoder_cost"]) == pytest.approx(
+            float(row["decoder_cost"]) + 0.09, rel=1e-15)
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "solve", "--source", "exp", "--rate", "1",
                            "--bias", "0.5", "--bins", "2", "--format", "csv")
@@ -167,6 +187,45 @@ class TestSweep:
         assert all(a > b for a, b in zip(costs, costs[1:]))
         assert all(r["status"] == "ok" for r in rows)
         assert all(r["max_bins"] == "inf" for r in rows)
+
+    def test_gauss_bias_sweep_formats_agree(self, capsys):
+        argv = ("sweep", "--source", "gauss", "--vary", "bias", "--from",
+                "-0.2", "--to", "0.2", "--steps", "3", "--bins", "3")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert list(rows[0]) == [
+            "index", "bias", "bins", "status", "edges", "centroids",
+            "lengths", "residuals", "max_abs_residual", "verdict",
+            "decoder_cost", "encoder_cost"]
+        assert all(r["verdict"] is True for r in rows)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0].split(",") == list(rows[0])
+        for line, r in zip(lines[1:], rows):
+            cells = line.split(",")
+            assert [float(v) for v in cells[4].split(";")[1:-1]] == \
+                r["edges"][1:-1]
+            assert float(cells[-1]) == r["encoder_cost"]
+
+    def test_gauss_failed_rows_leave_equilibrium_columns_empty(self, capsys):
+        argv = ("sweep", "--source", "gauss", "--vary", "bins", "--from",
+                "2", "--to", "6", "--bias", "0.1", "--max-iter", "5")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        # the two-bin closed form needs no iteration; the others stop at 5
+        assert [r["status"] for r in rows] == \
+            ["ok"] + ["non-convergence"] * 4
+        assert all(r["edges"] is None and r["decoder_cost"] is None
+                   for r in rows[1:])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[-1] == "4,0.10000000000000001,6,non-convergence" + \
+            "," * 8
 
     def test_empty_grid_exits_one(self, capsys):
         code, _, _ = run(capsys, "sweep", "--source", "exp", "--rate", "1",
@@ -260,6 +319,18 @@ class TestDynamics:
         doc = json.loads(out)
         assert doc["outcome"]["status"] == "collapsed"
         assert doc["outcome"]["bin_index"] is not None
+        assert "final" not in doc
+
+    def test_crossed_initial_centroids_exit_zero(self, capsys):
+        code, out, err = run(
+            capsys, "dynamics", "--source", "gauss", "--bias", "0.1",
+            "--bins", "5",
+            "--init=-3.0,-2.999999999995,-2.99999999999,-2.999999999985")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["outcome"] == {"status": "collapsed", "iteration": 0,
+                                  "bin_index": None}
+        assert doc["recorded_steps"] == [0]
         assert "final" not in doc
 
     def test_seeded_runs_reproduce(self, capsys):

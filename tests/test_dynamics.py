@@ -113,6 +113,23 @@ class TestCollapse:
         assert trace.outcome.bin_index == 2
         assert trace.outcome.iteration == 0
 
+    def test_crossed_initial_centroids_are_a_collapse(self):
+        # every bin is wider than COLLAPSE_LENGTH and heavier than
+        # COLLAPSE_PROB, yet the computed centroids of the three short
+        # bins do not increase, so there is no decoder profile to start from
+        edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
+                 math.inf)
+        init = Partition(edges, GAUSS, 0.1)
+        for runner in (lloyd_method_i,
+                       lambda s, b, i: fixed_point_iterate(s, b, i,
+                                                           damping=0.5)):
+            trace = runner(GAUSS, 0.1, init)
+            assert trace.outcome.status == "collapsed"
+            assert trace.outcome.iteration == 0
+            assert trace.outcome.bin_index is None
+            assert trace.recorded_steps == (0,)
+            assert trace.iterates[0].edges == edges
+
 
 class TestTraceShape:
     def test_initial_partition_is_recorded_first(self):

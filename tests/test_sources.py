@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheaptalk.equilibrium import Partition, decoder_cost
 from cheaptalk.errors import DomainError, ZeroProbabilityError
 from cheaptalk.sources import (
     SourceModel,
@@ -44,6 +45,25 @@ def mp_bin_prob(src, lo, hi):
             def sf(x):
                 return mp.ncdf(-(mp.mpf(x) - src.mean) / src.std)
         return float(sf(lo) - sf(hi))
+
+
+def mp_std_variance(lo, hi):
+    """60-digit variance of a standard normal on (lo, hi), closed form."""
+    with mp.workdps(60):
+        a, b = mp.mpf(lo), mp.mpf(hi)
+
+        def pdf(x):
+            return mp.mpf(0) if mp.isinf(x) else mp.npdf(x)
+
+        def xpdf(x):
+            return mp.mpf(0) if mp.isinf(x) else x * mp.npdf(x)
+
+        if a >= 0:  # upper-tail mass without cancellation
+            z = (mp.erfc(a / mp.sqrt(2)) - mp.erfc(b / mp.sqrt(2))) / 2
+        else:
+            z = (mp.erfc(-b / mp.sqrt(2)) - mp.erfc(-a / mp.sqrt(2))) / 2
+        mu = (pdf(a) - pdf(b)) / z
+        return float(1 + (xpdf(a) - xpdf(b)) / z - mu * mu)
 
 
 class TestConstruction:
@@ -232,6 +252,22 @@ class TestGaussianMoments:
             v = GAUSS.truncated_variance(lo, hi)
             assert 0.0 < v < 1.0
 
+    @pytest.mark.parametrize("lo, hi, rel", [
+        (0.0, 1e6, 1e-13), (1.0, 1e4, 1e-13), (-1e5, 1e5, 1e-13),
+        (-1e4, -1.0, 1e-13), (20.0, INF, 1e-13), (-INF, -8.0, 1e-13),
+        (-INF, 0.3, 1e-13), (-2.0, 3.0, 1e-13), (7.0, 30.0, 1e-13),
+        # the conditional mean itself carries an absolute error near
+        # ulp(1e5), against a spread of 1e-5
+        (1e5, INF, 1e-7), (-INF, -1e5, 1e-7)])
+    def test_variance_against_mpmath(self, lo, hi, rel):
+        # includes long bins whose mass sits in a sliver at one end
+        assert GAUSS.truncated_variance(lo, hi) == pytest.approx(
+            mp_std_variance(lo, hi), rel=rel)
+
+    def test_cost_of_long_bins(self):
+        p = Partition((-INF, -1e5, 1e5, INF), GAUSS, 0.0)
+        assert decoder_cost(p).decoder_cost == pytest.approx(1.0, rel=1e-13)
+
     def test_variance_against_second_moment_route(self):
         src = SourceModel.gaussian(-0.4, 0.8)
         for lo, hi in [(-1.5, 0.2), (0.0, 1.0), (-math.inf, -0.4)]:
@@ -249,6 +285,18 @@ class TestVectorIntervalMean:
         for i in range(len(za)):
             assert vec[i] == pytest.approx(
                 _std_interval_mean(float(za[i]), float(zb[i])), rel=1e-13)
+
+    def test_reflection_is_exact(self):
+        # lower-side bins are evaluated as reflected upper-side ones
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.0, 40.0, 400)
+        b = a + np.exp(rng.uniform(-20.0, 4.0, 400))
+        b[::5] = INF
+        a[1::5] = -rng.uniform(0.0, 5.0, 80)  # straddling the origin
+        up = _std_interval_mean(a, b)
+        assert np.array_equal(_std_interval_mean(-b, -a), -up)
+        for lo, hi in zip(a[:40].tolist(), b[:40].tolist()):
+            assert _std_interval_mean(-hi, -lo) == -_std_interval_mean(lo, hi)
 
     def test_scalar_returns_float(self):
         out = _std_interval_mean(0.0, 1.0)

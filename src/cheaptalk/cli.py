@@ -166,6 +166,21 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
                    help="Gaussian standard deviation (default 1)")
 
 
+def _add_solver_args(p: argparse.ArgumentParser) -> None:
+    """Iteration settings of the Gaussian n-bin and ladder solves (solver
+    name gauss-fixed-point / gauss-ladder): Newton's method, with damped
+    fixed-point iteration as the fallback when Newton breaks down."""
+    p.add_argument("--damping", type=float, default=0.5,
+                   help="gauss: damping of the fixed-point fallback only "
+                        "(default 0.5)")
+    p.add_argument("--max-iter", type=int, default=100_000,
+                   help="gauss: cap on Newton steps, or on fallback "
+                        "iterations (default 100000)")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="gauss: bound on the last step's largest edge "
+                        "movement (default 1e-10)")
+
+
 def _make_source(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SourceModel:
     try:
         if args.source == "exp":
@@ -206,7 +221,9 @@ def _certificate_doc(cert) -> dict:
 
 def _solve_bins(source: SourceModel, bias: float, n_bins: int,
                 args: argparse.Namespace) -> tuple[str, Partition]:
-    """The n-bin equilibrium and the name of the solver that found it."""
+    """The n-bin equilibrium and the name of the solver that found it.
+    The Gaussian solver is Newton with a damped fixed-point fallback; it
+    keeps the name gauss-fixed-point, which documents already carry."""
     if source.kind == EXPONENTIAL:
         return "exp-n-bins", solve_n_bins(source.rate, bias, n_bins)
     if n_bins == 2:
@@ -606,10 +623,7 @@ def _build_parser() -> _Parser:
                        help="ladder edge count (default: 64 exp, 40 gauss)")
     solve.add_argument("--margin", type=int, default=5,
                        help="gauss ladder: edges excluded near the cut")
-    solve.add_argument("--damping", type=float, default=0.5)
-    solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument("--tol", type=float, default=1e-10,
-                       help="iteration stopping tolerance (gauss)")
+    _add_solver_args(solve)
     solve.add_argument("--cert-tol", type=float, default=1e-8)
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--out", help="output path (default: stdout)")
@@ -624,9 +638,7 @@ def _build_parser() -> _Parser:
                        help="fixed bias when varying bins")
     sweep.add_argument("--bins", type=int,
                        help="fixed bin count when varying bias (default 2)")
-    sweep.add_argument("--damping", type=float, default=0.5)
-    sweep.add_argument("--max-iter", type=int, default=100_000)
-    sweep.add_argument("--tol", type=float, default=1e-10)
+    _add_solver_args(sweep)
     sweep.add_argument("--cert-tol", type=float, default=1e-8)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out")

@@ -4,10 +4,17 @@ The two-bin equilibrium always exists: its normalized edge c solves
 two_bin_balance(c) = 2*bias/std, and the balance map is odd and strictly
 increasing, so an expanding bracket plus the shared root-finder settles
 it. Finite bin counts above two and the (truncated) infinite ladder have
-no closed form; they are found by damped fixed-point iteration of the
-shared midpoint map on the interior edges. One loop serves both: a
-finite-bin game closes its last bin at +inf, a truncated ladder one
-synthetic bin past its last edge.
+no closed form; they are found by Newton's method on the equilibrium
+condition F(e) = e - midpoints(e) in the interior edges. Its Jacobian is
+tridiagonal, since each conditional mean moves only with its own two
+edges, by closed-form slopes; steps are halved until the edges stay
+increasing and max|F| does not grow, and a Newton step of at most tol
+ends the solve. If Newton breaks down (a non-finite F or Jacobian, or a
+step halved below 2^-20), the solve restarts from the same edges with
+damped fixed-point iteration of the shared midpoint map, which converges
+only linearly but needs no derivative. One Newton loop and one damped
+loop serve both problems: a finite-bin game closes its last bin at +inf,
+a truncated ladder one synthetic bin past its last edge.
 
 An infinite ladder cannot be iterated whole. The artifact keeps a
 truncated window of edges anchored at the two-bin edge on the bounded
@@ -37,7 +44,7 @@ from .errors import (
     EdgeOrderingError,
     NonConvergenceError,
 )
-from .sources import GAUSSIAN, SourceModel
+from .sources import GAUSSIAN, SourceModel, _std_interval_slopes
 from .special import Bracket, find_root, mills_ratio, std_normal_cdf, std_normal_pdf
 
 __all__ = [
@@ -256,21 +263,86 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
     return edges, False, max_iter, delta
 
 
+def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
+                  max_iter: int, tol: float, ladder_step: float | None = None
+                  ) -> tuple[np.ndarray, bool, int, float] | None:
+    """Newton's method on F(e) = e - midpoints(e), bins as in
+    _damped_midpoints; returns (edges, converged, steps, last_step), or
+    None when Newton breaks down (a non-finite F or J, or a step halved
+    below 2^-20 before the edges stay increasing and max|F| stops
+    growing). J is tridiagonal: each mean moves only with its own two
+    edges, by the slopes of _std_interval_slopes; a ladder's closing
+    edge moves with the last edge, adding its slope to the last row.
+    Converged once a full step's sup-norm is <= tol, after taking it."""
+    from scipy.linalg import solve_banded
+
+    mean, std = source.mean, source.std
+
+    def residual(e):
+        close = np.inf if ladder_step is None else e[-1] + ladder_step
+        full = np.concatenate(([-np.inf], e, [close]))
+        means = source.bin_means(full)
+        return e - _midpoints(means, bias), full, means
+
+    f, full, means = residual(edges)
+    f_max = float(np.abs(f).max())
+    size = math.inf
+    for it in range(1, max_iter + 1):
+        z = (full - mean) / std
+        lo, hi = _std_interval_slopes(z[:-1], z[1:], (means - mean) / std)
+        band = np.zeros((3, edges.size))
+        band[0, 1:] = -0.5 * hi[1:-1]
+        band[1] = 1.0 - 0.5 * (hi[:-1] + lo[1:])
+        band[2, :-1] = -0.5 * lo[1:-1]
+        if ladder_step is not None:
+            band[1, -1] -= 0.5 * hi[-1]
+        if not (math.isfinite(f_max) and np.isfinite(band).all()):
+            return None
+        try:
+            step = solve_banded((1, 1), band, -f, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        size = float(np.abs(step).max())
+        if not math.isfinite(size):
+            return None
+        if size <= tol:
+            new = edges + step
+            if (new[1:] > new[:-1]).all():
+                return new, True, it, size
+        t = 1.0
+        while True:
+            new = edges + t * step
+            if (new[1:] > new[:-1]).all():
+                f_new, full_new, means_new = residual(new)
+                if float(np.abs(f_new).max()) <= f_max:
+                    break
+            t *= 0.5
+            if t < 2.0 ** -20:
+                return None
+        edges, f, full, means = new, f_new, full_new, means_new
+        f_max = float(np.abs(f).max())
+        size *= t
+    return edges, False, max_iter, size
+
+
 def solve_truncated_ladder(source: SourceModel, bias: float,
                            init: TruncatedLadder | None = None, *,
                            n_edges: int = 40, margin: int = 5,
                            damping: float = 0.5, max_iter: int = 100_000,
                            tol: float = 1e-10,
                            cert_tol: float = 1e-8) -> LadderResult:
-    """Damped fixed-point solve of a truncated infinite-bin ladder.
+    """Newton solve of a truncated infinite-bin ladder, damped
+    fixed-point iteration (with this damping) as the fallback.
 
     Starts from init when given (its margin wins), otherwise from equal
     spacing of width max(2|bias|, std/4) anchored at the two-bin edge.
     Negative bias is handled by reflecting the game about the mean,
     which flips the bias sign and leaves the source invariant; results
     are mapped back, so the excluded margin sits on the left there.
-    Raises EdgeOrderingError if iteration crosses edges; reaching
-    max_iter yields converged=False rather than an exception.
+    max_iter caps the Newton steps (or the fallback's iterations), and
+    final_change is the last step's sup-norm. Raises EdgeOrderingError
+    if the fallback crosses edges; reaching max_iter yields
+    converged=False rather than an exception.
     """
     if source.kind != GAUSSIAN:
         raise DomainError("truncated ladders apply to Gaussian sources only")
@@ -297,9 +369,11 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     flip = bias < 0.0
     work_bias = abs(bias)
     work_edges = np.sort(2.0 * mean - edges) if flip else np.asarray(edges, float)
-    work_edges, converged, iterations, change = _damped_midpoints(
-        source, work_bias, work_edges, damping, max_iter, tol,
-        ladder_step=asymptotic_bin_length(work_bias))
+    closing = asymptotic_bin_length(work_bias)
+    work_edges, converged, iterations, change = (
+        _newton_edges(source, work_bias, work_edges, max_iter, tol, closing)
+        or _damped_midpoints(source, work_bias, work_edges, damping,
+                             max_iter, tol, closing))
     final = np.sort(2.0 * mean - work_edges) if flip else work_edges
 
     anchor = float(final[-1] if flip else final[0])
@@ -331,15 +405,17 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
                        init: Partition | None = None, *,
                        damping: float = 0.5, max_iter: int = 100_000,
                        tol: float = 1e-10) -> Partition:
-    """Finite-bin Gaussian equilibrium by damped midpoint iteration.
+    """Finite-bin Gaussian equilibrium by Newton's method on the
+    midpoint condition, damped midpoint iteration as the fallback.
 
     Both extreme bins are genuinely half-infinite here. There is no
     closed form and no general existence result for n_bins >= 3, so the
-    iteration simply reports what it finds: a Partition on convergence,
-    NonConvergenceError (carrying the last edges) when max_iter runs
-    out, EdgeOrderingError if edges cross. bias = 0 is permitted and
-    yields the classical mean-squared-optimal quantizer, outside the
-    strategic story but a useful anchor.
+    solve simply reports what it finds: a Partition once a Newton step
+    is at most tol, NonConvergenceError (carrying the last edges) when
+    max_iter steps run out, EdgeOrderingError if the damped fallback
+    crosses edges. damping applies to the fallback only. bias = 0 is
+    permitted and yields the classical mean-squared-optimal quantizer,
+    outside the strategic story but a useful anchor.
     """
     source = SourceModel.gaussian(mean, std)
     if not math.isfinite(bias):
@@ -357,8 +433,9 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     else:
         edges = _default_interior(mean, std, bias, n_bins)
 
-    edges, converged, _, delta = _damped_midpoints(
-        source, bias, edges, damping, max_iter, tol)
+    edges, converged, _, delta = (
+        _newton_edges(source, bias, edges, max_iter, tol)
+        or _damped_midpoints(source, bias, edges, damping, max_iter, tol))
     if converged:
         return Partition((-math.inf, *edges, math.inf), source, bias)
     raise NonConvergenceError(

@@ -14,7 +14,10 @@ Numerical ground rules:
   upper side (the mean is odd under t -> -t), so each formula is written
   once; bins that sit entirely in one tail are evaluated through the
   scaled complementary error function, so conditional means stay
-  accurate even where the interval probability itself underflows;
+  accurate even where the interval probability itself underflows; the
+  Newton solvers' edge slopes of that mean (_std_interval_slopes) use
+  the same reflection and scaled forms, in a separate kernel so the
+  mean's callers do not pay for them;
 - Gaussian conditional variances use adaptive quadrature against a
   tail-normalized conditional density (the mean is closed-form, the
   variance is not treated as such), over the part of the bin where that
@@ -82,6 +85,29 @@ def _exp_window_variance(length, rate: float):
                     np.where(s > 350.0, 1.0 / (rate * rate), closed))[()]
 
 
+def _upper_side(a, b):
+    """Reflect bins with b <= 0 and lower half-lines onto the upper side,
+    (a, b) -> (-b, -a); returns (a, b, flip). The conditional mean is odd
+    under the reflection, and its two edge slopes swap."""
+    flip = (b <= 0.0) | (np.isneginf(a) & ~np.isposinf(b))
+    return np.where(flip, -b, a), np.where(flip, -a, b), flip
+
+
+def _tail_scaled(va, vb):
+    """(d, den) of upper same-tail bins 0 <= va < vb: d = (vb^2 - va^2)/2,
+    so pdf(vb) = pdf(va)*exp(-d), and the bin's mass is pdf(va)*den."""
+    d = 0.5 * (vb - va) * (vb + va)
+    return d, _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
+
+
+def _central_mass(va, vb):
+    """Density at both ends and the mass of finite bins va < 0 < vb; the
+    mass is an erf sum, so nothing cancels."""
+    phi_a = np.exp(-0.5 * va * va) / _SQRT_2PI
+    phi_b = np.exp(-0.5 * vb * vb) / _SQRT_2PI
+    return phi_a, phi_b, 0.5 * (_erf_arr(vb / _SQRT2) + _erf_arr(-va / _SQRT2))
+
+
 def _std_interval_mean(alpha, beta):
     """Mean of a standard normal conditioned on [alpha, beta], elementwise.
 
@@ -96,9 +122,7 @@ def _std_interval_mean(alpha, beta):
     a0 = np.asarray(alpha, dtype=float)
     b0 = np.asarray(beta, dtype=float)
     scalar = a0.ndim == 0 and b0.ndim == 0
-    a, b = np.atleast_1d(*np.broadcast_arrays(a0, b0))
-    flip = (b <= 0.0) | (np.isneginf(a) & ~np.isposinf(b))
-    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    a, b, flip = _upper_side(*np.atleast_1d(*np.broadcast_arrays(a0, b0)))
     out = np.full(a.shape, np.nan)
     upper = np.isposinf(b)
     if upper.any():
@@ -108,8 +132,7 @@ def _std_interval_mean(alpha, beta):
     right = ~upper & (a >= 0.0)
     if right.any():
         va, vb = a[right], b[right]
-        d = 0.5 * (vb - va) * (vb + va)
-        den = _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
+        d, den = _tail_scaled(va, vb)
         num = -np.expm1(-d)
         ok = den > 0.0
         out[right] = np.where(ok, num / np.where(ok, den, 1.0),
@@ -118,19 +141,55 @@ def _std_interval_mean(alpha, beta):
     if strad.any():
         va, vb = a[strad], b[strad]
         d = 0.5 * (vb - va) * (vb + va)
-        phi_a = np.exp(-0.5 * va * va) / _SQRT_2PI
-        phi_b = np.exp(-0.5 * vb * vb) / _SQRT_2PI
+        phi_a, phi_b, den = _central_mass(va, vb)
         # pdf(a) - pdf(b) = pdf(b)*expm1(d); direct difference once |d|
         # is large enough that nothing cancels
         num = np.where(np.abs(d) <= 1.0,
                        phi_b * np.expm1(np.clip(d, -1.0, 1.0)),
                        phi_a - phi_b)
-        den = 0.5 * (_erf_arr(vb / _SQRT2) + _erf_arr(-va / _SQRT2))
         ok = den > 0.0
         out[strad] = np.where(ok, num / np.where(ok, den, 1.0),
                               0.5 * (va + vb))
     out = np.where(flip, -out, out)
     return float(out[0]) if scalar else out.reshape(np.broadcast(a0, b0).shape)
+
+
+def _std_interval_slopes(alpha, beta, mean):
+    """Slopes of the standard normal conditional mean in its two edges,
+    elementwise, given that mean: (pdf(alpha)*(mean - alpha)/Z,
+    pdf(beta)*(beta - mean)/Z), Z the bin's mass.
+
+    Same reflection and scaled forms as _std_interval_mean (it swaps the
+    two slopes), so pdf/Z is 1/_scaled_sf on half-lines, 1/den and
+    exp(-d)/den on same-tail bins and a ratio to the erf mass on
+    straddling bins; no ratio is formed from an underflowed Z. Infinite
+    ends have slope 0; a bin whose mass does not resolve gets the
+    short-bin limit 1/2 at both ends. Arrays of the broadcast shape out.
+    """
+    a0, b0 = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                 np.asarray(beta, dtype=float))
+    alpha, beta = np.atleast_1d(a0, b0)
+    a, b, flip = _upper_side(alpha, beta)
+    # pdf(a)/Z and pdf(b)/Z of the reflected bin, nan where Z is 0
+    at_a = np.full(a.shape, np.nan)
+    at_b = np.zeros(a.shape)
+    upper = np.isposinf(b)
+    at_a[upper] = 1.0 / _scaled_sf(a[upper])
+    right = ~upper & (a >= 0.0)
+    if right.any():
+        d, den = _tail_scaled(a[right], b[right])
+        inv = 1.0 / np.where(den > 0.0, den, np.nan)
+        at_a[right], at_b[right] = inv, np.exp(-d) * inv
+    strad = ~upper & (a < 0.0)
+    if strad.any():
+        phi_a, phi_b, mass = _central_mass(a[strad], b[strad])
+        inv = 1.0 / np.where(mass > 0.0, mass, np.nan)
+        at_a[strad], at_b[strad] = phi_a * inv, phi_b * inv
+    lo, hi = np.where(flip, at_b, at_a), np.where(flip, at_a, at_b)
+    d_lo = lo * np.where(np.isfinite(alpha), mean - alpha, 0.0)
+    d_hi = hi * np.where(np.isfinite(beta), beta - mean, 0.0)
+    return (np.where(np.isnan(d_lo), 0.5, d_lo).reshape(a0.shape),
+            np.where(np.isnan(d_hi), 0.5, d_hi).reshape(b0.shape))
 
 
 def _std_window(za, zb):

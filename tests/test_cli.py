@@ -99,7 +99,7 @@ class TestSolve:
 
     def test_gauss_ladder_max_iter_exits_two(self, capsys):
         code, out, err = run(capsys, "solve", "--source", "gauss", "--bias",
-                             "0.3", "--ladder", "--max-iter", "5")
+                             "0.3", "--ladder", "--max-iter", "2")
         assert code == 2
         assert "certificate failed" in err
         assert json.loads(out)["meta"]["note"].endswith("did not converge")
@@ -212,11 +212,11 @@ class TestSweep:
 
     def test_gauss_failed_rows_leave_equilibrium_columns_empty(self, capsys):
         argv = ("sweep", "--source", "gauss", "--vary", "bins", "--from",
-                "2", "--to", "6", "--bias", "0.1", "--max-iter", "5")
+                "2", "--to", "6", "--bias", "0.1", "--max-iter", "2")
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
-        # the two-bin closed form needs no iteration; the others stop at 5
+        # the two-bin closed form needs no iteration; the others stop at 2
         assert [r["status"] for r in rows] == \
             ["ok"] + ["non-convergence"] * 4
         assert all(r["edges"] is None and r["decoder_cost"] is None

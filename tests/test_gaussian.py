@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cheaptalk.equilibrium import certify
-from cheaptalk.errors import DomainError, NonConvergenceError
+from cheaptalk.equilibrium import Partition, certify
+from cheaptalk.errors import DomainError, EdgeOrderingError, NonConvergenceError
 from cheaptalk.gaussian import (
     TruncatedLadder,
+    _damped_midpoints,
+    _default_interior,
+    _newton_edges,
     asymptotic_bin_length,
     balance_derivative_floor,
     half_line_bin_bound,
@@ -189,9 +192,9 @@ class TestTruncatedLadderSolve:
         assert res.certificate.excluded_edges == (8, 9, 10)
 
     def test_non_convergence_is_data(self):
-        res = solve_truncated_ladder(STD_GAUSS, 0.3, max_iter=5)
+        res = solve_truncated_ladder(STD_GAUSS, 0.3, max_iter=2)
         assert not res.converged
-        assert res.iterations == 5
+        assert res.iterations == 2
         assert res.final_change > 1e-10
         assert not res.certificate.verdict
 
@@ -256,3 +259,88 @@ class TestFiniteBins:
         with pytest.raises(DomainError):
             init = solve_n_bins_gauss(0.0, 1.0, 0.2, 3)
             solve_n_bins_gauss(0.0, 1.0, 0.2, 4, init=init)
+
+
+def damped_reference(mean, std, bias, n_bins, tol):
+    """The damped loop from solve_n_bins_gauss's default seed."""
+    edges, converged, _, _ = _damped_midpoints(
+        SourceModel.gaussian(mean, std), bias,
+        _default_interior(mean, std, bias, n_bins), 0.5, 100_000, tol)
+    assert converged
+    return edges
+
+
+def outcome(call):
+    """A call's edges, or the type, message and iteration of the
+    EdgeOrderingError it raised."""
+    try:
+        return tuple(call())
+    except EdgeOrderingError as err:
+        return "EdgeOrderingError", str(err), err.iteration
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNewton:
+    def test_stopping_rule_gap(self):
+        """At n = 64 and b = 0 the damped rule "movement <= 1e-10" stops
+        8.5e-8 from the root; Newton stops after a step <= 1e-10 and
+        converges quadratically, so it stops far closer. The reference
+        runs at tol 1e-15: its rate is about 1 - 3.4e-3, so at 1e-14 it
+        still sits 8.5e-12 from the root itself."""
+        p = solve_n_bins_gauss(0.0, 1.0, 0.0, 64)
+        gap = np.abs(np.array(p.interior_edges)
+                     - damped_reference(0.0, 1.0, 0.0, 64, 1e-15))
+        assert float(gap.max()) <= 1e-12
+        assert certify(p, tol=1e-12).verdict
+
+    @pytest.mark.parametrize("mean,std", [(0.0, 1.0), (-0.7, 1.9)])
+    @pytest.mark.parametrize("n_bins", [3, 8, 24])
+    @pytest.mark.parametrize("ratio", [0.05, -0.05, 0.5, -0.5])
+    def test_grid_certifies_and_matches_damped(self, mean, std, n_bins, ratio):
+        bias = ratio * std
+        p = solve_n_bins_gauss(mean, std, bias, n_bins)
+        assert certify(p, tol=1e-12).verdict
+        gap = np.abs(np.array(p.interior_edges)
+                     - damped_reference(mean, std, bias, n_bins, 1e-14))
+        assert float(gap.max()) <= 1e-11
+
+    @pytest.mark.parametrize("bias", [0.05, 0.3, -0.5, 1.0])
+    def test_ladder_takes_a_few_steps(self, bias):
+        # the damped loop needs hundreds of iterations here; Newton needs
+        # the closing edge's slope in the last Jacobian row to stay fast
+        res = solve_truncated_ladder(STD_GAUSS, bias, cert_tol=1e-12)
+        assert res.converged and res.certificate.verdict
+        assert res.iterations <= 10
+
+    @pytest.mark.parametrize("bias,start,crosses", [
+        # Newton drives two edges together (a collapsing bin); the
+        # damped loop converges
+        (-0.4, (-1.4, 1.4, 1.8, 2.0, 3.1), False),
+        # three bins 1e-11 wide, where the short-interval kernel (ROADMAP
+        # item 2) misplaces centroids: Newton breaks down and the damped
+        # loop crosses edges at iteration 1
+        (0.1, (0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.5 + 3e-11, 1.5), True),
+    ])
+    def test_breakdown_falls_back_to_damped(self, bias, start, crosses):
+        edges = np.array(start)
+        assert _newton_edges(STD_GAUSS, bias, edges, 100_000, 1e-10) is None
+        init = Partition((-math.inf, *start, math.inf), STD_GAUSS, bias)
+        got = outcome(lambda: solve_n_bins_gauss(
+            0.0, 1.0, bias, len(start) + 1, init=init).interior_edges)
+        want = outcome(lambda: _damped_midpoints(
+            STD_GAUSS, bias, edges, 0.5, 100_000, 1e-10)[0].tolist())
+        assert got == want
+        assert (want[0] == "EdgeOrderingError") == crosses
+
+    def test_ladder_breakdown_falls_back_to_damped(self):
+        # a 1e-8 first bin breaks Newton down
+        init = TruncatedLadder(0.3, (1e-8,) + (0.6,) * 9)
+        edges = init.edges_for(0.3)
+        assert _newton_edges(STD_GAUSS, 0.3, edges, 100_000, 1e-10,
+                             0.6) is None
+        res = solve_truncated_ladder(STD_GAUSS, 0.3, init=init)
+        want, converged, iterations, change = _damped_midpoints(
+            STD_GAUSS, 0.3, edges, 0.5, 100_000, 1e-10, 0.6)
+        assert res.partition.interior_edges == tuple(want.tolist())
+        assert (res.converged, res.iterations, res.final_change) == (
+            converged, iterations, change)

@@ -3,8 +3,10 @@
 The literals below were recorded with the earlier implementation that
 evaluated every bin through the scalar SourceModel methods. The dynamics
 must reproduce each run's outcome, iteration count and recorded steps,
-with edges and residuals within 1e-12; the damped Gaussian solvers must
-reproduce their edges bit for bit and their iteration counts exactly.
+with edges and residuals within 1e-12; the damped Gaussian loop must
+reproduce its edges bit for bit and its iteration counts exactly from the
+solvers' default seeds, and the solvers (Newton since then) must land
+within 1e-8 of those edges.
 """
 
 import math
@@ -13,9 +15,16 @@ import numpy as np
 import pytest
 
 from cheaptalk.dynamics import basin_probe, fixed_point_iterate, lloyd_method_i
-from cheaptalk.equilibrium import Partition
-from cheaptalk.errors import NonConvergenceError
-from cheaptalk.gaussian import solve_n_bins_gauss, solve_truncated_ladder
+from cheaptalk.equilibrium import Partition, certify
+from cheaptalk.gaussian import (
+    TruncatedLadder,
+    _damped_midpoints,
+    _default_interior,
+    asymptotic_bin_length,
+    solve_n_bins_gauss,
+    solve_truncated_ladder,
+    solve_two_bin_gauss,
+)
 from cheaptalk.sources import SourceModel
 
 EXP = SourceModel.exponential(1.0)
@@ -173,36 +182,83 @@ def test_basin_probe_is_pinned():
     assert max(abs(x - y) for x, y in zip(limit, pinned)) <= TOL
 
 
-def test_finite_bin_solver_is_bit_identical():
-    assert solve_n_bins_gauss(0.0, 1.0, 0.2, 3).interior_edges == (
-        0.3367666237113244, 1.6827857220445077)
-    assert solve_n_bins_gauss(0.3, 1.7, -0.15, 6).interior_edges == (
+def damped_ladder(source, bias, n_edges, max_iter=100_000):
+    """The damped loop on the truncated ladder's default seed, in the
+    reflected frame solve_truncated_ladder works in for negative bias;
+    returns (spatial edges, converged, iterations, final change)."""
+    width = max(2.0 * abs(bias), source.std / 4.0)
+    anchor = solve_two_bin_gauss(source.mean, source.std, bias).edges[1]
+    edges = TruncatedLadder(anchor, (width,) * (n_edges - 1)).edges_for(bias)
+    reflect = bias < 0.0
+    if reflect:
+        edges = np.sort(2.0 * source.mean - edges)
+    edges, converged, iterations, change = _damped_midpoints(
+        source, abs(bias), edges, 0.5, max_iter, 1e-10,
+        ladder_step=asymptotic_bin_length(bias))
+    if reflect:
+        edges = np.sort(2.0 * source.mean - edges)
+    return tuple(edges.tolist()), converged, iterations, change
+
+
+def damped_n_bins(mean, std, bias, n_bins, max_iter=100_000):
+    """The damped loop on solve_n_bins_gauss's default seed."""
+    return _damped_midpoints(
+        SourceModel.gaussian(mean, std), bias,
+        _default_interior(mean, std, bias, n_bins), 0.5, max_iter, 1e-10)
+
+
+FINITE_BINS = {
+    (0.0, 1.0, 0.2, 3): (0.3367666237113244, 1.6827857220445077),
+    (0.3, 1.7, -0.15, 6): (
         -4.645833591570052, -3.41429726160986, -2.1917988880274737,
-        -0.8156281103788954, 0.9288280801817208)
-    with pytest.raises(NonConvergenceError) as exc:
-        solve_n_bins_gauss(0.0, 1.0, 0.1, 5, max_iter=20)
-    assert exc.value.iterations == 20
-    assert exc.value.final_change == 0.0192143486553924
-    assert exc.value.edges == (
+        -0.8156281103788954, 0.9288280801817208),
+}
+
+LADDER_EDGES = (
+    -12.958316347490479, -12.089725846540473, -11.158191026264054,
+    -10.194916047918728, -9.196784696111937, -8.156927605753927,
+    -7.065660427927379, -5.908895183260422, -4.664733135362031,
+    -3.2956491125954184, -1.7264715653318792, 0.24682895265269145)
+
+
+def test_finite_bin_solver_is_bit_identical():
+    for args, edges in FINITE_BINS.items():
+        assert tuple(damped_n_bins(*args)[0].tolist()) == edges
+    edges, converged, iterations, change = damped_n_bins(
+        0.0, 1.0, 0.1, 5, max_iter=20)
+    assert (converged, iterations) == (False, 20)
+    assert change == 0.0192143486553924
+    assert tuple(edges.tolist()) == (
         -0.33761932667004185, 0.6756133440510015, 1.469901067461367,
         2.24659568425442)
 
 
 def test_ladder_solver_is_bit_identical():
-    result = solve_truncated_ladder(SourceModel.gaussian(0.3, 1.7), -0.25,
-                                    n_edges=12)
-    assert (result.converged, result.iterations) == (True, 370)
-    assert result.final_change == 9.483613894190057e-11
-    assert result.partition.interior_edges == (
-        -12.958316347490479, -12.089725846540473, -11.158191026264054,
-        -10.194916047918728, -9.196784696111937, -8.156927605753927,
-        -7.065660427927379, -5.908895183260422, -4.664733135362031,
-        -3.2956491125954184, -1.7264715653318792, 0.24682895265269145)
-    capped = solve_truncated_ladder(GAUSS, 0.2, n_edges=10, max_iter=30)
-    assert (capped.converged, capped.iterations) == (False, 30)
-    assert capped.final_change == 0.06812730503352427
-    assert capped.partition.interior_edges == (
+    edges, converged, iterations, change = damped_ladder(
+        SourceModel.gaussian(0.3, 1.7), -0.25, 12)
+    assert (converged, iterations) == (True, 370)
+    assert change == 9.483613894190057e-11
+    assert edges == LADDER_EDGES
+    edges, converged, iterations, change = damped_ladder(
+        GAUSS, 0.2, 10, max_iter=30)
+    assert (converged, iterations) == (False, 30)
+    assert change == 0.06812730503352427
+    assert edges == (
         0.27028754614868333, 1.5089744930900895, 2.483642243808783,
         3.30617893790537, 4.008221002510632, 4.603332274740488,
         5.1071689485479475, 5.542403526451657, 5.934469825978715,
         6.308698156554103)
+
+
+def test_public_solvers_agree_with_the_damped_literals():
+    # the damped stopping rule bounds movement, not error, so the
+    # literals sit within 1e-8 of the Newton roots, which certify tightly
+    for (mean, std, bias, n_bins), edges in FINITE_BINS.items():
+        p = solve_n_bins_gauss(mean, std, bias, n_bins)
+        assert max(abs(x - y) for x, y in zip(p.interior_edges, edges)) <= 1e-8
+        assert certify(p, tol=1e-12).verdict
+    result = solve_truncated_ladder(SourceModel.gaussian(0.3, 1.7), -0.25,
+                                    n_edges=12, cert_tol=1e-12)
+    assert result.converged and result.certificate.verdict
+    assert max(abs(x - y) for x, y in zip(result.partition.interior_edges,
+                                          LADDER_EDGES)) <= 1e-8

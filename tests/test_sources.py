@@ -15,6 +15,7 @@ from cheaptalk.sources import (
     _exp_gap,
     _exp_window_variance,
     _std_interval_mean,
+    _std_interval_slopes,
 )
 
 EXP = SourceModel.exponential(1.0)
@@ -335,6 +336,67 @@ class TestVectorIntervalMean:
             EXP.bin_means((-3.0, -1.0, 2.0))
         with pytest.raises(ZeroProbabilityError):
             EXP.bin_variances((-3.0, -1.0, 2.0))
+
+
+def mp_std_mean(a, b):
+    """Standard normal mean on (a, b) in the working precision."""
+    def pdf(x):
+        return mp.mpf(0) if mp.isinf(x) else mp.npdf(x)
+
+    if b > -a:  # tail masses without cancellation
+        z = (mp.erfc(a / mp.sqrt(2)) - mp.erfc(b / mp.sqrt(2))) / 2
+    else:
+        z = (mp.erfc(-b / mp.sqrt(2)) - mp.erfc(-a / mp.sqrt(2))) / 2
+    return (pdf(a) - pdf(b)) / z
+
+
+def mp_std_slopes(lo, hi):
+    """50-digit numerical derivatives of the mean in each finite edge."""
+    with mp.workdps(50):
+        a, b = mp.mpf(lo), mp.mpf(hi)
+        d_lo = 0 if mp.isinf(a) else mp.diff(lambda x: mp_std_mean(x, b), a)
+        d_hi = 0 if mp.isinf(b) else mp.diff(lambda x: mp_std_mean(a, x), b)
+        return float(d_lo), float(d_hi)
+
+
+# (lo, hi, rel): half-lines, straddling bins, same-tail bins out to
+# |z| = 40, widths 1e-3 to 300
+SLOPE_CASES = (
+    (-INF, 0.3, 1e-12), (-INF, -5.0, 1e-12), (2.0, INF, 1e-12),
+    (-3.0, INF, 1e-12), (40.0, INF, 1e-12), (-INF, -40.0, 1e-12),
+    (-INF, INF, 1e-12),
+    (-0.5, 0.7, 1e-12), (-2.0, 1e-3, 1e-12), (-300.0, 0.2, 1e-12),
+    (-1e-3, 5e-4, 1e-12), (-150.0, 150.0, 1e-12), (0.0, 1e-3, 1e-11),
+    (39.0, 40.0, 1e-12), (-40.0, -38.0, 1e-12), (0.5, 300.5, 1e-12),
+    (-300.5, -0.5, 1e-12), (20.0, 320.0, 1e-12),
+    (1.0, 1.001, 2e-9), (5.0, 5.001, 2e-9), (38.0, 38.001, 2e-9),
+    (-12.0, -11.999, 2e-9), (-40.0, -39.999, 2e-9),
+)
+
+
+class TestIntervalSlopes:
+    """The edge slopes of the conditional mean against 50-digit mpmath
+    derivatives, given the kernel's own mean as Newton uses it. Widths
+    stop at 1e-3: below it the same-tail mass cancels (the short-interval
+    fix of ROADMAP item 2); at 1e-3 that cancellation already costs the
+    mean, and so both slopes, up to 1e-9 relative."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_against_mpmath(self):
+        a = np.array([lo for lo, _, _ in SLOPE_CASES])
+        b = np.array([hi for _, hi, _ in SLOPE_CASES])
+        d_lo, d_hi = _std_interval_slopes(a, b, _std_interval_mean(a, b))
+        for k, (lo, hi, rel) in enumerate(SLOPE_CASES):
+            want_lo, want_hi = mp_std_slopes(lo, hi)
+            assert d_lo[k] == pytest.approx(want_lo, rel=rel, abs=1e-300), (lo, hi)
+            assert d_hi[k] == pytest.approx(want_hi, rel=rel, abs=1e-300), (lo, hi)
+
+    def test_reflection_swaps_the_slopes(self):
+        a = np.array([-INF, -1.0, 0.5, 3.0])
+        b = np.array([0.2, 2.0, 0.9, INF])
+        d_lo, d_hi = _std_interval_slopes(a, b, _std_interval_mean(a, b))
+        r_lo, r_hi = _std_interval_slopes(-b, -a, _std_interval_mean(-b, -a))
+        assert np.array_equal(d_lo, r_hi) and np.array_equal(d_hi, r_lo)
 
 
 class TestQuadratureMoment:

@@ -7,14 +7,15 @@ it. Finite bin counts above two and the (truncated) infinite ladder have
 no closed form; they are found by Newton's method on the equilibrium
 condition F(e) = e - midpoints(e) in the interior edges. Its Jacobian is
 tridiagonal, since each conditional mean moves only with its own two
-edges, by closed-form slopes; steps are halved until the edges stay
-increasing and max|F| does not grow, and a Newton step of at most tol
-ends the solve. If Newton breaks down (a non-finite F or Jacobian, or a
-step halved below 2^-20), the solve restarts from the same edges with
-damped fixed-point iteration of the shared midpoint map, which converges
-only linearly but needs no derivative. One Newton loop and one damped
-loop serve both problems: a finite-bin game closes its last bin at +inf,
-a truncated ladder one synthetic bin past its last edge.
+edges, by slopes read off one fixed quadrature rule per bin; steps are
+halved until the edges stay increasing and max|F| does not grow, and a
+Newton step of at most tol ends the solve. If Newton breaks down (a
+non-finite F or Jacobian, or a step halved below 2^-20), the solve
+restarts from the same edges with damped fixed-point iteration of the
+shared midpoint map, which converges only linearly but needs no
+derivative. One Newton loop and one damped loop serve both problems: a
+finite-bin game closes its last bin at +inf, a truncated ladder one
+synthetic bin past its last edge.
 
 An infinite ladder cannot be iterated whole. The artifact keeps a
 truncated window of edges anchored at the two-bin edge on the bounded
@@ -271,8 +272,10 @@ def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
     None when Newton breaks down (a non-finite F or J, or a step halved
     below 2^-20 before the edges stay increasing and max|F| stops
     growing). J is tridiagonal: each mean moves only with its own two
-    edges, by the slopes of _std_interval_slopes; a ladder's closing
-    edge moves with the last edge, adding its slope to the last row.
+    edges, by the slopes _std_interval_slopes takes from the edges alone
+    (the fixed rule of sources._std_rule, right on bins down to 1e-12
+    wide); a ladder's closing edge moves with the last edge, adding its
+    slope to the last row.
     Converged once a full step's sup-norm is <= tol, after taking it."""
     from scipy.linalg import solve_banded
 
@@ -281,15 +284,14 @@ def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
     def residual(e):
         close = np.inf if ladder_step is None else e[-1] + ladder_step
         full = np.concatenate(([-np.inf], e, [close]))
-        means = source.bin_means(full)
-        return e - _midpoints(means, bias), full, means
+        return (e - _midpoints(source.bin_means(full), bias),
+                (full - mean) / std)
 
-    f, full, means = residual(edges)
+    f, z = residual(edges)
     f_max = float(np.abs(f).max())
     size = math.inf
     for it in range(1, max_iter + 1):
-        z = (full - mean) / std
-        lo, hi = _std_interval_slopes(z[:-1], z[1:], (means - mean) / std)
+        lo, hi = _std_interval_slopes(z[:-1], z[1:])
         band = np.zeros((3, edges.size))
         band[0, 1:] = -0.5 * hi[1:-1]
         band[1] = 1.0 - 0.5 * (hi[:-1] + lo[1:])
@@ -313,13 +315,13 @@ def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
         while True:
             new = edges + t * step
             if (new[1:] > new[:-1]).all():
-                f_new, full_new, means_new = residual(new)
+                f_new, z_new = residual(new)
                 if float(np.abs(f_new).max()) <= f_max:
                     break
             t *= 0.5
             if t < 2.0 ** -20:
                 return None
-        edges, f, full, means = new, f_new, full_new, means_new
+        edges, f, z = new, f_new, z_new
         f_max = float(np.abs(f).max())
         size *= t
     return edges, False, max_iter, size

@@ -14,15 +14,14 @@ Numerical ground rules:
   upper side (the mean is odd under t -> -t), so each formula is written
   once; bins that sit entirely in one tail are evaluated through the
   scaled complementary error function, so conditional means stay
-  accurate even where the interval probability itself underflows; the
-  Newton solvers' edge slopes of that mean (_std_interval_slopes) use
-  the same reflection and scaled forms, in a separate kernel so the
-  mean's callers do not pay for them;
-- Gaussian conditional variances use adaptive quadrature against a
-  tail-normalized conditional density (the mean is closed-form, the
-  variance is not treated as such), over the part of the bin where that
-  density is within e^-40 of its peak, so long bins whose mass sits in a
-  sliver at one end are not missed.
+  accurate even where the interval probability itself underflows;
+- one fixed Gauss-Legendre rule (_std_rule), run in each bin's own frame
+  and with no per-bin loop, gives every Gaussian conditional variance,
+  the Newton solvers' edge slopes of the mean, and the mass and mean of
+  short same-tail bins, where the erfcx difference cancels; it is good
+  to a few ulps on bins down to 1e-12 wide and out to |z| = 1e5.
+  Adaptive quadrature serves only the independent oracle
+  quadrature_moment.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf as _erf_arr
 from scipy.special import erfcx as _erfcx
 from scipy.special import exprel as _exprel
@@ -45,6 +43,12 @@ __all__ = ["SourceModel"]
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
+# Short same-tail Gaussian bins, where the erfcx difference in the closed
+# forms cancels, take _std_rule: d = (b^2 - a^2)/2 below _SHORT_BIN costs
+# the mass more than three digits, and deep in a tail a width below
+# _SHORT_WIDTH costs the mean more than a thousandth of that width.
+_SHORT_BIN = 1e-3
+_SHORT_WIDTH = 1e-6
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
@@ -85,29 +89,6 @@ def _exp_window_variance(length, rate: float):
                     np.where(s > 350.0, 1.0 / (rate * rate), closed))[()]
 
 
-def _upper_side(a, b):
-    """Reflect bins with b <= 0 and lower half-lines onto the upper side,
-    (a, b) -> (-b, -a); returns (a, b, flip). The conditional mean is odd
-    under the reflection, and its two edge slopes swap."""
-    flip = (b <= 0.0) | (np.isneginf(a) & ~np.isposinf(b))
-    return np.where(flip, -b, a), np.where(flip, -a, b), flip
-
-
-def _tail_scaled(va, vb):
-    """(d, den) of upper same-tail bins 0 <= va < vb: d = (vb^2 - va^2)/2,
-    so pdf(vb) = pdf(va)*exp(-d), and the bin's mass is pdf(va)*den."""
-    d = 0.5 * (vb - va) * (vb + va)
-    return d, _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
-
-
-def _central_mass(va, vb):
-    """Density at both ends and the mass of finite bins va < 0 < vb; the
-    mass is an erf sum, so nothing cancels."""
-    phi_a = np.exp(-0.5 * va * va) / _SQRT_2PI
-    phi_b = np.exp(-0.5 * vb * vb) / _SQRT_2PI
-    return phi_a, phi_b, 0.5 * (_erf_arr(vb / _SQRT2) + _erf_arr(-va / _SQRT2))
-
-
 def _std_interval_mean(alpha, beta):
     """Mean of a standard normal conditioned on [alpha, beta], elementwise.
 
@@ -115,33 +96,47 @@ def _std_interval_mean(alpha, beta):
     are reflected onto the upper side, mean(a, b) = -mean(-b, -a), so
     only upper half-lines, upper same-tail bins and bins straddling the
     origin are evaluated. Same-tail bins go through erfcx so the result
-    stays finite and accurate arbitrarily far out; straddling bins use an
-    expm1 form for the density difference and a cancellation-free erf sum
-    for the mass. Scalars in, scalar out.
+    stays finite and accurate arbitrarily far out, except short ones
+    (_SHORT_BIN, _SHORT_WIDTH), whose erfcx difference would cancel and
+    whose mean comes from _std_rule instead; straddling bins use an
+    expm1 form for the density difference and a cancellation-free erf
+    sum for the mass. Scalars in, scalar out.
     """
     a0 = np.asarray(alpha, dtype=float)
     b0 = np.asarray(beta, dtype=float)
     scalar = a0.ndim == 0 and b0.ndim == 0
-    a, b, flip = _upper_side(*np.atleast_1d(*np.broadcast_arrays(a0, b0)))
+    a, b = np.atleast_1d(*np.broadcast_arrays(a0, b0))
+    flip = (b <= 0.0) | (np.isneginf(a) & ~np.isposinf(b))
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
     out = np.full(a.shape, np.nan)
     upper = np.isposinf(b)
-    if upper.any():
+    # np.count_nonzero is the cheapest truth test of a small mask
+    if np.count_nonzero(upper):
         # upper Mills ratio; erfcx overflow to inf gives the correct 0
         # limit, and exactly 0 on the whole line (a = -inf)
         out[upper] = (1.0 / _SQRT_PI_OVER_2) / _erfcx(a[upper] / _SQRT2)
     right = ~upper & (a >= 0.0)
-    if right.any():
+    if np.count_nonzero(right):
         va, vb = a[right], b[right]
-        d, den = _tail_scaled(va, vb)
+        # pdf(vb) = pdf(va)*exp(-d), and the bin's mass is pdf(va)*den
+        w = vb - va
+        d = 0.5 * w * (vb + va)
+        den = _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
         num = -np.expm1(-d)
         ok = den > 0.0
-        out[right] = np.where(ok, num / np.where(ok, den, 1.0),
-                              0.5 * (va + vb))
+        mean = np.where(ok, num / np.where(ok, den, 1.0), 0.5 * (va + vb))
+        short = (d < _SHORT_BIN) | (w < _SHORT_WIDTH)
+        if np.count_nonzero(short):
+            near, _, shift, _ = _std_rule(va[short], vb[short])
+            mean[short] = near + shift
+        out[right] = mean
     strad = ~upper & (a < 0.0)
-    if strad.any():
+    if np.count_nonzero(strad):
         va, vb = a[strad], b[strad]
         d = 0.5 * (vb - va) * (vb + va)
-        phi_a, phi_b, den = _central_mass(va, vb)
+        phi_a = np.exp(-0.5 * va * va) / _SQRT_2PI
+        phi_b = np.exp(-0.5 * vb * vb) / _SQRT_2PI
+        den = 0.5 * (_erf_arr(vb / _SQRT2) + _erf_arr(-va / _SQRT2))
         # pdf(a) - pdf(b) = pdf(b)*expm1(d); direct difference once |d|
         # is large enough that nothing cancels
         num = np.where(np.abs(d) <= 1.0,
@@ -150,92 +145,89 @@ def _std_interval_mean(alpha, beta):
         ok = den > 0.0
         out[strad] = np.where(ok, num / np.where(ok, den, 1.0),
                               0.5 * (va + vb))
-    out = np.where(flip, -out, out)
+    np.negative(out, out=out, where=flip)
     return float(out[0]) if scalar else out.reshape(np.broadcast(a0, b0).shape)
 
 
-def _std_interval_slopes(alpha, beta, mean):
+def _std_interval_slopes(alpha, beta):
     """Slopes of the standard normal conditional mean in its two edges,
-    elementwise, given that mean: (pdf(alpha)*(mean - alpha)/Z,
+    elementwise over arrays: (pdf(alpha)*(mean - alpha)/Z,
     pdf(beta)*(beta - mean)/Z), Z the bin's mass.
 
-    Same reflection and scaled forms as _std_interval_mean (it swaps the
-    two slopes), so pdf/Z is 1/_scaled_sf on half-lines, 1/den and
-    exp(-d)/den on same-tail bins and a ratio to the erf mass on
-    straddling bins; no ratio is formed from an underflowed Z. Infinite
-    ends have slope 0; a bin whose mass does not resolve gets the
-    short-bin limit 1/2 at both ends. Arrays of the broadcast shape out.
+    Z, the mean and both densities come from _std_rule in the bin's own
+    frame, where pdf(end)/Z = g(end - near)/integral of g; infinite ends
+    have slope 0.
     """
-    a0, b0 = np.broadcast_arrays(np.asarray(alpha, dtype=float),
-                                 np.asarray(beta, dtype=float))
-    alpha, beta = np.atleast_1d(a0, b0)
-    a, b, flip = _upper_side(alpha, beta)
-    # pdf(a)/Z and pdf(b)/Z of the reflected bin, nan where Z is 0
-    at_a = np.full(a.shape, np.nan)
-    at_b = np.zeros(a.shape)
-    upper = np.isposinf(b)
-    at_a[upper] = 1.0 / _scaled_sf(a[upper])
-    right = ~upper & (a >= 0.0)
-    if right.any():
-        d, den = _tail_scaled(a[right], b[right])
-        inv = 1.0 / np.where(den > 0.0, den, np.nan)
-        at_a[right], at_b[right] = inv, np.exp(-d) * inv
-    strad = ~upper & (a < 0.0)
-    if strad.any():
-        phi_a, phi_b, mass = _central_mass(a[strad], b[strad])
-        inv = 1.0 / np.where(mass > 0.0, mass, np.nan)
-        at_a[strad], at_b[strad] = phi_a * inv, phi_b * inv
-    lo, hi = np.where(flip, at_b, at_a), np.where(flip, at_a, at_b)
-    d_lo = lo * np.where(np.isfinite(alpha), mean - alpha, 0.0)
-    d_hi = hi * np.where(np.isfinite(beta), beta - mean, 0.0)
-    return (np.where(np.isnan(d_lo), 0.5, d_lo).reshape(a0.shape),
-            np.where(np.isnan(d_hi), 0.5, d_hi).reshape(b0.shape))
+    near, mass, mean, _ = _std_rule(alpha, beta)
+    lo, hi = alpha - near, beta - near
+    with np.errstate(invalid="ignore"):
+        d_lo = np.exp(-lo * (near + 0.5 * lo)) * (mean - lo) / mass
+        d_hi = np.exp(-hi * (near + 0.5 * hi)) * (hi - mean) / mass
+    return (np.where(np.isinf(alpha), 0.0, d_lo),
+            np.where(np.isinf(beta), 0.0, d_hi))
 
 
 def _std_window(za, zb):
     """The part of [za, zb] that carries a standard normal's conditional
-    mass there, elementwise: each far end is cut where the conditional
-    density has fallen below e^-40 of its peak, min(9, 40/|n|) past the
-    bin's point n nearest the origin. Quadrature over a whole long or
-    half-infinite bin can miss a mass that sits in a sliver at one end.
+    mass there, elementwise: (near, lo, hi), near the bin's point nearest
+    the origin, and each far end cut where the conditional density has
+    fallen below e^-50 of its peak, min(10, 50/|near|) past near. A rule
+    over a whole long or half-infinite bin can miss a mass that sits in a
+    sliver at one end. The variance weights the cut tail by about the
+    square of its distance, so a cut at e^-40 still moved deep half-line
+    variances by 5e-15.
     """
     near = np.minimum(np.maximum(za, 0.0), zb)
-    reach = 40.0 / np.maximum(np.abs(near), 40.0 / 9.0)
-    return np.maximum(za, near - reach), np.minimum(zb, near + reach)
+    reach = 50.0 / np.maximum(np.abs(near), 5.0)
+    return near, np.maximum(za, near - reach), np.minimum(zb, near + reach)
 
 
-def _std_conditional(za: float, zb: float):
-    """Density of a standard normal conditioned on [za, zb].
+# The 48-point Gauss-Legendre rule on [-1, 1]: its positive nodes and
+# their weights, correctly rounded (scripts/gauss_legendre_nodes.py).
+_GL_HALF = ((
+    0.03238017096286936, 0.0970046992094627, 0.1612223560688917,
+    0.22476379039468905, 0.28736248735545555, 0.34875588629216075,
+    0.4086864819907167, 0.4669029047509584, 0.523160974722233,
+    0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+    0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
+    0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+    0.9313866907065543, 0.9529877031604309, 0.9705915925462473,
+    0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+), (
+    0.06473769681268392, 0.06446616443595009, 0.06392423858464819,
+    0.06311419228625402, 0.062039423159892665, 0.06070443916589388,
+    0.059114839698395635, 0.057277292100403214, 0.055199503699984165,
+    0.05289018948519367, 0.05035903555385447, 0.04761665849249048,
+    0.04467456085669428, 0.04154508294346475, 0.03824135106583071,
+    0.03477722256477044, 0.03116722783279809, 0.027426509708356948,
+    0.02357076083932438, 0.01961616045735553, 0.015579315722943849,
+    0.01147723457923454, 0.0073275539012762625, 0.0031533460523058385,
+))
+_GL_X = np.concatenate((-np.array(_GL_HALF[0][::-1]), _GL_HALF[0]))
+_GL_W = np.concatenate((_GL_HALF[1][::-1], _GL_HALF[1]))
 
-    The normalizer is evaluated in the same tail-stable way as the mean,
-    so the returned callable is usable arbitrarily deep in a tail.
+
+def _std_rule(za, zb):
+    """Standard normal bins [za, zb] by the fixed Gauss-Legendre rule,
+    elementwise over arrays: (near, integral of g, E[u], Var u).
+
+    The rule runs over each bin's _std_window in the bin's own frame
+    u = t - near, where the density relative to pdf(near) is
+    g(u) = exp(-u*(near + u/2)) <= 1. So the bin's mass is pdf(near)
+    times the integral, its mean near + E[u] and its variance Var u, with
+    nothing cancelling on short bins or deep in a tail. Bins with
+    za + zb < 0 are evaluated reflected, so reflection is exact.
     """
-    if za >= 0.0:
-        if math.isinf(zb):
-            tail = 0.0
-        else:
-            tail = (math.exp(-0.5 * (zb - za) * (zb + za))
-                    * float(_scaled_sf(zb)))
-        den = float(_scaled_sf(za)) - tail
-        if den <= 0.0:
-            raise ZeroProbabilityError(
-                f"interval [{za}, {zb}] carries no representable mass")
-
-        def cond(t: float) -> float:
-            return math.exp(-0.5 * (t - za) * (t + za)) / den
-
-        return cond
-    if zb <= 0.0:
-        flipped = _std_conditional(-zb, -za)
-        return lambda t: flipped(-t)
-    lo_mass = 1.0 if math.isinf(za) else math.erf(-za / _SQRT2)
-    hi_mass = 1.0 if math.isinf(zb) else math.erf(zb / _SQRT2)
-    p = 0.5 * (lo_mass + hi_mass)
-
-    def cond(t: float) -> float:
-        return std_normal_pdf(t) / p
-
-    return cond
+    flip = za < -zb
+    near, lo, hi = _std_window(np.where(flip, -zb, za), np.where(flip, -za, zb))
+    lo, hi = (lo - near)[..., None], (hi - near)[..., None]
+    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
+    wg = 0.5 * (hi - lo) * _GL_W * np.exp(-u * (near[..., None] + 0.5 * u))
+    mass = wg.sum(axis=-1)
+    mean = (wg * u).sum(axis=-1) / mass
+    var = (wg * (u - mean[..., None]) ** 2).sum(axis=-1) / mass
+    sign = np.where(flip, -1.0, 1.0)
+    return sign * near, mass, sign * mean, var
 
 
 @dataclass(frozen=True)
@@ -359,7 +351,8 @@ class SourceModel:
         """P(e_k < M < e_{k+1}) for every bin of an increasing edge array.
 
         Bins outside the support get 0. Gaussian bins use whichever of
-        the two tails or the central erf sum avoids cancellation.
+        the two tails or the central erf sum avoids cancellation, and
+        short same-tail bins the fixed rule of _std_rule.
         """
         e = self._bin_edges(edges)
         if self.kind == EXPONENTIAL:
@@ -369,13 +362,23 @@ class SourceModel:
         z = (e - self.mean) / (self.std * _SQRT2)
         # (a, b) is the bin folded onto the upper half-line; a < 0 exactly
         # when the bin straddles the mean. Same-tail bins factor exp(-a^2)
-        # out of erfc(a) - erfc(b), so short and deep-tail bins stay exact.
-        a = np.maximum(z[:-1], -z[1:])
-        b = np.maximum(z[1:], -z[:-1])
+        # out of erfc(a) - erfc(b), so deep-tail bins stay exact; that
+        # difference cancels on short bins, which take the rule.
+        nz = -z
+        a = np.maximum(z[:-1], nz[1:])
+        b = np.maximum(z[1:], nz[:-1])
         c = np.maximum(a, 0.0)
-        tail = np.exp(-c * c) * (
-            _erfcx(c) - np.exp(-(b - c) * (b + c)) * _erfcx(b))
-        return 0.5 * np.where(a >= 0.0, tail, _erf_arr(b) - _erf_arr(a))
+        # log of pdf(b)/pdf(c), that is -d
+        log_ratio = (c - b) * (b + c)
+        tail = np.exp(-c * c) * (_erfcx(c) - np.exp(log_ratio) * _erfcx(b))
+        same = a >= 0.0
+        out = 0.5 * np.where(same, tail, _erf_arr(b) - _erf_arr(a))
+        short = same & (log_ratio > -_SHORT_BIN)
+        if np.count_nonzero(short):
+            z = (e - self.mean) / self.std
+            near, mass, _, _ = _std_rule(z[:-1][short], z[1:][short])
+            out[short] = mass * np.exp(-0.5 * near * near) / _SQRT_2PI
+        return out
 
     def bin_means(self, edges) -> np.ndarray:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
@@ -394,32 +397,18 @@ class SourceModel:
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin.
 
-        Exponential bins have a closed form in their in-support length;
-        Gaussian bins take one quad each against the tail-normalized
-        conditional density, centered on the closed-form mean.
+        Exponential bins have a closed form in their in-support length,
+        Gaussian bins the fixed rule of _std_rule, all in one pass; the
+        whole line gives exactly std**2. Nothing here raises
+        QuadratureError; only the quadrature_moment oracle can.
         """
         e = self._bin_edges(edges)
         if self.kind == EXPONENTIAL:
             return _exp_window_variance(self._exp_windows(e)[1], self.rate)
         z = (e - self.mean) / self.std
-        means = _std_interval_mean(z[:-1], z[1:]).tolist()
-        cut_lo, cut_hi = _std_window(z[:-1], z[1:])
-        out = []
-        for k, (za, zb, m, lo, hi) in enumerate(zip(
-                z[:-1].tolist(), z[1:].tolist(), means, cut_lo.tolist(),
-                cut_hi.tolist())):
-            if math.isinf(za) and math.isinf(zb):
-                out.append(1.0)
-                continue
-            cond = _std_conditional(za, zb)
-            val, err = quad(lambda t: (t - m) ** 2 * cond(t), lo, hi,
-                            epsabs=1e-13, epsrel=1e-11, limit=200)
-            if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-                raise QuadratureError(
-                    f"conditional variance quadrature on [{e[k]}, {e[k + 1]}] "
-                    f"reported error {err:.3e}")
-            out.append(max(val, 0.0))
-        return np.array(out) * self.std * self.std
+        var = _std_rule(z[:-1], z[1:])[3]
+        whole = np.isinf(z[:-1]) & np.isinf(z[1:])
+        return np.where(whole, 1.0, var) * self.std * self.std
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""
@@ -432,7 +421,7 @@ class SourceModel:
         return float(self.bin_means((lo, hi))[0])
 
     def truncated_variance(self, lo: float, hi: float) -> float:
-        """Var(M | lo <= M <= hi); see bin_variances."""
+        """Var(M | lo <= M <= hi); see bin_variances (no quadrature)."""
         self._check_interval(lo, hi)
         return float(self.bin_variances((lo, hi))[0])
 
@@ -440,15 +429,27 @@ class SourceModel:
         """E[M**power | lo <= M <= hi] by adaptive quadrature, power 1 or 2.
 
         Independent slow path used by tests and verification; it shares no
-        closed forms with truncated_mean/variance. Gaussian windows are
-        cut where the conditional density falls below e^-40 of its peak
-        (the window bin_variances integrates over), leaving residual mass
-        far below the 1e-10 target; exponential windows are cut 42
-        mean-lengths in.
+        closed form or rule with truncated_mean/variance. Gaussian bins are
+        integrated over their _std_window in the shifted variable
+        u = z - near: the integrals of u^k * pdf(near + u)/pdf(near) give
+        E[u] and E[u^2], and the raw moment is built from near, E[u] and
+        E[u^2], so nothing is lost to a large near. Exponential windows are
+        cut 42 mean-lengths in.
         """
+        from scipy.integrate import quad
+
         if power not in (1, 2):
             raise DomainError(f"power must be 1 or 2, got {power!r}")
         self._check_interval(lo, hi)
+
+        def integral(f, a: float, b: float, scale: float) -> float:
+            val, err = quad(f, a, b, epsabs=1e-12 * scale, epsrel=1e-12,
+                            limit=300)
+            if not math.isfinite(val) or err > 1e-10 * max(scale, abs(val)):
+                raise QuadratureError(
+                    f"moment quadrature on [{lo}, {hi}] reported error {err:.3e}")
+            return val
+
         if self.kind == EXPONENTIAL:
             lam = self.rate
             if hi <= 0.0:
@@ -464,21 +465,17 @@ class SourceModel:
             def integrand(x: float) -> float:
                 return x ** power * lam * math.exp(-lam * (x - a)) / norm
 
-            val, err = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12,
-                            limit=300)
-        else:
-            za = (lo - self.mean) / self.std
-            zb = (hi - self.mean) / self.std
-            z_lo, z_hi = (float(v) for v in _std_window(za, zb))
-            cond = _std_conditional(za, zb)
-            mu, sd = self.mean, self.std
-
-            def integrand(t: float) -> float:
-                return (mu + sd * t) ** power * cond(t)
-
-            val, err = quad(integrand, z_lo, z_hi, epsabs=1e-12, epsrel=1e-12,
-                            limit=300)
-        if not math.isfinite(val) or err > 1e-10 * max(1.0, abs(val)):
-            raise QuadratureError(
-                f"moment quadrature on [{lo}, {hi}] reported error {err:.3e}")
-        return val
+            return integral(integrand, a, b, 1.0)
+        near, z_lo, z_hi = (float(v) for v in _std_window(
+            (lo - self.mean) / self.std, (hi - self.mean) / self.std))
+        u_lo, u_hi = z_lo - near, z_hi - near
+        mass = integral(lambda u: math.exp(-u * (near + 0.5 * u)), u_lo, u_hi,
+                        0.0)
+        reach = max(-u_lo, u_hi)
+        eu = [integral(lambda u: u ** k * math.exp(-u * (near + 0.5 * u)),
+                       u_lo, u_hi, mass * reach ** k) / mass
+              for k in range(1, power + 1)]
+        shift = self.mean + self.std * near
+        if power == 1:
+            return shift + self.std * eu[0]
+        return shift * shift + self.std * (2.0 * shift * eu[0] + self.std * eu[1])

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cheaptalk.cli import entry
+from cheaptalk.sources import SourceModel
 
 
 def run(capsys, *argv):
@@ -321,7 +322,12 @@ class TestDynamics:
         assert doc["outcome"]["bin_index"] is not None
         assert "final" not in doc
 
-    def test_crossed_initial_centroids_exit_zero(self, capsys):
+    def test_crossed_initial_centroids_exit_zero(self, capsys, monkeypatch):
+        # centroids that do not increase at step 0 (reversed here: the
+        # kernels keep real ones inside their bins) are a collapse
+        bin_means = SourceModel.bin_means
+        monkeypatch.setattr(SourceModel, "bin_means",
+                            lambda self, edges: bin_means(self, edges)[::-1])
         code, out, err = run(
             capsys, "dynamics", "--source", "gauss", "--bias", "0.1",
             "--bins", "5",

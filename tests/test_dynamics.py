@@ -113,10 +113,15 @@ class TestCollapse:
         assert trace.outcome.bin_index == 2
         assert trace.outcome.iteration == 0
 
-    def test_crossed_initial_centroids_are_a_collapse(self):
+    def test_crossed_initial_centroids_are_a_collapse(self, monkeypatch):
         # every bin is wider than COLLAPSE_LENGTH and heavier than
-        # COLLAPSE_PROB, yet the computed centroids of the three short
-        # bins do not increase, so there is no decoder profile to start from
+        # COLLAPSE_PROB, and the kernels keep each such bin's centroid
+        # inside it, so no real start reaches this branch; reversed
+        # centroids stand in for centroids that do not increase, which
+        # leave no decoder profile to start from
+        bin_means = SourceModel.bin_means
+        monkeypatch.setattr(SourceModel, "bin_means",
+                            lambda self, edges: bin_means(self, edges)[::-1])
         edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
                  math.inf)
         init = Partition(edges, GAUSS, 0.1)

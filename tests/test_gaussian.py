@@ -316,10 +316,11 @@ class TestNewton:
         # Newton drives two edges together (a collapsing bin); the
         # damped loop converges
         (-0.4, (-1.4, 1.4, 1.8, 2.0, 3.1), False),
-        # three bins 1e-11 wide, where the short-interval kernel (ROADMAP
-        # item 2) misplaces centroids: Newton breaks down and the damped
-        # loop crosses edges at iteration 1
-        (0.1, (0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.5 + 3e-11, 1.5), True),
+        # three bins one ulp wide deep in the lower tail: their centroids
+        # round onto the shared edges, so Newton breaks down and the
+        # damped loop crosses edges at iteration 1
+        (0.1, (-3.0, -2.9999999999999996, -2.999999999999999,
+               -2.9999999999999987, -2.0), True),
     ])
     def test_breakdown_falls_back_to_damped(self, bias, start, crosses):
         edges = np.array(start)
@@ -333,8 +334,9 @@ class TestNewton:
         assert (want[0] == "EdgeOrderingError") == crosses
 
     def test_ladder_breakdown_falls_back_to_damped(self):
-        # a 1e-8 first bin breaks Newton down
-        init = TruncatedLadder(0.3, (1e-8,) + (0.6,) * 9)
+        # a ladder packed into the lower tail, far below its anchor,
+        # breaks Newton down
+        init = TruncatedLadder(-3.0, (0.05,) * 10)
         edges = init.edges_for(0.3)
         assert _newton_edges(STD_GAUSS, 0.3, edges, 100_000, 1e-10,
                              0.6) is None

@@ -1,16 +1,22 @@
 """Source models: densities, interval probabilities, truncated moments."""
 
+import importlib.util
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cheaptalk.dynamics import COLLAPSE_LENGTH
 from cheaptalk.equilibrium import Partition, decoder_cost
 from cheaptalk.errors import DomainError, ZeroProbabilityError
 from cheaptalk.sources import (
+    _GL_HALF,
     SourceModel,
     _exp_gap,
     _exp_window_variance,
@@ -33,6 +39,8 @@ BIN_CASES = (
     (SourceModel.exponential(1.7), (0.0, 0.2, 0.9, 3.0, INF)),
     (SourceModel.exponential(0.4), (-INF, 0.5, 2.0, 2.0005, 6.5)),
     (EXP, (-1.0, 1e-3, 30.0, 31.0)),
+    # short same-tail bins, where the erfcx mass difference cancels
+    (GAUSS, (-0.3, -0.3 + 1e-12, 5.0, 5.0 + 1e-10, 30.0, 30.0 + 1e-9)),
 )
 
 
@@ -48,23 +56,46 @@ def mp_bin_prob(src, lo, hi):
         return float(sf(lo) - sf(hi))
 
 
+def mp_pdf(x):
+    return mp.mpf(0) if mp.isinf(x) else mp.npdf(x)
+
+
+def mp_xpdf(x):
+    return mp.mpf(0) if mp.isinf(x) else x * mp.npdf(x)
+
+
+def mp_std_mass(a, b):
+    """Standard normal mass of (a, b) in the working precision, as a
+    difference of two upper tails (two lower tails for bins mostly below
+    the origin)."""
+    if b > -a:
+        return (mp.erfc(a / mp.sqrt(2)) - mp.erfc(b / mp.sqrt(2))) / 2
+    return (mp.erfc(-b / mp.sqrt(2)) - mp.erfc(-a / mp.sqrt(2))) / 2
+
+
+def mp_std_mean(a, b):
+    """Standard normal mean on (a, b) in the working precision."""
+    return (mp_pdf(a) - mp_pdf(b)) / mp_std_mass(a, b)
+
+
 def mp_std_variance(lo, hi):
-    """60-digit variance of a standard normal on (lo, hi), closed form."""
-    with mp.workdps(60):
+    """80-digit variance of a standard normal on (lo, hi), closed form."""
+    with mp.workdps(80):
         a, b = mp.mpf(lo), mp.mpf(hi)
+        mu = mp_std_mean(a, b)
+        return float(1 + (mp_xpdf(a) - mp_xpdf(b)) / mp_std_mass(a, b)
+                     - mu * mu)
 
-        def pdf(x):
-            return mp.mpf(0) if mp.isinf(x) else mp.npdf(x)
 
-        def xpdf(x):
-            return mp.mpf(0) if mp.isinf(x) else x * mp.npdf(x)
-
-        if a >= 0:  # upper-tail mass without cancellation
-            z = (mp.erfc(a / mp.sqrt(2)) - mp.erfc(b / mp.sqrt(2))) / 2
-        else:
-            z = (mp.erfc(-b / mp.sqrt(2)) - mp.erfc(-a / mp.sqrt(2))) / 2
-        mu = (pdf(a) - pdf(b)) / z
-        return float(1 + (xpdf(a) - xpdf(b)) / z - mu * mu)
+def mp_raw_moments(src, lo, hi):
+    """50-digit E[M] and E[M^2] of a Gaussian source on (lo, hi)."""
+    with mp.workdps(50):
+        mu, sd = mp.mpf(src.mean), mp.mpf(src.std)
+        a, b = (mp.mpf(lo) - mu) / sd, (mp.mpf(hi) - mu) / sd
+        e1 = mp_std_mean(a, b)
+        e2 = 1 + (mp_xpdf(a) - mp_xpdf(b)) / mp_std_mass(a, b)
+        return (float(mu + sd * e1),
+                float(mu * mu + sd * (2 * mu * e1 + sd * e2)))
 
 
 class TestConstruction:
@@ -257,13 +288,32 @@ class TestGaussianMoments:
         (0.0, 1e6, 1e-13), (1.0, 1e4, 1e-13), (-1e5, 1e5, 1e-13),
         (-1e4, -1.0, 1e-13), (20.0, INF, 1e-13), (-INF, -8.0, 1e-13),
         (-INF, 0.3, 1e-13), (-2.0, 3.0, 1e-13), (7.0, 30.0, 1e-13),
-        # the conditional mean itself carries an absolute error near
-        # ulp(1e5), against a spread of 1e-5
-        (1e5, INF, 1e-7), (-INF, -1e5, 1e-7)])
+        (-5e3, -25.0, 4e-15), (-1e-6, 1e-6, 4e-15),
+        # bins COLLAPSE_LENGTH wide
+        (-0.3, -0.3 + 1e-12, 4e-15), (5.0, 5.0 + 1e-12, 4e-15),
+        (-40.0, -40.0 + 1e-12, 4e-15), (-1e-12, 0.0, 4e-15),
+        # deep tails, and bins a few ulps wide there
+        (1e3, INF, 1e-13), (1e5, INF, 1e-13), (-INF, -1e5, 1e-13),
+        (1e5, 1e5 + 3 * math.ulp(1e5), 1e-13),
+        (-1e3 - 5 * math.ulp(1e3), -1e3, 1e-13)])
     def test_variance_against_mpmath(self, lo, hi, rel):
         # includes long bins whose mass sits in a sliver at one end
         assert GAUSS.truncated_variance(lo, hi) == pytest.approx(
-            mp_std_variance(lo, hi), rel=rel)
+            mp_std_variance(lo, hi), rel=rel, abs=0.0)
+
+    def test_variance_on_random_bins(self):
+        # |z| <= 40: finite bins 1e-12 to 300 wide, half-lines and bins
+        # straddling the origin
+        rng = np.random.default_rng(6)
+        lo = rng.uniform(-40.0, 40.0, 120)
+        hi = lo + 10.0 ** rng.uniform(-12.0, math.log10(300.0), 120)
+        hi[::6], lo[1::6] = INF, -INF
+        lo[2::6] = -(10.0 ** rng.uniform(-6.0, 2.0, 20))
+        hi[2::6] = 10.0 ** rng.uniform(-6.0, 2.0, 20)
+        got = np.concatenate([GAUSS.bin_variances((a, b))
+                              for a, b in zip(lo, hi)])
+        want = np.array([mp_std_variance(a, b) for a, b in zip(lo, hi)])
+        assert float(np.abs(got / want - 1.0).max()) <= 4e-15
 
     def test_cost_of_long_bins(self):
         p = Partition((-INF, -1e5, 1e5, INF), GAUSS, 0.0)
@@ -304,12 +354,21 @@ class TestVectorIntervalMean:
         assert isinstance(out, float)
 
     @given(st.floats(min_value=-6, max_value=6),
-           st.floats(min_value=1e-3, max_value=6))
+           st.floats(min_value=math.log10(COLLAPSE_LENGTH),
+                     max_value=math.log10(6)))
+    @example(-0.3, -12.0)
+    @example(2.0, -8.0)
+    @example(5.0, -10.0)
     @settings(max_examples=60, deadline=None)
-    def test_mean_inside_interval(self, a, w):
-        m = _std_interval_mean(a, a + w)
-        assert a < m < a + w
-
+    def test_mean_inside_interval(self, a, log_width):
+        # down to COLLAPSE_LENGTH, within a thousandth of the bin's width
+        # (or 4 ulps) of 50-digit mpmath
+        b = a + 10.0 ** log_width
+        m = _std_interval_mean(a, b)
+        assert a < m < b
+        with mp.workdps(50):
+            want = float(mp_std_mean(mp.mpf(a), mp.mpf(b)))
+        assert abs(m - want) <= max(1e-3 * (b - a), 4 * math.ulp(want))
 
     @pytest.mark.parametrize("src, edges", BIN_CASES)
     def test_bin_means_against_quadrature(self, src, edges):
@@ -338,18 +397,6 @@ class TestVectorIntervalMean:
             EXP.bin_variances((-3.0, -1.0, 2.0))
 
 
-def mp_std_mean(a, b):
-    """Standard normal mean on (a, b) in the working precision."""
-    def pdf(x):
-        return mp.mpf(0) if mp.isinf(x) else mp.npdf(x)
-
-    if b > -a:  # tail masses without cancellation
-        z = (mp.erfc(a / mp.sqrt(2)) - mp.erfc(b / mp.sqrt(2))) / 2
-    else:
-        z = (mp.erfc(-b / mp.sqrt(2)) - mp.erfc(-a / mp.sqrt(2))) / 2
-    return (pdf(a) - pdf(b)) / z
-
-
 def mp_std_slopes(lo, hi):
     """50-digit numerical derivatives of the mean in each finite edge."""
     with mp.workdps(50):
@@ -359,43 +406,42 @@ def mp_std_slopes(lo, hi):
         return float(d_lo), float(d_hi)
 
 
-# (lo, hi, rel): half-lines, straddling bins, same-tail bins out to
-# |z| = 40, widths 1e-3 to 300
+# (lo, hi): half-lines, straddling bins, same-tail bins out to |z| = 40,
+# widths 1e-12 to 300
 SLOPE_CASES = (
-    (-INF, 0.3, 1e-12), (-INF, -5.0, 1e-12), (2.0, INF, 1e-12),
-    (-3.0, INF, 1e-12), (40.0, INF, 1e-12), (-INF, -40.0, 1e-12),
-    (-INF, INF, 1e-12),
-    (-0.5, 0.7, 1e-12), (-2.0, 1e-3, 1e-12), (-300.0, 0.2, 1e-12),
-    (-1e-3, 5e-4, 1e-12), (-150.0, 150.0, 1e-12), (0.0, 1e-3, 1e-11),
-    (39.0, 40.0, 1e-12), (-40.0, -38.0, 1e-12), (0.5, 300.5, 1e-12),
-    (-300.5, -0.5, 1e-12), (20.0, 320.0, 1e-12),
-    (1.0, 1.001, 2e-9), (5.0, 5.001, 2e-9), (38.0, 38.001, 2e-9),
-    (-12.0, -11.999, 2e-9), (-40.0, -39.999, 2e-9),
+    (-INF, 0.3), (-INF, -5.0), (2.0, INF), (-3.0, INF), (40.0, INF),
+    (-INF, -40.0), (-INF, INF),
+    (-0.5, 0.7), (-2.0, 1e-3), (-300.0, 0.2), (-1e-3, 5e-4), (-150.0, 150.0),
+    (0.0, 1e-3), (39.0, 40.0), (-40.0, -38.0), (0.5, 300.5), (-300.5, -0.5),
+    (20.0, 320.0),
+    (1.0, 1.001), (5.0, 5.001), (38.0, 38.001), (-12.0, -11.999),
+    (-40.0, -39.999),
+    # narrow bins, where the erfcx mass cancels
+    (2.0, 2.0 + 1e-8), (-0.3, -0.3 + 1e-12), (5.0, 5.0 + 1e-10),
+    (-17.0, -17.0 + 1e-9), (30.0, 30.0 + 1e-11), (40.0, 40.0 + 1e-12),
+    (-40.0, -40.0 + 1e-8), (-1e-12, 1e-12), (0.0, 1e-10),
 )
 
 
 class TestIntervalSlopes:
     """The edge slopes of the conditional mean against 50-digit mpmath
-    derivatives, given the kernel's own mean as Newton uses it. Widths
-    stop at 1e-3: below it the same-tail mass cancels (the short-interval
-    fix of ROADMAP item 2); at 1e-3 that cancellation already costs the
-    mean, and so both slopes, up to 1e-9 relative."""
+    derivatives, on bins down to 1e-12 wide and out to |z| = 40."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_against_mpmath(self):
-        a = np.array([lo for lo, _, _ in SLOPE_CASES])
-        b = np.array([hi for _, hi, _ in SLOPE_CASES])
-        d_lo, d_hi = _std_interval_slopes(a, b, _std_interval_mean(a, b))
-        for k, (lo, hi, rel) in enumerate(SLOPE_CASES):
+        a = np.array([lo for lo, _ in SLOPE_CASES])
+        b = np.array([hi for _, hi in SLOPE_CASES])
+        d_lo, d_hi = _std_interval_slopes(a, b)
+        for k, (lo, hi) in enumerate(SLOPE_CASES):
             want_lo, want_hi = mp_std_slopes(lo, hi)
-            assert d_lo[k] == pytest.approx(want_lo, rel=rel, abs=1e-300), (lo, hi)
-            assert d_hi[k] == pytest.approx(want_hi, rel=rel, abs=1e-300), (lo, hi)
+            assert d_lo[k] == pytest.approx(want_lo, rel=1e-12, abs=1e-300), (lo, hi)
+            assert d_hi[k] == pytest.approx(want_hi, rel=1e-12, abs=1e-300), (lo, hi)
 
     def test_reflection_swaps_the_slopes(self):
         a = np.array([-INF, -1.0, 0.5, 3.0])
         b = np.array([0.2, 2.0, 0.9, INF])
-        d_lo, d_hi = _std_interval_slopes(a, b, _std_interval_mean(a, b))
-        r_lo, r_hi = _std_interval_slopes(-b, -a, _std_interval_mean(-b, -a))
+        d_lo, d_hi = _std_interval_slopes(a, b)
+        r_lo, r_hi = _std_interval_slopes(-b, -a)
         assert np.array_equal(d_lo, r_hi) and np.array_equal(d_hi, r_lo)
 
 
@@ -432,3 +478,30 @@ class TestQuadratureMoment:
     def test_power_validation(self):
         with pytest.raises(DomainError):
             EXP.quadrature_moment(0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("src, lo, hi", [
+        (GAUSS, 20.0, INF), (GAUSS, 1e3, INF), (GAUSS, 1e5, INF),
+        (GAUSS, -INF, -1e5), (GAUSS, -0.3, -0.3 + 1e-12),
+        (SourceModel.gaussian(0.7, 1.3), -2.0, -2.0 + 1e-12)])
+    def test_gaussian_oracle_against_mpmath(self, src, lo, hi):
+        # raw moments to a few ulps deep in a tail and on bins
+        # COLLAPSE_LENGTH wide
+        m1, m2 = mp_raw_moments(src, lo, hi)
+        assert src.quadrature_moment(lo, hi, 1) == pytest.approx(
+            m1, rel=1e-15, abs=0.0)
+        assert src.quadrature_moment(lo, hi, 2) == pytest.approx(
+            m2, rel=1e-15, abs=0.0)
+
+
+def test_rule_nodes_regenerate_bit_for_bit():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gauss_legendre_nodes.py"
+    spec = importlib.util.spec_from_file_location("gauss_legendre_nodes", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.half_rule() == _GL_HALF
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature serves only the oracle, which imports it on first use
+    code = "import cheaptalk, sys; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -23,6 +23,10 @@ side, extends the far side by one synthetic bin of the asymptotic length
 2|bias| (the limit the true bin lengths approach), and excludes a margin
 of edges nearest the cut from certification, where the truncation still
 distorts the map.
+
+Importing this module loads no scipy module. The Gaussian kernels load
+scipy.special on their first call (see sources), and the Newton solves
+load scipy.linalg for the banded solve.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .equilibrium import (
     EquilibriumCertificate,
@@ -127,14 +130,18 @@ def lower_mills_peak() -> tuple[float, float]:
     """Location and value of the interior maximum of c*pdf(c)/cdf(c).
 
     This product bounds one of the two Mills terms in the balance map's
-    derivative; its peak is what the derivative floor subtracts. Found
-    numerically on (0, 4), where the unique stationary point lives.
+    derivative; its peak is what the derivative floor subtracts. Its
+    derivative is pdf(c)/cdf(c) times 1 - c^2 - c*pdf(c)/cdf(c), whose
+    one root on (1e-6, 4) the shared root-finder locates to rounding.
     """
-    res = minimize_scalar(
-        lambda c: -c * std_normal_pdf(c) / std_normal_cdf(c),
-        bounds=(1e-6, 4.0), method="bounded",
-        options={"xatol": 1e-12})
-    return float(res.x), float(-res.fun)
+    def product(c: float) -> float:
+        return c * std_normal_pdf(c) / std_normal_cdf(c)
+
+    def slope_sign(c: float) -> float:
+        return 1.0 - c * c - product(c)
+
+    c = find_root(slope_sign, Bracket.scan(slope_sign, 1e-6, 4.0), tol=1e-15)
+    return c, product(c)
 
 
 def half_line_bin_bound(std: float, bias: float) -> int:

@@ -22,6 +22,10 @@ Numerical ground rules:
   to a few ulps on bins down to 1e-12 wide and out to |z| = 1e5.
   Adaptive quadrature serves only the independent oracle
   quadrature_moment.
+
+Exponential sources run on numpy alone. Gaussian kernels load
+scipy.special (erf, erfcx, ndtri) on their first call, and the oracle
+scipy.integrate on its first call; importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf_arr
-from scipy.special import erfcx as _erfcx
-from scipy.special import exprel as _exprel
-from scipy.special import ndtri as _ndtri
 
 from .errors import DomainError, QuadratureError, ZeroProbabilityError
 from .special import std_normal_cdf, std_normal_pdf
@@ -49,9 +49,38 @@ _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 # _SHORT_WIDTH costs the mean more than a thousandth of that width.
 _SHORT_BIN = 1e-3
 _SHORT_WIDTH = 1e-6
+# _exp_gap clamps rate*length to [_TINY, _EXPM1_MAX]: expm1 stays finite
+# up to log(DBL_MAX) = 709.7827. Both are 0-d arrays because numpy takes
+# those as ufunc operands faster than Python floats (0.9 against 1.3 us).
+_TINY = np.array(1e-300)
+_EXPM1_MAX = np.array(709.78)
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
+
+
+# Only Gaussian paths need scipy.special, and importing it costs about
+# 230 ms, so each function taken from it is a stub that, on its first
+# call, imports the ufunc over its own name. The kernels look these names
+# up as module globals, so every later call reaches the ufunc directly.
+
+
+def _erf_arr(x):
+    global _erf_arr
+    from scipy.special import erf as _erf_arr
+    return _erf_arr(x)
+
+
+def _erfcx(x):
+    global _erfcx
+    from scipy.special import erfcx as _erfcx
+    return _erfcx(x)
+
+
+def _ndtri(q):
+    global _ndtri
+    from scipy.special import ndtri as _ndtri
+    return _ndtri(q)
 
 
 def _scaled_sf(x):
@@ -64,11 +93,16 @@ def _exp_gap(length, rate: float):
 
     This is the amount by which truncating an exponential to a window of
     the given length pulls the conditional mean below lo + 1/rate. Written
-    through exprel(s) = expm1(s)/s, which is 1 at s = 0 and overflows
-    cleanly to inf, so the gap tends to 1/rate as length -> 0 and decays
-    to exactly 0 for long and infinite windows.
+    as (1/rate)/exprel(s), exprel(s) = expm1(s)/s, with s = rate*length
+    clamped to [_TINY, _EXPM1_MAX] so that no step divides 0 by 0 or
+    overflows: at length 0 the gap is exactly 1/rate (expm1 is exact on
+    tiny s), and past the clamp, where it is below 4e-306, it is set to
+    exactly 0. This kernel runs in every exponential Lloyd step, and the
+    same limits written with np.where and np.errstate took twice as long.
     """
-    return 1.0 / (rate * _exprel(rate * np.asarray(length, dtype=float)))[()]
+    s = rate * np.asarray(length, dtype=float)
+    t = np.minimum(np.maximum(s, _TINY), _EXPM1_MAX)
+    return (1.0 / rate) / (np.expm1(t) / t) * (s < _EXPM1_MAX)
 
 
 def _exp_window_variance(length, rate: float):

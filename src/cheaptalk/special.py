@@ -10,6 +10,9 @@ Seeds: a series in p = sqrt(2*(1 + e*x)) near the branch point x = -1/e,
 log-based asymptotics for large |log| regions, and the identity
 v - log(v) = -log(-x) (v = -w) for the lower branch away from the branch
 point, which stays well conditioned as x -> 0-.
+
+Everything here runs on the standard library, except mills_ratio, which
+loads scipy.special (for erfcx) on its first call.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy.special import erfcx as _erfcx
 
 from .errors import DomainError, InvalidBracketError, NonConvergenceError
 
@@ -188,6 +189,14 @@ def std_normal_cdf(x: float) -> float:
 def std_normal_sf(x: float) -> float:
     """Upper tail 1 - cdf(x), computed directly from erfc."""
     return 0.5 * math.erfc(x / _SQRT2)
+
+
+def _erfcx(x):
+    """scipy.special.erfcx, which only Gaussian paths need: the first call
+    imports the ufunc over this name, so later calls reach it directly."""
+    global _erfcx
+    from scipy.special import erfcx as _erfcx
+    return _erfcx(x)
 
 
 def mills_ratio(x: float) -> float:

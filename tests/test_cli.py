@@ -402,3 +402,74 @@ class TestConsoleScript:
         with pytest.raises(SystemExit) as exc:
             target(["--version"])
         assert exc.value.code == 0
+
+
+# Run one statement in a fresh interpreter and print the scipy modules it
+# left loaded, one per line.
+_LOADED_SCIPY = """\
+import contextlib, io, sys
+{statement}
+print(*sorted(m for m in sys.modules if m.startswith("scipy")), sep="\\n")
+"""
+
+
+def loaded_scipy(statement):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY.format(statement=statement)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def cli_statement(*argv):
+    return ("from cheaptalk.cli import entry\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert entry({list(argv)!r}) == 0")
+
+
+class TestImportGate:
+    """Exponential paths run on numpy alone; scipy.special loads on the
+    first Gaussian call, and scipy.optimize and scipy.integrate never do."""
+
+    @pytest.mark.parametrize("module", ["cheaptalk", "cheaptalk.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert loaded_scipy(f"import {module}") == set()
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--source", "exp", "--rate", "1.3", "--bias", "0.2",
+         "--bins", "4"),
+        ("sweep", "--source", "exp", "--rate", "1.3", "--vary", "bias",
+         "--from", "-0.6", "--to", "0.4", "--steps", "50", "--bins", "3",
+         "--format", "json"),
+        ("dynamics", "--source", "exp", "--rate", "1.3", "--bias", "0.2",
+         "--bins", "4", "--init", "0.3,1.1,2.4"),
+    ])
+    def test_exponential_commands_load_no_scipy(self, argv):
+        assert loaded_scipy(cli_statement(*argv)) == set()
+
+    def test_exponential_verify_loads_no_scipy(self, capsys, tmp_path):
+        path = str(tmp_path / "doc.json")
+        assert run(capsys, "solve", "--source", "exp", "--rate", "1.3",
+                   "--bias", "0.2", "--bins", "4", "--out", path)[0] == 0
+        assert loaded_scipy(cli_statement("verify", path, "--seed", "5")) == set()
+
+    def test_exponential_library_loads_no_scipy(self):
+        statement = (
+            "import cheaptalk as ct\n"
+            "src = ct.SourceModel.exponential(1.3)\n"
+            "p = ct.solve_n_bins(1.3, 0.2, 4)\n"
+            "ct.certify(p); ct.decoder_cost(p); ct.monte_carlo_cost(p, 1000, 1)\n"
+            "ct.infinite_equilibrium(1.3, 0.2); ct.decoder_cost_infinite(1.3, 0.2)\n"
+            "ct.empirical_max_bins(1.3, -0.1); ct.solve_two_bin(1.3, -0.1)\n"
+            "for method in ('lloyd', 'fixed-point'):\n"
+            "    ct.basin_probe(src, 0.2, 3, 4, seed=1, method=method)\n"
+            "src.bin_variances([0.0, 1.0, 2.0]); src.quantile(0.3)")
+        assert loaded_scipy(statement) == set()
+
+    def test_gaussian_solve_loads_only_what_it_needs(self):
+        loaded = loaded_scipy(cli_statement(
+            "solve", "--source", "gauss", "--mean", "0.2", "--std", "1.4",
+            "--bias", "0.3", "--bins", "4"))
+        assert "scipy.special" in loaded
+        assert not {m for m in loaded
+                    if m.startswith(("scipy.optimize", "scipy.integrate"))}

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -53,9 +54,17 @@ class TestBalance:
             balance_derivative_floor([0.0], step=0.0)
 
     def test_lower_mills_peak(self):
+        # the peak of c*pdf(c)/cdf(c) is the root of its derivative's sign
+        # factor 1 - c^2 - c*pdf(c)/cdf(c), here to 40 digits
+        with mp.workdps(40):
+            def product(c):
+                return c * mp.npdf(c) / mp.ncdf(c)
+
+            root = mp.findroot(lambda c: 1 - c * c - product(c), mp.mpf("0.84"))
+            peak = product(root)
         loc, val = lower_mills_peak()
-        assert loc == pytest.approx(0.8399236756923727, abs=1e-6)
-        assert val == pytest.approx(0.29452821901141396, abs=1e-12)
+        assert loc == pytest.approx(float(root), abs=1e-12)
+        assert val == pytest.approx(float(peak), rel=1e-15)
 
 
 class TestTwoBin:

@@ -193,10 +193,33 @@ class TestDistributionFunctions:
 
 class TestExponentialMoments:
     def test_window_gap_limits(self):
-        # zero-length window: conditional mean gap is the full 1/rate
-        assert _exp_gap(0.0, 2.0) == 0.5
+        for rate in (0.3, 1.0, 2.0, 7.0):
+            # zero-length window: conditional mean gap is the full 1/rate
+            assert _exp_gap(0.0, rate) == 1.0 / rate
+            # infinite window: memoryless tail, no gap at all
+            assert _exp_gap(INF, rate) == 0.0
         # huge window: memoryless tail, gap -> 0
         assert _exp_gap(1000.0, 1.0) == pytest.approx(0.0, abs=1e-300)
+
+    def test_gap_against_mpmath(self):
+        # s/expm1(s) at rate 1 on a log grid of s out to 700, plus 0,
+        # subnormal s and s on both sides of 1e-16, below which expm1(s)
+        # rounds to s
+        grid = 10.0 ** np.linspace(-300.0, math.log10(700.0), 1001)
+        tiny = [0.0, 5e-324, 1e-310, 2e-308, 1e-16, 9.9e-17, 1.01e-16,
+                np.nextafter(1e-16, 0.0), np.nextafter(1e-16, 1.0)]
+        s = np.concatenate((grid, tiny))
+        got = _exp_gap(s, 1.0)
+        with mp.workdps(50):
+            exact = [mp.mpf(v) / mp.expm1(v) if v else mp.mpf(1) for v in s]
+            rel = [abs(mp.mpf(float(g)) / e - 1) for g, e in zip(got, exact)]
+        assert float(max(rel)) <= 2e-16
+        # past s = 709.78 the gap is set to 0; the true gap s*exp(-s) is
+        # already below 4e-306 there
+        far = np.array([709.79, 717.0, 745.0, 800.0, 1e300])
+        assert np.all(_exp_gap(far, 1.0) == 0.0)
+        with mp.workdps(50):
+            assert all(mp.mpf(v) / mp.expm1(v) < 4e-306 for v in far)
 
     def test_gap_small_window_taylor(self):
         # s/(e^s - 1) = 1 - s/2 + s^2/12 + O(s^4), scaled by 1/rate
@@ -324,8 +347,11 @@ class TestGaussianMoments:
         for lo, hi in [(-1.5, 0.2), (0.0, 1.0), (-math.inf, -0.4)]:
             m1 = src.quadrature_moment(lo, hi, 1)
             m2 = src.quadrature_moment(lo, hi, 2)
+            # m2 - m1^2 resolves the variance only to about 1e-13 of m2;
+            # narrower bins, whose variance sits below that floor, are
+            # checked against mpmath in test_variance_against_mpmath
             assert src.truncated_variance(lo, hi) == pytest.approx(
-                m2 - m1 * m1, abs=1e-9)
+                m2 - m1 * m1, abs=1e-13 * m2)
 
 
 class TestVectorIntervalMean:
@@ -453,7 +479,10 @@ class TestQuadratureMoment:
         for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
             m1 = src.quadrature_moment(lo, hi, 1)
             m2 = src.quadrature_moment(lo, hi, 2)
-            assert variances[k] == pytest.approx(m2 - m1 * m1, abs=1e-9)
+            # m2 - m1^2 resolves the variance only to about 1e-13 of m2;
+            # narrower bins, whose variance sits below that floor, are
+            # checked against mpmath in test_variance_against_mpmath
+            assert variances[k] == pytest.approx(m2 - m1 * m1, abs=1e-13 * m2)
 
     @pytest.mark.parametrize("src, edges", BIN_CASES)
     def test_bin_probs_against_mpmath(self, src, edges):
@@ -473,7 +502,11 @@ class TestQuadratureMoment:
             m1 = EXP.quadrature_moment(lo, hi, 1)
             m2 = EXP.quadrature_moment(lo, hi, 2)
             var = EXP.truncated_variance(lo, hi)
-            assert m2 - m1 * m1 == pytest.approx(var, abs=1e-9)
+            # m2 - m1^2 resolves the variance only to about 1e-13 of m2;
+            # shorter windows, whose variance sits below that floor, are
+            # checked against their series in
+            # test_window_variance_series_and_saturation
+            assert m2 - m1 * m1 == pytest.approx(var, abs=1e-13 * m2)
 
     def test_power_validation(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,14 @@ raised.
 A run is declared converged only when both the sup-norm edge movement
 and the equilibrium defect (max-abs residual) fall to tol, which makes
 "converged implies the final snapshot certifies" true by construction.
+
+One loop (_run_rows) runs any number of starts together: each step moves
+every live start at once through the bin kernels, and per-start tests
+take a start out at the step where it collapses, converges or reaches
+max_iter. basin_probe runs all its starts that way, with no trace;
+lloyd_method_i and fixed_point_iterate are one-start calls of the same
+loop that also record the trace. Every start's outcome and edges are
+bit for bit those of running it alone.
 """
 
 from __future__ import annotations
@@ -132,18 +140,6 @@ class _Recorder:
             iterations=iterations,
         )
 
-    def collapsed(self, iteration: int, bin_index: int | None) -> IterationTrace:
-        return self.trace(IterationOutcome("collapsed", iteration, bin_index),
-                          iteration)
-
-
-def _dead_bin(source: SourceModel, edges: np.ndarray) -> int | None:
-    """1-based index of the first bin below a collapse floor, or None."""
-    dead = ((edges[1:] - edges[:-1] < COLLAPSE_LENGTH)
-            | (source.bin_probs(edges) < COLLAPSE_PROB))
-    k = int(dead.argmax())
-    return k + 1 if dead[k] else None
-
 
 def _random_start(source: SourceModel, bias: float, n_bins: int,
                   rng: np.random.Generator) -> Partition:
@@ -186,57 +182,103 @@ def fixed_point_iterate(source: SourceModel, bias: float, init: Partition,
     return _run(source, bias, init, max_iter, tol, damping=damping)
 
 
-def _max_abs(values: np.ndarray) -> float:
-    return float(np.abs(values).max(initial=0.0))
-
-
 def _run(source: SourceModel, bias: float, init: Partition, max_iter: int,
          tol: float, damping: float) -> IterationTrace:
     _check_iteration_params(damping, max_iter, tol)
     # Rebind the edges to this run's source and bias; validates support.
     start = Partition(init.edges, source, bias)
-    edges = np.asarray(start.edges)
     rec = _Recorder(source, bias)
+    (outcome,), _ = _run_rows(source, bias, np.array([start.edges]),
+                              max_iter, tol, damping, rec)
+    return rec.trace(outcome, outcome.iteration)
 
-    dead = _dead_bin(source, edges)
-    if dead is not None:
-        rec.add(0, edges, math.nan, force=True)
-        return rec.collapsed(0, dead)
-    means = source.bin_means(edges)
-    if not (means[1:] > means[:-1]).all():
-        rec.add(0, edges, math.nan, force=True)
-        return rec.collapsed(0, None)
-    targets = _midpoints(means, bias)
-    residual = _max_abs(edges[1:-1] - targets)
-    rec.add(0, edges, residual, force=True)
 
-    lo, hi = source.support
-    for it in range(1, max_iter + 1):
-        old = edges[1:-1]
-        moved = (1.0 - damping) * old + damping * targets
-        edges = np.concatenate(([lo], moved, [hi]))
-        try:
-            dead = _dead_bin(source, edges)
-        except DomainError:
+def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
+              max_iter: int, tol: float, damping: float,
+              rec: _Recorder | None = None
+              ) -> tuple[list[IterationOutcome], np.ndarray]:
+    """Run the dynamics from every row of edges in one loop.
+
+    edges is (runs, n_bins + 1), each row a partition of the support.
+    Each step moves every live row at once through the unchecked bin
+    kernels, and tests on each row stop it at the step where its own run
+    stops, so every row ends bit for bit as it would alone. rec, given
+    only with one row, logs that row's thinned trace. Returns each row's
+    outcome and its edges at the step it stopped. The caller checks the
+    iteration parameters.
+    """
+    outcomes: list[IterationOutcome] = [None] * len(edges)
+    final = np.array(edges, dtype=float)
+    live = np.arange(len(edges))
+    e = final.copy()
+    moved = old = e[:, 1:-1]
+
+    def stop(rows: np.ndarray, status: str, bins=None) -> np.ndarray:
+        """Finish the flagged live rows at the current step, with their
+        current edges and bins[r] + 1 as bin_index; return the mask of
+        the rows that go on."""
+        for r in np.flatnonzero(rows):
+            k = None if bins is None else int(bins[r]) + 1
+            outcomes[live[r]] = IterationOutcome(status, it, k)
+            final[live[r]] = e[r]
+        return ~rows
+
+    for it in range(max_iter + 1):
+        if it:
+            old = moved
+            moved = (1.0 - damping) * old + damping * targets
+            e = np.concatenate((e[:, :1], moved, e[:, -1:]), axis=1)
             # an edge left the support or crossed a neighbor (NaN included)
-            alive = edges[1:] > edges[:-1]
-            return rec.collapsed(it, int(alive.argmin()) + 1)
-        if dead is not None:
-            rec.add(it, edges, math.nan, force=True)
-            return rec.collapsed(it, dead)
-        means = source.bin_means(edges)
-        if not (means[1:] > means[:-1]).all():
-            # the centroids crossed: no valid decoder profile to continue from
-            return rec.collapsed(it, None)
+            bad = ~(e[:, 1:] > e[:, :-1])
+            if np.count_nonzero(bad):
+                keep = stop(bad.any(axis=1), "collapsed", bad.argmax(axis=1))
+                live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
+                if not live.size:
+                    break
+        dead = ((e[:, 1:] - e[:, :-1] < COLLAPSE_LENGTH)
+                | (source._bin_probs(e) < COLLAPSE_PROB))
+        if np.count_nonzero(dead):
+            if rec is not None:
+                rec.add(it, e[0], math.nan, force=True)
+            keep = stop(dead.any(axis=1), "collapsed", dead.argmax(axis=1))
+            live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
+            if not live.size:
+                break
+        means = source._bin_means(e)
+        rising = means[:, 1:] > means[:, :-1]
+        if np.count_nonzero(rising) < rising.size:
+            # the centroids crossed: no valid decoder profile to continue
+            # from; a trace always holds its initial state, so a crossing
+            # at step 0 is logged, and only then
+            if rec is not None and it == 0:
+                rec.add(it, e[0], math.nan, force=True)
+            keep = stop(~rising.all(axis=1), "collapsed")
+            live, e, moved, old, means = (
+                live[keep], e[keep], moved[keep], old[keep], means[keep])
+            if not live.size:
+                break
         targets = _midpoints(means, bias)
-        residual = _max_abs(moved - targets)
-        rec.add(it, edges, residual)
-        if residual <= tol and _max_abs(moved - old) <= tol:
-            rec.add(it, edges, residual, force=True)
-            return rec.trace(IterationOutcome("converged", it), it)
-
-    rec.add(max_iter, edges, residual, force=True)
-    return rec.trace(IterationOutcome("max_iter", max_iter), max_iter)
+        residual = np.abs(moved - targets).max(axis=1, initial=0.0)
+        if rec is not None:
+            rec.add(it, e[0], float(residual[0]), force=it == 0)
+        done = residual <= tol
+        # the movement is only worth measuring once some residual is small
+        if it and np.count_nonzero(done):
+            done &= np.abs(moved - old).max(axis=1, initial=0.0) <= tol
+            if np.count_nonzero(done):
+                if rec is not None:
+                    rec.add(it, e[0], float(residual[0]), force=True)
+                keep = stop(done, "converged")
+                live, e, moved, targets, residual = (
+                    live[keep], e[keep], moved[keep], targets[keep],
+                    residual[keep])
+                if not live.size:
+                    break
+    if live.size:
+        if rec is not None:
+            rec.add(max_iter, e[0], float(residual[0]), force=True)
+        stop(np.ones(live.size, dtype=bool), "max_iter")
+    return outcomes, final
 
 
 @dataclass(frozen=True)
@@ -271,9 +313,12 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
 
     Initial interior edges are sorted uniform draws between the 0.001
     and 0.999 source quantiles, so starts cover the region where
-    equilibria can live without wasting mass in the far tails. The
-    whole probe is deterministic under a fixed seed: draws, run order,
-    and greedy clustering all follow initialization index.
+    equilibria can live without wasting mass in the far tails. All
+    starts are drawn first and then run together in one loop, each
+    taken out at the step where its own run stops, so every outcome and
+    limit is bit for bit what lloyd_method_i or fixed_point_iterate gives
+    from that start. The whole probe is deterministic under a fixed seed:
+    draws and greedy clustering follow initialization index.
     """
     if method not in ("lloyd", "fixed-point"):
         raise DomainError(f"method must be 'lloyd' or 'fixed-point', got {method!r}")
@@ -281,29 +326,27 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
         raise DomainError(f"n_inits must be a positive integer, got {n_inits!r}")
     if not (isinstance(n_bins, int) and n_bins >= 2):
         raise DomainError(f"basin probing needs n_bins >= 2, got {n_bins!r}")
+    damping = damping if method == "fixed-point" else 1.0
+    _check_iteration_params(damping, max_iter, tol)
     rng = np.random.default_rng(seed)
+    starts = np.array([_random_start(source, bias, n_bins, rng).edges
+                       for _ in range(n_inits)])
+    outcomes, final = _run_rows(source, bias, starts, max_iter, tol, damping)
 
     converged = 0
     collapsed = 0
     hit_max = 0
     reps: list[np.ndarray] = []
     sizes: list[int] = []
-    for _ in range(n_inits):
-        init = _random_start(source, bias, n_bins, rng)
-        if method == "lloyd":
-            trace = lloyd_method_i(source, bias, init, max_iter, tol)
-        else:
-            trace = fixed_point_iterate(source, bias, init, damping,
-                                        max_iter, tol)
-        status = trace.outcome.status
-        if status == "collapsed":
+    for outcome, edges in zip(outcomes, final):
+        if outcome.status == "collapsed":
             collapsed += 1
             continue
-        if status == "max_iter":
+        if outcome.status == "max_iter":
             hit_max += 1
             continue
         converged += 1
-        limit = np.asarray(trace.final_partition.interior_edges)
+        limit = edges[1:-1]
         for j, rep in enumerate(reps):
             if float(np.max(np.abs(limit - rep))) <= cluster_tol:
                 sizes[j] += 1

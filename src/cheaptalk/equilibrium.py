@@ -168,8 +168,9 @@ class CostReport:
 
 def _midpoints(means: np.ndarray, bias: float) -> np.ndarray:
     """Each interior edge's target: the midpoint of the means of the two
-    bins it separates, plus the bias. Equilibria are its fixed points."""
-    return 0.5 * (means[:-1] + means[1:]) + bias
+    bins it separates, plus the bias. Equilibria are its fixed points.
+    Each row of a 2-D array of means maps on its own."""
+    return 0.5 * (means[..., :-1] + means[..., 1:]) + bias
 
 
 def _check_iteration_params(damping: float, max_iter: int, tol: float) -> None:

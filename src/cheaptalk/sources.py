@@ -3,7 +3,8 @@
 Solvers, certificates, and dynamics touch a distribution through the
 array methods here (bin_probs, bin_means, bin_variances: one value per
 bin of an increasing edge array, which may have infinite ends and need
-not span the support), plus quantiles and sampling. The scalar interval
+not span the support, or one row of values per row of a 2-D array of
+such edges), plus quantiles and sampling. The scalar interval
 methods are the same code on a single bin.
 
 Numerical ground rules:
@@ -139,7 +140,8 @@ def _std_interval_mean(alpha, beta):
     a0 = np.asarray(alpha, dtype=float)
     b0 = np.asarray(beta, dtype=float)
     scalar = a0.ndim == 0 and b0.ndim == 0
-    a, b = np.atleast_1d(*np.broadcast_arrays(a0, b0))
+    # raveled, because masked indexing costs more on 2-D arrays
+    a, b = map(np.ravel, np.broadcast_arrays(a0, b0))
     flip = (b <= 0.0) | (np.isneginf(a) & ~np.isposinf(b))
     a, b = np.where(flip, -b, a), np.where(flip, -a, b)
     out = np.full(a.shape, np.nan)
@@ -365,42 +367,58 @@ class SourceModel:
                 f"interval endpoints must satisfy lo < hi, got [{lo}, {hi}]")
 
     def _bin_edges(self, edges) -> np.ndarray:
+        """edges as a float array after the checks every bin method makes:
+        one increasing edge sequence, or a 2-D array with one per row."""
         e = np.asarray(edges, dtype=float)
-        if (e.ndim != 1 or e.size < 2
-                or np.count_nonzero(e[1:] > e[:-1]) < e.size - 1):
+        # every adjacent pair must increase (NaN fails); a row of k edges
+        # has k - 1 pairs
+        if (e.ndim not in (1, 2) or e.shape[-1] < 2
+                or np.count_nonzero(e[..., 1:] > e[..., :-1])
+                < e.size - e.size // e.shape[-1]):
             raise DomainError(
                 f"bin edges must be a strictly increasing sequence of at "
                 f"least two values, got {edges!r}")
         return e
 
+    def _check_support(self, e: np.ndarray) -> None:
+        """Conditional moments need every bin to meet the support; with
+        increasing edges only an exponential's first bin can miss it."""
+        if self.kind != EXPONENTIAL:
+            return
+        row = e if e.ndim == 1 else e[e[:, 1].argmin()]
+        if row[1] <= 0.0:
+            raise ZeroProbabilityError(
+                f"[{row[0]}, {row[1]}] lies outside the exponential support")
+
     def _exp_windows(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Start and in-support length of each exponential bin."""
-        if e[1] <= 0.0:
-            raise ZeroProbabilityError(
-                f"[{e[0]}, {e[1]}] lies outside the exponential support")
         a = np.maximum(e, 0.0)
-        return a[:-1], a[1:] - a[:-1]
+        return a[..., :-1], a[..., 1:] - a[..., :-1]
 
     def bin_probs(self, edges) -> np.ndarray:
         """P(e_k < M < e_{k+1}) for every bin of an increasing edge array.
 
+        A 2-D array holds one edge sequence per row and gives one row of
+        probabilities each, equal bit for bit to the call on that row.
         Bins outside the support get 0. Gaussian bins use whichever of
         the two tails or the central erf sum avoids cancellation, and
         short same-tail bins the fixed rule of _std_rule.
         """
-        e = self._bin_edges(edges)
+        return self._bin_probs(self._bin_edges(edges))
+
+    def _bin_probs(self, e: np.ndarray) -> np.ndarray:
+        """bin_probs on edges that are already checked."""
         if self.kind == EXPONENTIAL:
-            a = np.maximum(e, 0.0)
-            return np.exp(-self.rate * a[:-1]) * -np.expm1(
-                -self.rate * (a[1:] - a[:-1]))
+            start, length = self._exp_windows(e)
+            return np.exp(-self.rate * start) * -np.expm1(-self.rate * length)
         z = (e - self.mean) / (self.std * _SQRT2)
         # (a, b) is the bin folded onto the upper half-line; a < 0 exactly
         # when the bin straddles the mean. Same-tail bins factor exp(-a^2)
         # out of erfc(a) - erfc(b), so deep-tail bins stay exact; that
         # difference cancels on short bins, which take the rule.
         nz = -z
-        a = np.maximum(z[:-1], nz[1:])
-        b = np.maximum(z[1:], nz[:-1])
+        a = np.maximum(z[..., :-1], nz[..., 1:])
+        b = np.maximum(z[..., 1:], nz[..., :-1])
         c = np.maximum(a, 0.0)
         # log of pdf(b)/pdf(c), that is -d
         log_ratio = (c - b) * (b + c)
@@ -410,26 +428,33 @@ class SourceModel:
         short = same & (log_ratio > -_SHORT_BIN)
         if np.count_nonzero(short):
             z = (e - self.mean) / self.std
-            near, mass, _, _ = _std_rule(z[:-1][short], z[1:][short])
+            near, mass, _, _ = _std_rule(z[..., :-1][short], z[..., 1:][short])
             out[short] = mass * np.exp(-0.5 * near * near) / _SQRT_2PI
         return out
 
     def bin_means(self, edges) -> np.ndarray:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
 
+        Takes one edge sequence or a 2-D array of them, as bin_probs.
         Raises ZeroProbabilityError only when a bin misses the support;
         same-tail Gaussian bins stay well-defined even where their
         probability underflows.
         """
         e = self._bin_edges(edges)
+        self._check_support(e)
+        return self._bin_means(e)
+
+    def _bin_means(self, e: np.ndarray) -> np.ndarray:
+        """bin_means on edges that are already checked."""
         if self.kind == EXPONENTIAL:
             start, length = self._exp_windows(e)
             return start + 1.0 / self.rate - _exp_gap(length, self.rate)
         z = (e - self.mean) / self.std
-        return self.mean + self.std * _std_interval_mean(z[:-1], z[1:])
+        return self.mean + self.std * _std_interval_mean(z[..., :-1], z[..., 1:])
 
     def bin_variances(self, edges) -> np.ndarray:
-        """Var(M | e_k <= M <= e_{k+1}) for every bin.
+        """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
+        or of each row of a 2-D array, as bin_probs.
 
         Exponential bins have a closed form in their in-support length,
         Gaussian bins the fixed rule of _std_rule, all in one pass; the
@@ -437,11 +462,12 @@ class SourceModel:
         QuadratureError; only the quadrature_moment oracle can.
         """
         e = self._bin_edges(edges)
+        self._check_support(e)
         if self.kind == EXPONENTIAL:
             return _exp_window_variance(self._exp_windows(e)[1], self.rate)
         z = (e - self.mean) / self.std
-        var = _std_rule(z[:-1], z[1:])[3]
-        whole = np.isinf(z[:-1]) & np.isinf(z[1:])
+        var = _std_rule(z[..., :-1], z[..., 1:])[3]
+        whole = np.isinf(z[..., :-1]) & np.isinf(z[..., 1:])
         return np.where(whole, 1.0, var) * self.std * self.std
 
     def interval_prob(self, lo: float, hi: float) -> float:

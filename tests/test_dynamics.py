@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cheaptalk.dynamics import (
     IterationTrace,
+    _random_start,
     basin_probe,
     fixed_point_iterate,
     lloyd_method_i,
@@ -25,6 +27,33 @@ GAUSS = SourceModel.gaussian(0.0, 1.0)
 
 def exp_partition(interior, bias):
     return Partition((0.0, *interior, math.inf), EXP, bias)
+
+
+def probe_one_at_a_time(source, bias, n_bins, n_inits, seed, method,
+                        max_iter):
+    """basin_probe's draws, each run alone through the public engines and
+    clustered greedily in start order; returns ((status, iterations) per
+    start, distinct limits, cluster sizes)."""
+    rng = np.random.default_rng(seed)
+    outcomes, reps, sizes = [], [], []
+    for _ in range(n_inits):
+        init = _random_start(source, bias, n_bins, rng)
+        if method == "lloyd":
+            trace = lloyd_method_i(source, bias, init, max_iter)
+        else:
+            trace = fixed_point_iterate(source, bias, init, 0.5, max_iter)
+        outcomes.append((trace.outcome.status, trace.iterations))
+        if trace.outcome.status != "converged":
+            continue
+        limit = trace.final_partition.interior_edges
+        for j, rep in enumerate(reps):
+            if max(abs(x - y) for x, y in zip(limit, rep)) <= 1e-6:
+                sizes[j] += 1
+                break
+        else:
+            reps.append(limit)
+            sizes.append(1)
+    return outcomes, tuple(reps), tuple(sizes)
 
 
 class TestFixedPointsAreImmediate:
@@ -118,10 +147,12 @@ class TestCollapse:
         # COLLAPSE_PROB, and the kernels keep each such bin's centroid
         # inside it, so no real start reaches this branch; reversed
         # centroids stand in for centroids that do not increase, which
-        # leave no decoder profile to start from
-        bin_means = SourceModel.bin_means
-        monkeypatch.setattr(SourceModel, "bin_means",
-                            lambda self, edges: bin_means(self, edges)[::-1])
+        # leave no decoder profile to start from; the dynamics read the
+        # centroids from the unchecked kernel behind bin_means
+        bin_means = SourceModel._bin_means
+        monkeypatch.setattr(
+            SourceModel, "_bin_means",
+            lambda self, edges: bin_means(self, edges)[..., ::-1])
         edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
                  math.inf)
         init = Partition(edges, GAUSS, 0.1)
@@ -207,3 +238,34 @@ class TestBasinProbe:
         converged = round(summary.fraction_converged * summary.n_inits)
         assert converged + summary.collapsed + summary.hit_max_iter == 10
         assert sum(summary.cluster_sizes) == converged
+
+    # positive biases converge; below bias -0.291 exp(1) has no 3-bin
+    # equilibrium, so from 3 bins up every start collapses; max_iter=5
+    # stops rows by collapse and by the cap within one batch
+    @pytest.mark.parametrize("method", ("lloyd", "fixed-point"))
+    @pytest.mark.parametrize("source, bias, max_iter", (
+        (GAUSS, 0.15, 10_000),
+        (EXP, 0.4, 10_000),
+        (EXP, -0.35, 10_000),
+        (EXP, -0.35, 5),
+    ))
+    def test_batched_starts_equal_one_at_a_time(self, source, bias,
+                                                max_iter, method):
+        n_inits = 4
+        mixed = False
+        for n_bins in range(2, 9):
+            summary = basin_probe(source, bias, n_bins, n_inits,
+                                  seed=n_bins, method=method,
+                                  max_iter=max_iter)
+            outcomes, reps, sizes = probe_one_at_a_time(
+                source, bias, n_bins, n_inits, n_bins, method, max_iter)
+            statuses = [status for status, _ in outcomes]
+            assert summary.collapsed == statuses.count("collapsed")
+            assert summary.hit_max_iter == statuses.count("max_iter")
+            assert summary.fraction_converged == \
+                statuses.count("converged") / n_inits
+            assert summary.cluster_sizes == sizes
+            assert summary.distinct_limits == reps
+            mixed |= len({steps for _, steps in outcomes}) > 1
+        # some batch had rows leave the loop at different steps
+        assert mixed

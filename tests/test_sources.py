@@ -43,6 +43,27 @@ BIN_CASES = (
     (GAUSS, (-0.3, -0.3 + 1e-12, 5.0, 5.0 + 1e-10, 30.0, 30.0 + 1e-9)),
 )
 
+# (source, rows of equal-length edges) for 2-D calls: Gaussian rows with
+# infinite ends, short same-tail bins under 1e-6 wide (the _std_rule
+# branch), bins near |z| = 40, and exponential rows starting at 0
+ROW_CASES = (
+    (GAUSS, (
+        (-INF, -1.0, 0.2, 1.1, 1.9, INF),
+        (-INF, 3.0, 3.0 + 4e-7, 3.0 + 9e-7, 5.0, INF),
+        (-INF, -40.5, -40.0, -40.0 + 3e-7, 39.8, 40.1),
+        (-41.0, -2.0, -2.0 + 5e-8, 0.0, 40.0, INF),
+    )),
+    (SourceModel.gaussian(0.7, 1.3), (
+        (-INF, -2.0, -0.5, 0.3, 0.31, INF),
+        (-INF, 52.0, 52.0 + 1e-6, 53.0, 60.0, INF),
+    )),
+    (EXP, (
+        (0.0, 0.2, 0.9, 3.0, INF),
+        (0.0, 1e-9, 2e-9, 700.0, INF),
+        (0.0, 0.5, 0.5 + 1e-7, 2.0, 40.0),
+    )),
+)
+
 
 def mp_bin_prob(src, lo, hi):
     """50-digit probability of (lo, hi), independent of the float code."""
@@ -406,13 +427,28 @@ class TestVectorIntervalMean:
                 src.quadrature_moment(lo, hi, 1), abs=1e-10)
 
     def test_bin_edges_validated(self):
+        # one edge sequence, or a 2-D array with one per row; any bad row
+        # or more than two dimensions is rejected
         for src in (EXP, GAUSS):
             for bad in ((1.0,), (0.0, 0.0, 1.0), (0.0, math.nan, 1.0),
-                        (2.0, 1.0), ((0.0, 1.0), (2.0, 3.0))):
+                        (2.0, 1.0), ((0.0, 1.0), (3.0, 2.0)),
+                        ((0.0,), (1.0,)), (((0.0, 1.0), (2.0, 3.0)),)):
                 for method in (src.bin_means, src.bin_probs,
                                src.bin_variances):
-                    with pytest.raises(DomainError):
+                    with pytest.raises(DomainError,
+                                       match="strictly increasing sequence"):
                         method(bad)
+
+    @pytest.mark.parametrize("src, rows", ROW_CASES)
+    def test_rows_equal_one_dimensional_calls(self, src, rows):
+        # each row of a 2-D call is bit for bit the 1-D call on that row,
+        # whichever kernel branch its bins take
+        rows = np.array(rows)
+        for method in (src.bin_probs, src.bin_means, src.bin_variances):
+            got = method(rows)
+            assert got.shape == (len(rows), rows.shape[1] - 1)
+            for row, values in zip(rows, got):
+                assert values.tobytes() == method(row).tobytes(), (method, row)
 
     def test_bins_outside_exponential_support(self):
         assert EXP.bin_probs((-3.0, -1.0, 2.0)).tolist() == [
@@ -421,6 +457,10 @@ class TestVectorIntervalMean:
             EXP.bin_means((-3.0, -1.0, 2.0))
         with pytest.raises(ZeroProbabilityError):
             EXP.bin_variances((-3.0, -1.0, 2.0))
+        rows = ((0.0, 1.0, 2.0), (-3.0, -1.0, 2.0))
+        for method in (EXP.bin_means, EXP.bin_variances):
+            with pytest.raises(ZeroProbabilityError, match=r"\[-3.0, -1.0\]"):
+                method(rows)
 
 
 def mp_std_slopes(lo, hi):

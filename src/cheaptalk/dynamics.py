@@ -235,16 +235,16 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                 live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
                 if not live.size:
                     break
-        dead = ((e[:, 1:] - e[:, :-1] < COLLAPSE_LENGTH)
-                | (source._bin_probs(e) < COLLAPSE_PROB))
+        probs, means = source._bin_moments(e)
+        dead = (e[:, 1:] - e[:, :-1] < COLLAPSE_LENGTH) | (probs < COLLAPSE_PROB)
         if np.count_nonzero(dead):
             if rec is not None:
                 rec.add(it, e[0], math.nan, force=True)
             keep = stop(dead.any(axis=1), "collapsed", dead.argmax(axis=1))
-            live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
+            live, e, moved, old, means = (
+                live[keep], e[keep], moved[keep], old[keep], means[keep])
             if not live.size:
                 break
-        means = source._bin_means(e)
         rising = means[:, 1:] > means[:, :-1]
         if np.count_nonzero(rising) < rising.size:
             # the centroids crossed: no valid decoder profile to continue

@@ -24,9 +24,9 @@ side, extends the far side by one synthetic bin of the asymptotic length
 of edges nearest the cut from certification, where the truncation still
 distorts the map.
 
-Importing this module loads no scipy module. The Gaussian kernels load
-scipy.special on their first call (see sources), and the Newton solves
-load scipy.linalg for the banded solve.
+Everything here runs on numpy alone: the Gaussian kernels take the
+normal tail from special, and each Newton step solves its tridiagonal
+system by a Thomas sweep (_thomas).
 """
 
 from __future__ import annotations
@@ -271,6 +271,27 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
     return edges, False, max_iter, delta
 
 
+def _thomas(sub, diag, sup, rhs) -> list[float] | None:
+    """Solve a tridiagonal system by the Thomas sweep, without pivoting:
+    row i holds sub[i-1], diag[i] and sup[i] (sequences of floats).
+    Returns the solution as a list, or None on a zero or non-finite
+    pivot."""
+    ratios, values = [], []
+    ratio = value = 0.0
+    for a, b, c, r in zip((0.0, *sub), diag, (*sup, 0.0), rhs):
+        pivot = b - a * ratio
+        if pivot == 0.0 or not math.isfinite(pivot):
+            return None
+        ratio = c / pivot
+        value = (r - a * value) / pivot
+        ratios.append(ratio)
+        values.append(value)
+    x = 0.0
+    for i in range(len(values) - 1, -1, -1):
+        x = values[i] = values[i] - ratios[i] * x
+    return values
+
+
 def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
                   max_iter: int, tol: float, ladder_step: float | None = None
                   ) -> tuple[np.ndarray, bool, int, float] | None:
@@ -282,10 +303,11 @@ def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
     edges, by the slopes _std_interval_slopes takes from the edges alone
     (the fixed rule of sources._std_rule, right on bins down to 1e-12
     wide); a ladder's closing edge moves with the last edge, adding its
-    slope to the last row.
+    slope to the last row. A bin's two slopes sum to 1 - Var, Var its
+    variance in std^2 units, so each row's diagonal exceeds the sum of
+    its off-diagonals by the mean of its two bins' Var, closing row
+    included: the Thomas sweep needs no pivoting.
     Converged once a full step's sup-norm is <= tol, after taking it."""
-    from scipy.linalg import solve_banded
-
     mean, std = source.mean, source.std
 
     def residual(e):
@@ -298,19 +320,18 @@ def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
     f_max = float(np.abs(f).max())
     size = math.inf
     for it in range(1, max_iter + 1):
+        if not math.isfinite(f_max):
+            return None
         lo, hi = _std_interval_slopes(z[:-1], z[1:])
-        band = np.zeros((3, edges.size))
-        band[0, 1:] = -0.5 * hi[1:-1]
-        band[1] = 1.0 - 0.5 * (hi[:-1] + lo[1:])
-        band[2, :-1] = -0.5 * lo[1:-1]
+        diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
         if ladder_step is not None:
-            band[1, -1] -= 0.5 * hi[-1]
-        if not (math.isfinite(f_max) and np.isfinite(band).all()):
+            diag[-1] -= 0.5 * hi[-1]
+        # a non-finite entry shows up as a non-finite pivot or step
+        solved = _thomas((-0.5 * lo[1:-1]).tolist(), diag.tolist(),
+                         (-0.5 * hi[1:-1]).tolist(), (-f).tolist())
+        if solved is None:
             return None
-        try:
-            step = solve_banded((1, 1), band, -f, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
+        step = np.array(solved)
         size = float(np.abs(step).max())
         if not math.isfinite(size):
             return None

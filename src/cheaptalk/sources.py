@@ -11,11 +11,12 @@ Numerical ground rules:
 
 - every ``exp(s) - 1`` is an ``expm1``, every ``exp(s) + exp(-s) - 2``
   is ``(2*sinh(s/2))**2``, so short intervals do not cancel;
-- the Gaussian mean kernel reflects every bin below the origin onto the
-  upper side (the mean is odd under t -> -t), so each formula is written
-  once; bins that sit entirely in one tail are evaluated through the
-  scaled complementary error function, so conditional means stay
-  accurate even where the interval probability itself underflows;
+- one Gaussian kernel (_std_moments) gives each bin's mass and mean from
+  its two edges' values of the scaled normal tail (special._normal_tail,
+  one call per edge array); every formula reads the bin through |z| and
+  the side of the origin it leans to, so reflection is exact, and bins
+  that sit entirely in one tail go through erfcx, so conditional means
+  stay accurate even where the interval probability itself underflows;
 - one fixed Gauss-Legendre rule (_std_rule), run in each bin's own frame
   and with no per-bin loop, gives every Gaussian conditional variance,
   the Newton solvers' edge slopes of the mean, and the mass and mean of
@@ -24,9 +25,9 @@ Numerical ground rules:
   Adaptive quadrature serves only the independent oracle
   quadrature_moment.
 
-Exponential sources run on numpy alone. Gaussian kernels load
-scipy.special (erf, erfcx, ndtri) on their first call, and the oracle
-scipy.integrate on its first call; importing this module loads neither.
+Every runtime path runs on numpy alone. Only the oracle
+quadrature_moment needs scipy (scipy.integrate, imported on its first
+call), which the package's test extra installs.
 """
 
 from __future__ import annotations
@@ -37,11 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ZeroProbabilityError
-from .special import std_normal_cdf, std_normal_pdf
+from .special import (
+    _normal_tail,
+    std_normal_cdf,
+    std_normal_pdf,
+    std_normal_quantile,
+)
 
 __all__ = ["SourceModel"]
 
-_SQRT2 = math.sqrt(2.0)
+_SQRT1_2 = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 # Short same-tail Gaussian bins, where the erfcx difference in the closed
@@ -58,35 +64,6 @@ _EXPM1_MAX = np.array(709.78)
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
-
-
-# Only Gaussian paths need scipy.special, and importing it costs about
-# 230 ms, so each function taken from it is a stub that, on its first
-# call, imports the ufunc over its own name. The kernels look these names
-# up as module globals, so every later call reaches the ufunc directly.
-
-
-def _erf_arr(x):
-    global _erf_arr
-    from scipy.special import erf as _erf_arr
-    return _erf_arr(x)
-
-
-def _erfcx(x):
-    global _erfcx
-    from scipy.special import erfcx as _erfcx
-    return _erfcx(x)
-
-
-def _ndtri(q):
-    global _ndtri
-    from scipy.special import ndtri as _ndtri
-    return _ndtri(q)
-
-
-def _scaled_sf(x):
-    """sf(x) / pdf(x) without forming either factor; grows like 1/x."""
-    return _SQRT_PI_OVER_2 * _erfcx(x / _SQRT2)
 
 
 def _exp_gap(length, rate: float):
@@ -124,65 +101,63 @@ def _exp_window_variance(length, rate: float):
                     np.where(s > 350.0, 1.0 / (rate * rate), closed))[()]
 
 
-def _std_interval_mean(alpha, beta):
-    """Mean of a standard normal conditioned on [alpha, beta], elementwise.
+def _std_moments(z):
+    """Mass and mean of a standard normal on each bin of an increasing
+    edge array z (..., k + 1), one value per bin: (probs, means).
 
-    Endpoints may be infinite. Bins with beta <= 0 and lower half-lines
-    are reflected onto the upper side, mean(a, b) = -mean(-b, -a), so
-    only upper half-lines, upper same-tail bins and bins straddling the
-    origin are evaluated. Same-tail bins go through erfcx so the result
-    stays finite and accurate arbitrarily far out, except short ones
-    (_SHORT_BIN, _SHORT_WIDTH), whose erfcx difference would cancel and
-    whose mean comes from _std_rule instead; straddling bins use an
-    expm1 form for the density difference and a cancellation-free erf
-    sum for the mass. Scalars in, scalar out.
+    One _normal_tail call on |z|/sqrt(2) gives every edge's erfcx, erf
+    and density, and each bin reads its two edges; nothing is gathered
+    per branch. Call the bin's edge nearer the origin n, the other f,
+    and d = (z_f^2 - z_n^2)/2 >= 0, so pdf(f) = pdf(n) exp(-d). A bin in
+    one tail has mass sf(n) - sf(f) = pdf(n) sqrt(pi/2) gap, with
+    gap = erfcx_n - exp(-d) erfcx_f, and mean (1 - exp(-d))/(sqrt(pi/2)
+    gap) in size, where pdf(n) has cancelled, so the mean stays finite and
+    accurate where the mass underflows. A bin across the origin has mass
+    (erf_a + erf_b)/2, with nothing to cancel, and mean pdf(n)
+    (1 - exp(-d))/mass in size. The mean takes the sign of z_a + z_b, and
+    nothing else depends on the side, so reflection is exact. Short
+    same-tail bins (_SHORT_BIN, _SHORT_WIDTH), where gap cancels, take
+    _std_rule.
     """
-    a0 = np.asarray(alpha, dtype=float)
-    b0 = np.asarray(beta, dtype=float)
-    scalar = a0.ndim == 0 and b0.ndim == 0
-    # raveled, because masked indexing costs more on 2-D arrays
-    a, b = map(np.ravel, np.broadcast_arrays(a0, b0))
-    flip = (b <= 0.0) | (np.isneginf(a) & ~np.isposinf(b))
-    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
-    out = np.full(a.shape, np.nan)
-    upper = np.isposinf(b)
-    # np.count_nonzero is the cheapest truth test of a small mask
-    if np.count_nonzero(upper):
-        # upper Mills ratio; erfcx overflow to inf gives the correct 0
-        # limit, and exactly 0 on the whole line (a = -inf)
-        out[upper] = (1.0 / _SQRT_PI_OVER_2) / _erfcx(a[upper] / _SQRT2)
-    right = ~upper & (a >= 0.0)
-    if np.count_nonzero(right):
-        va, vb = a[right], b[right]
-        # pdf(vb) = pdf(va)*exp(-d), and the bin's mass is pdf(va)*den
-        w = vb - va
-        d = 0.5 * w * (vb + va)
-        den = _scaled_sf(va) - np.exp(-d) * _scaled_sf(vb)
-        num = -np.expm1(-d)
-        ok = den > 0.0
-        mean = np.where(ok, num / np.where(ok, den, 1.0), 0.5 * (va + vb))
-        short = (d < _SHORT_BIN) | (w < _SHORT_WIDTH)
-        if np.count_nonzero(short):
-            near, _, shift, _ = _std_rule(va[short], vb[short])
-            mean[short] = near + shift
-        out[right] = mean
-    strad = ~upper & (a < 0.0)
-    if np.count_nonzero(strad):
-        va, vb = a[strad], b[strad]
-        d = 0.5 * (vb - va) * (vb + va)
-        phi_a = np.exp(-0.5 * va * va) / _SQRT_2PI
-        phi_b = np.exp(-0.5 * vb * vb) / _SQRT_2PI
-        den = 0.5 * (_erf_arr(vb / _SQRT2) + _erf_arr(-va / _SQRT2))
-        # pdf(a) - pdf(b) = pdf(b)*expm1(d); direct difference once |d|
-        # is large enough that nothing cancels
-        num = np.where(np.abs(d) <= 1.0,
-                       phi_b * np.expm1(np.clip(d, -1.0, 1.0)),
-                       phi_a - phi_b)
-        ok = den > 0.0
-        out[strad] = np.where(ok, num / np.where(ok, den, 1.0),
-                              0.5 * (va + vb))
-    np.negative(out, out=out, where=flip)
-    return float(out[0]) if scalar else out.reshape(np.broadcast(a0, b0).shape)
+    tail, erf, g = _normal_tail(np.abs(z) * _SQRT1_2)
+    za, zb = z[..., :-1], z[..., 1:]
+    width = zb - za
+    with np.errstate(invalid="ignore"):
+        total = za + zb
+    # -d; NaN only on the whole line, where it is 0
+    nd = np.fmin(-0.5 * width * np.abs(total), 0.0)
+    # erfcx and the density fall with |z|, so the near edge holds the
+    # larger of each; where rounding could order two nearly equal erfcx
+    # values wrongly, the bin is short and the rule replaces it
+    tail_n = np.maximum(tail[..., :-1], tail[..., 1:])
+    tail_f = np.minimum(tail[..., :-1], tail[..., 1:])
+    g_n = np.maximum(g[..., :-1], g[..., 1:])
+    gap = tail_n - np.exp(nd) * tail_f
+    across = (za < 0.0) & (zb > 0.0)
+    central = 0.5 * (erf[..., :-1] + erf[..., 1:])
+    mass = np.where(across, central, 0.5 * g_n * gap)
+    scale = np.where(across, g_n / _SQRT_2PI, 1.0 / _SQRT_PI_OVER_2)
+    # gap <= 0 only on short bins, which the rule replaces
+    mean = np.copysign(
+        np.expm1(nd) * scale / np.maximum(np.where(across, central, gap), _TINY),
+        total)
+    short = ~across & ((nd > -_SHORT_BIN) | (width < _SHORT_WIDTH))
+    if np.count_nonzero(short):
+        near, rule_mass, shift, _ = _std_rule(za[short], zb[short])
+        mass[short] = rule_mass * np.exp(-0.5 * near * near) / _SQRT_2PI
+        mean[short] = near + shift
+    return mass, mean
+
+
+def _std_interval_mean(alpha, beta):
+    """Mean of a standard normal conditioned on [alpha, beta], elementwise
+    over separate bins: _std_moments on one two-edge row per bin. Scalars
+    in, scalar out. The solvers call _std_moments on shared edges; the
+    tests and perfbench's tracer address this name."""
+    pairs = np.stack(np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                         np.asarray(beta, dtype=float)), -1)
+    mean = _std_moments(pairs)[1][..., 0]
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def _std_interval_slopes(alpha, beta):
@@ -352,7 +327,7 @@ class SourceModel:
             return hi
         if self.kind == EXPONENTIAL:
             return -math.log1p(-q) / self.rate
-        return self.mean + self.std * float(_ndtri(q))
+        return self.mean + self.std * std_normal_quantile(q)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == EXPONENTIAL:
@@ -411,26 +386,7 @@ class SourceModel:
         if self.kind == EXPONENTIAL:
             start, length = self._exp_windows(e)
             return np.exp(-self.rate * start) * -np.expm1(-self.rate * length)
-        z = (e - self.mean) / (self.std * _SQRT2)
-        # (a, b) is the bin folded onto the upper half-line; a < 0 exactly
-        # when the bin straddles the mean. Same-tail bins factor exp(-a^2)
-        # out of erfc(a) - erfc(b), so deep-tail bins stay exact; that
-        # difference cancels on short bins, which take the rule.
-        nz = -z
-        a = np.maximum(z[..., :-1], nz[..., 1:])
-        b = np.maximum(z[..., 1:], nz[..., :-1])
-        c = np.maximum(a, 0.0)
-        # log of pdf(b)/pdf(c), that is -d
-        log_ratio = (c - b) * (b + c)
-        tail = np.exp(-c * c) * (_erfcx(c) - np.exp(log_ratio) * _erfcx(b))
-        same = a >= 0.0
-        out = 0.5 * np.where(same, tail, _erf_arr(b) - _erf_arr(a))
-        short = same & (log_ratio > -_SHORT_BIN)
-        if np.count_nonzero(short):
-            z = (e - self.mean) / self.std
-            near, mass, _, _ = _std_rule(z[..., :-1][short], z[..., 1:][short])
-            out[short] = mass * np.exp(-0.5 * near * near) / _SQRT_2PI
-        return out
+        return _std_moments((e - self.mean) / self.std)[0]
 
     def bin_means(self, edges) -> np.ndarray:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
@@ -449,8 +405,15 @@ class SourceModel:
         if self.kind == EXPONENTIAL:
             start, length = self._exp_windows(e)
             return start + 1.0 / self.rate - _exp_gap(length, self.rate)
-        z = (e - self.mean) / self.std
-        return self.mean + self.std * _std_interval_mean(z[..., :-1], z[..., 1:])
+        return self._bin_moments(e)[1]
+
+    def _bin_moments(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(_bin_probs(e), _bin_means(e)); a Gaussian source takes both
+        from one _std_moments pass over the edges."""
+        if self.kind == EXPONENTIAL:
+            return self._bin_probs(e), self._bin_means(e)
+        probs, means = _std_moments((e - self.mean) / self.std)
+        return probs, self.mean + self.std * means
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -494,7 +457,8 @@ class SourceModel:
         u = z - near: the integrals of u^k * pdf(near + u)/pdf(near) give
         E[u] and E[u^2], and the raw moment is built from near, E[u] and
         E[u^2], so nothing is lost to a large near. Exponential windows are
-        cut 42 mean-lengths in.
+        cut 42 mean-lengths in. Needs scipy, which only the test extra
+        installs (pip install cheaptalk[test]).
         """
         from scipy.integrate import quad
 

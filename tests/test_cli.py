@@ -331,11 +331,14 @@ class TestDynamics:
     def test_crossed_initial_centroids_exit_zero(self, capsys, monkeypatch):
         # centroids that do not increase at step 0 (reversed here: the
         # kernels keep real ones inside their bins) are a collapse; the
-        # dynamics read the centroids from the kernel behind bin_means
-        bin_means = SourceModel._bin_means
-        monkeypatch.setattr(
-            SourceModel, "_bin_means",
-            lambda self, edges: bin_means(self, edges)[..., ::-1])
+        # dynamics read the centroids from the unchecked _bin_moments
+        bin_moments = SourceModel._bin_moments
+
+        def reversed_means(self, edges):
+            probs, means = bin_moments(self, edges)
+            return probs, means[..., ::-1]
+
+        monkeypatch.setattr(SourceModel, "_bin_moments", reversed_means)
         code, out, err = run(
             capsys, "dynamics", "--source", "gauss", "--bias", "0.1",
             "--bins", "5",
@@ -436,8 +439,8 @@ def cli_statement(*argv):
 
 
 class TestImportGate:
-    """Exponential paths run on numpy alone; scipy.special loads on the
-    first Gaussian call, and scipy.optimize and scipy.integrate never do."""
+    """Every runtime path, exponential and Gaussian, runs on numpy alone;
+    scipy serves only the quadrature oracle and the tests."""
 
     @pytest.mark.parametrize("module", ["cheaptalk", "cheaptalk.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -474,10 +477,37 @@ class TestImportGate:
             "src.bin_variances([0.0, 1.0, 2.0]); src.quantile(0.3)")
         assert loaded_scipy(statement) == set()
 
-    def test_gaussian_solve_loads_only_what_it_needs(self):
-        loaded = loaded_scipy(cli_statement(
-            "solve", "--source", "gauss", "--mean", "0.2", "--std", "1.4",
-            "--bias", "0.3", "--bins", "4"))
-        assert "scipy.special" in loaded
-        assert not {m for m in loaded
-                    if m.startswith(("scipy.optimize", "scipy.integrate"))}
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--source", "gauss", "--mean", "0.2", "--std", "1.4",
+         "--bias", "0.3", "--bins", "4"),
+        ("solve", "--source", "gauss", "--mean", "0.2", "--std", "1.4",
+         "--bias", "-0.3", "--bins", "2"),
+        ("solve", "--source", "gauss", "--mean", "0.2", "--std", "1.4",
+         "--bias", "-0.3", "--ladder"),
+        ("sweep", "--source", "gauss", "--vary", "bias", "--from", "-0.4",
+         "--to", "0.4", "--steps", "5", "--bins", "3", "--format", "json"),
+        ("dynamics", "--source", "gauss", "--bias", "0.2", "--bins", "4",
+         "--seed", "3"),
+    ])
+    def test_gaussian_commands_load_no_scipy(self, argv):
+        assert loaded_scipy(cli_statement(*argv)) == set()
+
+    def test_gaussian_verify_loads_no_scipy(self, capsys, tmp_path):
+        path = str(tmp_path / "doc.json")
+        assert run(capsys, "solve", "--source", "gauss", "--mean", "0.2",
+                   "--std", "1.4", "--bias", "0.3", "--bins", "4",
+                   "--out", path)[0] == 0
+        assert loaded_scipy(cli_statement("verify", path, "--seed", "5")) == set()
+
+    def test_gaussian_library_loads_no_scipy(self):
+        statement = (
+            "import cheaptalk as ct\n"
+            "src = ct.SourceModel.gaussian(0.2, 1.4)\n"
+            "p = ct.solve_n_bins_gauss(0.2, 1.4, 0.3, 4)\n"
+            "ct.solve_two_bin_gauss(0.2, 1.4, -0.3)\n"
+            "ct.solve_truncated_ladder(src, -0.3)\n"
+            "ct.certify(p); ct.decoder_cost(p); ct.monte_carlo_cost(p, 1000, 1)\n"
+            "for method in ('lloyd', 'fixed-point'):\n"
+            "    ct.basin_probe(src, 0.2, 3, 4, seed=1, method=method)\n"
+            "src.quantile(1e-300); src.quantile(0.3)")
+        assert loaded_scipy(statement) == set()

@@ -148,11 +148,14 @@ class TestCollapse:
         # inside it, so no real start reaches this branch; reversed
         # centroids stand in for centroids that do not increase, which
         # leave no decoder profile to start from; the dynamics read the
-        # centroids from the unchecked kernel behind bin_means
-        bin_means = SourceModel._bin_means
-        monkeypatch.setattr(
-            SourceModel, "_bin_means",
-            lambda self, edges: bin_means(self, edges)[..., ::-1])
+        # centroids from the unchecked _bin_moments
+        bin_moments = SourceModel._bin_moments
+
+        def reversed_means(self, edges):
+            probs, means = bin_moments(self, edges)
+            return probs, means[..., ::-1]
+
+        monkeypatch.setattr(SourceModel, "_bin_moments", reversed_means)
         edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
                  math.inf)
         init = Partition(edges, GAUSS, 0.1)

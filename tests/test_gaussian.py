@@ -13,6 +13,7 @@ from cheaptalk.gaussian import (
     _damped_midpoints,
     _default_interior,
     _newton_edges,
+    _thomas,
     asymptotic_bin_length,
     balance_derivative_floor,
     half_line_bin_bound,
@@ -23,7 +24,7 @@ from cheaptalk.gaussian import (
     solve_two_bin_gauss,
     two_bin_balance,
 )
-from cheaptalk.sources import SourceModel
+from cheaptalk.sources import SourceModel, _std_interval_slopes
 
 STD_GAUSS = SourceModel.gaussian(0.0, 1.0)
 
@@ -355,3 +356,51 @@ class TestNewton:
         assert res.partition.interior_edges == tuple(want.tolist())
         assert (res.converged, res.iterations, res.final_change) == (
             converged, iterations, change)
+
+
+def dense(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+class TestThomas:
+    def test_matches_dense_solve(self):
+        # random systems whose rows are diagonally dominant, as every
+        # Newton Jacobian's are
+        rng = np.random.default_rng(11)
+        for n in range(1, 201):
+            sub, sup = rng.uniform(-0.5, 0.5, (2, n - 1))
+            diag = (rng.uniform(0.01, 1.0, n) + np.abs(np.r_[0.0, sub])
+                    + np.abs(np.r_[sup, 0.0]))
+            rhs = rng.normal(size=n)
+            got = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+            want = np.linalg.solve(dense(sub, diag, sup), rhs)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("bias", [0.05, 0.3, 0.5])
+    def test_ladder_jacobian_with_its_closing_row(self, bias):
+        # the Jacobian _newton_edges builds at a solved ladder, closing
+        # edge e_last + 2b included: each row's diagonal exceeds its
+        # off-diagonals by the mean variance of its two bins
+        edges = np.array(solve_truncated_ladder(STD_GAUSS, bias)
+                         .partition.interior_edges)
+        z = np.concatenate(([-np.inf], edges, [edges[-1] + 2.0 * bias]))
+        lo, hi = _std_interval_slopes(z[:-1], z[1:])
+        sub, sup = -0.5 * lo[1:-1], -0.5 * hi[1:-1]
+        diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
+        diag[-1] -= 0.5 * hi[-1]
+        var = STD_GAUSS.bin_variances(z)
+        margin = diag - np.abs(np.r_[0.0, sub]) - np.abs(np.r_[sup, 0.0])
+        assert np.allclose(margin, 0.5 * (var[:-1] + var[1:]), rtol=0.0,
+                           atol=1e-13)
+        rhs = np.linspace(-1.0, 1.0, edges.size)
+        got = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+        want = np.linalg.solve(dense(sub, diag, sup), rhs)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_zero_or_non_finite_pivot_gives_none(self):
+        assert _thomas([], [0.0], [], [1.0]) is None
+        # the second pivot is 1 - 1*1 = 0
+        assert _thomas([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]) is None
+        assert _thomas([math.inf], [1.0, 1.0], [1.0], [1.0, 2.0]) is None
+        assert _thomas([0.5], [math.nan, 1.0], [0.5], [1.0, 2.0]) is None
+        assert _thomas([], [2.0], [], [1.0]) == [0.5]

@@ -6,7 +6,10 @@ must reproduce each run's outcome, iteration count and recorded steps,
 with edges and residuals within 1e-12; the damped Gaussian loop must
 reproduce its edges bit for bit and its iteration counts exactly from the
 solvers' default seeds, and the solvers (Newton since then) must land
-within 1e-8 of those edges.
+within 1e-8 of those edges. The damped-loop edges were re-recorded when
+the Gaussian kernels moved from scipy.special to the numpy Chebyshev
+erfcx, which moved them by at most 1.5e-14 (iteration counts and final
+changes kept).
 """
 
 import math
@@ -208,17 +211,17 @@ def damped_n_bins(mean, std, bias, n_bins, max_iter=100_000):
 
 
 FINITE_BINS = {
-    (0.0, 1.0, 0.2, 3): (0.3367666237113244, 1.6827857220445077),
+    (0.0, 1.0, 0.2, 3): (0.3367666237113246, 1.6827857220445077),
     (0.3, 1.7, -0.15, 6): (
-        -4.645833591570052, -3.41429726160986, -2.1917988880274737,
-        -0.8156281103788954, 0.9288280801817208),
+        -4.645833591570055, -3.414297261609863, -2.191798888027476,
+        -0.815628110378896, 0.9288280801817208),
 }
 
 LADDER_EDGES = (
-    -12.958316347490479, -12.089725846540473, -11.158191026264054,
-    -10.194916047918728, -9.196784696111937, -8.156927605753927,
-    -7.065660427927379, -5.908895183260422, -4.664733135362031,
-    -3.2956491125954184, -1.7264715653318792, 0.24682895265269145)
+    -12.958316347490493, -12.089725846540487, -11.158191026264062,
+    -10.194916047918733, -9.196784696111937, -8.156927605753927,
+    -7.065660427927381, -5.908895183260424, -4.664733135362031,
+    -3.2956491125954184, -1.7264715653318792, 0.2468289526526915)
 
 
 def test_finite_bin_solver_is_bit_identical():
@@ -229,8 +232,8 @@ def test_finite_bin_solver_is_bit_identical():
     assert (converged, iterations) == (False, 20)
     assert change == 0.0192143486553924
     assert tuple(edges.tolist()) == (
-        -0.33761932667004185, 0.6756133440510015, 1.469901067461367,
-        2.24659568425442)
+        -0.33761932667004146, 0.675613344051002, 1.4699010674613684,
+        2.2465956842544212)
 
 
 def test_ladder_solver_is_bit_identical():
@@ -244,10 +247,10 @@ def test_ladder_solver_is_bit_identical():
     assert (converged, iterations) == (False, 30)
     assert change == 0.06812730503352427
     assert edges == (
-        0.27028754614868333, 1.5089744930900895, 2.483642243808783,
-        3.30617893790537, 4.008221002510632, 4.603332274740488,
-        5.1071689485479475, 5.542403526451657, 5.934469825978715,
-        6.308698156554103)
+        0.2702875461486833, 1.5089744930900892, 2.4836422438087835,
+        3.3061789379053717, 4.008221002510635, 4.6033322747404934,
+        5.107168948547953, 5.542403526451659, 5.934469825978718,
+        6.30869815655411)
 
 
 def test_public_solvers_agree_with_the_damped_literals():

@@ -22,6 +22,7 @@ from cheaptalk.sources import (
     _exp_window_variance,
     _std_interval_mean,
     _std_interval_slopes,
+    _std_moments,
 )
 
 EXP = SourceModel.exponential(1.0)
@@ -376,16 +377,65 @@ class TestGaussianMoments:
 
 
 class TestVectorIntervalMean:
+    """_std_moments, the per-edge Gaussian kernel behind bin_probs and
+    bin_means, and _std_interval_mean, the same kernel on separate bins."""
+
     def test_matches_scalar(self):
         za = np.array([-np.inf, -1.0, 0.5, -0.3])
         zb = np.array([0.0, 1.0, np.inf, 0.3])
-        vec = _std_interval_mean(za, zb)
+        vec = _std_moments(np.stack((za, zb), -1))[1][:, 0]
+        assert vec.tobytes() == _std_interval_mean(za, zb).tobytes()
         for i in range(len(za)):
             assert vec[i] == pytest.approx(
                 _std_interval_mean(float(za[i]), float(zb[i])), rel=1e-13)
 
+    def test_shared_edges_match_separate_bins(self):
+        # one pass over shared edges gives each bin what it gets alone
+        z = np.array([-INF, -40.0, -3.0, -0.2, 1e-9, 0.4, 6.0, 6.0 + 1e-7,
+                      39.0, INF])
+        probs, means = _std_moments(z)
+        for k in range(z.size - 1):
+            p, m = _std_moments(z[k:k + 2])
+            assert (probs[k], means[k]) == (p[0], m[0])
+
+    def test_edge_reflection_is_exact(self):
+        rng = np.random.default_rng(4)
+        z = np.concatenate(([-INF], np.sort(rng.normal(0.0, 3.0, 30)), [INF]))
+        probs, means = _std_moments(z)
+        r_probs, r_means = _std_moments(-z[::-1])
+        assert np.array_equal(r_probs, probs[::-1])
+        assert np.array_equal(r_means, -means[::-1])
+        probs, means = _std_moments(np.array([-INF, INF]))
+        assert (probs.tolist(), means.tolist()) == ([1.0], [0.0])
+
+    def test_edges_far_out(self):
+        # past |z| = 1e150, where _normal_tail caps h for h^2, bins keep
+        # their near edge's erfcx and the exact mass 0
+        z = (-INF, -3e151, -2e151, 0.0, 1e149, 2e151, INF)
+        probs = GAUSS.bin_probs(z)
+        means = GAUSS.bin_means(z)
+        assert probs.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]
+        for lo, hi, m in zip(z, z[1:], means.tolist()):
+            assert lo < m < hi
+        for k, near in ((0, -3e151), (1, -2e151), (4, 1e149), (5, 2e151)):
+            assert means[k] == pytest.approx(near, rel=1e-15)
+
+    def test_straddling_mass_near_zero(self):
+        # bins across the origin, 1e-12 to 3 wide: the mass is the erf
+        # sum, and erf keeps its relative accuracy near 0; bound 1e-15
+        # relative against 50-digit mpmath, measured 6.0e-16
+        rng = np.random.default_rng(5)
+        width = np.logspace(-12.0, 0.5, 400)
+        lo = -rng.uniform(0.001, 0.999, 400) * width
+        hi = lo + width
+        probs = GAUSS.bin_probs(np.stack((lo, hi), -1))[:, 0]
+        with mp.workdps(50):
+            for p, a, b in zip(probs.tolist(), lo.tolist(), hi.tolist()):
+                want = mp_std_mass(mp.mpf(a), mp.mpf(b))
+                assert float(abs(p - want) / want) <= 1e-15, (a, b)
+
     def test_reflection_is_exact(self):
-        # lower-side bins are evaluated as reflected upper-side ones
+        # every formula reads a bin through |z| and the sign of z_a + z_b
         rng = np.random.default_rng(3)
         a = rng.uniform(0.0, 40.0, 400)
         b = a + np.exp(rng.uniform(-20.0, 4.0, 400))

@@ -1,7 +1,10 @@
 """Scalar special functions: Lambert branches, normal helpers, root finding."""
 
+import importlib.util
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,11 @@ from hypothesis import strategies as st
 
 from cheaptalk.errors import DomainError, InvalidBracketError, NonConvergenceError
 from cheaptalk.special import (
+    _ERFCX_CHEB,
     BRANCH_POINT,
     Bracket,
+    _normal_tail,
+    erfcx,
     find_root,
     lambert_w0,
     lambert_w0_conjugate,
@@ -18,6 +24,7 @@ from cheaptalk.special import (
     mills_ratio,
     std_normal_cdf,
     std_normal_pdf,
+    std_normal_quantile,
     std_normal_sf,
 )
 
@@ -141,6 +148,123 @@ class TestNormalHelpers:
         r = mills_ratio(40.0)
         assert r == pytest.approx(40.0 + 1.0 / 40.0, rel=1e-3)
         assert mills_ratio(-40.0) == pytest.approx(0.0, abs=1e-300)
+
+
+def mp_erfcx(x):
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        return mp.exp(x * x) * mp.erfc(x)
+
+
+def mp_relative_error(got, x, exact):
+    want = exact(x)
+    return float(abs(mp.mpf(got) - want) / want)
+
+
+# 3 000 log-spaced points on [1e-8, 1e5]
+LOG_GRID = np.logspace(-8.0, 5.0, 3000)
+
+
+class TestErfcx:
+    """erfcx from the one Chebyshev series, against 50-digit mpmath."""
+
+    def test_table_regenerates_bit_for_bit(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "erfcx_chebyshev.py"
+        spec = importlib.util.spec_from_file_location("erfcx_chebyshev", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.coefficients() == _ERFCX_CHEB
+
+    def test_arrays_on_log_grid(self):
+        # bound 1e-15 relative; measured 2.7e-16 (scipy's erfcx: 8.6e-16)
+        tail, _, _ = _normal_tail(LOG_GRID)
+        worst = max(mp_relative_error(t, x, mp_erfcx)
+                    for t, x in zip(tail.tolist(), LOG_GRID.tolist()))
+        assert worst <= 1e-15
+
+    def test_floats_on_log_grid(self):
+        # Clenshaw's recurrence; bound 1e-15 relative, measured 5.9e-16
+        worst = max(mp_relative_error(erfcx(x), x, mp_erfcx)
+                    for x in LOG_GRID.tolist())
+        assert worst <= 1e-15
+
+    def test_zero_subnormals_and_infinity(self):
+        tiny = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+        for x in tiny:
+            assert erfcx(x) == pytest.approx(1.0, rel=2.3e-16, abs=0.0)
+        tail, erf, density = _normal_tail(np.array(tiny + [1e200, math.inf]))
+        assert tail[:-2].tolist() == [1.0] * 4
+        assert tail[-2] == pytest.approx(1e-200 / math.sqrt(math.pi), rel=1e-15)
+        assert tail[-1] == 0.0
+        assert erf[-2:].tolist() == [1.0, 1.0]
+        assert density[-2:].tolist() == [0.0, 0.0]
+        assert erfcx(math.inf) == 0.0
+
+    def test_negative_arguments_down_to_overflow(self):
+        # 2 exp(x^2) - erfcx(-x): exp(x^2) inherits the rounding of x^2,
+        # so the bound is 4.4e-16 (1 + x^2) relative (measured 2.6e-16)
+        for x in np.linspace(-26.6, -1e-3, 700).tolist():
+            bound = 4.4e-16 * (1.0 + x * x)
+            assert mp_relative_error(erfcx(x), x, mp_erfcx) <= bound, x
+        # erfcx(-26.65) = 2 exp(710.2...) overflows a double
+        for x in (-26.65, -27.0, -1e3, -math.inf):
+            assert erfcx(x) == math.inf
+
+    def test_erf_near_zero(self):
+        # erf from the same series, 2h - expm1(-h^2) - exp(-h^2)(y - 1)
+        # over 1 + 2h, cancels nothing as h -> 0: bound 1e-15 relative,
+        # measured 6.8e-16
+        h = np.concatenate((np.logspace(-300.0, -13.0, 40),
+                            np.logspace(-12.0, 0.8, 1500)))
+        _, erf, _ = _normal_tail(h)
+        with mp.workdps(50):
+            worst = max(mp_relative_error(e, x, lambda v: mp.erf(mp.mpf(v)))
+                        for e, x in zip(erf.tolist(), h.tolist()))
+        assert worst <= 1e-15
+        _, erf, _ = _normal_tail(np.array([0.0, 5.0, 6.0, 30.0, 1e200]))
+        assert erf.tolist() == [0.0, pytest.approx(1.0 - 1.5374597944280e-12,
+                                                   rel=1e-15), 1.0, 1.0, 1.0]
+
+
+def mp_quantile(q):
+    """The exact normal quantile of the float q, by a root of log sf in
+    50-digit arithmetic (erfinv(2q - 1) would need 300 digits at 1e-300)."""
+    with mp.workdps(50):
+        p = min(mp.mpf(q), 1 - mp.mpf(q))
+        log_p = mp.log(p)
+        y = mp.findroot(lambda t: mp.log(mp.erfc(t / mp.sqrt(2)) / 2) - log_p,
+                        mp.sqrt(-2 * mp.log(2 * p)) if p < 0.5 else 0)
+        return (y if q >= 0.5 else -y), mp.npdf(y), p
+
+
+class TestQuantile:
+    """std_normal_quantile, which SourceModel.quantile uses."""
+
+    @pytest.mark.parametrize("tail", ["lower", "upper"])
+    def test_against_mpmath(self, tail):
+        # q from 1e-300 to 1/2, mirrored to 1 - q up to 1 - 2^-53 for the
+        # upper tail. The quantile of q is exact to within its condition:
+        # bound 4 ulps of (|x| + min(q, 1 - q)/pdf(x)), measured 1.3.
+        levels = np.concatenate((np.logspace(-300.0, np.log10(0.5), 400),
+                                 [2.0 ** -53, 0.25, 0.4999999]))
+        if tail == "upper":
+            levels = np.concatenate((1.0 - levels[levels >= 2.0 ** -53],
+                                     [1.0 - 2.0 ** -53]))
+        for q in levels.tolist():
+            want, density, p = mp_quantile(q)
+            scale = abs(want) + p / density
+            got = std_normal_quantile(q)
+            assert float(abs(got - want) / scale) <= 4 * 2.0 ** -52, q
+
+    def test_centre_subnormals_and_domain(self):
+        assert std_normal_quantile(0.5) == 0.0
+        assert std_normal_quantile(0.975) == pytest.approx(1.959963984540054,
+                                                           rel=1e-15)
+        assert std_normal_quantile(5e-324) == pytest.approx(
+            float(mp_quantile(5e-324)[0]), rel=1e-15)
+        for q in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                std_normal_quantile(q)
 
 
 class TestRootFinding:

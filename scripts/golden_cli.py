@@ -132,6 +132,11 @@ INVOCATIONS = [
                               "--bins", "3", "--init", "1,2", "--seed", "3")),
     *[(f"verify {name}", ("verify", f"{{dir}}/{name}.json", "--seed", "7"))
       for name in DOCUMENTS],
+    # sample counts that are not a multiple of monte_carlo_cost's block
+    ("verify exp blocks", ("verify", "{dir}/exp-n-bins.json", "--seed", "7",
+                           "--mc-samples", "100003")),
+    ("verify gauss blocks", ("verify", "{dir}/gauss-n-bins.json", "--seed", "11",
+                             "--mc-samples", "100003")),
     ("verify tampered", ("verify", "{dir}/tampered.json", "--seed", "7")),
     ("verify bad json", ("verify", "{dir}/bad.json")),
 ]

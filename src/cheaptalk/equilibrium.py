@@ -21,6 +21,7 @@ source's array bin moments:
 from __future__ import annotations
 
 import math
+import numbers
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -41,6 +42,11 @@ __all__ = [
     "decoder_cost",
     "monte_carlo_cost",
 ]
+
+# samples drawn and scored at once by monte_carlo_cost: 128 KiB of floats,
+# which stays in cache; 2**12 to 2**16 all ran 1e6 samples in about the
+# same time, and this size added the least to a fresh process's peak RSS
+_MC_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -229,7 +235,8 @@ def certify(partition: Partition, tol: float = 1e-8,
         if not 1 <= k <= len(residuals):
             raise DomainError(
                 f"excluded edge {k} out of range 1..{len(residuals)}")
-    kept = np.delete(residuals, [k - 1 for k in excluded])
+    kept = (np.delete(residuals, [k - 1 for k in excluded]) if excluded
+            else residuals)
     max_abs = float(np.max(np.abs(kept), initial=0.0))
     return EquilibriumCertificate(
         residuals=tuple(residuals.tolist()),
@@ -261,15 +268,37 @@ def monte_carlo_cost(partition: Partition, n: int, seed: int) -> tuple[float, fl
     Draws n source samples, quantizes by the partition, decodes each bin
     to its conditional mean, and averages the squared error. Deterministic
     for a fixed seed.
+
+    The samples are drawn and scored in blocks of _MC_BLOCK, so memory
+    does not grow with n. The blocks are the samples of one whole draw
+    of n from the same generator, and each block's (count, mean, sum of
+    squared deviations) is merged into running totals by the pairwise
+    update of Chan, Golub and LeVeque, so the result matches the mean
+    and ``std(ddof=1) / sqrt(n)`` of the whole array up to rounding (bit
+    for bit when n fits in one block).
     """
+    if not (isinstance(n, numbers.Integral)
+            or (isinstance(n, numbers.Real) and math.isfinite(n)
+                and n == int(n))):
+        raise DomainError(f"sample count must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
+    n = int(n)
     rng = np.random.default_rng(seed)
-    x = partition.source.sample(rng, int(n))
     u = np.asarray(decoder_best_response(partition).centroids)
     interior = np.asarray(partition.interior_edges)
-    idx = np.searchsorted(interior, x, side="right")
-    sq = (x - u[idx]) ** 2
-    est = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / math.sqrt(len(sq))) if len(sq) > 1 else math.inf
-    return est, se
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, _MC_BLOCK):
+        err = partition.source.sample(rng, min(_MC_BLOCK, n - start))
+        err -= u[np.searchsorted(interior, err, side="right")]
+        sq = np.square(err, out=err)
+        block_mean = float(np.mean(sq))
+        sq -= block_mean
+        block_m2 = float(np.sum(np.square(sq, out=sq)))
+        delta = block_mean - mean
+        size = len(sq)
+        count += size
+        mean += delta * (size / count)
+        m2 += block_m2 + delta * delta * ((count - size) * size / count)
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf
+    return mean, se

@@ -511,3 +511,37 @@ class TestImportGate:
             "    ct.basin_probe(src, 0.2, 3, 4, seed=1, method=method)\n"
             "src.quantile(1e-300); src.quantile(0.3)")
         assert loaded_scipy(statement) == set()
+
+
+_PEAK_RSS = """\
+import contextlib, io, resource
+from cheaptalk.cli import entry
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entry({argv!r})
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+class TestMemoryGate:
+    """`verify` samples in fixed blocks, so its memory does not grow with
+    --mc-samples."""
+
+    def verify_peak_kib(self, path, samples):
+        argv = ["verify", path, "--seed", "5", "--mc-samples", str(samples)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS.format(argv=argv)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.split())
+        return code, peak
+
+    def test_verify_peak_rss_does_not_grow_with_samples(self, capsys, tmp_path):
+        path = str(tmp_path / "doc.json")
+        assert run(capsys, "solve", "--source", "exp", "--rate", "1.3",
+                   "--bias", "0.2", "--bins", "4", "--out", path)[0] == 0
+        code_many, many = self.verify_peak_kib(path, 4_000_000)
+        code_few, few = self.verify_peak_kib(path, 2)
+        assert code_many == 0 and code_few in (0, 3)
+        assert many - few < 16 * 1024

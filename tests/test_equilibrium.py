@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheaptalk.equilibrium import (
+    _MC_BLOCK,
     ActionProfile,
     Partition,
     certify,
@@ -240,3 +241,32 @@ class TestMonteCarlo:
             est, se = monte_carlo_cost(p, 400_000, seed=99)
             closed = decoder_cost(p).decoder_cost
             assert abs(est - closed) <= 4.0 * se
+
+    @pytest.mark.parametrize("n", [2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                   3 * _MC_BLOCK + 5])
+    @pytest.mark.parametrize("p", [solve_n_bins(1.3, 0.2, 4),
+                                   solve_n_bins_gauss(0.2, 1.4, 0.3, 5)],
+                             ids=["exp", "gauss"])
+    def test_blocks_match_one_whole_draw(self, p, n):
+        x = p.source.sample(np.random.default_rng(31), n)
+        u = np.asarray(decoder_best_response(p).centroids)
+        sq = (x - u[np.searchsorted(p.interior_edges, x, side="right")]) ** 2
+        est, se = monte_carlo_cost(p, n, seed=31)
+        assert est == pytest.approx(float(np.mean(sq)), rel=1e-13, abs=0.0)
+        assert se == pytest.approx(float(np.std(sq, ddof=1)) / math.sqrt(n),
+                                   rel=1e-13, abs=0.0)
+
+    def test_one_sample_has_infinite_standard_error(self):
+        est, se = monte_carlo_cost(solve_n_bins(1.0, 0.5, 3), 1, seed=4)
+        assert math.isfinite(est) and se == math.inf
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0, -3])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(DomainError):
+            monte_carlo_cost(solve_n_bins(1.0, 0.5, 3), n, seed=4)
+
+    def test_accepts_integral_floats_and_numpy_integers(self):
+        p = solve_n_bins(1.0, 0.5, 3)
+        expected = monte_carlo_cost(p, 1000, seed=4)
+        assert monte_carlo_cost(p, 1000.0, seed=4) == expected
+        assert monte_carlo_cost(p, np.int64(1000), seed=4) == expected

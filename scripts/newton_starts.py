@@ -1,22 +1,33 @@
-"""Count how often the Gaussian Newton solve breaks down from random starts.
+"""Run the Gaussian solve loop from random starts and count its restarts.
 
 Usage: python scripts/newton_starts.py [SRC] [--seed N]
 
-Runs gaussian._newton_edges on N(0, 1) from 1 500 random starts drawn
-with numpy's default_rng(seed), start by start in this order: a sign
-from {-1, 1} and a size from U(0.02, 0.6) for the bias, then
+Runs gaussian._solve_edges (Newton with short damped restarts; damping
+0.5, max_iter 100 000, tol 1e-10) on N(0, 1) from 1 500 random starts
+drawn with numpy's default_rng(seed), start by start in this order: a
+sign from {-1, 1} and a size from U(0.02, 0.6) for the bias, then
 
 - starts 0-1199, n-bin games: n uniform in 3..24 and n - 1 interior
   edges sorted from U(-4, 4);
 - starts 1200-1499, 40-edge ladders at the bias's absolute value: an
   anchor from U(-4, 4) and 39 lengths from U(0.05, 1), closing bin 2|b|.
 
-Each start where Newton breaks down (returns None) is rerun with the
-damped fallback, _damped_midpoints (damping 0.5, tol 1e-10). Prints one
-JSON object: the breakdown indices per kind, Newton's step counts, the
-fallback outcomes, and the converged edges by start index, so two trees
-can be compared start by start. SRC (default: this checkout's src) is
-put first on sys.path.
+Each Newton breakdown starts one restart round of damped steps, so the
+rounds of a start are the breakdowns it handled; they are counted by
+wrapping gaussian._damped_midpoints. Every start is also run through
+_damped_midpoints alone to tol 1e-14, the damped reference. Prints one
+JSON object:
+
+- broke: the starts with at least one breakdown, per kind;
+- steps, edges: the loop's step count and edges by start index, so two
+  trees can be compared start by start;
+- restarts: rounds and damped steps used, for the starts that broke;
+- failed: the loop's error, or its final change if it did not converge;
+- gap: the largest edge distance to the damped reference, or the
+  reference's error;
+- breakdown_seconds: wall time of the loop on the starts that broke.
+
+SRC (default: this checkout's src) is put first on sys.path.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 
@@ -35,14 +47,23 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from cheaptalk.errors import EdgeOrderingError
-    from cheaptalk.gaussian import _damped_midpoints, _newton_edges
+    from cheaptalk import gaussian
+    from cheaptalk.errors import CheapTalkError, EdgeOrderingError
     from cheaptalk.sources import SourceModel
 
+    damped = gaussian._damped_midpoints
+    rounds = []
+
+    def counted(*call_args):
+        result = damped(*call_args)
+        rounds.append(result[2])
+        return result
+
+    gaussian._damped_midpoints = counted
     source = SourceModel.gaussian(0.0, 1.0)
     rng = np.random.default_rng(args.seed)
     out = {"broke": {"n-bin": [], "ladder": []}, "steps": {}, "edges": {},
-           "fallback": {}}
+           "restarts": {}, "failed": {}, "gap": {}, "breakdown_seconds": 0.0}
     for i in range(1500):
         bias = rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.6)
         if i < 1200:
@@ -54,20 +75,33 @@ def main() -> int:
             closing = 2.0 * bias
             anchor, lengths = rng.uniform(-4.0, 4.0), rng.uniform(0.05, 1.0, 39)
             edges = anchor + np.concatenate(([0.0], np.cumsum(lengths)))
-        solved = _newton_edges(source, bias, edges, 100_000, 1e-10, closing)
-        if solved is not None:
-            out["steps"][i] = solved[2]
-            out["edges"][i] = solved[0].tolist()
-            continue
-        out["broke"][kind].append(i)
+        rounds.clear()
+        started = time.perf_counter()
         try:
-            final, converged, iterations, _ = _damped_midpoints(
+            final, converged, steps, change = gaussian._solve_edges(
                 source, bias, edges, 0.5, 100_000, 1e-10, closing)
-            out["fallback"][i] = {"converged": converged,
-                                  "iterations": iterations,
-                                  "edges": final.tolist()}
+        except CheapTalkError as err:
+            final, out["failed"][i] = None, f"{type(err).__name__}: {err}"
+        else:
+            out["steps"][i] = steps
+            out["edges"][i] = final.tolist()
+            if not converged:
+                out["failed"][i] = change
+        if rounds:
+            out["breakdown_seconds"] += time.perf_counter() - started
+            out["broke"][kind].append(i)
+            out["restarts"][i] = {"rounds": len(rounds),
+                                  "damped_steps": sum(rounds)}
+        try:
+            want, converged, _, _ = damped(source, bias, edges, 0.5, 100_000,
+                                           1e-14, closing)
         except EdgeOrderingError as err:
-            out["fallback"][i] = {"error": str(err)}
+            out["gap"][i] = f"reference: {err}"
+            continue
+        if not converged:
+            out["gap"][i] = "reference did not converge"
+        elif final is not None:
+            out["gap"][i] = float(np.abs(final - want).max())
     json.dump(out, sys.stdout)
     print()
     return 0

@@ -168,14 +168,13 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     """Iteration settings of the Gaussian n-bin and ladder solves (solver
-    name gauss-fixed-point / gauss-ladder): Newton's method, with damped
-    fixed-point iteration as the fallback when Newton breaks down."""
+    name gauss-fixed-point / gauss-ladder): Newton's method, with short
+    blocks of damped fixed-point steps to restart it where it breaks down."""
     p.add_argument("--damping", type=float, default=0.5,
-                   help="gauss: damping of the fixed-point fallback only "
-                        "(default 0.5)")
+                   help="gauss: damping of the restart steps (default 0.5)")
     p.add_argument("--max-iter", type=int, default=100_000,
-                   help="gauss: cap on Newton steps, or on fallback "
-                        "iterations (default 100000)")
+                   help="gauss: cap on Newton and restart steps together "
+                        "(default 100000)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="gauss: bound on the last step's largest edge "
                         "movement (default 1e-10)")
@@ -222,7 +221,7 @@ def _certificate_doc(cert) -> dict:
 def _solve_bins(source: SourceModel, bias: float, n_bins: int,
                 args: argparse.Namespace) -> tuple[str, Partition]:
     """The n-bin equilibrium and the name of the solver that found it.
-    The Gaussian solver is Newton with a damped fixed-point fallback; it
+    The Gaussian solver is Newton with damped fixed-point restarts; it
     keeps the name gauss-fixed-point, which documents already carry."""
     if source.kind == EXPONENTIAL:
         return "exp-n-bins", solve_n_bins(source.rate, bias, n_bins)
@@ -328,7 +327,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"exceeds {_fmt(cert.tolerance)}\n")
         return 2
     if not converged:
-        sys.stderr.write("ladder iteration hit max-iter before tol\n")
+        sys.stderr.write("ladder iteration stopped before tol\n")
         return 2
     return 0
 
@@ -456,6 +455,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     started = time.perf_counter()
     if args.mc_samples < 2:
         parser.error("--mc-samples must be at least 2")
+    if args.seed < 0:
+        parser.error("--seed must be a nonnegative integer")
     try:
         with open(args.document, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -547,6 +548,8 @@ def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("--bins must be at least 2 for dynamics runs")
     if (args.init is None) == (args.seed is None):
         parser.error("provide exactly one of --init or --seed")
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be a nonnegative integer")
     try:
         init = _dynamics_init(source, args, parser)
         if args.method == "lloyd":

@@ -31,6 +31,7 @@ import numpy as np
 from .equilibrium import (
     Partition,
     _check_iteration_params,
+    _check_seed,
     _midpoints,
 )
 from .errors import DomainError
@@ -328,6 +329,7 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
         raise DomainError(f"basin probing needs n_bins >= 2, got {n_bins!r}")
     damping = damping if method == "fixed-point" else 1.0
     _check_iteration_params(damping, max_iter, tol)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     starts = np.array([_random_start(source, bias, n_bins, rng).edges
                        for _ in range(n_inits)])

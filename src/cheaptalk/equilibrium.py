@@ -188,6 +188,12 @@ def _check_iteration_params(damping: float, max_iter: int, tol: float) -> None:
         raise DomainError(f"tol must be positive, got {tol!r}")
 
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral)
+                                      and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def decoder_best_response(partition: Partition) -> ActionProfile:
     """Conditional mean of the source on each bin (the centroid rule)."""
     return ActionProfile(tuple(
@@ -284,6 +290,7 @@ def monte_carlo_cost(partition: Partition, n: int, seed: int) -> tuple[float, fl
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
     n = int(n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     u = np.asarray(decoder_best_response(partition).centroids)
     interior = np.asarray(partition.interior_edges)

@@ -42,7 +42,7 @@ class NoInformativeEquilibriumError(BinCollapseError):
 
 
 class NonConvergenceError(CheapTalkError, RuntimeError):
-    """An iterative solve hit its iteration cap before meeting tolerance.
+    """An iterative solve stopped before meeting tolerance.
 
     Carries the last iterate so callers can inspect how far the solve got.
     """

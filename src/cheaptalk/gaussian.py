@@ -4,18 +4,13 @@ The two-bin equilibrium always exists: its normalized edge c solves
 two_bin_balance(c) = 2*bias/std, and the balance map is odd and strictly
 increasing, so an expanding bracket plus the shared root-finder settles
 it. Finite bin counts above two and the (truncated) infinite ladder have
-no closed form; they are found by Newton's method on the equilibrium
-condition F(e) = e - midpoints(e) in the interior edges. Its Jacobian is
-tridiagonal, since each conditional mean moves only with its own two
-edges, by slopes read off one fixed quadrature rule per bin; steps are
-halved until the edges stay increasing and max|F| does not grow, and a
-Newton step of at most tol ends the solve. If Newton breaks down (a
-non-finite F or Jacobian, or a step halved below 2^-20), the solve
-restarts from the same edges with damped fixed-point iteration of the
-shared midpoint map, which converges only linearly but needs no
-derivative. One Newton loop and one damped loop serve both problems: a
-finite-bin game closes its last bin at +inf, a truncated ladder one
-synthetic bin past its last edge.
+no closed form. One loop (_solve_edges) finds both by Newton's method on
+the equilibrium condition F(e) = e - midpoints(e) in the interior edges,
+whose Jacobian is tridiagonal: each conditional mean moves only with its
+own two edges. Where Newton breaks down, a short block of damped steps
+of the shared midpoint map, which needs no derivative, moves the start
+before Newton tries again. A finite-bin game closes its last bin at
++inf, a truncated ladder one synthetic bin past its last edge.
 
 An infinite ladder cannot be iterated whole. The artifact keeps a
 truncated window of edges anchored at the two-bin edge on the bounded
@@ -235,8 +230,8 @@ class TruncatedLadder:
 class LadderResult:
     """Outcome of a truncated-ladder solve.
 
-    Non-convergence is data, not an exception: converged is False and
-    final_change holds the last sup-norm edge movement. The certificate
+    Non-convergence is data, not an exception: converged is False, and
+    iterations and final_change are _solve_edges's. The certificate
     is evaluated on the full partition with the margin edges excluded.
     """
 
@@ -248,18 +243,29 @@ class LadderResult:
     final_change: float
 
 
+# damped steps in one restart block of the solve loop
+_RESTART_STEPS = 8
+# max|F| at or below this times |mean| + std + max|e| is rounding noise
+_F_FLOOR = 256.0 * np.finfo(float).eps
+
+
+def _full_edges(edges: np.ndarray, ladder_step: float | None) -> np.ndarray:
+    """Bins (-inf, e_0), ..., (e_last, close) of the interior edges, with
+    close = +inf, or e_last + ladder_step for a truncated ladder."""
+    close = np.inf if ladder_step is None else edges[-1] + ladder_step
+    return np.concatenate(([-np.inf], edges, [close]))
+
+
 def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
                       damping: float, max_iter: int, tol: float,
                       ladder_step: float | None = None
                       ) -> tuple[np.ndarray, bool, int, float]:
     """Damped midpoint iteration; returns (edges, converged, iterations,
-    last_change). Bins are (-inf, e_0), ..., (e_last, close), with close
-    = +inf, or e_last + ladder_step for a truncated ladder."""
+    last_change). Bins are those of _full_edges."""
     delta = math.inf
     for it in range(1, max_iter + 1):
-        close = np.inf if ladder_step is None else edges[-1] + ladder_step
-        full = np.concatenate(([-np.inf], edges, [close]))
-        rows = _midpoints(source.bin_means(full), bias)
+        rows = _midpoints(source.bin_means(_full_edges(edges, ladder_step)),
+                          bias)
         new = (1.0 - damping) * edges + damping * rows
         if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(
@@ -292,67 +298,87 @@ def _thomas(sub, diag, sup, rhs) -> list[float] | None:
     return values
 
 
-def _newton_edges(source: SourceModel, bias: float, edges: np.ndarray,
-                  max_iter: int, tol: float, ladder_step: float | None = None
-                  ) -> tuple[np.ndarray, bool, int, float] | None:
-    """Newton's method on F(e) = e - midpoints(e), bins as in
-    _damped_midpoints; returns (edges, converged, steps, last_step), or
-    None when Newton breaks down (a non-finite F or J, or a step halved
-    below 2^-20 before the edges stay increasing and max|F| stops
-    growing). J is tridiagonal: each mean moves only with its own two
-    edges, by the slopes _std_interval_slopes takes from the edges alone
-    (the fixed rule of sources._std_rule, right on bins down to 1e-12
-    wide); a ladder's closing edge moves with the last edge, adding its
-    slope to the last row. A bin's two slopes sum to 1 - Var, Var its
-    variance in std^2 units, so each row's diagonal exceeds the sum of
-    its off-diagonals by the mean of its two bins' Var, closing row
-    included: the Thomas sweep needs no pivoting.
-    Converged once a full step's sup-norm is <= tol, after taking it."""
+def _newton_step(f: np.ndarray, z: np.ndarray,
+                 ladder_step: float | None) -> np.ndarray | None:
+    """The full Newton step -J^-1 F at standardized full edges z, or None
+    if it is not finite, as it is not wherever F is not. J is
+    tridiagonal: each mean moves only with its own two edges, by the
+    slopes _std_interval_slopes takes from the edges alone (the fixed
+    rule of sources._std_rule, right on bins down to 1e-12 wide); a
+    ladder's closing edge moves with the last edge, adding its slope to
+    the last row. A bin's two slopes sum to 1 - Var, Var its variance in
+    std^2 units, so each row's diagonal exceeds the sum of its
+    off-diagonals by the mean of its two bins' Var, closing row
+    included: the Thomas sweep needs no pivoting."""
+    lo, hi = _std_interval_slopes(z[:-1], z[1:])
+    diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
+    if ladder_step is not None:
+        diag[-1] -= 0.5 * hi[-1]
+    # a non-finite entry shows up as a non-finite pivot or step
+    step = _thomas((-0.5 * lo[1:-1]).tolist(), diag.tolist(),
+                   (-0.5 * hi[1:-1]).tolist(), (-f).tolist())
+    return None if step is None or not np.isfinite(step).all() else np.array(step)
+
+
+def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
+                 damping: float, max_iter: int, tol: float,
+                 ladder_step: float | None = None
+                 ) -> tuple[np.ndarray, bool, int, float]:
+    """The one solve loop, on F(e) = e - midpoints(e) with bins as in
+    _full_edges; returns (edges, converged, steps, final_change).
+
+    Newton steps are halved until the edges stay increasing and max|F|
+    does not grow; a full step of at most tol, once taken, converges.
+    Once max|F| is rounding noise (_F_FLOOR), a full step no smaller
+    than the smallest so far is noise too, and the loop stops. On a
+    breakdown (a non-finite F or step, or one halved below 2^-20) it
+    takes _RESTART_STEPS damped steps, from the start at first and then
+    from the last damped iterate, and retries Newton. Steps taken,
+    Newton and damped, count against max_iter. final_change is the
+    smallest full Newton step (inf if none was finite).
+    """
     mean, std = source.mean, source.std
 
     def residual(e):
-        close = np.inf if ladder_step is None else e[-1] + ladder_step
-        full = np.concatenate(([-np.inf], e, [close]))
+        full = _full_edges(e, ladder_step)
         return (e - _midpoints(source.bin_means(full), bias),
                 (full - mean) / std)
 
+    edges = damped = start
     f, z = residual(edges)
-    f_max = float(np.abs(f).max())
-    size = math.inf
-    for it in range(1, max_iter + 1):
-        if not math.isfinite(f_max):
-            return None
-        lo, hi = _std_interval_slopes(z[:-1], z[1:])
-        diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
-        if ladder_step is not None:
-            diag[-1] -= 0.5 * hi[-1]
-        # a non-finite entry shows up as a non-finite pivot or step
-        solved = _thomas((-0.5 * lo[1:-1]).tolist(), diag.tolist(),
-                         (-0.5 * hi[1:-1]).tolist(), (-f).tolist())
-        if solved is None:
-            return None
-        step = np.array(solved)
-        size = float(np.abs(step).max())
-        if not math.isfinite(size):
-            return None
-        if size <= tol:
-            new = edges + step
-            if (new[1:] > new[:-1]).all():
-                return new, True, it, size
-        t = 1.0
-        while True:
-            new = edges + t * step
-            if (new[1:] > new[:-1]).all():
-                f_new, z_new = residual(new)
-                if float(np.abs(f_new).max()) <= f_max:
-                    break
-            t *= 0.5
-            if t < 2.0 ** -20:
-                return None
-        edges, f, z = new, f_new, z_new
+    steps, smallest = 0, math.inf
+    while steps < max_iter:
         f_max = float(np.abs(f).max())
-        size *= t
-    return edges, False, max_iter, size
+        step = _newton_step(f, z, ladder_step)
+        if step is not None:
+            size = float(np.abs(step).max())
+            if size <= tol:
+                new = edges + step
+                if (new[1:] > new[:-1]).all():
+                    return new, True, steps + 1, size
+            scale = abs(mean) + std + float(np.abs(edges).max())
+            if size >= smallest and f_max <= _F_FLOOR * scale:
+                return edges, smallest <= tol, steps, smallest
+            smallest = min(smallest, size)
+            t = 1.0
+            while t >= 2.0 ** -20:
+                new = edges + t * step
+                if (new[1:] > new[:-1]).all():
+                    f_new, z_new = residual(new)
+                    if float(np.abs(f_new).max()) <= f_max:
+                        break
+                t *= 0.5
+            else:
+                step = None
+        if step is None:
+            damped, _, taken, _ = _damped_midpoints(
+                source, bias, damped, damping,
+                min(_RESTART_STEPS, max_iter - steps), tol, ladder_step)
+            edges, steps = damped, steps + taken
+            f, z = residual(edges)
+        else:
+            edges, f, z, steps = new, f_new, z_new, steps + 1
+    return edges, False, steps, smallest
 
 
 def solve_truncated_ladder(source: SourceModel, bias: float,
@@ -361,18 +387,17 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
                            damping: float = 0.5, max_iter: int = 100_000,
                            tol: float = 1e-10,
                            cert_tol: float = 1e-8) -> LadderResult:
-    """Newton solve of a truncated infinite-bin ladder, damped
-    fixed-point iteration (with this damping) as the fallback.
+    """Truncated infinite-bin ladder by the solve loop _solve_edges
+    (Newton, with restart blocks of damped steps at this damping).
 
     Starts from init when given (its margin wins), otherwise from equal
     spacing of width max(2|bias|, std/4) anchored at the two-bin edge.
     Negative bias is handled by reflecting the game about the mean,
     which flips the bias sign and leaves the source invariant; results
     are mapped back, so the excluded margin sits on the left there.
-    max_iter caps the Newton steps (or the fallback's iterations), and
-    final_change is the last step's sup-norm. Raises EdgeOrderingError
-    if the fallback crosses edges; reaching max_iter yields
-    converged=False rather than an exception.
+    max_iter caps Newton and damped steps together. Stopping short of
+    tol yields converged=False, not an exception; a damped step that
+    crosses edges raises EdgeOrderingError.
     """
     if source.kind != GAUSSIAN:
         raise DomainError("truncated ladders apply to Gaussian sources only")
@@ -400,10 +425,8 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     work_bias = abs(bias)
     work_edges = np.sort(2.0 * mean - edges) if flip else np.asarray(edges, float)
     closing = asymptotic_bin_length(work_bias)
-    work_edges, converged, iterations, change = (
-        _newton_edges(source, work_bias, work_edges, max_iter, tol, closing)
-        or _damped_midpoints(source, work_bias, work_edges, damping,
-                             max_iter, tol, closing))
+    work_edges, converged, iterations, change = _solve_edges(
+        source, work_bias, work_edges, damping, max_iter, tol, closing)
     final = np.sort(2.0 * mean - work_edges) if flip else work_edges
 
     anchor = float(final[-1] if flip else final[0])
@@ -435,15 +458,16 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
                        init: Partition | None = None, *,
                        damping: float = 0.5, max_iter: int = 100_000,
                        tol: float = 1e-10) -> Partition:
-    """Finite-bin Gaussian equilibrium by Newton's method on the
-    midpoint condition, damped midpoint iteration as the fallback.
+    """Finite-bin Gaussian equilibrium by the solve loop _solve_edges
+    (Newton, with restart blocks of damped steps at this damping).
 
     Both extreme bins are genuinely half-infinite here. There is no
     closed form and no general existence result for n_bins >= 3, so the
     solve simply reports what it finds: a Partition once a Newton step
-    is at most tol, NonConvergenceError (carrying the last edges) when
-    max_iter steps run out, EdgeOrderingError if the damped fallback
-    crosses edges. damping applies to the fallback only. bias = 0 is
+    is at most tol; NonConvergenceError (carrying the last edges) when
+    the loop stops short of tol, at max_iter (Newton and damped steps
+    together) or at the rounding floor of F; EdgeOrderingError if a
+    damped step crosses edges. bias = 0 is
     permitted and yields the classical mean-squared-optimal quantizer,
     outside the strategic story but a useful anchor.
     """
@@ -463,12 +487,11 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     else:
         edges = _default_interior(mean, std, bias, n_bins)
 
-    edges, converged, _, delta = (
-        _newton_edges(source, bias, edges, max_iter, tol)
-        or _damped_midpoints(source, bias, edges, damping, max_iter, tol))
+    edges, converged, iterations, change = _solve_edges(
+        source, bias, edges, damping, max_iter, tol)
     if converged:
         return Partition((-math.inf, *edges, math.inf), source, bias)
     raise NonConvergenceError(
-        f"midpoint iteration did not reach tol={tol} within {max_iter} "
-        f"iterations (last change {delta:.3e})",
-        iterations=max_iter, final_change=delta, edges=tuple(edges))
+        f"iteration stopped before tol={tol} after {iterations} steps "
+        f"(final change {change:.3e})",
+        iterations=iterations, final_change=change, edges=tuple(edges))

@@ -149,17 +149,6 @@ def _std_moments(z):
     return mass, mean
 
 
-def _std_interval_mean(alpha, beta):
-    """Mean of a standard normal conditioned on [alpha, beta], elementwise
-    over separate bins: _std_moments on one two-edge row per bin. Scalars
-    in, scalar out. The solvers call _std_moments on shared edges; the
-    tests and perfbench's tracer address this name."""
-    pairs = np.stack(np.broadcast_arrays(np.asarray(alpha, dtype=float),
-                                         np.asarray(beta, dtype=float)), -1)
-    mean = _std_moments(pairs)[1][..., 0]
-    return float(mean) if mean.ndim == 0 else mean
-
-
 def _std_interval_slopes(alpha, beta):
     """Slopes of the standard normal conditional mean in its two edges,
     elementwise over arrays: (pdf(alpha)*(mean - alpha)/Z,

@@ -140,6 +140,15 @@ class TestSolve:
         assert row.startswith("exponential,1,")
         assert ";" in row  # list-valued cells
 
+    def test_tol_below_rounding_exits_two(self, capsys):
+        # the Newton loop stops at the rounding floor of F, a few steps
+        # in, instead of running to --max-iter
+        code, out, err = run(capsys, "solve", "--source", "gauss", "--bias",
+                             "0", "--bins", "16", "--tol", "1e-15",
+                             "--max-iter", "1000")
+        assert code == 2 and out == ""
+        assert err.startswith("iteration failed: iteration stopped before ")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(capsys, "solve", "--source", "exp", "--rate", "1",
@@ -165,6 +174,8 @@ class TestSolve:
              "--seed", "1", "--tol", "-1"),
             ("dynamics", "--source", "gauss", "--bias", "nan", "--bins", "3",
              "--seed", "1"),
+            ("dynamics", "--source", "gauss", "--bias", "0.5", "--bins", "3",
+             "--seed", "-1"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
@@ -287,6 +298,12 @@ class TestVerify:
                            "--mc-samples", "100000")
         assert code == 3
         assert "does not match" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path):
+        target = self.write_doc(capsys, tmp_path)
+        code, out, err = run(capsys, "verify", str(target), "--seed", "-1")
+        assert code == 1 and out == ""
+        assert "usage:" in err and "--seed" in err
 
     def test_unparseable_document_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -232,6 +232,11 @@ class TestBasinProbe:
         with pytest.raises(DomainError):
             basin_probe(EXP, 0.4, 2, 4, seed=3, method="newton")
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError):
+            basin_probe(EXP, 0.4, 2, 4, seed=seed)
+
     def test_needs_at_least_one_init(self):
         with pytest.raises(DomainError):
             basin_probe(EXP, 0.4, 2, 0, seed=3)

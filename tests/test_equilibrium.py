@@ -265,6 +265,17 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo_cost(solve_n_bins(1.0, 0.5, 3), n, seed=4)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, None, "7"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # numpy's own ValueError / TypeError (or fresh entropy, for None)
+        # would otherwise decide
+        with pytest.raises(DomainError):
+            monte_carlo_cost(solve_n_bins(1.0, 0.5, 3), 100, seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        p = solve_n_bins(1.0, 0.5, 3)
+        assert monte_carlo_cost(p, 100, np.int64(4)) == monte_carlo_cost(p, 100, 4)
+
     def test_accepts_integral_floats_and_numpy_integers(self):
         p = solve_n_bins(1.0, 0.5, 3)
         expected = monte_carlo_cost(p, 1000, seed=4)

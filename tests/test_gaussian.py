@@ -6,13 +6,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cheaptalk import gaussian
 from cheaptalk.equilibrium import Partition, certify
 from cheaptalk.errors import DomainError, EdgeOrderingError, NonConvergenceError
 from cheaptalk.gaussian import (
     TruncatedLadder,
     _damped_midpoints,
     _default_interior,
-    _newton_edges,
+    _solve_edges,
     _thomas,
     asymptotic_bin_length,
     balance_derivative_floor,
@@ -280,13 +281,17 @@ def damped_reference(mean, std, bias, n_bins, tol):
     return edges
 
 
-def outcome(call):
-    """A call's edges, or the type, message and iteration of the
-    EdgeOrderingError it raised."""
-    try:
-        return tuple(call())
-    except EdgeOrderingError as err:
-        return "EdgeOrderingError", str(err), err.iteration
+def restart_blocks(monkeypatch):
+    """Record the max_iter of every damped restart block the solve loop
+    runs."""
+    blocks = []
+
+    def block(*args):
+        blocks.append(args[4])
+        return _damped_midpoints(*args)
+
+    monkeypatch.setattr(gaussian, "_damped_midpoints", block)
+    return blocks
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -323,39 +328,78 @@ class TestNewton:
         assert res.iterations <= 10
 
     @pytest.mark.parametrize("bias,start,crosses", [
-        # Newton drives two edges together (a collapsing bin); the
-        # damped loop converges
+        # Newton drives two edges together (a collapsing bin) and breaks
+        # down after 11 steps; one restart block of 8 damped steps, then
+        # Newton again, reaches the root
         (-0.4, (-1.4, 1.4, 1.8, 2.0, 3.1), False),
         # three bins one ulp wide deep in the lower tail: their centroids
         # round onto the shared edges, so Newton breaks down and the
-        # damped loop crosses edges at iteration 1
+        # restart block's first damped step crosses edges
         (0.1, (-3.0, -2.9999999999999996, -2.999999999999999,
                -2.9999999999999987, -2.0), True),
     ])
-    def test_breakdown_falls_back_to_damped(self, bias, start, crosses):
-        edges = np.array(start)
-        assert _newton_edges(STD_GAUSS, bias, edges, 100_000, 1e-10) is None
+    def test_breakdown_restarts_with_damped_steps(self, monkeypatch, bias,
+                                                  start, crosses):
+        blocks = restart_blocks(monkeypatch)
         init = Partition((-math.inf, *start, math.inf), STD_GAUSS, bias)
-        got = outcome(lambda: solve_n_bins_gauss(
-            0.0, 1.0, bias, len(start) + 1, init=init).interior_edges)
-        want = outcome(lambda: _damped_midpoints(
-            STD_GAUSS, bias, edges, 0.5, 100_000, 1e-10)[0].tolist())
-        assert got == want
-        assert (want[0] == "EdgeOrderingError") == crosses
+        if crosses:
+            with pytest.raises(EdgeOrderingError) as err:
+                solve_n_bins_gauss(0.0, 1.0, bias, len(start) + 1, init=init)
+            assert (blocks, err.value.iteration) == ([8], 1)
+            return
+        p = solve_n_bins_gauss(0.0, 1.0, bias, len(start) + 1, init=init)
+        assert blocks == [8]
+        assert certify(p, tol=1e-12).verdict
+        want, converged, _, _ = _damped_midpoints(
+            STD_GAUSS, bias, np.array(start), 0.5, 100_000, 1e-14)
+        assert converged
+        assert float(np.abs(np.array(p.interior_edges) - want).max()) <= 1e-11
 
-    def test_ladder_breakdown_falls_back_to_damped(self):
+    def test_ladder_breakdown_restarts_with_damped_steps(self, monkeypatch):
         # a ladder packed into the lower tail, far below its anchor,
         # breaks Newton down
+        blocks = restart_blocks(monkeypatch)
         init = TruncatedLadder(-3.0, (0.05,) * 10)
-        edges = init.edges_for(0.3)
-        assert _newton_edges(STD_GAUSS, 0.3, edges, 100_000, 1e-10,
-                             0.6) is None
-        res = solve_truncated_ladder(STD_GAUSS, 0.3, init=init)
-        want, converged, iterations, change = _damped_midpoints(
-            STD_GAUSS, 0.3, edges, 0.5, 100_000, 1e-10, 0.6)
-        assert res.partition.interior_edges == tuple(want.tolist())
-        assert (res.converged, res.iterations, res.final_change) == (
-            converged, iterations, change)
+        res = solve_truncated_ladder(STD_GAUSS, 0.3, init=init, cert_tol=1e-12)
+        assert blocks == [8]
+        assert res.converged and res.certificate.verdict
+        want, converged, _, _ = _damped_midpoints(
+            STD_GAUSS, 0.3, init.edges_for(0.3), 0.5, 100_000, 1e-14, 0.6)
+        assert converged
+        gap = np.abs(np.array(res.partition.interior_edges) - want)
+        assert float(gap.max()) <= 1e-11
+
+    def test_damped_steps_count_against_max_iter(self, monkeypatch):
+        # the collapsing start above takes 11 Newton steps before its
+        # breakdown, so a cap of 14 leaves a restart block of 3
+        blocks = restart_blocks(monkeypatch)
+        start = np.array((-1.4, 1.4, 1.8, 2.0, 3.1))
+        edges, converged, steps, change = _solve_edges(
+            STD_GAUSS, -0.4, start, 0.5, 14, 1e-10)
+        assert (blocks, converged, steps) == ([3], False, 14)
+        want = _damped_midpoints(STD_GAUSS, -0.4, start, 0.5, 3, 1e-10)[0]
+        assert edges.tolist() == want.tolist()
+        # the smallest full Newton step, taken before the breakdown
+        assert 1e-10 < change < math.inf
+
+    @pytest.mark.parametrize("n_bins,bias,tol", [
+        (8, 0.1, 1e-15), (16, 0.0, 1e-15), (64, 0.0, 1e-15), (200, 0.0, 1e-13),
+    ])
+    def test_tol_below_rounding_stops_fast(self, n_bins, bias, tol):
+        # max|F| reaches rounding level while full steps stay above tol:
+        # the loop stops once they stop shrinking instead of running on
+        # to max_iter
+        with pytest.raises(NonConvergenceError) as err:
+            solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000)
+        assert err.value.iterations < 30
+        assert err.value.final_change > tol
+        assert f"after {err.value.iterations} steps" in str(err.value)
+
+    def test_ladder_tol_below_rounding_stops_fast(self):
+        res = solve_truncated_ladder(STD_GAUSS, 0.3, tol=1e-15, max_iter=1000)
+        assert not res.converged
+        assert res.iterations < 30
+        assert res.final_change > 1e-15
 
 
 def dense(sub, diag, sup):
@@ -378,7 +422,7 @@ class TestThomas:
 
     @pytest.mark.parametrize("bias", [0.05, 0.3, 0.5])
     def test_ladder_jacobian_with_its_closing_row(self, bias):
-        # the Jacobian _newton_edges builds at a solved ladder, closing
+        # the Jacobian _newton_step builds at a solved ladder, closing
         # edge e_last + 2b included: each row's diagonal exceeds its
         # off-diagonals by the mean variance of its two bins
         edges = np.array(solve_truncated_ladder(STD_GAUSS, bias)

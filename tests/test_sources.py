@@ -20,7 +20,6 @@ from cheaptalk.sources import (
     SourceModel,
     _exp_gap,
     _exp_window_variance,
-    _std_interval_mean,
     _std_interval_slopes,
     _std_moments,
 )
@@ -376,18 +375,25 @@ class TestGaussianMoments:
                 m2 - m1 * m1, abs=1e-13 * m2)
 
 
+def pair_means(za, zb):
+    """Standard normal means of separate bins [za, zb], elementwise: one
+    two-edge row of _std_moments per bin."""
+    return _std_moments(np.stack(np.broadcast_arrays(za, zb), -1))[1][..., 0]
+
+
 class TestVectorIntervalMean:
     """_std_moments, the per-edge Gaussian kernel behind bin_probs and
-    bin_means, and _std_interval_mean, the same kernel on separate bins."""
+    bin_means, on shared edges and on two-edge rows (separate bins)."""
 
     def test_matches_scalar(self):
         za = np.array([-np.inf, -1.0, 0.5, -0.3])
         zb = np.array([0.0, 1.0, np.inf, 0.3])
         vec = _std_moments(np.stack((za, zb), -1))[1][:, 0]
-        assert vec.tobytes() == _std_interval_mean(za, zb).tobytes()
+        rows = [pair_means(a, b) for a, b in zip(za.tolist(), zb.tolist())]
+        assert vec.tobytes() == np.array(rows).tobytes()
         for i in range(len(za)):
             assert vec[i] == pytest.approx(
-                _std_interval_mean(float(za[i]), float(zb[i])), rel=1e-13)
+                GAUSS.truncated_mean(float(za[i]), float(zb[i])), rel=1e-13)
 
     def test_shared_edges_match_separate_bins(self):
         # one pass over shared edges gives each bin what it gets alone
@@ -441,14 +447,10 @@ class TestVectorIntervalMean:
         b = a + np.exp(rng.uniform(-20.0, 4.0, 400))
         b[::5] = INF
         a[1::5] = -rng.uniform(0.0, 5.0, 80)  # straddling the origin
-        up = _std_interval_mean(a, b)
-        assert np.array_equal(_std_interval_mean(-b, -a), -up)
+        up = pair_means(a, b)
+        assert np.array_equal(pair_means(-b, -a), -up)
         for lo, hi in zip(a[:40].tolist(), b[:40].tolist()):
-            assert _std_interval_mean(-hi, -lo) == -_std_interval_mean(lo, hi)
-
-    def test_scalar_returns_float(self):
-        out = _std_interval_mean(0.0, 1.0)
-        assert isinstance(out, float)
+            assert pair_means(-hi, -lo) == -pair_means(lo, hi)
 
     @given(st.floats(min_value=-6, max_value=6),
            st.floats(min_value=math.log10(COLLAPSE_LENGTH),
@@ -461,7 +463,7 @@ class TestVectorIntervalMean:
         # down to COLLAPSE_LENGTH, within a thousandth of the bin's width
         # (or 4 ulps) of 50-digit mpmath
         b = a + 10.0 ** log_width
-        m = _std_interval_mean(a, b)
+        m = GAUSS.truncated_mean(a, b)
         assert a < m < b
         with mp.workdps(50):
             want = float(mp_std_mean(mp.mpf(a), mp.mpf(b)))

@@ -130,6 +130,8 @@ INVOCATIONS = [
                                      "--bins", "5", NARROW_INIT)),
     ("usage: init and seed", ("dynamics", *EXP, "--rate", "1", "--bias", "0.1",
                               "--bins", "3", "--init", "1,2", "--seed", "3")),
+    ("usage: dynamics 1 bin", ("dynamics", *GAUSS, "--bias", "0.1", "--bins", "1",
+                               "--seed", "3")),
     *[(f"verify {name}", ("verify", f"{{dir}}/{name}.json", "--seed", "7"))
       for name in DOCUMENTS],
     # sample counts that are not a multiple of monte_carlo_cost's block
@@ -139,6 +141,8 @@ INVOCATIONS = [
                              "--mc-samples", "100003")),
     ("verify tampered", ("verify", "{dir}/tampered.json", "--seed", "7")),
     ("verify bad json", ("verify", "{dir}/bad.json")),
+    ("usage: verify negative seed", ("verify", "{dir}/exp-n-bins.json", "--seed",
+                                     "-1")),
 ]
 
 

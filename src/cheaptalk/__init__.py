@@ -4,9 +4,11 @@ An encoder observing a continuous source sends one of finitely many
 messages; a decoder acts on the message; the two sides disagree by a
 constant bias. Equilibria are quantizers: interval partitions paired
 with conditional-mean actions. This package computes them in closed
-form where possible (exponential sources, Gaussian two-bin), by damped
-fixed-point iteration elsewhere, certifies every result numerically,
-and measures best-response dynamics whose convergence theory is open.
+form where possible (exponential sources, Gaussian two-bin), by Newton's
+method on the midpoint condition elsewhere (with short blocks of damped
+fixed-point steps where Newton breaks down), certifies every result
+numerically, and measures best-response dynamics whose convergence
+theory is open.
 """
 
 from .errors import (

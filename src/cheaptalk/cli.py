@@ -286,7 +286,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             converged = result.converged
             solver = "gauss-ladder"
             note = (f"truncated ladder, {result.iterations} iterations, "
-                    f"last edge movement {_fmt(result.final_change)}"
+                    f"smallest full Newton step {_fmt(result.final_change)}"
                     + ("" if result.converged else "; did not converge"))
     except NoInformativeEquilibriumError as err:
         sys.stderr.write(f"no informative equilibrium: {err}\n")
@@ -630,6 +630,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--cert-tol", type=float, default=1e-8)
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--out", help="output path (default: stdout)")
+    solve.set_defaults(run=_cmd_solve, parser=solve)
 
     sweep = sub.add_parser("sweep", help="solve across a parameter grid")
     _add_source_args(sweep)
@@ -645,6 +646,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--cert-tol", type=float, default=1e-8)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out")
+    sweep.set_defaults(run=_cmd_sweep, parser=sweep)
 
     verify = sub.add_parser("verify", help="re-check a solve result document")
     verify.add_argument("document", help="path to a solve JSON document")
@@ -652,6 +654,7 @@ def _build_parser() -> _Parser:
                         help="Monte Carlo seed")
     verify.add_argument("--mc-samples", type=int, default=1_000_000)
     verify.add_argument("--out")
+    verify.set_defaults(run=_cmd_verify, parser=verify)
 
     dyn = sub.add_parser("dynamics", help="run best-response dynamics")
     _add_source_args(dyn)
@@ -669,22 +672,15 @@ def _build_parser() -> _Parser:
                           "and 0.999 quantiles")
     dyn.add_argument("--format", choices=("json", "csv"), default="json")
     dyn.add_argument("--out")
+    dyn.set_defaults(run=_cmd_dynamics, parser=dyn)
 
     return top
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "dynamics": _cmd_dynamics,
-}
-
-
 def entry(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return _DISPATCH[args.command](args, parser)
+    args = _build_parser().parse_args(argv)
+    # each command reports usage errors through its own subparser
+    return args.run(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import math
 import numbers
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,6 +113,19 @@ class Partition:
         """Bin lengths; half-infinite bins report inf."""
         return tuple(b - a for a, b in zip(self.edges, self.edges[1:]))
 
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(probs, means, variances) of the bins as read-only arrays,
+        computed once, on first use, by the unchecked kernels
+        (__post_init__ has checked the edges); certify, decoder_cost and
+        decoder_best_response read it. Not a field, so it changes neither
+        equality nor hashing."""
+        e = np.asarray(self.edges)
+        moments = (*self.source._bin_moments(e), self.source._bin_variances(e))
+        for a in moments:
+            a.flags.writeable = False
+        return moments
+
 
 @dataclass(frozen=True)
 class ActionProfile:
@@ -196,8 +210,7 @@ def _check_seed(seed: int) -> None:
 
 def decoder_best_response(partition: Partition) -> ActionProfile:
     """Conditional mean of the source on each bin (the centroid rule)."""
-    return ActionProfile(tuple(
-        partition.source.bin_means(partition.edges).tolist()))
+    return ActionProfile(tuple(partition._moments[1].tolist()))
 
 
 def encoder_best_response(actions: ActionProfile, source: SourceModel,
@@ -233,9 +246,8 @@ def certify(partition: Partition, tol: float = 1e-8,
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    e = np.asarray(partition.edges)
-    residuals = e[1:-1] - _midpoints(partition.source.bin_means(e),
-                                     partition.bias)
+    residuals = (np.asarray(partition.interior_edges)
+                 - _midpoints(partition._moments[1], partition.bias))
     excluded = tuple(sorted({int(k) for k in excluded_edges}))
     for k in excluded:
         if not 1 <= k <= len(residuals):
@@ -259,9 +271,7 @@ def decoder_cost(partition: Partition) -> CostReport:
     Summed as probability * conditional variance over bins; the encoder
     side adds the squared bias on top, for any partition.
     """
-    src = partition.source
-    probs = src.bin_probs(partition.edges)
-    variances = src.bin_variances(partition.edges)
+    probs, _, variances = partition._moments
     jd = math.fsum((probs * variances).tolist())
     b = partition.bias
     return CostReport(decoder_cost=jd, encoder_cost=jd + b * b,

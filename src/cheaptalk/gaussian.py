@@ -260,12 +260,12 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
                       damping: float, max_iter: int, tol: float,
                       ladder_step: float | None = None
                       ) -> tuple[np.ndarray, bool, int, float]:
-    """Damped midpoint iteration; returns (edges, converged, iterations,
-    last_change). Bins are those of _full_edges."""
+    """Damped midpoint iteration from increasing edges; returns (edges,
+    converged, iterations, last_change). Bins are those of _full_edges."""
     delta = math.inf
     for it in range(1, max_iter + 1):
-        rows = _midpoints(source.bin_means(_full_edges(edges, ladder_step)),
-                          bias)
+        rows = _midpoints(
+            source._bin_moments(_full_edges(edges, ladder_step))[1], bias)
         new = (1.0 - damping) * edges + damping * rows
         if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(
@@ -341,9 +341,11 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
 
     def residual(e):
         full = _full_edges(e, ladder_step)
-        return (e - _midpoints(source.bin_means(full), bias),
+        return (e - _midpoints(source._bin_moments(full)[1], bias),
                 (full - mean) / std)
 
+    # the start is checked here; the loop checks every later iterate
+    source._bin_edges(_full_edges(start, ladder_step))
     edges = damped = start
     f, z = residual(edges)
     steps, smallest = 0, math.inf

@@ -5,7 +5,10 @@ array methods here (bin_probs, bin_means, bin_variances: one value per
 bin of an increasing edge array, which may have infinite ends and need
 not span the support, or one row of values per row of a 2-D array of
 such edges), plus quantiles and sampling. The scalar interval
-methods are the same code on a single bin.
+methods are the same code on a single bin. Internal loops, which keep
+their edges increasing, call the unchecked _bin_moments (probs and
+means) and _bin_variances; a Partition fills its record of all three
+from them once, on first use.
 
 Numerical ground rules:
 
@@ -325,11 +328,6 @@ class SourceModel:
 
     # -- interval operations ------------------------------------------------
 
-    def _check_interval(self, lo: float, hi: float) -> None:
-        if math.isnan(lo) or math.isnan(hi) or not lo < hi:
-            raise DomainError(
-                f"interval endpoints must satisfy lo < hi, got [{lo}, {hi}]")
-
     def _bin_edges(self, edges) -> np.ndarray:
         """edges as a float array after the checks every bin method makes:
         one increasing edge sequence, or a 2-D array with one per row."""
@@ -368,14 +366,7 @@ class SourceModel:
         the two tails or the central erf sum avoids cancellation, and
         short same-tail bins the fixed rule of _std_rule.
         """
-        return self._bin_probs(self._bin_edges(edges))
-
-    def _bin_probs(self, e: np.ndarray) -> np.ndarray:
-        """bin_probs on edges that are already checked."""
-        if self.kind == EXPONENTIAL:
-            start, length = self._exp_windows(e)
-            return np.exp(-self.rate * start) * -np.expm1(-self.rate * length)
-        return _std_moments((e - self.mean) / self.std)[0]
+        return self._bin_moments(self._bin_edges(edges))[0]
 
     def bin_means(self, edges) -> np.ndarray:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
@@ -387,20 +378,15 @@ class SourceModel:
         """
         e = self._bin_edges(edges)
         self._check_support(e)
-        return self._bin_means(e)
-
-    def _bin_means(self, e: np.ndarray) -> np.ndarray:
-        """bin_means on edges that are already checked."""
-        if self.kind == EXPONENTIAL:
-            start, length = self._exp_windows(e)
-            return start + 1.0 / self.rate - _exp_gap(length, self.rate)
         return self._bin_moments(e)[1]
 
     def _bin_moments(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(_bin_probs(e), _bin_means(e)); a Gaussian source takes both
-        from one _std_moments pass over the edges."""
+        """(bin_probs(e), bin_means(e)) on edges that are already checked;
+        a Gaussian source takes both from one _std_moments pass."""
         if self.kind == EXPONENTIAL:
-            return self._bin_probs(e), self._bin_means(e)
+            start, length = self._exp_windows(e)
+            return (np.exp(-self.rate * start) * -np.expm1(-self.rate * length),
+                    start + 1.0 / self.rate - _exp_gap(length, self.rate))
         probs, means = _std_moments((e - self.mean) / self.std)
         return probs, self.mean + self.std * means
 
@@ -415,6 +401,10 @@ class SourceModel:
         """
         e = self._bin_edges(edges)
         self._check_support(e)
+        return self._bin_variances(e)
+
+    def _bin_variances(self, e: np.ndarray) -> np.ndarray:
+        """bin_variances on edges that are already checked."""
         if self.kind == EXPONENTIAL:
             return _exp_window_variance(self._exp_windows(e)[1], self.rate)
         z = (e - self.mean) / self.std
@@ -424,17 +414,14 @@ class SourceModel:
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""
-        self._check_interval(lo, hi)
         return float(self.bin_probs((lo, hi))[0])
 
     def truncated_mean(self, lo: float, hi: float) -> float:
         """E[M | lo <= M <= hi]; see bin_means."""
-        self._check_interval(lo, hi)
         return float(self.bin_means((lo, hi))[0])
 
     def truncated_variance(self, lo: float, hi: float) -> float:
         """Var(M | lo <= M <= hi); see bin_variances (no quadrature)."""
-        self._check_interval(lo, hi)
         return float(self.bin_variances((lo, hi))[0])
 
     def quadrature_moment(self, lo: float, hi: float, power: int) -> float:
@@ -453,7 +440,7 @@ class SourceModel:
 
         if power not in (1, 2):
             raise DomainError(f"power must be 1 or 2, got {power!r}")
-        self._check_interval(lo, hi)
+        self._bin_edges((lo, hi))
 
         def integral(f, a: float, b: float, scale: float) -> float:
             val, err = quad(f, a, b, epsabs=1e-12 * scale, epsrel=1e-12,

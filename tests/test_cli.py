@@ -149,6 +149,18 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("iteration failed: iteration stopped before ")
 
+    def test_ladder_stall_note_names_the_smallest_step(self, capsys):
+        # a stall below the rounding floor: the figure in the note is the
+        # smallest full Newton step, not the last edge movement
+        code, out, err = run(capsys, "solve", "--source", "gauss", "--bias",
+                             "0.3", "--ladder", "--tol", "1e-15")
+        assert code == 2
+        assert err == "ladder iteration stopped before tol\n"
+        note = json.loads(out)["meta"]["note"]
+        assert note.startswith("truncated ladder, ")
+        assert ", smallest full Newton step " in note
+        assert note.endswith("; did not converge")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(capsys, "solve", "--source", "exp", "--rate", "1",
@@ -179,7 +191,7 @@ class TestSolve:
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
-            assert "usage:" in err, argv
+            assert err.startswith(f"usage: cheaptalk {argv[0]} "), argv
 
 
 class TestSweep:
@@ -303,7 +315,7 @@ class TestVerify:
         target = self.write_doc(capsys, tmp_path)
         code, out, err = run(capsys, "verify", str(target), "--seed", "-1")
         assert code == 1 and out == ""
-        assert "usage:" in err and "--seed" in err
+        assert err.startswith("usage: cheaptalk verify ") and "--seed" in err
 
     def test_unparseable_document_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -76,6 +76,53 @@ class TestPartition:
         assert p.interior_edges == ()
 
 
+class TestBinMoments:
+    # one fresh partition per family, neither solved nor certified before
+    FRESH = (
+        ((0.0, 0.4, 1.1, 2.0, 3.5, 6.0, math.inf), EXP, 0.2),
+        ((-math.inf, -2.1, -1.2, -0.5, 0.1, 0.8, 1.6, 2.7, math.inf),
+         GAUSS, 0.1),
+    )
+
+    @pytest.mark.parametrize("edges, src, bias", FRESH)
+    def test_one_kernel_pass_per_partition(self, monkeypatch, edges, src,
+                                           bias):
+        calls = []
+        for name in ("_bin_moments", "_bin_variances"):
+            kernel = getattr(SourceModel, name)
+
+            def counted(self, e, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(self, e)
+
+            monkeypatch.setattr(SourceModel, name, counted)
+        p = Partition(edges, src, bias)
+        certify(p)
+        decoder_cost(p)
+        decoder_best_response(p)
+        monte_carlo_cost(p, 1000, seed=3)
+        assert sorted(calls) == ["_bin_moments", "_bin_variances"]
+
+    @pytest.mark.parametrize("edges, src, bias", FRESH)
+    def test_record_is_read_only_and_exact(self, edges, src, bias):
+        p = Partition(edges, src, bias)
+        probs, means, variances = p._moments
+        for got, method in ((probs, src.bin_probs), (means, src.bin_means),
+                            (variances, src.bin_variances)):
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+            assert got.tobytes() == method(edges).tobytes()
+
+    @pytest.mark.parametrize("edges, src, bias", FRESH)
+    def test_record_leaves_equality_and_hash(self, edges, src, bias):
+        filled, fresh = Partition(edges, src, bias), Partition(edges, src, bias)
+        filled._moments
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert {filled, fresh} == {fresh}
+
+
 class TestActionProfile:
     def test_must_increase(self):
         with pytest.raises(DomainError):

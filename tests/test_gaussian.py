@@ -270,6 +270,9 @@ class TestFiniteBins:
         with pytest.raises(DomainError):
             init = solve_n_bins_gauss(0.0, 1.0, 0.2, 3)
             solve_n_bins_gauss(0.0, 1.0, 0.2, 4, init=init)
+        # the default start's edges round together at this location
+        with pytest.raises(DomainError, match="strictly increasing"):
+            solve_n_bins_gauss(1e20, 1.0, 0.1, 3)
 
 
 def damped_reference(mean, std, bias, n_bins, tol):

@@ -491,6 +491,18 @@ class TestVectorIntervalMean:
                                        match="strictly increasing sequence"):
                         method(bad)
 
+    def test_interval_endpoints_validated(self):
+        # the one-bin forms and the oracle run the same edge check
+        for src in (EXP, GAUSS):
+            for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                           (0.0, math.nan), (INF, INF)):
+                for method in (src.interval_prob, src.truncated_mean,
+                               src.truncated_variance,
+                               lambda a, b: src.quadrature_moment(a, b, 1)):
+                    with pytest.raises(DomainError,
+                                       match="strictly increasing sequence"):
+                        method(lo, hi)
+
     @pytest.mark.parametrize("src, rows", ROW_CASES)
     def test_rows_equal_one_dimensional_calls(self, src, rows):
         # each row of a 2-D call is bit for bit the 1-D call on that row,

@@ -57,6 +57,10 @@ INVOCATIONS = [
     ("solve exp ladder", ("solve", *EXP, "--rate", "1.5", "--bias", "0.3", "--ladder")),
     ("solve exp ladder csv", ("solve", *EXP, "--rate", "1", "--bias", "0.5",
                               "--ladder", "--edges", "30", "--format", "csv")),
+    ("solve exp negative bias", ("solve", *EXP, "--rate", "1.3", "--bias", "-0.1",
+                                 "--bins", "3")),
+    ("solve exp exponent bias", ("solve", *EXP, "--rate", "1", "--bias", "-1e-3",
+                                 "--bins", "2")),
     ("solve exp no equilibrium", ("solve", *EXP, "--rate", "1", "--bias", "-0.6",
                                   "--bins", "2")),
     ("solve exp collapse", ("solve", *EXP, "--rate", "1", "--bias", "-0.25",
@@ -96,6 +100,9 @@ INVOCATIONS = [
     ("sweep exp bins", ("sweep", *EXP, "--rate", "1", "--vary", "bins",
                         "--from", "1", "--to", "12", "--bias", "0.05",
                         "--format", "json")),
+    ("sweep exp bins negative bias", ("sweep", *EXP, "--rate", "1.3", "--vary",
+                                      "bins", "--from", "1", "--to", "5",
+                                      "--bias", "-0.1", "--format", "json")),
     ("sweep gauss bias", ("sweep", *GAUSS, "--vary", "bias", "--from", "-0.4",
                           "--to", "0.4", "--steps", "9", "--bins", "4",
                           "--format", "json")),

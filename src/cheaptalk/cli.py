@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from typing import Any
@@ -126,6 +127,21 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _parse_flag(v: Any) -> bool:
+    """Accept a JSON boolean only."""
+    if not isinstance(v, bool):
+        raise ValueError(f"not a serialized boolean: {v!r}")
+    return v
+
+
+def _parse_indices(v: Any) -> tuple[int, ...]:
+    """Accept a JSON list of integers only."""
+    if not isinstance(v, list) or any(
+            isinstance(i, bool) or not isinstance(i, int) for i in v):
+        raise ValueError(f"not a serialized list of integers: {v!r}")
+    return tuple(v)
+
+
 def _parse_number(v: Any) -> float:
     """Accept JSON numbers plus the string forms 'inf'/'-inf'/'nan'."""
     if isinstance(v, str):
@@ -146,8 +162,18 @@ def _parse_number(v: Any) -> float:
 # argument plumbing
 
 
+# argparse's own matcher misses exponent forms, so it reads "-1e-3" as an
+# option string and leaves the option before it without a value
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures follow the exit contract (1)."""
+    """ArgumentParser whose usage failures follow the exit contract (1)
+    and which reads any negative number as an option's value."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -355,15 +381,15 @@ def _classify(err: Exception) -> str:
 def _sweep_row(source: SourceModel, bias: float, n_bins: int,
                args: argparse.Namespace) -> dict:
     row: dict[str, Any] = {"bias": bias, "bins": n_bins, "status": "ok"}
-    if source.kind == EXPONENTIAL:
-        if bias < 0.0:
-            row["max_bins"] = empirical_max_bins(source.rate, bias)
-        else:
-            row["max_bins"] = math.inf
-        if bias > 0.0:
-            row["fixed_point_length"] = fixed_point_length(source.rate, bias)
-            row["decoder_cost_infinite"] = decoder_cost_infinite(source.rate, bias)
     try:
+        if source.kind == EXPONENTIAL:
+            if bias < 0.0:
+                row["max_bins"] = empirical_max_bins(source.rate, bias)
+            else:
+                row["max_bins"] = math.inf
+            if bias > 0.0:
+                row["fixed_point_length"] = fixed_point_length(source.rate, bias)
+                row["decoder_cost_infinite"] = decoder_cost_infinite(source.rate, bias)
         _, partition = _solve_bins(source, bias, n_bins, args)
     except Exception as err:  # status column carries the failure
         row["status"] = _classify(err)
@@ -462,8 +488,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             doc = json.load(fh)
         source, partition, cert_doc = _load_partition(doc)
         stored_tol = _parse_number(cert_doc["tolerance"])
-        stored_verdict = bool(cert_doc["verdict"])
-        excluded = tuple(int(i) for i in cert_doc.get("excluded_edges", ()))
+        stored_verdict = _parse_flag(cert_doc["verdict"])
+        excluded = _parse_indices(cert_doc.get("excluded_edges", []))
         stored_decoder = _parse_number(doc["costs"]["decoder"])
         stored_encoder = _parse_number(doc["costs"]["encoder"])
         cert = certify(partition, tol=stored_tol, excluded_edges=excluded)

@@ -13,9 +13,9 @@ target driven by the next bin's length. Targets at or below g's
 infimum 1/lam have no solution, which is exactly the bin-collapse
 regime for negative bias.
 
-Root solves go through the Lambert W function for positive bias, where
-the target's Lambert argument is safely inside the principal branch,
-and through bracketed root-finding otherwise.
+Every bin length at every bias is the closed-form inverse of g through
+the principal Lambert branch; bracketed root-finding is left to the
+equal-length fixed point, whose equation has no Lambert form.
 """
 
 from __future__ import annotations
@@ -76,23 +76,6 @@ def g(length: float, rate: float) -> float:
     return length + h(length, rate)
 
 
-def _invert_g(target: float, rate: float, use_lambert: bool) -> float:
-    """The unique positive l with g(l, rate) = target, requiring
-    rate*target > 1. Callers check that precondition and translate its
-    failure into the appropriate collapse error."""
-    u = rate * target
-    if use_lambert:
-        # substituting s = rate*l turns g(l)=target into
-        # (s-u)*exp(s-u) = -u*exp(-u), solved on the principal branch
-        return (lambert_w0_conjugate(u) + u) / rate
-    lo = target - 1.0 / rate
-
-    def defect(length: float) -> float:
-        return g(length, rate) - target
-
-    return find_root(defect, Bracket.scan(defect, lo, target), tol=1e-13)
-
-
 def max_bins_negative_bias(rate: float, bias: float) -> int:
     """Hard upper bound on equilibrium bin counts when bias < 0.
 
@@ -103,7 +86,11 @@ def max_bins_negative_bias(rate: float, bias: float) -> int:
     if not bias < 0.0:
         raise DomainError(
             "bin counts are unbounded for bias >= 0; the bound needs bias < 0")
-    return int(math.floor(-1.0 / (2.0 * bias * rate) + 1.0))
+    try:
+        return int(math.floor(-1.0 / (2.0 * bias * rate) + 1.0))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"the bin-count bound overflows at rate={rate}, bias={bias}") from None
 
 
 def bias_threshold(rate: float, n: int) -> float:
@@ -124,22 +111,24 @@ def bias_threshold(rate: float, n: int) -> float:
 def solve_two_bin(rate: float, bias: float) -> Partition:
     """The unique two-bin equilibrium, via the principal Lambert branch.
 
-    The single interior edge is (t + u)/rate with u = 2 + 2*rate*bias
-    and t the conjugate principal-branch point of -u*exp(-u); it always
-    lands in (1/rate + 2*bias, 2/rate + 2*bias). Raises
+    The single interior edge is the first length of the backward walk,
+    (t + u)/rate with u = rate*(2/rate + 2*bias) and t the conjugate
+    principal-branch point of -u*exp(-u), so it equals
+    solve_n_bins(rate, bias, 2)'s edge bit for bit. It lands in
+    (1/rate + 2*bias, 2/rate + 2*bias). Raises
     NoInformativeEquilibriumError when bias <= -1/(2*rate), where only
     the single-bin equilibrium exists.
     """
     _check_rate(rate)
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
-    if bias <= bias_threshold(rate, 2):
+    walk = _backward_lengths(rate, bias, 1)
+    # just above the threshold rate*(2/rate + 2*bias) can still round to 1
+    if bias <= bias_threshold(rate, 2) or not walk:
         raise NoInformativeEquilibriumError(
             f"no two-bin equilibrium at rate={rate}, bias={bias}: requires "
             f"bias > {bias_threshold(rate, 2)}")
-    u = 2.0 + 2.0 * rate * bias
-    m1 = (lambert_w0_conjugate(u) + u) / rate
-    return Partition((0.0, m1, math.inf), SourceModel.exponential(rate), bias)
+    return Partition((0.0, walk[0], math.inf), SourceModel.exponential(rate), bias)
 
 
 def _backward_lengths(rate: float, bias: float, count: int) -> list[float]:
@@ -151,14 +140,20 @@ def _backward_lengths(rate: float, bias: float, count: int) -> list[float]:
     equilibrium takes the first n-1 lengths, so one walk serves every bin
     count. The walk stops early at the first target at or below g's
     infimum 1/rate: the next bin cannot fit.
+
+    Each length inverts g in closed form at every bias: substituting
+    s = rate*l turns g(l) = target into (s-u)*exp(s-u) = -u*exp(-u) with
+    u = rate*target > 1, so s - u is the principal-branch point
+    lambert_w0_conjugate(u).
     """
     c = 2.0 / rate + 2.0 * bias
     walk: list[float] = []
     while len(walk) < count:
         target = c - h(walk[-1], rate) if walk else c
-        if rate * target <= 1.0:
+        u = rate * target
+        if u <= 1.0:
             break
-        walk.append(_invert_g(target, rate, bias > 0.0))
+        walk.append((lambert_w0_conjugate(u) + u) / rate)
     return walk
 
 

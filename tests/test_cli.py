@@ -51,11 +51,25 @@ class TestSolve:
         edge = float(json.loads(out)["equilibrium"]["edges"][1])
         # the document carries the edge of the solver the CLI ran
         assert edge == solve_n_bins(1.0, 0.0, 2).interior_edges[0]
-        # the Lambert-W closed form is another rounding of the same root;
-        # find_root stops on |g - target| <= 1e-13 and lands within an ulp
-        # or two of it, so agreement is asserted to 4 ulps, not bit for bit
-        closed = solve_two_bin(1.0, 0.0).interior_edges[0]
-        assert abs(edge - closed) <= 4 * math.ulp(closed)
+        # the two-bin closed form is the first step of the same walk
+        assert edge == solve_two_bin(1.0, 0.0).interior_edges[0]
+
+    def test_negative_values_in_exponent_form(self, capsys):
+        code, out, err = run(capsys, "solve", "--source", "exp", "--rate", "1",
+                             "--bias", "-1e-3", "--bins", "2")
+        assert code == 0, err
+        assert json.loads(out)["bias"] == -1e-3
+        code, out, err = run(capsys, "solve", "--source", "gauss", "--mean",
+                             "-2.5E+1", "--bias", "-.5e-1", "--bins", "2")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["source"]["mean"] == -25.0 and doc["bias"] == -0.05
+        code, out, err = run(capsys, "sweep", "--source", "exp", "--rate", "1",
+                             "--vary", "bias", "--from", "-1e-1", "--to",
+                             "-1e-2", "--steps", "2", "--bins", "2",
+                             "--format", "json")
+        assert code == 0, err
+        assert [r["bias"] for r in json.loads(out)["rows"]] == [-0.1, -0.01]
 
     def test_nonexistence_exits_two(self, capsys):
         code, out, err = run(capsys, "solve", "--source", "exp", "--rate", "1",
@@ -257,6 +271,16 @@ class TestSweep:
         assert lines[-1] == "4,0.10000000000000001,6,non-convergence" + \
             "," * 8
 
+    def test_unbounded_bin_count_row_is_invalid(self, capsys):
+        # -1/(2*bias*rate) overflows, so the bin-count bound is undefined
+        code, out, err = run(capsys, "sweep", "--source", "exp", "--rate", "1",
+                             "--vary", "bins", "--from", "1", "--to", "2",
+                             "--bias", "-1e-320", "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["invalid"] * 2
+        assert all(r["max_bins"] is None for r in rows)
+
     def test_empty_grid_exits_one(self, capsys):
         code, _, _ = run(capsys, "sweep", "--source", "exp", "--rate", "1",
                          "--vary", "bins", "--from", "5", "--to", "2",
@@ -334,6 +358,28 @@ class TestVerify:
             code, _, err = run(capsys, "verify", str(bad), "--seed", "1")
             assert code == 1, key
             assert "cannot parse result document" in err, key
+
+    def rejects_certificate_field(self, capsys, tmp_path, key, value):
+        doc = json.loads(self.write_doc(capsys, tmp_path).read_text())
+        doc["equilibrium"]["certificate"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad), "--seed", "1")
+        assert code == 1 and out == ""
+        assert "cannot parse result document" in err
+
+    def test_string_verdict_is_unparseable(self, capsys, tmp_path):
+        # bool("false") is True: only a JSON boolean is a verdict
+        self.rejects_certificate_field(capsys, tmp_path, "verdict", "false")
+
+    def test_string_excluded_edges_are_unparseable(self, capsys, tmp_path):
+        # a string would be iterated character by character into edges
+        self.rejects_certificate_field(capsys, tmp_path, "excluded_edges", "12")
+
+    def test_non_integer_excluded_edges_are_unparseable(self, capsys, tmp_path):
+        for value in ([1.9], [True]):
+            self.rejects_certificate_field(capsys, tmp_path, "excluded_edges",
+                                           value)
 
 
 class TestDynamics:

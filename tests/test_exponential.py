@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from cheaptalk.errors import (
     NoInformativeEquilibriumError,
 )
 from cheaptalk.exponential import (
+    _backward_lengths,
     bias_threshold,
     decoder_cost_infinite,
     empirical_max_bins,
@@ -117,7 +119,71 @@ class TestTwoBin:
     def test_matches_n_bins_solver(self):
         a = solve_two_bin(1.3, 0.21).interior_edges[0]
         b = solve_n_bins(1.3, 0.21, 2).interior_edges[0]
-        assert a == pytest.approx(b, rel=1e-13)
+        assert a == b
+
+    @given(st.floats(min_value=0.1, max_value=10.0)
+           .flatmap(lambda r: st.tuples(
+               st.just(r), st.floats(min_value=-0.5 / r, max_value=2.0 / r,
+                                     exclude_min=True))))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_n_bin_walk(self, rate_bias):
+        assert_same_two_bin_outcome(*rate_bias)
+
+    @pytest.mark.parametrize("rate", (0.1, 0.7, 1.0, 3.0, 10.0))
+    def test_no_equilibrium_at_and_below_threshold(self, rate):
+        t2 = bias_threshold(rate, 2)
+        for bias in (t2, math.nextafter(t2, -math.inf)):
+            with pytest.raises(NoInformativeEquilibriumError):
+                solve_two_bin(rate, bias)
+            with pytest.raises(NoInformativeEquilibriumError):
+                solve_n_bins(rate, bias, 2)
+        # a few ulps above it, 2/rate + 2*bias may still round to 1/rate
+        bias = t2
+        for _ in range(8):
+            bias = math.nextafter(bias, math.inf)
+            assert_same_two_bin_outcome(rate, bias)
+
+
+def assert_same_two_bin_outcome(rate: float, bias: float) -> None:
+    """solve_two_bin and solve_n_bins(.., 2) return the same edges bit for
+    bit, or both report that no informative equilibrium exists."""
+    try:
+        edges = solve_n_bins(rate, bias, 2).edges
+    except NoInformativeEquilibriumError:
+        with pytest.raises(NoInformativeEquilibriumError):
+            solve_two_bin(rate, bias)
+    else:
+        assert solve_two_bin(rate, bias).edges == edges
+
+
+def _g_root(rate: float, target: float) -> mp.mpf:
+    """50-digit root of g(l, rate) = target by bisection on
+    (target - 1/rate, target), with both floats taken exactly."""
+    r, c = mp.mpf(rate), mp.mpf(target)
+    lo, hi = c - 1 / r, c
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid + mid / mp.expm1(r * mid) < c:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+class TestBinLengthAccuracy:
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("k", (1, 3, 5, 7, 9, 11))
+    def test_near_threshold_length_against_mpmath(self, rate, k):
+        # u = rate*(2/rate + 2*bias) lands near 1 + 10^-k, where g's
+        # inverse has condition number about u/(u-1)
+        bias = (10.0 ** -k - 1.0) / (2.0 * rate)
+        c = 2.0 / rate + 2.0 * bias
+        u = rate * c
+        (length,) = _backward_lengths(rate, bias, 1)
+        with mp.workdps(50):
+            ref = _g_root(rate, c)
+            err = float(abs(mp.mpf(length) / ref - 1))
+        assert err <= 4 * 2.0 ** -52 * u / (u - 1.0)
 
 
 class TestNBinRecursion:
@@ -187,6 +253,14 @@ class TestMaxBins:
     def test_bound_requires_negative_bias(self):
         with pytest.raises(DomainError):
             max_bins_negative_bias(1.0, 0.0)
+
+    def test_bound_overflow_is_domain_error(self):
+        # -1/(2*bias*rate) overflows, or its denominator underflows to zero
+        for rate, bias in ((1.0, -1e-320), (1e-10, -1e-320)):
+            with pytest.raises(DomainError):
+                max_bins_negative_bias(rate, bias)
+            with pytest.raises(DomainError):
+                empirical_max_bins(rate, bias)
 
     def test_empirical_counts(self):
         assert empirical_max_bins(1.0, -0.25) == 2

@@ -61,6 +61,9 @@ INVOCATIONS = [
                                  "--bins", "3")),
     ("solve exp exponent bias", ("solve", *EXP, "--rate", "1", "--bias", "-1e-3",
                                  "--bins", "2")),
+    # u = 1.0010166, just past the Lambert series cut p = 1e-3
+    ("solve exp near threshold", ("solve", *EXP, "--rate", "1",
+                                  "--bias", "-0.4994917", "--bins", "2")),
     ("solve exp no equilibrium", ("solve", *EXP, "--rate", "1", "--bias", "-0.6",
                                   "--bins", "2")),
     ("solve exp collapse", ("solve", *EXP, "--rate", "1", "--bias", "-0.25",
@@ -106,6 +109,9 @@ INVOCATIONS = [
     ("sweep gauss bias", ("sweep", *GAUSS, "--vary", "bias", "--from", "-0.4",
                           "--to", "0.4", "--steps", "9", "--bins", "4",
                           "--format", "json")),
+    ("sweep gauss bias through zero", ("sweep", *GAUSS, "--vary", "bias", "--from",
+                                       "-1.0", "--to", "0.2", "--steps", "7",
+                                       "--format", "json")),
     ("sweep gauss bias csv", ("sweep", *GAUSS, "--mean", "2", "--std", "3",
                               "--vary", "bias", "--from", "0.1", "--to", "1.5",
                               "--steps", "6", "--bins", "3")),

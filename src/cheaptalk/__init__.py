@@ -9,7 +9,15 @@ method on the midpoint condition elsewhere (with short blocks of damped
 fixed-point steps where Newton breaks down), certifies every result
 numerically, and measures best-response dynamics whose convergence
 theory is open.
+
+``import cheaptalk`` loads the shared layers: ``errors``, ``special``,
+``sources`` and ``equilibrium``. The solver modules ``exponential``,
+``gaussian`` and ``dynamics`` load on first use of one of their names
+(or of the module itself), so a process imports only the solvers it
+calls.
 """
+
+import importlib
 
 from .errors import (
     BinCollapseError,
@@ -34,36 +42,57 @@ from .equilibrium import (
     encoder_best_response,
     monte_carlo_cost,
 )
-from .exponential import (
-    bias_threshold,
-    decoder_cost_infinite,
-    empirical_max_bins,
-    equal_length_defect,
-    fixed_point_length,
-    infinite_equilibrium,
-    max_bins_negative_bias,
-    solve_n_bins,
-    solve_two_bin,
-)
-from .gaussian import (
-    LadderResult,
-    TruncatedLadder,
-    asymptotic_bin_length,
-    half_line_bin_bound,
-    ladder_boxes,
-    solve_n_bins_gauss,
-    solve_truncated_ladder,
-    solve_two_bin_gauss,
-    two_bin_balance,
-)
-from .dynamics import (
-    BasinProbeSummary,
-    IterationOutcome,
-    IterationTrace,
-    basin_probe,
-    fixed_point_iterate,
-    lloyd_method_i,
-)
+
+# the solver modules' public names (in __all__ order), each served by
+# __getattr__ from the submodule that defines it on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys((
+        "solve_two_bin",
+        "solve_n_bins",
+        "bias_threshold",
+        "max_bins_negative_bias",
+        "empirical_max_bins",
+        "equal_length_defect",
+        "fixed_point_length",
+        "infinite_equilibrium",
+        "decoder_cost_infinite",
+    ), "exponential"),
+    **dict.fromkeys((
+        "two_bin_balance",
+        "solve_two_bin_gauss",
+        "solve_n_bins_gauss",
+        "solve_truncated_ladder",
+        "TruncatedLadder",
+        "LadderResult",
+        "ladder_boxes",
+        "half_line_bin_bound",
+        "asymptotic_bin_length",
+    ), "gaussian"),
+    **dict.fromkeys((
+        "lloyd_method_i",
+        "fixed_point_iterate",
+        "basin_probe",
+        "IterationTrace",
+        "IterationOutcome",
+        "BasinProbeSummary",
+    ), "dynamics"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    # later lookups find the name in the package namespace directly
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})
+
 
 __version__ = "0.1.0"
 
@@ -88,28 +117,5 @@ __all__ = [
     "certify",
     "decoder_cost",
     "monte_carlo_cost",
-    "solve_two_bin",
-    "solve_n_bins",
-    "bias_threshold",
-    "max_bins_negative_bias",
-    "empirical_max_bins",
-    "equal_length_defect",
-    "fixed_point_length",
-    "infinite_equilibrium",
-    "decoder_cost_infinite",
-    "two_bin_balance",
-    "solve_two_bin_gauss",
-    "solve_n_bins_gauss",
-    "solve_truncated_ladder",
-    "TruncatedLadder",
-    "LadderResult",
-    "ladder_boxes",
-    "half_line_bin_bound",
-    "asymptotic_bin_length",
-    "lloyd_method_i",
-    "fixed_point_iterate",
-    "basin_probe",
-    "IterationTrace",
-    "IterationOutcome",
-    "BasinProbeSummary",
+    *_LAZY,
 ]

@@ -39,15 +39,6 @@ from .errors import (
     NoInformativeEquilibriumError,
     NonConvergenceError,
 )
-from .exponential import (
-    decoder_cost_infinite,
-    empirical_max_bins,
-    fixed_point_length,
-    infinite_equilibrium,
-    solve_n_bins,
-)
-from .dynamics import _random_start, fixed_point_iterate, lloyd_method_i
-from .gaussian import solve_n_bins_gauss, solve_truncated_ladder, solve_two_bin_gauss
 from .sources import EXPONENTIAL, GAUSSIAN, SourceModel
 
 __all__ = ["entry"]
@@ -250,7 +241,9 @@ def _solve_bins(source: SourceModel, bias: float, n_bins: int,
     The Gaussian solver is Newton with damped fixed-point restarts; it
     keeps the name gauss-fixed-point, which documents already carry."""
     if source.kind == EXPONENTIAL:
+        from .exponential import solve_n_bins
         return "exp-n-bins", solve_n_bins(source.rate, bias, n_bins)
+    from .gaussian import solve_n_bins_gauss, solve_two_bin_gauss
     if n_bins == 2:
         return "gauss-two-bin", solve_two_bin_gauss(source.mean, source.std, bias)
     return "gauss-fixed-point", solve_n_bins_gauss(
@@ -294,6 +287,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 note = ("bias 0 is the classical minimum-distortion quantizer, "
                         "included as a reference point")
         elif source.kind == EXPONENTIAL:
+            from .exponential import decoder_cost_infinite, infinite_equilibrium
             n_edges = args.edges if args.edges is not None else 64
             partition = infinite_equilibrium(source.rate, bias, n_edges)
             cert = certify(partition, tol=args.cert_tol,
@@ -303,6 +297,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     f"its decoder cost is "
                     f"{_fmt(decoder_cost_infinite(source.rate, bias))}")
         else:
+            from .gaussian import solve_truncated_ladder
             n_edges = args.edges if args.edges is not None else 40
             result = solve_truncated_ladder(
                 source, bias, n_edges=n_edges, margin=args.margin,
@@ -383,6 +378,8 @@ def _sweep_row(source: SourceModel, bias: float, n_bins: int,
     row: dict[str, Any] = {"bias": bias, "bins": n_bins, "status": "ok"}
     try:
         if source.kind == EXPONENTIAL:
+            from .exponential import (
+                decoder_cost_infinite, empirical_max_bins, fixed_point_length)
             if bias < 0.0:
                 row["max_bins"] = empirical_max_bins(source.rate, bias)
             else:
@@ -406,7 +403,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--steps is required when varying bias")
         if args.steps < 1:
             parser.error("--steps must be at least 1")
-        biases = [float(v) for v in np.linspace(args.lo, args.hi, args.steps)]
+        # linspace can leave a few ulps where the grid means 0, and an
+        # exponential row at bias -1e-16 walks some 1e8 bins for max_bins
+        zero = 4.0 * sys.float_info.epsilon * max(abs(args.lo), abs(args.hi))
+        biases = [0.0 if abs(v) <= zero < math.inf else float(v)
+                  for v in np.linspace(args.lo, args.hi, args.steps)]
         n_fixed = args.bins if args.bins is not None else 2
         if n_fixed < 1:
             parser.error("--bins must be at least 1")
@@ -563,6 +564,7 @@ def _dynamics_init(source: SourceModel, args: argparse.Namespace,
             return Partition((lo, *interior, hi), source, args.bias)
         except DomainError as err:
             parser.error(str(err))
+    from .dynamics import _random_start
     return _random_start(source, args.bias, args.bins,
                          np.random.default_rng(args.seed))
 
@@ -576,6 +578,7 @@ def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("provide exactly one of --init or --seed")
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be a nonnegative integer")
+    from .dynamics import fixed_point_iterate, lloyd_method_i
     try:
         init = _dynamics_init(source, args, parser)
         if args.method == "lloyd":

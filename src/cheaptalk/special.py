@@ -5,9 +5,11 @@ branches of the Lambert W function, the standard normal pdf/cdf pair with
 a tail-stable Mills ratio, and a derivative-free root finder with
 guaranteed convergence on a sign-changing bracket.
 
-The Lambert W implementations use Halley's iteration on w*exp(w) = x.
-Seeds: a series in p = sqrt(2*(1 + e*x)) near the branch point x = -1/e,
-log-based asymptotics for large |log| regions, and the identity
+The Lambert W implementations use Halley's iteration on w*exp(w) = x
+(lambert_w0_conjugate, near the branch point, on the same equation
+shifted to w + 1 and formed from 1 + e*x). Seeds: a series in
+p = sqrt(2*(1 + e*x)) near the branch point x = -1/e, log-based
+asymptotics for large |log| regions, and the identity
 v - log(v) = -log(-x) (v = -w) for the lower branch away from the branch
 point, which stays well conditioned as x -> 0-.
 
@@ -165,6 +167,9 @@ def lambert_w0_conjugate(u: float) -> float:
     and a conjugate point t in (-1, 0]. Computing 1 + e*x directly from u
     avoids the cancellation that costs half the significant digits when
     u is close to 1, which is exactly where the near-threshold solves land.
+    For 1 < u <= 2, Halley's iteration runs in t + 1 on an equation whose
+    residual is formed from that 1 + e*x, so t + u is accurate to its
+    conditioning eps*u/(u - 1); for u > 2 it runs on w*exp(w) = x.
     """
     if math.isnan(u):
         raise DomainError("lambert_w0_conjugate is undefined for NaN")
@@ -172,6 +177,9 @@ def lambert_w0_conjugate(u: float) -> float:
         if u < 1.0 - 1e-12:
             raise DomainError("lambert_w0_conjugate requires u >= 1")
         u = 1.0
+    if u > 2.0:
+        x = -math.exp(math.log(u) - u)
+        return _halley_wexp(x, x, lower=False)
     eps = u - 1.0
     # 1 + e*x = 1 - (1+eps)*exp(-eps), written without cancellation
     q = -(math.expm1(-eps) + eps * math.exp(-eps))
@@ -180,9 +188,20 @@ def lambert_w0_conjugate(u: float) -> float:
     p = math.sqrt(2.0 * q)
     if p < 1e-3:
         return _branch_series(p)
-    x = -math.exp(math.log(u) - u)
-    w = _branch_series(p) if u <= 2.0 else x
-    return _halley_wexp(w, x, lower=False)
+    # Halley in d = w + 1 on h(d) = d*exp(d) - expm1(d) = q, which is
+    # w*exp(w) = x times e, shifted by 1: its residual is formed from q,
+    # not from x, so it keeps the digits that x loses near the branch point
+    d = 1.0 + _branch_series(p)
+    for _ in range(60):
+        ed = math.exp(d)
+        f = d * ed - math.expm1(d) - q
+        slope = d * ed
+        step = f / (slope - 0.5 * f * (1.0 + d) * ed / slope)
+        d = d - step if step < d else 0.5 * d
+        # rounding in the residual moves d by a few ulps of 1 whatever d is
+        if abs(step) <= 4.0 * 2.0 ** -52:
+            break
+    return d - 1.0
 
 
 def std_normal_pdf(x: float) -> float:

@@ -1,12 +1,15 @@
 """Command line interface: exit codes, document formats, round trips."""
 
+import csv
 import importlib
+import io
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cheaptalk.cli import entry
@@ -220,6 +223,21 @@ class TestSweep:
         statuses = [line.split(",")[3] for line in lines[1:]]
         assert statuses[0] == "no-informative-equilibrium"
         assert statuses[-1] == "ok"
+
+    def test_bias_grid_through_zero_snaps_to_zero(self):
+        # linspace puts -1.1e-16 where this grid means 0; at that bias the
+        # exponential max_bins walk would take some 1e8 bins
+        proc = subprocess.run(
+            [sys.executable, "-m", "cheaptalk.cli", "sweep", "--source", "exp",
+             "--rate", "1", "--vary", "bias", "--from", "-1.0", "--to", "0.2",
+             "--steps", "7", "--bins", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert rows[5]["bias"] == "0" and rows[5]["max_bins"] == "inf"
+        # every other grid point is linspace's own value
+        assert [float(r["bias"]) for r in rows[:5] + rows[6:]] == [
+            float(v) for i, v in enumerate(np.linspace(-1.0, 0.2, 7)) if i != 5]
 
     def test_bins_sweep_decoder_cost_decreases(self, capsys):
         code, out, _ = run(capsys, "sweep", "--source", "exp", "--rate", "1",
@@ -490,21 +508,25 @@ class TestConsoleScript:
         assert exc.value.code == 0
 
 
-# Run one statement in a fresh interpreter and print the scipy modules it
-# left loaded, one per line.
-_LOADED_SCIPY = """\
-import contextlib, io, sys
+# Run one statement in a fresh interpreter and print the modules under one
+# prefix that it left loaded, one per line.
+_LOADED = """\
+import contextlib, io, runpy, sys
 {statement}
-print(*sorted(m for m in sys.modules if m.startswith("scipy")), sep="\\n")
+print(*sorted(m for m in sys.modules if m.startswith({prefix!r})), sep="\\n")
 """
 
 
-def loaded_scipy(statement):
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_SCIPY.format(statement=statement)],
-        capture_output=True, text=True)
+def run_fresh(code):
+    """Run code in a fresh interpreter; returns its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def loaded(prefix, statement):
+    return set(run_fresh(_LOADED.format(prefix=prefix, statement=statement)).split())
 
 
 def cli_statement(*argv):
@@ -519,7 +541,7 @@ class TestImportGate:
 
     @pytest.mark.parametrize("module", ["cheaptalk", "cheaptalk.cli"])
     def test_import_loads_no_scipy(self, module):
-        assert loaded_scipy(f"import {module}") == set()
+        assert loaded("scipy", f"import {module}") == set()
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--source", "exp", "--rate", "1.3", "--bias", "0.2",
@@ -531,13 +553,13 @@ class TestImportGate:
          "--bins", "4", "--init", "0.3,1.1,2.4"),
     ])
     def test_exponential_commands_load_no_scipy(self, argv):
-        assert loaded_scipy(cli_statement(*argv)) == set()
+        assert loaded("scipy", cli_statement(*argv)) == set()
 
     def test_exponential_verify_loads_no_scipy(self, capsys, tmp_path):
         path = str(tmp_path / "doc.json")
         assert run(capsys, "solve", "--source", "exp", "--rate", "1.3",
                    "--bias", "0.2", "--bins", "4", "--out", path)[0] == 0
-        assert loaded_scipy(cli_statement("verify", path, "--seed", "5")) == set()
+        assert loaded("scipy", cli_statement("verify", path, "--seed", "5")) == set()
 
     def test_exponential_library_loads_no_scipy(self):
         statement = (
@@ -550,7 +572,7 @@ class TestImportGate:
             "for method in ('lloyd', 'fixed-point'):\n"
             "    ct.basin_probe(src, 0.2, 3, 4, seed=1, method=method)\n"
             "src.bin_variances([0.0, 1.0, 2.0]); src.quantile(0.3)")
-        assert loaded_scipy(statement) == set()
+        assert loaded("scipy", statement) == set()
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--source", "gauss", "--mean", "0.2", "--std", "1.4",
@@ -565,14 +587,14 @@ class TestImportGate:
          "--seed", "3"),
     ])
     def test_gaussian_commands_load_no_scipy(self, argv):
-        assert loaded_scipy(cli_statement(*argv)) == set()
+        assert loaded("scipy", cli_statement(*argv)) == set()
 
     def test_gaussian_verify_loads_no_scipy(self, capsys, tmp_path):
         path = str(tmp_path / "doc.json")
         assert run(capsys, "solve", "--source", "gauss", "--mean", "0.2",
                    "--std", "1.4", "--bias", "0.3", "--bins", "4",
                    "--out", path)[0] == 0
-        assert loaded_scipy(cli_statement("verify", path, "--seed", "5")) == set()
+        assert loaded("scipy", cli_statement("verify", path, "--seed", "5")) == set()
 
     def test_gaussian_library_loads_no_scipy(self):
         statement = (
@@ -585,7 +607,96 @@ class TestImportGate:
             "for method in ('lloyd', 'fixed-point'):\n"
             "    ct.basin_probe(src, 0.2, 3, 4, seed=1, method=method)\n"
             "src.quantile(1e-300); src.quantile(0.3)")
-        assert loaded_scipy(statement) == set()
+        assert loaded("scipy", statement) == set()
+
+
+# what `import cheaptalk` loads: every subcommand needs these layers
+SHARED = {"cheaptalk", "cheaptalk.errors", "cheaptalk.special",
+          "cheaptalk.sources", "cheaptalk.equilibrium"}
+
+
+def main_statement(*argv):
+    """Run the CLI as `python -m cheaptalk.cli ARGV` runs it."""
+    return (f"sys.argv = ['cheaptalk', *{list(argv)!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('cheaptalk.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code")
+
+
+class TestLazyLoading:
+    """The solver modules (exponential, gaussian, dynamics) load on first
+    use, so each subcommand imports only the solver it runs."""
+
+    def test_bare_import_loads_no_solver_module(self):
+        assert loaded("cheaptalk", "import cheaptalk") == SHARED
+
+    def test_public_names_are_their_modules_objects(self):
+        # a fresh process resolves every lazy name through __getattr__
+        run_fresh(
+            "import importlib, cheaptalk\n"
+            "for name in set(cheaptalk.__all__) - {'__version__'}:\n"
+            "    obj = getattr(cheaptalk, name)\n"
+            "    home = importlib.import_module(obj.__module__)\n"
+            "    assert getattr(home, name) is obj, name\n"
+            "    assert getattr(cheaptalk, name) is obj, name")
+
+    def test_star_import_binds_every_public_name(self):
+        run_fresh(
+            "import cheaptalk\n"
+            "names = {}\n"
+            "exec('from cheaptalk import *', names)\n"
+            "missing = set(cheaptalk.__all__) - set(names)\n"
+            "assert not missing, missing")
+
+    def test_dir_submodules_and_unknown_names(self):
+        run_fresh(
+            "import importlib, cheaptalk\n"
+            "assert set(cheaptalk.__all__) <= set(dir(cheaptalk))\n"
+            "for sub in ('exponential', 'gaussian', 'dynamics'):\n"
+            "    assert sub in dir(cheaptalk)\n"
+            "    module = getattr(cheaptalk, sub)\n"
+            "    assert module is importlib.import_module('cheaptalk.' + sub)\n"
+            "try:\n"
+            "    cheaptalk.solve_three_bin\n"
+            "except AttributeError as err:\n"
+            "    assert str(err) == \"module 'cheaptalk' has no attribute "
+            "'solve_three_bin'\", err\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')")
+
+    @pytest.mark.parametrize("argv, solver", [
+        (("solve", "--source", "exp", "--rate", "1.3", "--bias", "0.2",
+          "--bins", "4"), "exponential"),
+        (("solve", "--source", "exp", "--rate", "1.3", "--bias", "0.2",
+          "--ladder"), "exponential"),
+        (("sweep", "--source", "exp", "--rate", "1.3", "--vary", "bias",
+          "--from", "-0.6", "--to", "0.4", "--steps", "5", "--bins", "3"),
+         "exponential"),
+        (("solve", "--source", "gauss", "--bias", "0.3", "--bins", "4"),
+         "gaussian"),
+        (("solve", "--source", "gauss", "--bias", "-0.3", "--ladder"),
+         "gaussian"),
+        (("sweep", "--source", "gauss", "--vary", "bins", "--from", "1",
+          "--to", "3", "--bias", "0.1"), "gaussian"),
+        (("dynamics", "--source", "exp", "--rate", "1.3", "--bias", "0.2",
+          "--bins", "4", "--init", "0.3,1.1,2.4"), "dynamics"),
+        (("dynamics", "--source", "gauss", "--bias", "0.2", "--bins", "4",
+          "--seed", "3"), "dynamics"),
+    ])
+    def test_subcommand_loads_only_its_solver(self, argv, solver):
+        assert loaded("cheaptalk", main_statement(*argv)) == (
+            SHARED | {f"cheaptalk.{solver}"})
+
+    @pytest.mark.parametrize("source", [("--source", "exp", "--rate", "1.3"),
+                                        ("--source", "gauss")])
+    def test_verify_loads_no_solver_module(self, capsys, tmp_path, source):
+        path = str(tmp_path / "doc.json")
+        assert run(capsys, "solve", *source, "--bias", "0.2", "--bins", "4",
+                   "--out", path)[0] == 0
+        assert loaded("cheaptalk", main_statement(
+            "verify", path, "--seed", "5", "--mc-samples", "1000")) == SHARED
 
 
 _PEAK_RSS = """\

@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from cheaptalk.exponential import (
     solve_n_bins,
     solve_two_bin,
 )
+from cheaptalk.special import lambert_w0_conjugate
 
 RATES = (0.5, 1.0, 2.0)
 
@@ -184,6 +186,18 @@ class TestBinLengthAccuracy:
             ref = _g_root(rate, c)
             err = float(abs(mp.mpf(length) / ref - 1))
         assert err <= 4 * 2.0 ** -52 * u / (u - 1.0)
+
+    def test_random_lengths_near_the_branch_point(self):
+        # at rate 1 a walk length is s = lambert_w0_conjugate(u) + u, the
+        # root of g(s) = u; u - 1 log-uniform over [1e-5, 0.3] covers the
+        # Halley range just past the series cut at p = sqrt(2q) = 1e-3
+        rng = np.random.default_rng(14)
+        with mp.workdps(50):
+            for u in 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(0.3), 400):
+                u = float(u)
+                s = lambert_w0_conjugate(u) + u
+                err = float(abs(mp.mpf(s) / _g_root(1.0, u) - 1))
+                assert err <= 4 * 2.0 ** -52 * u / (u - 1.0), u
 
 
 class TestNBinRecursion:

@@ -298,19 +298,18 @@ def _thomas(sub, diag, sup, rhs) -> list[float] | None:
     return values
 
 
-def _newton_step(f: np.ndarray, z: np.ndarray,
+def _newton_step(f: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  ladder_step: float | None) -> np.ndarray | None:
-    """The full Newton step -J^-1 F at standardized full edges z, or None
-    if it is not finite, as it is not wherever F is not. J is
-    tridiagonal: each mean moves only with its own two edges, by the
-    slopes _std_interval_slopes takes from the edges alone (the fixed
-    rule of sources._std_rule, right on bins down to 1e-12 wide); a
-    ladder's closing edge moves with the last edge, adding its slope to
-    the last row. A bin's two slopes sum to 1 - Var, Var its variance in
-    std^2 units, so each row's diagonal exceeds the sum of its
-    off-diagonals by the mean of its two bins' Var, closing row
-    included: the Thomas sweep needs no pivoting."""
-    lo, hi = _std_interval_slopes(z[:-1], z[1:])
+    """The full Newton step -J^-1 F, or None if it is not finite, as it
+    is not wherever F is not. J is tridiagonal: each mean moves only with
+    its own two edges, by the slopes lo and hi of each full bin's mean
+    in its lower and upper edge, which _std_interval_slopes gives in the
+    pass that gives F (the fixed rule of sources._std_rule, right on bins
+    down to 1e-12 wide); a ladder's closing edge moves with the last
+    edge, adding its slope to the last row. A bin's two slopes sum to
+    1 - Var, Var its variance in std^2 units, so each row's diagonal
+    exceeds the sum of its off-diagonals by the mean of its two bins'
+    Var, closing row included: the Thomas sweep needs no pivoting."""
     diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
     if ladder_step is not None:
         diag[-1] -= 0.5 * hi[-1]
@@ -327,8 +326,11 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     """The one solve loop, on F(e) = e - midpoints(e) with bins as in
     _full_edges; returns (edges, converged, steps, final_change).
 
-    Newton steps are halved until the edges stay increasing and max|F|
-    does not grow; a full step of at most tol, once taken, converges.
+    Every iterate, line-search trials included, costs one kernel pass:
+    _std_interval_slopes gives the bins' means, hence F, and the slopes
+    that _newton_step's Jacobian needs. Newton steps are halved until
+    the edges stay increasing and max|F| does not grow; a full step of
+    at most tol, once taken, converges.
     Once max|F| is rounding noise (_F_FLOOR), a full step no smaller
     than the smallest so far is noise too, and the loop stops. On a
     breakdown (a non-finite F or step, or one halved below 2^-20) it
@@ -340,18 +342,18 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     mean, std = source.mean, source.std
 
     def residual(e):
-        full = _full_edges(e, ladder_step)
-        return (e - _midpoints(source._bin_moments(full)[1], bias),
-                (full - mean) / std)
+        z = (_full_edges(e, ladder_step) - mean) / std
+        means, lo, hi = _std_interval_slopes(z[:-1], z[1:])
+        return e - _midpoints(mean + std * means, bias), lo, hi
 
     # the start is checked here; the loop checks every later iterate
     source._bin_edges(_full_edges(start, ladder_step))
     edges = damped = start
-    f, z = residual(edges)
+    f, lo, hi = residual(edges)
     steps, smallest = 0, math.inf
     while steps < max_iter:
         f_max = float(np.abs(f).max())
-        step = _newton_step(f, z, ladder_step)
+        step = _newton_step(f, lo, hi, ladder_step)
         if step is not None:
             size = float(np.abs(step).max())
             if size <= tol:
@@ -366,7 +368,7 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
             while t >= 2.0 ** -20:
                 new = edges + t * step
                 if (new[1:] > new[:-1]).all():
-                    f_new, z_new = residual(new)
+                    f_new, lo_new, hi_new = residual(new)
                     if float(np.abs(f_new).max()) <= f_max:
                         break
                 t *= 0.5
@@ -377,9 +379,9 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
                 source, bias, damped, damping,
                 min(_RESTART_STEPS, max_iter - steps), tol, ladder_step)
             edges, steps = damped, steps + taken
-            f, z = residual(edges)
+            f, lo, hi = residual(edges)
         else:
-            edges, f, z, steps = new, f_new, z_new, steps + 1
+            edges, f, lo, hi, steps = new, f_new, lo_new, hi_new, steps + 1
     return edges, False, steps, smallest
 
 

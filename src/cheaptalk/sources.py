@@ -22,9 +22,11 @@ Numerical ground rules:
   stay accurate even where the interval probability itself underflows;
 - one fixed Gauss-Legendre rule (_std_rule), run in each bin's own frame
   and with no per-bin loop, gives every Gaussian conditional variance,
-  the Newton solvers' edge slopes of the mean, and the mass and mean of
-  short same-tail bins, where the erfcx difference cancels; it is good
-  to a few ulps on bins down to 1e-12 wide and out to |z| = 1e5.
+  the means and edge slopes of the mean from which the Newton solve
+  loop builds its residual and Jacobian in one pass
+  (_std_interval_slopes), and the mass and mean of short same-tail
+  bins, where the erfcx difference cancels; it is good to a few ulps on
+  bins down to 1e-12 wide and out to |z| = 1e5.
   Adaptive quadrature serves only the independent oracle
   quadrature_moment.
 
@@ -153,20 +155,21 @@ def _std_moments(z):
 
 
 def _std_interval_slopes(alpha, beta):
-    """Slopes of the standard normal conditional mean in its two edges,
-    elementwise over arrays: (pdf(alpha)*(mean - alpha)/Z,
-    pdf(beta)*(beta - mean)/Z), Z the bin's mass.
+    """Standard normal conditional mean on each bin [alpha, beta] and its
+    slopes in the two edges, elementwise over arrays: (mean,
+    pdf(alpha)*(mean - alpha)/Z, pdf(beta)*(beta - mean)/Z), Z the bin's
+    mass.
 
-    Z, the mean and both densities come from _std_rule in the bin's own
-    frame, where pdf(end)/Z = g(end - near)/integral of g; infinite ends
-    have slope 0.
+    Z, the mean and both densities come from one _std_rule pass in the
+    bin's own frame, where pdf(end)/Z = g(end - near)/integral of g;
+    infinite ends have slope 0.
     """
     near, mass, mean, _ = _std_rule(alpha, beta)
     lo, hi = alpha - near, beta - near
     with np.errstate(invalid="ignore"):
         d_lo = np.exp(-lo * (near + 0.5 * lo)) * (mean - lo) / mass
         d_hi = np.exp(-hi * (near + 0.5 * hi)) * (hi - mean) / mass
-    return (np.where(np.isinf(alpha), 0.0, d_lo),
+    return (near + mean, np.where(np.isinf(alpha), 0.0, d_lo),
             np.where(np.isinf(beta), 0.0, d_hi))
 
 

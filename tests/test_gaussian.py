@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cheaptalk import gaussian
+from cheaptalk import gaussian, sources
 from cheaptalk.equilibrium import Partition, certify
 from cheaptalk.errors import DomainError, EdgeOrderingError, NonConvergenceError
 from cheaptalk.gaussian import (
@@ -372,6 +372,26 @@ class TestNewton:
         gap = np.abs(np.array(res.partition.interior_edges) - want)
         assert float(gap.max()) <= 1e-11
 
+    def test_newton_iterates_make_one_rule_pass(self, monkeypatch):
+        # F comes from the rule pass that gives the Jacobian; only a
+        # restart block's damped steps run the closed-form kernel
+        calls, std_moments = [], sources._std_moments
+
+        def counted(z):
+            calls.append(z.shape)
+            return std_moments(z)
+
+        monkeypatch.setattr(sources, "_std_moments", counted)
+        blocks = restart_blocks(monkeypatch)
+        _, converged, _, _ = _solve_edges(
+            STD_GAUSS, 0.1, _default_interior(0.0, 1.0, 0.1, 24), 0.5,
+            100_000, 1e-10)
+        assert (converged, blocks, calls) == (True, [], [])
+        _, converged, _, _ = _solve_edges(
+            STD_GAUSS, -0.4, np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), 0.5,
+            100_000, 1e-10)
+        assert converged and blocks == [8] and len(calls) == 8
+
     def test_damped_steps_count_against_max_iter(self, monkeypatch):
         # the collapsing start above takes 11 Newton steps before its
         # breakdown, so a cap of 14 leaves a restart block of 3
@@ -386,7 +406,7 @@ class TestNewton:
         assert 1e-10 < change < math.inf
 
     @pytest.mark.parametrize("n_bins,bias,tol", [
-        (8, 0.1, 1e-15), (16, 0.0, 1e-15), (64, 0.0, 1e-15), (200, 0.0, 1e-13),
+        (8, 0.1, 1e-16), (16, 0.0, 1e-15), (64, 0.0, 1e-15), (200, 0.0, 1e-14),
     ])
     def test_tol_below_rounding_stops_fast(self, n_bins, bias, tol):
         # max|F| reaches rounding level while full steps stay above tol:
@@ -397,6 +417,15 @@ class TestNewton:
         assert err.value.iterations < 30
         assert err.value.final_change > tol
         assert f"after {err.value.iterations} steps" in str(err.value)
+
+    @pytest.mark.parametrize("n_bins,bias,tol", [
+        (8, 0.1, 1e-15), (200, 0.0, 1e-13),
+    ])
+    def test_tol_just_above_rounding_converges(self, n_bins, bias, tol):
+        # F from the rule's means rounds lower than the closed form's
+        # (floors 6.4e-16 and 9.6e-14 here), so these tols are reachable
+        p = solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000)
+        assert certify(p, tol=1e-14).verdict
 
     def test_ladder_tol_below_rounding_stops_fast(self):
         res = solve_truncated_ladder(STD_GAUSS, 0.3, tol=1e-15, max_iter=1000)
@@ -431,7 +460,7 @@ class TestThomas:
         edges = np.array(solve_truncated_ladder(STD_GAUSS, bias)
                          .partition.interior_edges)
         z = np.concatenate(([-np.inf], edges, [edges[-1] + 2.0 * bias]))
-        lo, hi = _std_interval_slopes(z[:-1], z[1:])
+        _, lo, hi = _std_interval_slopes(z[:-1], z[1:])
         sub, sup = -0.5 * lo[1:-1], -0.5 * hi[1:-1]
         diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
         diag[-1] -= 0.5 * hi[-1]

@@ -561,7 +561,7 @@ class TestIntervalSlopes:
     def test_against_mpmath(self):
         a = np.array([lo for lo, _ in SLOPE_CASES])
         b = np.array([hi for _, hi in SLOPE_CASES])
-        d_lo, d_hi = _std_interval_slopes(a, b)
+        _, d_lo, d_hi = _std_interval_slopes(a, b)
         for k, (lo, hi) in enumerate(SLOPE_CASES):
             want_lo, want_hi = mp_std_slopes(lo, hi)
             assert d_lo[k] == pytest.approx(want_lo, rel=1e-12, abs=1e-300), (lo, hi)
@@ -570,9 +570,29 @@ class TestIntervalSlopes:
     def test_reflection_swaps_the_slopes(self):
         a = np.array([-INF, -1.0, 0.5, 3.0])
         b = np.array([0.2, 2.0, 0.9, INF])
-        d_lo, d_hi = _std_interval_slopes(a, b)
-        r_lo, r_hi = _std_interval_slopes(-b, -a)
+        _, d_lo, d_hi = _std_interval_slopes(a, b)
+        _, r_lo, r_hi = _std_interval_slopes(-b, -a)
         assert np.array_equal(d_lo, r_hi) and np.array_equal(d_hi, r_lo)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_means_against_mpmath(self):
+        # the means the solve loop's F is built from, on every bin with a
+        # finite edge, to 1e-15 of the larger finite edge; reflection
+        # negates them exactly, except on bins symmetric about the origin,
+        # whose mean is 0 only to rounding
+        cases = [(lo, hi) for lo, hi in SLOPE_CASES
+                 if math.isfinite(lo) or math.isfinite(hi)]
+        a = np.array([lo for lo, _ in cases])
+        b = np.array([hi for _, hi in cases])
+        means = _std_interval_slopes(a, b)[0]
+        for k, (lo, hi) in enumerate(cases):
+            with mp.workdps(50):
+                want = float(mp_std_mean(mp.mpf(lo), mp.mpf(hi)))
+            scale = max([1.0] + [abs(v) for v in (lo, hi) if math.isfinite(v)])
+            assert abs(means[k] - want) <= 1e-15 * scale, (lo, hi)
+        mirrored = _std_interval_slopes(-b, -a)[0]
+        skew = a != -b
+        assert np.array_equal(mirrored[skew], -means[skew])
 
 
 class TestQuadratureMoment:

@@ -176,16 +176,18 @@ def _std_interval_slopes(alpha, beta):
 def _std_window(za, zb):
     """The part of [za, zb] that carries a standard normal's conditional
     mass there, elementwise: (near, lo, hi), near the bin's point nearest
-    the origin, and each far end cut where the conditional density has
-    fallen below e^-50 of its peak, min(10, 50/|near|) past near. A rule
-    over a whole long or half-infinite bin can miss a mass that sits in a
-    sliver at one end. The variance weights the cut tail by about the
-    square of its distance, so a cut at e^-40 still moved deep half-line
-    variances by 5e-15.
+    the origin, and lo <= 0 <= hi the window's ends as offsets from near,
+    each far end cut where the conditional density has fallen below e^-50
+    of its peak, min(10, 50/|near|) past near. A rule over a whole long or
+    half-infinite bin can miss a mass that sits in a sliver at one end.
+    The variance weights the cut tail by about the square of its
+    distance, so a cut at e^-40 still moved deep half-line variances by
+    5e-15. The offsets are never formed as near + reach, which rounds to
+    near once reach is below half an ulp of near (|near| past about 6.7e8).
     """
     near = np.minimum(np.maximum(za, 0.0), zb)
     reach = 50.0 / np.maximum(np.abs(near), 5.0)
-    return near, np.maximum(za, near - reach), np.minimum(zb, near + reach)
+    return near, np.maximum(za - near, -reach), np.minimum(zb - near, reach)
 
 
 # The 48-point Gauss-Legendre rule on [-1, 1]: its positive nodes and
@@ -219,16 +221,16 @@ def _std_rule(za, zb):
 
     The rule runs over each bin's _std_window in the bin's own frame
     u = t - near, where the density relative to pdf(near) is
-    g(u) = exp(-u*(near + u/2)) <= 1. So the bin's mass is pdf(near)
+    g(u) = exp(-u^2/2 - u*near) <= 1. So the bin's mass is pdf(near)
     times the integral, its mean near + E[u] and its variance Var u, with
     nothing cancelling on short bins or deep in a tail. Bins with
     za + zb < 0 are evaluated reflected, so reflection is exact.
     """
     flip = za < -zb
     near, lo, hi = _std_window(np.where(flip, -zb, za), np.where(flip, -za, zb))
-    lo, hi = (lo - near)[..., None], (hi - near)[..., None]
+    lo, hi = lo[..., None], hi[..., None]
     u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
-    wg = 0.5 * (hi - lo) * _GL_W * np.exp(-u * (near[..., None] + 0.5 * u))
+    wg = 0.5 * (hi - lo) * _GL_W * np.exp(-0.5 * u * u - u * near[..., None])
     mass = wg.sum(axis=-1)
     mean = (wg * u).sum(axis=-1) / mass
     var = (wg * (u - mean[..., None]) ** 2).sum(axis=-1) / mass
@@ -469,9 +471,8 @@ class SourceModel:
                 return x ** power * lam * math.exp(-lam * (x - a)) / norm
 
             return integral(integrand, a, b, 1.0)
-        near, z_lo, z_hi = (float(v) for v in _std_window(
+        near, u_lo, u_hi = (float(v) for v in _std_window(
             (lo - self.mean) / self.std, (hi - self.mean) / self.std))
-        u_lo, u_hi = z_lo - near, z_hi - near
         mass = integral(lambda u: math.exp(-u * (near + 0.5 * u)), u_lo, u_hi,
                         0.0)
         reach = max(-u_lo, u_hi)

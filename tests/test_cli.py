@@ -353,6 +353,24 @@ class TestVerify:
         assert code == 3
         assert "does not match" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_edge_document_has_finite_costs(self, capsys, tmp_path):
+        # a Gaussian bin past 1e9 std: its mass is 0 and its variance
+        # 1e-18, so the recomputed costs stay finite
+        target = tmp_path / "far.json"
+        code, _, err = run(capsys, "solve", "--source", "gauss", "--bias",
+                           "0.1", "--bins", "3", "--out", str(target))
+        assert code == 0, err
+        doc = json.loads(target.read_text())
+        doc["equilibrium"]["edges"][1:3] = [0.0, 1e9]
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(target), "--seed", "1",
+                             "--mc-samples", "10000")
+        assert code == 3
+        assert "nan" not in out and "nan" not in err
+        costs = json.loads(out)["costs"]
+        assert costs["decoder"] == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-15)
+
     def test_negative_seed_is_a_usage_error(self, capsys, tmp_path):
         target = self.write_doc(capsys, tmp_path)
         code, out, err = run(capsys, "verify", str(target), "--seed", "-1")

@@ -363,6 +363,39 @@ class TestGaussianMoments:
         p = Partition((-INF, -1e5, 1e5, INF), GAUSS, 0.0)
         assert decoder_cost(p).decoder_cost == pytest.approx(1.0, rel=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("near", [1e9, 1e12, 1e100])
+    def test_far_edges_against_mpmath(self, near):
+        # past |z| = 6.7e8, near + 50/near rounds to near; the window is
+        # formed in offsets from near, so these bins keep their variance,
+        # about 1/near^2, and their mean, near + 1/near, which rounds to
+        # near. The reference keeps 50 digits through the cancellation in
+        # 1 + a pdf(a)/sf(a) - mean^2 (mpmath's erfc this far out needs
+        # about 10 working digits per decade of near for that)
+        digits = 50 + 10 * int(math.log10(near))
+        with mp.workdps(digits):
+            a = mp.mpf(near)
+            mean = mp_std_mean(a, mp.inf)
+            var = 1 + mp_xpdf(a) / mp_std_mass(a, mp.inf) - mean * mean
+            mean, var = float(mean), float(var)
+        assert var == pytest.approx(near ** -2.0, rel=1e-15)
+        for lo, hi, sign in ((near, INF, 1.0), (-INF, -near, -1.0)):
+            assert GAUSS.truncated_variance(lo, hi) == pytest.approx(
+                var, rel=4e-15, abs=0.0)
+            assert abs(GAUSS.truncated_mean(lo, hi) - sign * mean) <= 2 * math.ulp(near)
+        _, d_lo, d_hi = _std_interval_slopes(np.array([near]), np.array([INF]))
+        # the mean's slope in its edge is 1 - Var
+        assert d_lo[0] == pytest.approx(1.0 - var, rel=1e-15)
+        assert d_hi[0] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cost_with_a_far_empty_bin(self):
+        # the bin past 1e9 carries mass 0 and variance 1e-18, not 0 * NaN
+        cost = decoder_cost(Partition((-INF, 0.0, 1e9, INF), GAUSS, 0.1))
+        assert cost.decoder_cost == pytest.approx(1.0 - 2.0 / math.pi,
+                                                  rel=1e-15)
+        assert cost.per_bin[2] == (0.0, pytest.approx(1e-18, rel=1e-15))
+
     def test_variance_against_second_moment_route(self):
         src = SourceModel.gaussian(-0.4, 0.8)
         for lo, hi in [(-1.5, 0.2), (0.0, 1.0), (-math.inf, -0.4)]:

@@ -116,12 +116,11 @@ class Partition:
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(probs, means, variances) of the bins as read-only arrays,
-        computed once, on first use, by the unchecked kernels
+        computed once, on first use, by the unchecked kernels in one pass
         (__post_init__ has checked the edges); certify, decoder_cost and
         decoder_best_response read it. Not a field, so it changes neither
         equality nor hashing."""
-        e = np.asarray(self.edges)
-        moments = (*self.source._bin_moments(e), self.source._bin_variances(e))
+        moments = self.source._bin_record(np.asarray(self.edges))
         for a in moments:
             a.flags.writeable = False
         return moments

@@ -19,9 +19,10 @@ side, extends the far side by one synthetic bin of the asymptotic length
 of edges nearest the cut from certification, where the truncation still
 distorts the map.
 
-Everything here runs on numpy alone: the Gaussian kernels take the
-normal tail from special, and each Newton step solves its tridiagonal
-system by a Thomas sweep (_thomas).
+Everything here runs on numpy alone: every bin moment, in Newton
+iterates and restart blocks alike, comes from the one Gaussian kernel,
+the fixed rule of sources._std_rule, and each Newton step solves its
+tridiagonal system by a Thomas sweep (_thomas).
 """
 
 from __future__ import annotations

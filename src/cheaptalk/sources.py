@@ -8,25 +8,24 @@ such edges), plus quantiles and sampling. The scalar interval
 methods are the same code on a single bin. Internal loops, which keep
 their edges increasing, call the unchecked _bin_moments (probs and
 means) and _bin_variances; a Partition fills its record of all three
-from them once, on first use.
+once, on first use, through _bin_record.
 
 Numerical ground rules:
 
 - every ``exp(s) - 1`` is an ``expm1``, every ``exp(s) + exp(-s) - 2``
   is ``(2*sinh(s/2))**2``, so short intervals do not cancel;
-- one Gaussian kernel (_std_moments) gives each bin's mass and mean from
-  its two edges' values of the scaled normal tail (special._normal_tail,
-  one call per edge array); every formula reads the bin through |z| and
-  the side of the origin it leans to, so reflection is exact, and bins
-  that sit entirely in one tail go through erfcx, so conditional means
-  stay accurate even where the interval probability itself underflows;
-- one fixed Gauss-Legendre rule (_std_rule), run in each bin's own frame
-  and with no per-bin loop, gives every Gaussian conditional variance,
-  the means and edge slopes of the mean from which the Newton solve
-  loop builds its residual and Jacobian in one pass
-  (_std_interval_slopes), and the mass and mean of short same-tail
-  bins, where the erfcx difference cancels; it is good to a few ulps on
-  bins down to 1e-12 wide and out to |z| = 1e5.
+- a Gaussian source has one bin kernel: a fixed Gauss-Legendre rule
+  (_std_rule), run in each bin's own frame and with no per-bin loop. One
+  pass gives every bin's mass, mean and variance (SourceModel._std_bins,
+  behind the dynamics, the Newton loop's restart blocks and every
+  Partition record), and the means and edge slopes of the mean from
+  which the Newton solve loop builds its residual and Jacobian
+  (_std_interval_slopes). Bins are read reflected to za + zb >= 0, so
+  reflection is exact; the mass is pdf(near) times an integral of
+  exp(-u^2/2 - u*near) <= 1, so nothing cancels on short bins, and the
+  mean near + E[u] stays accurate where the mass itself underflows. It is
+  good to a few ulps on bins down to 1e-12 wide and out to |z| = 1e5,
+  and its window keeps means and variances right past |z| = 1e100.
   Adaptive quadrature serves only the independent oracle
   quadrature_moment.
 
@@ -43,24 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ZeroProbabilityError
-from .special import (
-    _normal_tail,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from .special import std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 __all__ = ["SourceModel"]
 
-_SQRT1_2 = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
-# Short same-tail Gaussian bins, where the erfcx difference in the closed
-# forms cancels, take _std_rule: d = (b^2 - a^2)/2 below _SHORT_BIN costs
-# the mass more than three digits, and deep in a tail a width below
-# _SHORT_WIDTH costs the mean more than a thousandth of that width.
-_SHORT_BIN = 1e-3
-_SHORT_WIDTH = 1e-6
 # _exp_gap clamps rate*length to [_TINY, _EXPM1_MAX]: expm1 stays finite
 # up to log(DBL_MAX) = 709.7827. Both are 0-d arrays because numpy takes
 # those as ufunc operands faster than Python floats (0.9 against 1.3 us).
@@ -104,54 +90,6 @@ def _exp_window_variance(length, rate: float):
         closed = 1.0 / (rate * rate) - half * half
     return np.where(s < 1e-3, series,
                     np.where(s > 350.0, 1.0 / (rate * rate), closed))[()]
-
-
-def _std_moments(z):
-    """Mass and mean of a standard normal on each bin of an increasing
-    edge array z (..., k + 1), one value per bin: (probs, means).
-
-    One _normal_tail call on |z|/sqrt(2) gives every edge's erfcx, erf
-    and density, and each bin reads its two edges; nothing is gathered
-    per branch. Call the bin's edge nearer the origin n, the other f,
-    and d = (z_f^2 - z_n^2)/2 >= 0, so pdf(f) = pdf(n) exp(-d). A bin in
-    one tail has mass sf(n) - sf(f) = pdf(n) sqrt(pi/2) gap, with
-    gap = erfcx_n - exp(-d) erfcx_f, and mean (1 - exp(-d))/(sqrt(pi/2)
-    gap) in size, where pdf(n) has cancelled, so the mean stays finite and
-    accurate where the mass underflows. A bin across the origin has mass
-    (erf_a + erf_b)/2, with nothing to cancel, and mean pdf(n)
-    (1 - exp(-d))/mass in size. The mean takes the sign of z_a + z_b, and
-    nothing else depends on the side, so reflection is exact. Short
-    same-tail bins (_SHORT_BIN, _SHORT_WIDTH), where gap cancels, take
-    _std_rule.
-    """
-    tail, erf, g = _normal_tail(np.abs(z) * _SQRT1_2)
-    za, zb = z[..., :-1], z[..., 1:]
-    width = zb - za
-    with np.errstate(invalid="ignore"):
-        total = za + zb
-    # -d; NaN only on the whole line, where it is 0
-    nd = np.fmin(-0.5 * width * np.abs(total), 0.0)
-    # erfcx and the density fall with |z|, so the near edge holds the
-    # larger of each; where rounding could order two nearly equal erfcx
-    # values wrongly, the bin is short and the rule replaces it
-    tail_n = np.maximum(tail[..., :-1], tail[..., 1:])
-    tail_f = np.minimum(tail[..., :-1], tail[..., 1:])
-    g_n = np.maximum(g[..., :-1], g[..., 1:])
-    gap = tail_n - np.exp(nd) * tail_f
-    across = (za < 0.0) & (zb > 0.0)
-    central = 0.5 * (erf[..., :-1] + erf[..., 1:])
-    mass = np.where(across, central, 0.5 * g_n * gap)
-    scale = np.where(across, g_n / _SQRT_2PI, 1.0 / _SQRT_PI_OVER_2)
-    # gap <= 0 only on short bins, which the rule replaces
-    mean = np.copysign(
-        np.expm1(nd) * scale / np.maximum(np.where(across, central, gap), _TINY),
-        total)
-    short = ~across & ((nd > -_SHORT_BIN) | (width < _SHORT_WIDTH))
-    if np.count_nonzero(short):
-        near, rule_mass, shift, _ = _std_rule(za[short], zb[short])
-        mass[short] = rule_mass * np.exp(-0.5 * near * near) / _SQRT_2PI
-        mean[short] = near + shift
-    return mass, mean
 
 
 def _std_interval_slopes(alpha, beta):
@@ -367,9 +305,8 @@ class SourceModel:
 
         A 2-D array holds one edge sequence per row and gives one row of
         probabilities each, equal bit for bit to the call on that row.
-        Bins outside the support get 0. Gaussian bins use whichever of
-        the two tails or the central erf sum avoids cancellation, and
-        short same-tail bins the fixed rule of _std_rule.
+        Bins outside the support get 0. Gaussian bins take the fixed
+        rule of _std_rule, as their means and variances do.
         """
         return self._bin_moments(self._bin_edges(edges))[0]
 
@@ -387,13 +324,38 @@ class SourceModel:
 
     def _bin_moments(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bin_probs(e), bin_means(e)) on edges that are already checked;
-        a Gaussian source takes both from one _std_moments pass."""
+        a Gaussian source takes both from one _std_bins pass."""
         if self.kind == EXPONENTIAL:
             start, length = self._exp_windows(e)
             return (np.exp(-self.rate * start) * -np.expm1(-self.rate * length),
                     start + 1.0 / self.rate - _exp_gap(length, self.rate))
-        probs, means = _std_moments((e - self.mean) / self.std)
-        return probs, self.mean + self.std * means
+        return self._std_bins(e)[:2]
+
+    def _std_bins(self, e: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A Gaussian source's (probs, means, variances) on checked edges,
+        all from one _std_rule pass: the mass is pdf(near) times the
+        rule's integral, the mean near + E[u], in std units. pdf(near)
+        takes |near| capped at 40, past which it is exactly 0 anyway, so
+        near^2 cannot overflow. The whole line gives exactly
+        (1, mean, std**2)."""
+        z = (e - self.mean) / self.std
+        za, zb = z[..., :-1], z[..., 1:]
+        near, mass, shift, var = _std_rule(za, zb)
+        capped = np.minimum(np.abs(near), 40.0)
+        whole = np.isinf(za) & np.isinf(zb)
+        return (np.where(whole, 1.0,
+                         mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI),
+                self.mean + self.std * (near + shift),
+                np.where(whole, 1.0, var) * self.std * self.std)
+
+    def _bin_record(self, e: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(probs, means, variances) on checked edges, the record a
+        Partition keeps: one _std_bins pass on a Gaussian source."""
+        if self.kind == EXPONENTIAL:
+            return (*self._bin_moments(e), self._bin_variances(e))
+        return self._std_bins(e)
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -412,10 +374,7 @@ class SourceModel:
         """bin_variances on edges that are already checked."""
         if self.kind == EXPONENTIAL:
             return _exp_window_variance(self._exp_windows(e)[1], self.rate)
-        z = (e - self.mean) / self.std
-        var = _std_rule(z[..., :-1], z[..., 1:])[3]
-        whole = np.isinf(z[..., :-1]) & np.isinf(z[..., 1:])
-        return np.where(whole, 1.0, var) * self.std * self.std
+        return self._std_bins(e)[2]
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""

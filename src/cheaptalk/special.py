@@ -16,11 +16,11 @@ point, which stays well conditioned as x -> 0-.
 The normal tail has one home here: the scaled complementary error
 function erfcx(x) = exp(x^2) erfc(x) for x >= 0 as one Chebyshev series
 (Shepherd & Laframboise, Math. Comp. 1981) in t = (x - K)/(x + K), with
-coefficients from scripts/erfcx_chebyshev.py. Python floats evaluate it
-by Clenshaw's recurrence (erfcx, under mills_ratio and the deep tail of
-std_normal_quantile); arrays by one product of sines in the half angle
-of t (_normal_tail), which also gives erf without cancellation near 0.
-The module runs on the standard library and numpy alone.
+coefficients from scripts/erfcx_chebyshev.py, evaluated by Clenshaw's
+recurrence (erfcx, under mills_ratio and the deep tail of
+std_normal_quantile). Gaussian bin moments over arrays do not come from
+here but from the fixed rule of sources._std_rule. The module runs on
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, InvalidBracketError, NonConvergenceError
 
@@ -238,15 +236,6 @@ _ERFCX_CHEB = (
 )
 # c_0 follows from erfcx(0) = 1, where t = -1 and T_k(-1) = (-1)^k.
 _ERFCX_C0 = 1.0 - math.fsum((-1) ** k * c for k, c in enumerate(_ERFCX_CHEB, 1))
-# With a = arctan(sqrt(x/K)), T_k(t) - T_k(-1) = -2 (-1)^k sin^2(k a), so
-# y - 1 = sum_k _ERFCX_SIN2[k] sin^2(k a) holds no constant to cancel.
-_ERFCX_ORDERS = np.arange(1, len(_ERFCX_CHEB) + 1, dtype=float)
-_ERFCX_SIN2 = np.array([-2.0 * (-1) ** k * c
-                        for k, c in enumerate(_ERFCX_CHEB, 1)])
-_SQRT_K = math.sqrt(_ERFCX_K)
-# erf and exp(-h^2) take h capped here, where h^2 is still finite,
-# erf is 1 and exp(-h^2) is 0, so an infinite h gives them without NaN.
-_TAIL_CAP = 1e150
 
 
 def erfcx(x: float) -> float:
@@ -267,28 +256,6 @@ def erfcx(x: float) -> float:
     for c in reversed(_ERFCX_CHEB):
         b1, b2 = c + 2.0 * t * b1 - b2, b1
     return (_ERFCX_C0 + t * b1 - b2) / (1.0 + 2.0 * x)
-
-
-def _normal_tail(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(erfcx(h), erf(h), exp(-h^2)) elementwise for an array h >= 0.
-
-    One product of sines gives y - 1 = (1 + 2h) erfcx(h) - 1 >= 0, so
-    erfcx = (1 + y - 1)/(1 + 2h), and erf = 1 - exp(-h^2) erfcx
-    = (2h - expm1(-h^2) - exp(-h^2) (y - 1))/(1 + 2h), which keeps its
-    relative accuracy down to h -> 0 (erfcx within 3e-16 and erf within
-    7e-16 of 50-digit values). erfcx(inf) is 0.
-    """
-    capped = np.minimum(h, _TAIL_CAP)
-    sines = np.sin(np.arctan2(np.sqrt(capped), _SQRT_K)[..., None]
-                   * _ERFCX_ORDERS)
-    # a sum, not a matmul, whose rounding would depend on the array's shape
-    rise = (sines * sines * _ERFCX_SIN2).sum(axis=-1)
-    nh2 = capped * -capped
-    g = np.exp(nh2)
-    twice = 2.0 * capped
-    return ((1.0 + rise) / (1.0 + 2.0 * h),
-            (twice - np.expm1(nh2) - g * rise) / (1.0 + twice),
-            g)
 
 
 def std_normal_quantile(q: float) -> float:

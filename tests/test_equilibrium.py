@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheaptalk import sources
 from cheaptalk.equilibrium import (
     _MC_BLOCK,
     ActionProfile,
@@ -87,6 +88,8 @@ class TestBinMoments:
     @pytest.mark.parametrize("edges, src, bias", FRESH)
     def test_one_kernel_pass_per_partition(self, monkeypatch, edges, src,
                                            bias):
+        # an exponential record takes each closed form once, a Gaussian
+        # record all three moments from one pass of the rule
         calls = []
         for name in ("_bin_moments", "_bin_variances"):
             kernel = getattr(SourceModel, name)
@@ -96,12 +99,20 @@ class TestBinMoments:
                 return kernel(self, e)
 
             monkeypatch.setattr(SourceModel, name, counted)
+        rule = sources._std_rule
+
+        def counted_rule(za, zb):
+            calls.append("_std_rule")
+            return rule(za, zb)
+
+        monkeypatch.setattr(sources, "_std_rule", counted_rule)
         p = Partition(edges, src, bias)
         certify(p)
         decoder_cost(p)
         decoder_best_response(p)
         monte_carlo_cost(p, 1000, seed=3)
-        assert sorted(calls) == ["_bin_moments", "_bin_variances"]
+        assert sorted(calls) == (["_bin_moments", "_bin_variances"]
+                                 if src.kind == "exponential" else ["_std_rule"])
 
     @pytest.mark.parametrize("edges, src, bias", FRESH)
     def test_record_is_read_only_and_exact(self, edges, src, bias):

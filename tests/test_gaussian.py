@@ -373,24 +373,29 @@ class TestNewton:
         assert float(gap.max()) <= 1e-11
 
     def test_newton_iterates_make_one_rule_pass(self, monkeypatch):
-        # F comes from the rule pass that gives the Jacobian; only a
-        # restart block's damped steps run the closed-form kernel
-        calls, std_moments = [], sources._std_moments
+        # F comes from the rule pass that gives the Jacobian, and each
+        # damped step of a restart block makes one rule pass of its own
+        rules, slopes = [], []
+        for module, name, calls in ((sources, "_std_rule", rules),
+                                    (gaussian, "_std_interval_slopes", slopes)):
+            def counted(za, zb, kernel=getattr(module, name), calls=calls):
+                calls.append(za.shape)
+                return kernel(za, zb)
 
-        def counted(z):
-            calls.append(z.shape)
-            return std_moments(z)
-
-        monkeypatch.setattr(sources, "_std_moments", counted)
+            monkeypatch.setattr(module, name, counted)
         blocks = restart_blocks(monkeypatch)
-        _, converged, _, _ = _solve_edges(
+        _, converged, steps, _ = _solve_edges(
             STD_GAUSS, 0.1, _default_interior(0.0, 1.0, 0.1, 24), 0.5,
             100_000, 1e-10)
-        assert (converged, blocks, calls) == (True, [], [])
+        assert (converged, blocks) == (True, [])
+        assert rules == slopes and len(rules) >= steps
+        rules.clear()
+        slopes.clear()
         _, converged, _, _ = _solve_edges(
             STD_GAUSS, -0.4, np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), 0.5,
             100_000, 1e-10)
-        assert converged and blocks == [8] and len(calls) == 8
+        assert converged and blocks == [8]
+        assert len(rules) == len(slopes) + 8
 
     def test_damped_steps_count_against_max_iter(self, monkeypatch):
         # the collapsing start above takes 11 Newton steps before its

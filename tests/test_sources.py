@@ -21,7 +21,6 @@ from cheaptalk.sources import (
     _exp_gap,
     _exp_window_variance,
     _std_interval_slopes,
-    _std_moments,
 )
 
 EXP = SourceModel.exponential(1.0)
@@ -44,8 +43,8 @@ BIN_CASES = (
 )
 
 # (source, rows of equal-length edges) for 2-D calls: Gaussian rows with
-# infinite ends, short same-tail bins under 1e-6 wide (the _std_rule
-# branch), bins near |z| = 40, and exponential rows starting at 0
+# infinite ends, short same-tail bins under 1e-6 wide, bins near
+# |z| = 40, and exponential rows starting at 0
 ROW_CASES = (
     (GAUSS, (
         (-INF, -1.0, 0.2, 1.1, 1.9, INF),
@@ -369,7 +368,7 @@ class TestGaussianMoments:
         # past |z| = 6.7e8, near + 50/near rounds to near; the window is
         # formed in offsets from near, so these bins keep their variance,
         # about 1/near^2, and their mean, near + 1/near, which rounds to
-        # near. The reference keeps 50 digits through the cancellation in
+        # near and is returned exactly. The reference keeps 50 digits through the cancellation in
         # 1 + a pdf(a)/sf(a) - mean^2 (mpmath's erfc this far out needs
         # about 10 working digits per decade of near for that)
         digits = 50 + 10 * int(math.log10(near))
@@ -382,7 +381,7 @@ class TestGaussianMoments:
         for lo, hi, sign in ((near, INF, 1.0), (-INF, -near, -1.0)):
             assert GAUSS.truncated_variance(lo, hi) == pytest.approx(
                 var, rel=4e-15, abs=0.0)
-            assert abs(GAUSS.truncated_mean(lo, hi) - sign * mean) <= 2 * math.ulp(near)
+            assert GAUSS.truncated_mean(lo, hi) == sign * mean
         _, d_lo, d_hi = _std_interval_slopes(np.array([near]), np.array([INF]))
         # the mean's slope in its edge is 1 - Var
         assert d_lo[0] == pytest.approx(1.0 - var, rel=1e-15)
@@ -410,18 +409,18 @@ class TestGaussianMoments:
 
 def pair_means(za, zb):
     """Standard normal means of separate bins [za, zb], elementwise: one
-    two-edge row of _std_moments per bin."""
-    return _std_moments(np.stack(np.broadcast_arrays(za, zb), -1))[1][..., 0]
+    two-edge row of bin_means per bin."""
+    return GAUSS.bin_means(np.stack(np.broadcast_arrays(za, zb), -1))[..., 0]
 
 
 class TestVectorIntervalMean:
-    """_std_moments, the per-edge Gaussian kernel behind bin_probs and
-    bin_means, on shared edges and on two-edge rows (separate bins)."""
+    """bin_probs and bin_means: the Gaussian ones on shared edges and on
+    two-edge rows (separate bins), against 40- and 50-digit mpmath."""
 
     def test_matches_scalar(self):
         za = np.array([-np.inf, -1.0, 0.5, -0.3])
         zb = np.array([0.0, 1.0, np.inf, 0.3])
-        vec = _std_moments(np.stack((za, zb), -1))[1][:, 0]
+        vec = pair_means(za, zb)
         rows = [pair_means(a, b) for a, b in zip(za.tolist(), zb.tolist())]
         assert vec.tobytes() == np.array(rows).tobytes()
         for i in range(len(za)):
@@ -432,32 +431,35 @@ class TestVectorIntervalMean:
         # one pass over shared edges gives each bin what it gets alone
         z = np.array([-INF, -40.0, -3.0, -0.2, 1e-9, 0.4, 6.0, 6.0 + 1e-7,
                       39.0, INF])
-        probs, means = _std_moments(z)
+        probs, means = GAUSS.bin_probs(z), GAUSS.bin_means(z)
         for k in range(z.size - 1):
-            p, m = _std_moments(z[k:k + 2])
+            p, m = GAUSS.bin_probs(z[k:k + 2]), GAUSS.bin_means(z[k:k + 2])
             assert (probs[k], means[k]) == (p[0], m[0])
 
     def test_edge_reflection_is_exact(self):
         rng = np.random.default_rng(4)
         z = np.concatenate(([-INF], np.sort(rng.normal(0.0, 3.0, 30)), [INF]))
-        probs, means = _std_moments(z)
-        r_probs, r_means = _std_moments(-z[::-1])
+        probs, means = GAUSS.bin_probs(z), GAUSS.bin_means(z)
+        r_probs, r_means = GAUSS.bin_probs(-z[::-1]), GAUSS.bin_means(-z[::-1])
         assert np.array_equal(r_probs, probs[::-1])
         assert np.array_equal(r_means, -means[::-1])
-        probs, means = _std_moments(np.array([-INF, INF]))
-        assert (probs.tolist(), means.tolist()) == ([1.0], [0.0])
+        whole = np.array([-INF, INF])
+        assert (GAUSS.bin_probs(whole).tolist(),
+                GAUSS.bin_means(whole).tolist()) == ([1.0], [0.0])
 
     def test_edges_far_out(self):
-        # past |z| = 1e150, where _normal_tail caps h for h^2, bins keep
-        # their near edge's erfcx and the exact mass 0
+        # past |z| = 1e150, where near^2 overflows, bins keep the exact
+        # mass 0 and the mean near + 1/near, which rounds to near itself.
+        # The half-lines' mass is exactly 0.5; the rule's sum of 48
+        # rounded terms gives it to 1 ulp (0.5000000000000001).
         z = (-INF, -3e151, -2e151, 0.0, 1e149, 2e151, INF)
         probs = GAUSS.bin_probs(z)
         means = GAUSS.bin_means(z)
-        assert probs.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]
-        for lo, hi, m in zip(z, z[1:], means.tolist()):
-            assert lo < m < hi
+        assert probs[[0, 1, 4, 5]].tolist() == [0.0] * 4
+        assert np.abs(probs[2:4] - 0.5).max() <= math.ulp(0.5)
+        assert -INF < means[2] < 0.0 < means[3] < INF
         for k, near in ((0, -3e151), (1, -2e151), (4, 1e149), (5, 2e151)):
-            assert means[k] == pytest.approx(near, rel=1e-15)
+            assert means[k] == near
 
     def test_straddling_mass_near_zero(self):
         # bins across the origin, 1e-12 to 3 wide: the mass is the erf
@@ -472,6 +474,92 @@ class TestVectorIntervalMean:
             for p, a, b in zip(probs.tolist(), lo.tolist(), hi.tolist()):
                 want = mp_std_mass(mp.mpf(a), mp.mpf(b))
                 assert float(abs(p - want) / want) <= 1e-15, (a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tail_bins_on_log_grid(self):
+        # (z, inf) for z = sqrt(2) h, h on 3 000 log-spaced points of
+        # [1e-8, 1e5]: the mean, the Mills ratio pdf(z)/sf(z), within
+        # 1e-15 relative of 50-digit mpmath (measured 3.9e-16); the mass,
+        # erfc(h)/2, within 4 eps (1 + z^2/2) relative wherever it is a
+        # normal float (measured 1.5 eps (1 + z^2/2))
+        z = np.logspace(-8.0, 5.0, 3000) * math.sqrt(2.0)
+        edges = np.stack((z, np.full_like(z, INF)), -1)
+        means = GAUSS.bin_means(edges)[:, 0].tolist()
+        probs = GAUSS.bin_probs(edges)[:, 0].tolist()
+        eps = np.finfo(float).eps
+        with mp.workdps(50):
+            for a, m, p in zip(z.tolist(), means, probs):
+                sf = mp.erfc(mp.mpf(a) / mp.sqrt(2)) / 2
+                want = mp.npdf(a) / sf
+                assert float(abs(m - want) / want) <= 1e-15, a
+                if sf >= np.finfo(float).tiny:
+                    bound = 4 * eps * (1 + a * a / 2)
+                    assert float(abs(p - sf) / sf) <= bound, a
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tail_bins_at_zero_subnormal_and_huge_edges(self):
+        # (z, inf) with z = 0, subnormal or the smallest normal: mass 1/2
+        # and mean sqrt(2/pi), each to 1 ulp; past 1e150 the mass is
+        # exactly 0 and the mean, z + 1/z, rounds to z
+        tiny = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+        edges = np.stack((tiny, np.full(4, INF)), -1)
+        probs = GAUSS.bin_probs(edges)[:, 0]
+        means = GAUSS.bin_means(edges)[:, 0]
+        root = math.sqrt(2.0 / math.pi)
+        assert np.abs(probs - 0.5).max() <= math.ulp(0.5)
+        assert np.abs(means - root).max() <= math.ulp(root)
+        for far in (1e200, 1.7e308):
+            assert GAUSS.bin_probs((far, INF)).tolist() == [0.0]
+            assert GAUSS.bin_means((far, INF)).tolist() == [far]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mass_from_origin_near_zero(self):
+        # (0, z) for z = sqrt(2) h, h from 1e-300 to 6.3: the mass is
+        # erf(h)/2, with nothing to cancel as h -> 0; bound 1e-15
+        # relative against 50-digit mpmath, measured 3.9e-16
+        h = np.concatenate((np.logspace(-300.0, -13.0, 40),
+                            np.logspace(-12.0, 0.8, 1500)))
+        z = h * math.sqrt(2.0)
+        probs = GAUSS.bin_probs(np.stack((np.zeros_like(z), z), -1))[:, 0]
+        with mp.workdps(50):
+            for p, a in zip(probs.tolist(), z.tolist()):
+                want = mp.erf(mp.mpf(a) / mp.sqrt(2)) / 2
+                assert float(abs(p - want) / want) <= 1e-15, a
+        # erf(5) = 1 - 1.5374597944280e-12; erf(h) rounds to 1 from
+        # h = 6 on, where the rule's mass is within 1 ulp of 1/2
+        z = np.array([5.0, 6.0, 30.0, 1e200]) * math.sqrt(2.0)
+        probs = GAUSS.bin_probs(np.stack((np.zeros(4), z), -1))[:, 0]
+        assert probs[0] == pytest.approx(0.5 * (1.0 - 1.5374597944280e-12),
+                                         rel=1e-15)
+        assert np.abs(probs[1:] - 0.5).max() <= math.ulp(0.5)
+
+    def test_random_bins_against_mpmath(self):
+        # 3 000 bins with edges in |z| <= 38, 1e-12 to 10 wide, plus
+        # half-lines, against 40-digit mpmath: the mean within 1e-15 of
+        # max(1, |edges|) (measured 1.3e-16), the mass within
+        # 4 eps (1 + near^2/2) relative, the rounding of pdf(near),
+        # wherever it is a normal float (measured 0.5 of that bound)
+        rng = np.random.default_rng(16)
+        lo = rng.uniform(-38.0, 38.0, 3000)
+        hi = np.minimum(lo + 10.0 ** rng.uniform(-12.0, 1.0, 3000), 38.0)
+        lo, hi = lo[hi > lo], hi[hi > lo]
+        ends = rng.uniform(-38.0, 38.0, 30)
+        lo = np.concatenate((lo, ends[:15], np.full(15, -INF)))
+        hi = np.concatenate((hi, np.full(15, INF), ends[15:]))
+        edges = np.stack((lo, hi), -1)
+        probs = GAUSS.bin_probs(edges)[:, 0].tolist()
+        means = GAUSS.bin_means(edges)[:, 0].tolist()
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            for a, b, p, m in zip(lo.tolist(), hi.tolist(), probs, means):
+                mass = mp_std_mass(mp.mpf(a), mp.mpf(b))
+                want = (mp_pdf(mp.mpf(a)) - mp_pdf(mp.mpf(b))) / mass
+                scale = max([1.0] + [abs(v) for v in (a, b) if math.isfinite(v)])
+                assert float(abs(m - want)) <= 1e-15 * scale, (a, b)
+                if mass >= np.finfo(float).tiny:
+                    near = min(max(a, 0.0), b)
+                    bound = 4 * eps * (1 + near * near / 2)
+                    assert float(abs(p - mass) / mass) <= bound, (a, b)
 
     def test_reflection_is_exact(self):
         # every formula reads a bin through |z| and the sign of z_a + z_b

@@ -15,7 +15,6 @@ from cheaptalk.special import (
     _ERFCX_CHEB,
     BRANCH_POINT,
     Bracket,
-    _normal_tail,
     erfcx,
     find_root,
     lambert_w0,
@@ -175,13 +174,6 @@ class TestErfcx:
         spec.loader.exec_module(module)
         assert module.coefficients() == _ERFCX_CHEB
 
-    def test_arrays_on_log_grid(self):
-        # bound 1e-15 relative; measured 2.7e-16 (scipy's erfcx: 8.6e-16)
-        tail, _, _ = _normal_tail(LOG_GRID)
-        worst = max(mp_relative_error(t, x, mp_erfcx)
-                    for t, x in zip(tail.tolist(), LOG_GRID.tolist()))
-        assert worst <= 1e-15
-
     def test_floats_on_log_grid(self):
         # Clenshaw's recurrence; bound 1e-15 relative, measured 5.9e-16
         worst = max(mp_relative_error(erfcx(x), x, mp_erfcx)
@@ -192,12 +184,8 @@ class TestErfcx:
         tiny = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
         for x in tiny:
             assert erfcx(x) == pytest.approx(1.0, rel=2.3e-16, abs=0.0)
-        tail, erf, density = _normal_tail(np.array(tiny + [1e200, math.inf]))
-        assert tail[:-2].tolist() == [1.0] * 4
-        assert tail[-2] == pytest.approx(1e-200 / math.sqrt(math.pi), rel=1e-15)
-        assert tail[-1] == 0.0
-        assert erf[-2:].tolist() == [1.0, 1.0]
-        assert density[-2:].tolist() == [0.0, 0.0]
+        assert erfcx(1e200) == pytest.approx(1e-200 / math.sqrt(math.pi),
+                                             rel=1e-15)
         assert erfcx(math.inf) == 0.0
 
     def test_negative_arguments_down_to_overflow(self):
@@ -209,21 +197,6 @@ class TestErfcx:
         # erfcx(-26.65) = 2 exp(710.2...) overflows a double
         for x in (-26.65, -27.0, -1e3, -math.inf):
             assert erfcx(x) == math.inf
-
-    def test_erf_near_zero(self):
-        # erf from the same series, 2h - expm1(-h^2) - exp(-h^2)(y - 1)
-        # over 1 + 2h, cancels nothing as h -> 0: bound 1e-15 relative,
-        # measured 6.8e-16
-        h = np.concatenate((np.logspace(-300.0, -13.0, 40),
-                            np.logspace(-12.0, 0.8, 1500)))
-        _, erf, _ = _normal_tail(h)
-        with mp.workdps(50):
-            worst = max(mp_relative_error(e, x, lambda v: mp.erf(mp.mpf(v)))
-                        for e, x in zip(erf.tolist(), h.tolist()))
-        assert worst <= 1e-15
-        _, erf, _ = _normal_tail(np.array([0.0, 5.0, 6.0, 30.0, 1e200]))
-        assert erf.tolist() == [0.0, pytest.approx(1.0 - 1.5374597944280e-12,
-                                                   rel=1e-15), 1.0, 1.0, 1.0]
 
 
 def mp_quantile(q):

@@ -162,13 +162,16 @@ def _std_rule(za, zb):
     g(u) = exp(-u^2/2 - u*near) <= 1. So the bin's mass is pdf(near)
     times the integral, its mean near + E[u] and its variance Var u, with
     nothing cancelling on short bins or deep in a tail. Bins with
-    za + zb < 0 are evaluated reflected, so reflection is exact.
+    za + zb < 0 are evaluated reflected, as [-zb, -za], so reflection is
+    exact.
     """
-    flip = za < -zb
-    near, lo, hi = _std_window(np.where(flip, -zb, za), np.where(flip, -za, zb))
+    nza, nzb = -za, -zb
+    flip = za < nzb
+    near, lo, hi = _std_window(np.maximum(za, nzb), np.maximum(zb, nza))
     lo, hi = lo[..., None], hi[..., None]
-    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
-    wg = 0.5 * (hi - lo) * _GL_W * np.exp(-0.5 * u * u - u * near[..., None])
+    half = 0.5 * (hi - lo)
+    u = 0.5 * (hi + lo) + half * _GL_X
+    wg = half * _GL_W * np.exp(-0.5 * u * u - u * near[..., None])
     mass = wg.sum(axis=-1)
     mean = (wg * u).sum(axis=-1) / mass
     var = (wg * (u - mean[..., None]) ** 2).sum(axis=-1) / mass
@@ -337,17 +340,19 @@ class SourceModel:
         all from one _std_rule pass: the mass is pdf(near) times the
         rule's integral, the mean near + E[u], in std units. pdf(near)
         takes |near| capped at 40, past which it is exactly 0 anyway, so
-        near^2 cannot overflow. The whole line gives exactly
-        (1, mean, std**2)."""
+        near^2 cannot overflow. The whole line, which only a row of two
+        edges can hold, gives exactly (1, mean, std**2)."""
         z = (e - self.mean) / self.std
         za, zb = z[..., :-1], z[..., 1:]
         near, mass, shift, var = _std_rule(za, zb)
         capped = np.minimum(np.abs(near), 40.0)
-        whole = np.isinf(za) & np.isinf(zb)
-        return (np.where(whole, 1.0,
-                         mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI),
-                self.mean + self.std * (near + shift),
-                np.where(whole, 1.0, var) * self.std * self.std)
+        probs = mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI
+        var = var * (self.std * self.std)
+        if z.shape[-1] == 2:
+            whole = np.isinf(za) & np.isinf(zb)
+            probs = np.where(whole, 1.0, probs)
+            var = np.where(whole, self.std * self.std, var)
+        return probs, self.mean + self.std * (near + shift), var
 
     def _bin_record(self, e: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

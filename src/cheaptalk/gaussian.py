@@ -88,20 +88,26 @@ def solve_two_bin_gauss(mean: float, std: float, bias: float) -> Partition:
 
 
 def _solve_balance(y: float) -> float:
-    """Root of two_bin_balance(c) = y; oddness reduces to y >= 0."""
+    """Root of two_bin_balance(c) = y; oddness reduces to y >= 0.
+
+    Newton's method from c = y on the closed-form derivative
+    2 - M(c)(M(c) - c) - M(-c)(M(-c) + c), M = mills_ratio, which stays
+    within [0.72, 1.06]: each step shrinks the error to at most half, so
+    the steps shrink until rounding noise sets their size, and the loop
+    stops at the first step that does not shrink.
+    """
     if y == 0.0:
         return 0.0
     if y < 0.0:
         return -_solve_balance(-y)
-    hi = 1.0
-    while two_bin_balance(hi) < y:
-        hi *= 2.0
-
-    def defect(c: float) -> float:
-        return two_bin_balance(c) - y
-
-    return find_root(defect, Bracket(0.0, hi, -y, two_bin_balance(hi) - y),
-                     tol=1e-12)
+    c, last = y, math.inf
+    while True:
+        upper, lower = mills_ratio(c), mills_ratio(-c)
+        step = ((2.0 * c - upper + lower - y)
+                / (2.0 - upper * (upper - c) - lower * (lower + c)))
+        if not abs(step) < last:
+            return c
+        c, last = c - step, abs(step)
 
 
 def balance_derivative_floor(grid, step: float = 1e-5) -> float:

@@ -93,6 +93,25 @@ class TestTwoBin:
             p = solve_two_bin_gauss(0.5, 1.2, bias)
             assert certify(p, tol=1e-9).verdict
 
+    def test_balance_root_against_mpmath(self):
+        # the normalized edge for 400 values of 2*bias/std, log-spaced
+        # from 1e-6 to 30 and uniform on [0, 4], either sign: the balance
+        # residual at the float root, in 50-digit mpmath, is at most
+        # 5e-14 (measured 3.0e-15; a find_root stop at tol 1e-12 left up
+        # to 8.9e-13)
+        rng = np.random.default_rng(7)
+        ys = (np.concatenate((10.0 ** rng.uniform(-6.0, 1.5, 300),
+                              rng.uniform(0.0, 4.0, 100)))
+              * rng.choice([-1.0, 1.0], 400))
+        with mp.workdps(50):
+            def mills(x):
+                return mp.npdf(x) / (mp.erfc(x / mp.sqrt(2)) / 2)
+
+            for y in ys.tolist():
+                c = mp.mpf(solve_two_bin_gauss(0.0, 1.0, y / 2.0).edges[1])
+                residual = 2 * c - mills(c) + mills(-c) - mp.mpf(y)
+                assert abs(residual) <= 5e-14, y
+
     def test_edge_satisfies_balance(self):
         for bias in (0.25, 1.0):
             c = solve_two_bin_gauss(0.0, 1.0, bias).interior_edges[0]
@@ -424,11 +443,12 @@ class TestNewton:
         assert f"after {err.value.iterations} steps" in str(err.value)
 
     @pytest.mark.parametrize("n_bins,bias,tol", [
-        (8, 0.1, 1e-15), (200, 0.0, 1e-13),
+        (8, 0.1, 6e-15), (200, 0.0, 1e-13),
     ])
     def test_tol_just_above_rounding_converges(self, n_bins, bias, tol):
-        # F from the rule's means rounds lower than the closed form's
-        # (floors 6.4e-16 and 9.6e-14 here), so these tols are reachable
+        # the smallest full Newton step, the rounding floor these tols
+        # sit just above, is 4.0e-15 and 9.99e-14 here; the first moves
+        # with the last bits of the biased seed's two-bin anchor
         p = solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000)
         assert certify(p, tol=1e-14).verdict
 

@@ -368,9 +368,10 @@ class TestGaussianMoments:
         # past |z| = 6.7e8, near + 50/near rounds to near; the window is
         # formed in offsets from near, so these bins keep their variance,
         # about 1/near^2, and their mean, near + 1/near, which rounds to
-        # near and is returned exactly. The reference keeps 50 digits through the cancellation in
-        # 1 + a pdf(a)/sf(a) - mean^2 (mpmath's erfc this far out needs
-        # about 10 working digits per decade of near for that)
+        # near and is returned exactly. The reference keeps 50 digits
+        # through the cancellation in 1 + a pdf(a)/sf(a) - mean^2
+        # (mpmath's erfc this far out needs about 10 working digits per
+        # decade of near for that)
         digits = 50 + 10 * int(math.log10(near))
         with mp.workdps(digits):
             a = mp.mpf(near)
@@ -538,7 +539,7 @@ class TestVectorIntervalMean:
         # half-lines, against 40-digit mpmath: the mean within 1e-15 of
         # max(1, |edges|) (measured 1.3e-16), the mass within
         # 4 eps (1 + near^2/2) relative, the rounding of pdf(near),
-        # wherever it is a normal float (measured 0.5 of that bound)
+        # wherever it is a normal float (measured 0.36 of that bound)
         rng = np.random.default_rng(16)
         lo = rng.uniform(-38.0, 38.0, 3000)
         hi = np.minimum(lo + 10.0 ** rng.uniform(-12.0, 1.0, 3000), 38.0)

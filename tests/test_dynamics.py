@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from cheaptalk.dynamics import (
+    COLLAPSE_LENGTH,
+    COLLAPSE_PROB,
     IterationTrace,
     _random_start,
+    _run_rows,
     basin_probe,
     fixed_point_iterate,
     lloyd_method_i,
@@ -19,6 +22,7 @@ from cheaptalk.exponential import (
     solve_n_bins,
     solve_two_bin,
 )
+from cheaptalk.gaussian import _default_interior
 from cheaptalk.sources import SourceModel
 
 EXP = SourceModel.exponential(1.0)
@@ -168,6 +172,128 @@ class TestCollapse:
             assert trace.outcome.bin_index is None
             assert trace.recorded_steps == (0,)
             assert trace.iterates[0].edges == edges
+
+
+def run_alone(source, bias, edges, damping, max_iter=10_000):
+    """One start through the shared loop: its outcome and its edges at
+    the step it stopped, which for an edge crossing are the crossed
+    edges the public trace does not record."""
+    (outcome,), final = _run_rows(source, bias, np.array([edges]),
+                                  max_iter, 1e-10, damping)
+    return outcome, tuple(final[0].tolist())
+
+
+GAUSS_3 = (-math.inf, -0.5, 0.7, math.inf)
+GAUSS_24 = (-math.inf, *_default_interior(0.0, 1.0, 0.05, 24), math.inf)
+
+# name -> ((source, bias, start edges, damping, max_iter),
+#          (status, stop step, bin_index), final edges)
+STOP_PATHS = {
+    # the first edge falls below the exponential support at step 4
+    "edge-crossing": ((EXP, -0.4, (0.0, 1.0, 2.0, math.inf), 1.0, 10_000),
+                      ("collapsed", 4, 1),
+                      (0.0, -0.1381566356800764, 0.9702484618022774,
+                       math.inf)),
+    # the same run with the bias tuned so that the first edge lands
+    # 4.4e-13 above 0 at step 3: shorter than COLLAPSE_LENGTH, yet
+    # heavier than COLLAPSE_PROB
+    "length-floor": ((EXP, -0.411601180487, (0.0, 1.0, 2.0, math.inf),
+                      1.0, 10_000),
+                     ("collapsed", 3, 1),
+                     (0.0, 4.4314552027913123e-13, 1.1964377735397966,
+                      math.inf)),
+    # N(0, 1), 24 bins, b = 0.05, from the solver's default seed: the top
+    # bin of a certified equilibrium carries about 1e-14, so the absolute
+    # COLLAPSE_PROB floor ends the run there; a floor tied to what the
+    # kernels resolve (ROADMAP item 5) will re-pin these two
+    "probability-floor-lloyd": (
+        (GAUSS, 0.05, GAUSS_24, 1.0, 10_000), ("collapsed", 77, 24),
+        (-math.inf, -0.7902276228592942, 0.10554119191965917,
+         0.7931159586151635, 1.3783915902177217, 1.8999776137500493,
+         2.3768648070575384, 2.8199107579128597, 3.2358964820347937,
+         3.629285633876292, 4.003096710073741, 4.359382100783415,
+         4.699518624015269, 5.0244065608277415, 5.334628298375992,
+         5.630594431096239, 5.912690570271768, 6.181429263682333,
+         6.437614506028102, 6.6825606520154635, 6.918524267712809,
+         7.149877517812986, 7.386977208605907, 7.663420594729956,
+         math.inf)),
+    "probability-floor-damped": (
+        (GAUSS, 0.05, GAUSS_24, 0.5, 10_000), ("collapsed", 154, 24),
+        (-math.inf, -0.7903541114875314, 0.1053586924054234,
+         0.7928630875595841, 1.378045327391451, 1.8995052074899512,
+         2.3762217712993543, 2.8190388423456736, 3.234722255401521,
+         3.6277205030292006, 4.001039439146359, 4.356725031427381,
+         4.696158615661206, 5.020260905942656, 5.329654331560565,
+         5.624809376241954, 5.90618607684793, 6.174374338950997,
+         6.430242306801282, 6.675138800012661, 6.9113132312973535,
+         7.143084939398637, 7.3807180928786495, 7.657701093835904,
+         math.inf)),
+    "converged": ((GAUSS, 0.2, GAUSS_3, 0.5, 10_000), ("converged", 178, None),
+                  (-math.inf, 0.33676662391709733, 1.6827857223444558,
+                   math.inf)),
+    "max-iter": ((GAUSS, 0.2, GAUSS_3, 0.5, 50), ("max_iter", 50, None),
+                 (-math.inf, 0.33478504877452925, 1.679900408563133,
+                  math.inf)),
+}
+
+
+class TestStopPaths:
+    """Every way a run stops, pinned by outcome, stop step and final
+    edges (within 1e-12), through the shared loop and the public
+    engines."""
+
+    @pytest.mark.parametrize("name", sorted(STOP_PATHS))
+    def test_stop_path_is_pinned(self, name):
+        (source, bias, start, damping, max_iter), want, edges = \
+            STOP_PATHS[name]
+        outcome, final = run_alone(source, bias, start, damping, max_iter)
+        assert (outcome.status, outcome.iteration, outcome.bin_index) == want
+        assert len(final) == len(edges)
+        assert all(x == y or abs(x - y) <= 1e-12
+                   for x, y in zip(final, edges)), final
+        init = Partition(start, source, bias)
+        trace = fixed_point_iterate(source, bias, init, damping, max_iter)
+        assert trace.outcome == outcome
+        if damping == 1.0:
+            assert lloyd_method_i(source, bias, init, max_iter).outcome \
+                == outcome
+
+    def test_length_floor_is_not_the_probability_floor(self):
+        (source, bias, start, damping, _), _, _ = STOP_PATHS["length-floor"]
+        _, final = run_alone(source, bias, start, damping)
+        assert 0.0 < final[1] < COLLAPSE_LENGTH
+        assert source.bin_probs(final).min() >= COLLAPSE_PROB
+
+    def test_probability_floor_is_not_the_length_floor(self):
+        for name in ("probability-floor-lloyd", "probability-floor-damped"):
+            (source, bias, start, damping, _), _, _ = STOP_PATHS[name]
+            _, final = run_alone(source, bias, start, damping)
+            assert np.diff(final).min() >= COLLAPSE_LENGTH
+            assert source.bin_probs(final)[-1] < COLLAPSE_PROB
+
+    def test_centroids_crossing_mid_run(self, monkeypatch):
+        # as in TestCollapse, reversed centroids stand in for crossed
+        # ones, here from the sixth step (step 5) on; the run stops at
+        # that step with the edges it moved to, and its trace ends with
+        # step 4
+        bin_moments = SourceModel._bin_moments
+        calls = []
+
+        def reversed_late(self, edges):
+            probs, means = bin_moments(self, edges)
+            calls.append(None)
+            return probs, (means if len(calls) <= 5 else means[..., ::-1])
+
+        _, want = run_alone(GAUSS, 0.2, GAUSS_3, 0.5, max_iter=5)
+        monkeypatch.setattr(SourceModel, "_bin_moments", reversed_late)
+        outcome, final = run_alone(GAUSS, 0.2, GAUSS_3, 0.5)
+        assert (outcome.status, outcome.iteration, outcome.bin_index) \
+            == ("collapsed", 5, None)
+        assert final == want
+        calls.clear()
+        trace = fixed_point_iterate(GAUSS, 0.2, Partition(GAUSS_3, GAUSS, 0.2))
+        assert trace.outcome == outcome
+        assert trace.recorded_steps == (0, 1, 2, 3, 4)
 
 
 class TestTraceShape:

@@ -63,7 +63,7 @@ def h(length: float, rate: float) -> float:
     _check_rate(rate)
     if math.isnan(length) or length < 0.0 or math.isinf(length):
         raise DomainError(f"window length must be finite and >= 0, got {length!r}")
-    return float(_exp_gap(length, rate))
+    return float(_exp_gap(rate * length, rate))
 
 
 def g(length: float, rate: float) -> float:

@@ -57,19 +57,19 @@ EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
 
 
-def _exp_gap(length, rate: float):
-    """length / (exp(rate*length) - 1) for lengths >= 0, elementwise.
+def _exp_gap(s, rate: float):
+    """length / (exp(rate*length) - 1) for lengths >= 0, elementwise,
+    given s = rate*length, which the caller has formed already.
 
     This is the amount by which truncating an exponential to a window of
     the given length pulls the conditional mean below lo + 1/rate. Written
-    as (1/rate)/exprel(s), exprel(s) = expm1(s)/s, with s = rate*length
-    clamped to [_TINY, _EXPM1_MAX] so that no step divides 0 by 0 or
-    overflows: at length 0 the gap is exactly 1/rate (expm1 is exact on
-    tiny s), and past the clamp, where it is below 4e-306, it is set to
-    exactly 0. This kernel runs in every exponential Lloyd step, and the
+    as (1/rate)/exprel(s), exprel(s) = expm1(s)/s, with s clamped to
+    [_TINY, _EXPM1_MAX] so that no step divides 0 by 0 or overflows: at
+    length 0 the gap is exactly 1/rate (expm1 is exact on tiny s), and
+    past the clamp, where it is below 4e-306, it is set to exactly 0.
+    This kernel runs in every exponential Lloyd step, and the
     same limits written with np.where and np.errstate took twice as long.
     """
-    s = rate * np.asarray(length, dtype=float)
     t = np.minimum(np.maximum(s, _TINY), _EXPM1_MAX)
     return (1.0 / rate) / (np.expm1(t) / t) * (s < _EXPM1_MAX)
 
@@ -155,7 +155,8 @@ _GL_W = np.concatenate((_GL_HALF[1][::-1], _GL_HALF[1]))
 
 def _std_rule(za, zb):
     """Standard normal bins [za, zb] by the fixed Gauss-Legendre rule,
-    elementwise over arrays: (near, integral of g, E[u], Var u).
+    elementwise over arrays: (near, integral of g, E[u], spread), spread
+    a function that reduces the same weighted nodes to Var u when called.
 
     The rule runs over each bin's _std_window in the bin's own frame
     u = t - near, where the density relative to pdf(near) is
@@ -163,7 +164,8 @@ def _std_rule(za, zb):
     times the integral, its mean near + E[u] and its variance Var u, with
     nothing cancelling on short bins or deep in a tail. Bins with
     za + zb < 0 are evaluated reflected, as [-zb, -za], so reflection is
-    exact.
+    exact. Only callers that read the variance call spread; the dynamics,
+    the restart blocks and the Newton pass do not.
     """
     nza, nzb = -za, -zb
     flip = za < nzb
@@ -174,9 +176,9 @@ def _std_rule(za, zb):
     wg = half * _GL_W * np.exp(-0.5 * u * u - u * near[..., None])
     mass = wg.sum(axis=-1)
     mean = (wg * u).sum(axis=-1) / mass
-    var = (wg * (u - mean[..., None]) ** 2).sum(axis=-1) / mass
     sign = np.where(flip, -1.0, 1.0)
-    return sign * near, mass, sign * mean, var
+    return (sign * near, mass, sign * mean,
+            lambda: (wg * (u - mean[..., None]) ** 2).sum(axis=-1) / mass)
 
 
 @dataclass(frozen=True)
@@ -330,29 +332,36 @@ class SourceModel:
         a Gaussian source takes both from one _std_bins pass."""
         if self.kind == EXPONENTIAL:
             start, length = self._exp_windows(e)
-            return (np.exp(-self.rate * start) * -np.expm1(-self.rate * length),
-                    start + 1.0 / self.rate - _exp_gap(length, self.rate))
+            s = self.rate * length
+            return (np.exp(-self.rate * start) * -np.expm1(-s),
+                    start + 1.0 / self.rate - _exp_gap(s, self.rate))
         return self._std_bins(e)[:2]
 
-    def _std_bins(self, e: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _std_bins(self, e: np.ndarray):
         """A Gaussian source's (probs, means, variances) on checked edges,
         all from one _std_rule pass: the mass is pdf(near) times the
-        rule's integral, the mean near + E[u], in std units. pdf(near)
-        takes |near| capped at 40, past which it is exactly 0 anyway, so
-        near^2 cannot overflow. The whole line, which only a row of two
-        edges can hold, gives exactly (1, mean, std**2)."""
+        rule's integral, the mean near + E[u], in std units. variances is
+        a function that forms them from that pass when called, so callers
+        that read only probs and means form none. pdf(near) takes |near|
+        capped at 40, past which it is exactly 0 anyway, so near^2 cannot
+        overflow. The whole line, which only a row of two edges can hold,
+        gives exactly (1, mean, std**2)."""
         z = (e - self.mean) / self.std
         za, zb = z[..., :-1], z[..., 1:]
-        near, mass, shift, var = _std_rule(za, zb)
+        near, mass, shift, spread = _std_rule(za, zb)
         capped = np.minimum(np.abs(near), 40.0)
         probs = mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI
-        var = var * (self.std * self.std)
+        sd2 = self.std * self.std
+        whole = None
         if z.shape[-1] == 2:
             whole = np.isinf(za) & np.isinf(zb)
             probs = np.where(whole, 1.0, probs)
-            var = np.where(whole, self.std * self.std, var)
-        return probs, self.mean + self.std * (near + shift), var
+
+        def variances() -> np.ndarray:
+            var = spread() * sd2
+            return var if whole is None else np.where(whole, sd2, var)
+
+        return probs, self.mean + self.std * (near + shift), variances
 
     def _bin_record(self, e: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,7 +369,8 @@ class SourceModel:
         Partition keeps: one _std_bins pass on a Gaussian source."""
         if self.kind == EXPONENTIAL:
             return (*self._bin_moments(e), self._bin_variances(e))
-        return self._std_bins(e)
+        probs, means, variances = self._std_bins(e)
+        return probs, means, variances()
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -379,7 +389,7 @@ class SourceModel:
         """bin_variances on edges that are already checked."""
         if self.kind == EXPONENTIAL:
             return _exp_window_variance(self._exp_windows(e)[1], self.rate)
-        return self._std_bins(e)[2]
+        return self._std_bins(e)[2]()
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cheaptalk import sources
 from cheaptalk.dynamics import (
     COLLAPSE_LENGTH,
     COLLAPSE_PROB,
@@ -294,6 +295,38 @@ class TestStopPaths:
         trace = fixed_point_iterate(GAUSS, 0.2, Partition(GAUSS_3, GAUSS, 0.2))
         assert trace.outcome == outcome
         assert trace.recorded_steps == (0, 1, 2, 3, 4)
+
+
+class TestStepWork:
+    def test_gaussian_step_makes_one_rule_pass_and_no_variance(
+            self, monkeypatch):
+        # a step reads probs and means from one pass of the rule and
+        # never reduces that pass to variances; a Partition record does,
+        # once
+        passes, spreads = [], []
+        rule = sources._std_rule
+
+        def counted(za, zb):
+            near, mass, mean, spread = rule(za, zb)
+            passes.append(za.shape)
+
+            def counted_spread():
+                spreads.append(za.shape)
+                return spread()
+
+            return near, mass, mean, counted_spread
+
+        monkeypatch.setattr(sources, "_std_rule", counted)
+        rng = np.random.default_rng(5)
+        starts = np.array([_random_start(GAUSS, 0.2, 8, rng).edges
+                           for _ in range(3)])
+        outcomes, _ = _run_rows(GAUSS, 0.2, starts, 5, 1e-10, 1.0)
+        assert [o.status for o in outcomes] == ["max_iter"] * 3
+        assert passes == [(3, 8)] * 6
+        assert spreads == []
+        passes.clear()
+        Partition(starts[0], GAUSS, 0.2)._moments
+        assert passes == spreads == [(8,)]
 
 
 class TestTraceShape:

@@ -246,7 +246,7 @@ class TestExponentialMoments:
         for rate in (1.0, 7.0):
             s = 1e-4
             taylor = (1.0 - s / 2.0 + s * s / 12.0) / rate
-            assert _exp_gap(s / rate, rate) == pytest.approx(taylor, rel=1e-12)
+            assert _exp_gap(s, rate) == pytest.approx(taylor, rel=1e-12)
 
     def test_truncated_mean_two_bin_identity(self):
         # the two-bin equilibrium edge sits exactly 1/rate above the

@@ -212,7 +212,9 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
     final = np.array(edges, dtype=float)
     live = np.arange(len(edges))
     e = final.copy()
-    moved = old = e[:, 1:-1]
+    # each step writes its moved edges into e, so moved and old hold
+    # copies of them, not views
+    moved = old = e[:, 1:-1].copy()
 
     def stop(rows: np.ndarray, status: str, bins=None) -> np.ndarray:
         """Finish the flagged live rows at the current step, with their
@@ -228,24 +230,32 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
         if it:
             old = moved
             moved = (1.0 - damping) * old + damping * targets
-            e = np.concatenate((e[:, :1], moved, e[:, -1:]), axis=1)
+            e[:, 1:-1] = moved
+        # a > b exactly when a - b > 0, for every pair of floats, so one
+        # minimum over the gaps, which fails on NaN, clears the step of
+        # crossed and of short bins; almost every step passes it
+        gaps = e[:, 1:] - e[:, :-1]
+        short = not gaps.min() >= COLLAPSE_LENGTH
+        if it and short:
             # an edge left the support or crossed a neighbor (NaN included)
-            bad = ~(e[:, 1:] > e[:, :-1])
+            bad = ~(gaps > 0.0)
             if np.count_nonzero(bad):
                 keep = stop(bad.any(axis=1), "collapsed", bad.argmax(axis=1))
-                live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
+                live, e, gaps, moved, old = (
+                    live[keep], e[keep], gaps[keep], moved[keep], old[keep])
                 if not live.size:
                     break
         probs, means = source._bin_moments(e)
-        dead = (e[:, 1:] - e[:, :-1] < COLLAPSE_LENGTH) | (probs < COLLAPSE_PROB)
-        if np.count_nonzero(dead):
-            if rec is not None:
-                rec.add(it, e[0], math.nan, force=True)
-            keep = stop(dead.any(axis=1), "collapsed", dead.argmax(axis=1))
-            live, e, moved, old, means = (
-                live[keep], e[keep], moved[keep], old[keep], means[keep])
-            if not live.size:
-                break
+        if short or not probs.min() >= COLLAPSE_PROB:
+            dead = (gaps < COLLAPSE_LENGTH) | (probs < COLLAPSE_PROB)
+            if np.count_nonzero(dead):
+                if rec is not None:
+                    rec.add(it, e[0], math.nan, force=True)
+                keep = stop(dead.any(axis=1), "collapsed", dead.argmax(axis=1))
+                live, e, moved, old, means = (
+                    live[keep], e[keep], moved[keep], old[keep], means[keep])
+                if not live.size:
+                    break
         rising = means[:, 1:] > means[:, :-1]
         if np.count_nonzero(rising) < rising.size:
             # the centroids crossed: no valid decoder profile to continue

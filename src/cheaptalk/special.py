@@ -57,6 +57,10 @@ BRANCH_POINT = -math.exp(-1.0)
 # Inputs this far below -1/e are treated as rounding noise and clamped.
 _BRANCH_SLACK = 1e-12
 
+# Halley and Newton iterates stop on a step of at most this many ulps.
+_EPS = 2.0 ** -52
+_STEP_ULPS = 4.0
+
 
 def _branch_series(p: float) -> float:
     """Expansion of W about the branch point; p >= 0 selects the principal
@@ -66,7 +70,13 @@ def _branch_series(p: float) -> float:
 
 
 def _halley_wexp(w: float, x: float, *, lower: bool) -> float:
-    """Refine a seed for w*exp(w) = x, keeping the iterate on its branch."""
+    """Refine a seed for w*exp(w) = x, keeping the iterate on its branch.
+
+    Rounding in the residual moves w by a few ulps whatever w is, so the
+    iteration stops on a step of at most _STEP_ULPS ulps of w, or on one
+    that is no shorter than the step before it.
+    """
+    last = math.inf
     for _ in range(60):
         ew = math.exp(w)
         f = w * ew - x
@@ -82,8 +92,10 @@ def _halley_wexp(w: float, x: float, *, lower: bool) -> float:
             w_next = 0.5 * (w - 1.0)
         elif not lower and w_next < -1.0:
             w_next = 0.5 * (w - 1.0)
-        if abs(w_next - w) <= 1e-16 * abs(w_next):
+        change = abs(w_next - w)
+        if change <= _STEP_ULPS * _EPS * abs(w_next) or change >= last:
             return w_next
+        last = change
         w = w_next
     return w
 
@@ -143,18 +155,21 @@ def lambert_w_minus1(x: float) -> float:
         return _halley_wexp(w, x, lower=True)
     # Solve v - log(v) = -log(-x) for v = -w > 1 by Newton; on this range
     # the equation is well conditioned all the way down to x -> 0-.
+    # It stops as _halley_wexp does.
     y = -math.log(-x)
     v = y + math.log(y)
+    last = math.inf
     for _ in range(60):
         g = v - math.log(v) - y
         step = g * v / (v - 1.0)
         v_next = v - step
         if v_next <= 1.0:
             v_next = 0.5 * (v + 1.0)
-        if abs(v_next - v) <= 1e-16 * v_next:
-            v = v_next
-            break
+        change = abs(v_next - v)
         v = v_next
+        if change <= _STEP_ULPS * _EPS * v or change >= last:
+            break
+        last = change
     return -v
 
 
@@ -197,7 +212,7 @@ def lambert_w0_conjugate(u: float) -> float:
         step = f / (slope - 0.5 * f * (1.0 + d) * ed / slope)
         d = d - step if step < d else 0.5 * d
         # rounding in the residual moves d by a few ulps of 1 whatever d is
-        if abs(step) <= 4.0 * 2.0 ** -52:
+        if abs(step) <= _STEP_ULPS * _EPS:
             break
     return d - 1.0
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheaptalk import special
 from cheaptalk.errors import DomainError, InvalidBracketError, NonConvergenceError
 from cheaptalk.special import (
     _ERFCX_CHEB,
@@ -121,6 +122,81 @@ class TestConjugate:
     def test_domain(self):
         with pytest.raises(DomainError):
             lambert_w0_conjugate(0.999)
+
+
+EPS = 2.0 ** -52
+
+
+class CountingMath:
+    """The math module, counting its exp and log calls: each Halley
+    iteration makes one exp call and each lower-branch Newton iteration
+    one log call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.calls += 1
+        return math.exp(x)
+
+    def log(self, x):
+        self.calls += 1
+        return math.log(x)
+
+
+class TestLambertAgainstMpmath:
+    """Every branch against 50-digit mpmath. W's relative condition
+    number at x is 1/|1 + w|, so rounding in the residual alone moves w
+    by about eps*|w/(1 + w)|; the results must lie within 4*eps*(|w| +
+    |w/(1 + w)|). The conjugate's length s = t + u must lie within
+    4*eps*u/(u - 1) relative. No call may run its loop to the cap of 60
+    iterations: each counts its exp and log calls."""
+
+    RNG = np.random.default_rng(17)
+    CASES = {
+        "w0 positive": (lambert_w0, 0, np.concatenate((
+            10.0 ** RNG.uniform(-12.0, 300.0, 200),
+            RNG.uniform(0.0, math.e, 200)))),
+        "w0 negative": (lambert_w0, 0, -RNG.uniform(0.0, math.exp(-1.0), 300)),
+        "w-1 near the branch point": (
+            lambert_w_minus1, -1, -RNG.uniform(0.25, math.exp(-1.0), 300)),
+        "w-1 away from it": (
+            lambert_w_minus1, -1,
+            -(10.0 ** RNG.uniform(-300.0, math.log10(0.25), 300))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_branch(self, monkeypatch, name):
+        f, branch, xs = self.CASES[name]
+        counting = CountingMath()
+        monkeypatch.setattr(special, "math", counting)
+        with mp.workdps(50):
+            for x in xs:
+                x = float(x)
+                counting.calls = 0
+                w = f(x)
+                assert counting.calls < 12, x
+                ref = mp.lambertw(x, branch).real
+                bound = 4 * EPS * (abs(w) + abs(w / (1.0 + w)))
+                assert float(abs(w - ref)) <= bound, x
+
+    def test_conjugate(self, monkeypatch):
+        counting = CountingMath()
+        monkeypatch.setattr(special, "math", counting)
+        rng = np.random.default_rng(18)
+        us = np.concatenate((1.0 + 10.0 ** rng.uniform(-5.0, 0.0, 150),
+                             2.0 + 10.0 ** rng.uniform(-10.0, 2.8, 250)))
+        with mp.workdps(50):
+            for u in us:
+                u = float(u)
+                counting.calls = 0
+                s = lambert_w0_conjugate(u) + u
+                assert counting.calls < 12, u
+                ref = mp.lambertw(-u * mp.exp(-mp.mpf(u))).real + u
+                assert float(abs(s / ref - 1)) <= 4 * EPS * u / (u - 1.0), u
 
 
 class TestNormalHelpers:

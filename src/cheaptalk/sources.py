@@ -344,13 +344,15 @@ class SourceModel:
         a function that forms them from that pass when called, so callers
         that read only probs and means form none. pdf(near) takes |near|
         capped at 40, past which it is exactly 0 anyway, so near^2 cannot
-        overflow. The whole line, which only a row of two edges can hold,
-        gives exactly (1, mean, std**2)."""
+        overflow. A mass that rounds above 1, as on bins reaching far
+        below the mean up to +inf, is 1. The whole line, which only a row
+        of two edges can hold, gives exactly (1, mean, std**2)."""
         z = (e - self.mean) / self.std
         za, zb = z[..., :-1], z[..., 1:]
         near, mass, shift, spread = _std_rule(za, zb)
         capped = np.minimum(np.abs(near), 40.0)
-        probs = mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI
+        probs = np.minimum(mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI,
+                           1.0)
         sd2 = self.std * self.std
         whole = None
         if z.shape[-1] == 2:

@@ -562,6 +562,27 @@ class TestVectorIntervalMean:
                     bound = 4 * eps * (1 + near * near / 2)
                     assert float(abs(p - mass) / mass) <= bound, (a, b)
 
+    def test_no_mass_above_one(self):
+        # bins reaching far below the mean up to +inf (and their mirror
+        # images) hold a mass within an ulp or two of 1, which the rule
+        # rounded above 1 on most of them; every mass is at most 1, and
+        # a Partition's record holds the same masses bit for bit. Against
+        # 40-digit mpmath the worst is 4.34 eps relative, at a = 0.061,
+        # a mass near 1/2: 2 of these 20 000 half-lines just past the
+        # mean exceed the 4 eps (1 + near^2/2) (near = 0 here) that the
+        # random bins of test_random_bins_against_mpmath meet
+        a = np.random.default_rng(19).uniform(0.0, 40.0, 20_000)
+        up = np.stack((-a, np.full_like(a, INF)), -1)
+        for edges in (up, -up[:, ::-1]):
+            probs = GAUSS.bin_probs(edges)[:, 0]
+            assert probs.max() <= 1.0
+            assert np.array_equal(GAUSS._bin_record(edges)[0][:, 0], probs)
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            for x, p in zip(a.tolist(), probs.tolist()):
+                mass = mp_std_mass(mp.mpf(-INF), mp.mpf(x))
+                assert float(abs(p - mass) / mass) <= 5 * eps, x
+
     def test_reflection_is_exact(self):
         # every formula reads a bin through |z| and the sign of z_a + z_b
         rng = np.random.default_rng(3)

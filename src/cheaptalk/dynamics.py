@@ -13,12 +13,15 @@ and the equilibrium defect (max-abs residual) fall to tol, which makes
 "converged implies the final snapshot certifies" true by construction.
 
 One loop (_run_rows) runs any number of starts together: each step moves
-every live start at once through the bin kernels, and per-start tests
-take a start out at the step where it collapses, converges or reaches
-max_iter. basin_probe runs all its starts that way, with no trace;
-lloyd_method_i and fixed_point_iterate are one-start calls of the same
-loop that also record the trace. Every start's outcome and edges are
-bit for bit those of running it alone.
+every live start at once through the bin kernels, which give it the bin
+masses and centroids and nothing else, and per-start tests take a start
+out at the step where it collapses, converges or reaches max_iter. One
+minimum over the step's edge gaps and one over its masses clear every
+start of crossed, short and dead bins at once; only a step that fails
+them runs the per-start collapse tests. basin_probe runs all its starts
+that way, with no trace; lloyd_method_i and fixed_point_iterate are
+one-start calls of the same loop that also record the trace. Every
+start's outcome and edges are bit for bit those of running it alone.
 """
 
 from __future__ import annotations

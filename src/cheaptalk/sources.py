@@ -16,10 +16,11 @@ Numerical ground rules:
   is ``(2*sinh(s/2))**2``, so short intervals do not cancel;
 - a Gaussian source has one bin kernel: a fixed Gauss-Legendre rule
   (_std_rule), run in each bin's own frame and with no per-bin loop. One
-  pass gives every bin's mass, mean and variance (SourceModel._std_bins,
-  behind the dynamics, the Newton loop's restart blocks and every
-  Partition record), and the means and edge slopes of the mean from
-  which the Newton solve loop builds its residual and Jacobian
+  pass gives every bin's mass and mean, and its variance only for a
+  caller that asks (SourceModel._std_bins: the dynamics and the Newton
+  loop's restart blocks read masses and means, a Partition record and
+  bin_variances all three), and the means and edge slopes of the mean
+  from which the Newton solve loop builds its residual and Jacobian
   (_std_interval_slopes). Bins are read reflected to za + zb >= 0, so
   reflection is exact; the mass is pdf(near) times an integral of
   exp(-u^2/2 - u*near) <= 1, so nothing cancels on short bins, and the
@@ -67,8 +68,8 @@ def _exp_gap(s, rate: float):
     [_TINY, _EXPM1_MAX] so that no step divides 0 by 0 or overflows: at
     length 0 the gap is exactly 1/rate (expm1 is exact on tiny s), and
     past the clamp, where it is below 4e-306, it is set to exactly 0.
-    This kernel runs in every exponential Lloyd step, and the
-    same limits written with np.where and np.errstate took twice as long.
+    This kernel runs in every exponential Lloyd step, and the same limits
+    written with np.where and np.errstate took twice as long.
     """
     t = np.minimum(np.maximum(s, _TINY), _EXPM1_MAX)
     return (1.0 / rate) / (np.expm1(t) / t) * (s < _EXPM1_MAX)

@@ -7,9 +7,10 @@ PYTHONPATH set to that tree, and the two run side by side: lloyd_method_i
 and fixed_point_iterate (damping 0.5) from a fixed start, and
 basin_probe with both methods from 3 random starts,
 for exp(1), exp(2.5), N(0, 1) and N(0.3, 1.7), n = 2..24 bins, and
-biases on both sides of where the runs stop converging and collapse
-(exp(1) has no 3-bin equilibrium below bias -0.291 and no 2-bin one at
-or below -0.5; N(0, 1) has no 8-bin one past |bias| = 0.345). Every run
+biases on both sides of where the exponential runs stop converging and
+collapse (exp(1) has no 3-bin equilibrium below bias -0.291 and no 2-bin
+one at or below -0.5), and Gaussian biases out to 0.6, where N(0, 1)
+still has 8-bin equilibria whose last bin carries under 1e-14. Every run
 stops at 2 000 steps. The grid ends with the stop paths that the
 dynamics tests pin. The fixed start puts the interior edges at the
 source's k/n quantiles, k = 1..n-1.
@@ -66,11 +67,12 @@ def runs():
                            basin_probe(source, bias, n, 3, seed=n, method=method,
                                        max_iter=MAX_ITER))
     # the stop paths of the dynamics tests: an edge crossing, the length
-    # floor, the probability floor, convergence and max_iter
+    # floor, convergence with a top bin under 1e-14, convergence and
+    # max_iter
     exp_start = (0.0, 1.0, 2.0, math.inf)
     yield from engines("pin edge-crossing", exp1, -0.4, exp_start)
     yield from engines("pin length-floor", exp1, -0.411601180487, exp_start)
-    yield from engines("pin probability-floor", gauss, 0.05,
+    yield from engines("pin light-top-bin", gauss, 0.05,
                        (-math.inf, *_default_interior(0.0, 1.0, 0.05, 24), math.inf),
                        10_000)
     gauss_start = (-math.inf, -0.5, 0.7, math.inf)

@@ -14,11 +14,13 @@ and the equilibrium defect (max-abs residual) fall to tol, which makes
 
 One loop (_run_rows) runs any number of starts together: each step moves
 every live start at once through the bin kernels, which give it the bin
-masses and centroids and nothing else, and per-start tests take a start
-out at the step where it collapses, converges or reaches max_iter. One
-minimum over the step's edge gaps and one over its masses clear every
-start of crossed, short and dead bins at once; only a step that fails
-them runs the per-start collapse tests. basin_probe runs all its starts
+centroids and nothing else, and per-start tests take a start out at the
+step where it collapses, converges or reaches max_iter. One minimum over
+the step's edge gaps clears every start of crossed and dead bins at once;
+only a step that fails it runs the per-start collapse tests. A bin is
+dead when it is shorter than COLLAPSE_LENGTH, never for its mass alone:
+the kernels resolve the centroid of a far-tail bin whose mass underflows,
+and Gaussian equilibria hold such bins. basin_probe runs all its starts
 that way, with no trace; lloyd_method_i and fixed_point_iterate are
 one-start calls of the same loop that also record the trace. Every
 start's outcome and edges are bit for bit those of running it alone.
@@ -41,7 +43,6 @@ from .errors import DomainError
 from .sources import SourceModel
 
 __all__ = [
-    "COLLAPSE_PROB",
     "COLLAPSE_LENGTH",
     "IterationOutcome",
     "IterationTrace",
@@ -51,8 +52,7 @@ __all__ = [
     "basin_probe",
 ]
 
-# A bin below either floor is dead: centroids divide by its mass.
-COLLAPSE_PROB = 1e-14
+# A bin shorter than this is dead: its centroid is no longer resolved.
 COLLAPSE_LENGTH = 1e-12
 
 _THIN_AFTER = 1000
@@ -164,11 +164,11 @@ def lloyd_method_i(source: SourceModel, bias: float, init: Partition,
     interior edge with the midpoint of its neighboring means plus the
     bias. A certified equilibrium is an exact fixed point and converges
     in one iteration with zero movement. Collapse (an edge falling off
-    the support or crossing a neighbor, or a bin shrinking below the
-    probability/length floors) ends the run as an outcome. Unlike
-    encoder_best_response, a transient step whose actions land outside
-    their own bins is not an error here; only equilibria, not iterates,
-    owe that property.
+    the support or crossing a neighbor, a bin shrinking below
+    COLLAPSE_LENGTH, or centroids that stop increasing) ends the run as
+    an outcome. Unlike encoder_best_response, a transient step whose
+    actions land outside their own bins is not an error here; only
+    equilibria, not iterates, owe that property.
     """
     return _run(source, bias, init, max_iter, tol, damping=1.0)
 
@@ -238,9 +238,9 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
         # minimum over the gaps, which fails on NaN, clears the step of
         # crossed and of short bins; almost every step passes it
         gaps = e[:, 1:] - e[:, :-1]
-        short = not gaps.min() >= COLLAPSE_LENGTH
-        if it and short:
-            # an edge left the support or crossed a neighbor (NaN included)
+        if not gaps.min() >= COLLAPSE_LENGTH:
+            # an edge left the support or crossed a neighbor (NaN included);
+            # the edges of step 0 are a partition's, so none has
             bad = ~(gaps > 0.0)
             if np.count_nonzero(bad):
                 keep = stop(bad.any(axis=1), "collapsed", bad.argmax(axis=1))
@@ -248,17 +248,16 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                     live[keep], e[keep], gaps[keep], moved[keep], old[keep])
                 if not live.size:
                     break
-        probs, means = source._bin_moments(e)
-        if short or not probs.min() >= COLLAPSE_PROB:
-            dead = (gaps < COLLAPSE_LENGTH) | (probs < COLLAPSE_PROB)
+            dead = gaps < COLLAPSE_LENGTH
             if np.count_nonzero(dead):
                 if rec is not None:
                     rec.add(it, e[0], math.nan, force=True)
                 keep = stop(dead.any(axis=1), "collapsed", dead.argmax(axis=1))
-                live, e, moved, old, means = (
-                    live[keep], e[keep], moved[keep], old[keep], means[keep])
+                live, e, moved, old = (
+                    live[keep], e[keep], moved[keep], old[keep])
                 if not live.size:
                     break
+        means = source._bin_means(e)
         rising = means[:, 1:] > means[:, :-1]
         if np.count_nonzero(rising) < rising.size:
             # the centroids crossed: no valid decoder profile to continue

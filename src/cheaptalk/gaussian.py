@@ -272,7 +272,7 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
     delta = math.inf
     for it in range(1, max_iter + 1):
         rows = _midpoints(
-            source._bin_moments(_full_edges(edges, ladder_step))[1], bias)
+            source._bin_means(_full_edges(edges, ladder_step)), bias)
         new = (1.0 - damping) * edges + damping * rows
         if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(

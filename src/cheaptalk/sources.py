@@ -6,9 +6,10 @@ bin of an increasing edge array, which may have infinite ends and need
 not span the support, or one row of values per row of a 2-D array of
 such edges), plus quantiles and sampling. The scalar interval
 methods are the same code on a single bin. Internal loops, which keep
-their edges increasing, call the unchecked _bin_moments (probs and
-means) and _bin_variances; a Partition fills its record of all three
-once, on first use, through _bin_record.
+their edges increasing, read means alone through the unchecked
+_bin_means; a Partition fills its record of all three moments once, on
+first use, through _bin_record. Both go through one kernel per family,
+_bin_moments, which forms a mass or a variance only when it is read.
 
 Numerical ground rules:
 
@@ -16,19 +17,19 @@ Numerical ground rules:
   is ``(2*sinh(s/2))**2``, so short intervals do not cancel;
 - a Gaussian source has one bin kernel: a fixed Gauss-Legendre rule
   (_std_rule), run in each bin's own frame and with no per-bin loop. One
-  pass gives every bin's mass and mean, and its variance only for a
-  caller that asks (SourceModel._std_bins: the dynamics and the Newton
-  loop's restart blocks read masses and means, a Partition record and
-  bin_variances all three), and the means and edge slopes of the mean
-  from which the Newton solve loop builds its residual and Jacobian
-  (_std_interval_slopes). Bins are read reflected to za + zb >= 0, so
-  reflection is exact; the mass is pdf(near) times an integral of
-  exp(-u^2/2 - u*near) <= 1, so nothing cancels on short bins, and the
-  mean near + E[u] stays accurate where the mass itself underflows. It is
-  good to a few ulps on bins down to 1e-12 wide and out to |z| = 1e5,
-  and its window keeps means and variances right past |z| = 1e100.
-  Adaptive quadrature serves only the independent oracle
-  quadrature_moment.
+  pass gives every bin's mean, and its mass and variance only for a
+  caller that asks (SourceModel._bin_moments: the dynamics and the
+  Newton loop's restart blocks read means alone, bin_probs masses,
+  bin_variances variances, a Partition record all three), and the means
+  and edge slopes of the mean from which the Newton solve loop builds
+  its residual and Jacobian (_std_interval_slopes). Bins are read
+  reflected to za + zb >= 0, so reflection is exact; the mass is
+  pdf(near) times an integral of exp(-u^2/2 - u*near) <= 1, so nothing
+  cancels on short bins, and the mean near + E[u] stays accurate where
+  the mass itself underflows. It is good to a few ulps on bins down to
+  1e-12 wide and out to |z| = 1e5, and its window keeps means and
+  variances right past |z| = 1e100. Adaptive quadrature serves only the
+  independent oracle quadrature_moment.
 
 Every runtime path runs on numpy alone. Only the oracle
 quadrature_moment needs scipy (scipy.integrate, imported on its first
@@ -314,7 +315,7 @@ class SourceModel:
         Bins outside the support get 0. Gaussian bins take the fixed
         rule of _std_rule, as their means and variances do.
         """
-        return self._bin_moments(self._bin_edges(edges))[0]
+        return self._bin_moments(self._bin_edges(edges))[0]()
 
     def bin_means(self, edges) -> np.ndarray:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
@@ -326,39 +327,43 @@ class SourceModel:
         """
         e = self._bin_edges(edges)
         self._check_support(e)
+        return self._bin_means(e)
+
+    def _bin_means(self, e: np.ndarray) -> np.ndarray:
+        """bin_means on edges that are already checked: all that a
+        dynamics step or a restart block reads."""
         return self._bin_moments(e)[1]
 
-    def _bin_moments(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bin_probs(e), bin_means(e)) on edges that are already checked;
-        a Gaussian source takes both from one _std_bins pass."""
+    def _bin_moments(self, e: np.ndarray):
+        """(probs, means, variances) on edges that are already checked:
+        means an array, probs and variances functions that form them when
+        called, so a caller forms only what it reads.
+
+        An exponential bin takes the closed forms of its window. A
+        Gaussian source takes all three from one _std_rule pass: the mass
+        is pdf(near) times the rule's integral, the mean near + E[u], in
+        std units. pdf(near) takes |near| capped at 40, past which it is
+        exactly 0 anyway, so near^2 cannot overflow. A mass that rounds
+        above 1, as on bins reaching far below the mean up to +inf, is 1.
+        The whole line, which only a row of two edges can hold, gives
+        exactly (1, mean, std**2)."""
         if self.kind == EXPONENTIAL:
             start, length = self._exp_windows(e)
             s = self.rate * length
-            return (np.exp(-self.rate * start) * -np.expm1(-s),
-                    start + 1.0 / self.rate - _exp_gap(s, self.rate))
-        return self._std_bins(e)[:2]
-
-    def _std_bins(self, e: np.ndarray):
-        """A Gaussian source's (probs, means, variances) on checked edges,
-        all from one _std_rule pass: the mass is pdf(near) times the
-        rule's integral, the mean near + E[u], in std units. variances is
-        a function that forms them from that pass when called, so callers
-        that read only probs and means form none. pdf(near) takes |near|
-        capped at 40, past which it is exactly 0 anyway, so near^2 cannot
-        overflow. A mass that rounds above 1, as on bins reaching far
-        below the mean up to +inf, is 1. The whole line, which only a row
-        of two edges can hold, gives exactly (1, mean, std**2)."""
+            return (lambda: np.exp(-self.rate * start) * -np.expm1(-s),
+                    start + 1.0 / self.rate - _exp_gap(s, self.rate),
+                    lambda: _exp_window_variance(length, self.rate))
         z = (e - self.mean) / self.std
         za, zb = z[..., :-1], z[..., 1:]
         near, mass, shift, spread = _std_rule(za, zb)
-        capped = np.minimum(np.abs(near), 40.0)
-        probs = np.minimum(mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI,
-                           1.0)
         sd2 = self.std * self.std
-        whole = None
-        if z.shape[-1] == 2:
-            whole = np.isinf(za) & np.isinf(zb)
-            probs = np.where(whole, 1.0, probs)
+        whole = np.isinf(za) & np.isinf(zb) if z.shape[-1] == 2 else None
+
+        def probs() -> np.ndarray:
+            capped = np.minimum(np.abs(near), 40.0)
+            p = np.minimum(mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI,
+                           1.0)
+            return p if whole is None else np.where(whole, 1.0, p)
 
         def variances() -> np.ndarray:
             var = spread() * sd2
@@ -369,11 +374,9 @@ class SourceModel:
     def _bin_record(self, e: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(probs, means, variances) on checked edges, the record a
-        Partition keeps: one _std_bins pass on a Gaussian source."""
-        if self.kind == EXPONENTIAL:
-            return (*self._bin_moments(e), self._bin_variances(e))
-        probs, means, variances = self._std_bins(e)
-        return probs, means, variances()
+        Partition keeps, from one _bin_moments pass."""
+        probs, means, variances = self._bin_moments(e)
+        return probs(), means, variances()
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -386,13 +389,7 @@ class SourceModel:
         """
         e = self._bin_edges(edges)
         self._check_support(e)
-        return self._bin_variances(e)
-
-    def _bin_variances(self, e: np.ndarray) -> np.ndarray:
-        """bin_variances on edges that are already checked."""
-        if self.kind == EXPONENTIAL:
-            return _exp_window_variance(self._exp_windows(e)[1], self.rate)
-        return self._std_bins(e)[2]()
+        return self._bin_moments(e)[2]()
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""

@@ -442,14 +442,13 @@ class TestDynamics:
     def test_crossed_initial_centroids_exit_zero(self, capsys, monkeypatch):
         # centroids that do not increase at step 0 (reversed here: the
         # kernels keep real ones inside their bins) are a collapse; the
-        # dynamics read the centroids from the unchecked _bin_moments
-        bin_moments = SourceModel._bin_moments
+        # dynamics read the centroids from the unchecked _bin_means
+        bin_means = SourceModel._bin_means
 
         def reversed_means(self, edges):
-            probs, means = bin_moments(self, edges)
-            return probs, means[..., ::-1]
+            return bin_means(self, edges)[..., ::-1]
 
-        monkeypatch.setattr(SourceModel, "_bin_moments", reversed_means)
+        monkeypatch.setattr(SourceModel, "_bin_means", reversed_means)
         code, out, err = run(
             capsys, "dynamics", "--source", "gauss", "--bias", "0.1",
             "--bins", "5",

@@ -8,7 +8,6 @@ import pytest
 from cheaptalk import sources
 from cheaptalk.dynamics import (
     COLLAPSE_LENGTH,
-    COLLAPSE_PROB,
     IterationTrace,
     _random_start,
     _run_rows,
@@ -23,7 +22,11 @@ from cheaptalk.exponential import (
     solve_n_bins,
     solve_two_bin,
 )
-from cheaptalk.gaussian import _default_interior
+from cheaptalk.gaussian import (
+    _damped_midpoints,
+    _default_interior,
+    solve_n_bins_gauss,
+)
 from cheaptalk.sources import SourceModel
 
 EXP = SourceModel.exponential(1.0)
@@ -94,6 +97,21 @@ class TestLloydConvergence:
         assert trace.final_residual <= 1e-9
         assert certify(trace.final_partition, tol=1e-8).verdict
 
+    @pytest.mark.parametrize("bias, steps", ((0.36, 88), (0.6, 66)))
+    def test_eight_gaussian_bins_past_bias_0_345(self, bias, steps):
+        # from the k/8 quantiles Lloyd reaches the solver's equilibrium,
+        # whose last bin carries under 1e-14
+        root = solve_n_bins_gauss(0.0, 1.0, bias, 8)
+        assert certify(root).verdict
+        assert GAUSS.bin_probs(root.edges)[-1] < 1e-14
+        edges = (-math.inf, *(GAUSS.quantile(k / 8) for k in range(1, 8)),
+                 math.inf)
+        trace = lloyd_method_i(GAUSS, bias, Partition(edges, GAUSS, bias))
+        assert (trace.outcome.status, trace.iterations) == ("converged", steps)
+        assert max(abs(x - y) for x, y in
+                   zip(trace.final_partition.interior_edges,
+                       root.interior_edges)) <= 30 * 1e-10
+
     def test_gaussian_damped_run_certifies(self):
         init = Partition((-math.inf, -0.5, 0.7, math.inf), GAUSS, 0.2)
         trace = fixed_point_iterate(GAUSS, 0.2, init, damping=0.5)
@@ -148,19 +166,17 @@ class TestCollapse:
         assert trace.outcome.iteration == 0
 
     def test_crossed_initial_centroids_are_a_collapse(self, monkeypatch):
-        # every bin is wider than COLLAPSE_LENGTH and heavier than
-        # COLLAPSE_PROB, and the kernels keep each such bin's centroid
-        # inside it, so no real start reaches this branch; reversed
-        # centroids stand in for centroids that do not increase, which
-        # leave no decoder profile to start from; the dynamics read the
-        # centroids from the unchecked _bin_moments
-        bin_moments = SourceModel._bin_moments
+        # every bin is wider than COLLAPSE_LENGTH, and the kernels keep
+        # each such bin's centroid inside it, so no real start reaches
+        # this branch; reversed centroids stand in for centroids that do
+        # not increase, which leave no decoder profile to start from; the
+        # dynamics read the centroids from the unchecked _bin_means
+        bin_means = SourceModel._bin_means
 
         def reversed_means(self, edges):
-            probs, means = bin_moments(self, edges)
-            return probs, means[..., ::-1]
+            return bin_means(self, edges)[..., ::-1]
 
-        monkeypatch.setattr(SourceModel, "_bin_moments", reversed_means)
+        monkeypatch.setattr(SourceModel, "_bin_means", reversed_means)
         edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
                  math.inf)
         init = Partition(edges, GAUSS, 0.1)
@@ -196,38 +212,36 @@ STOP_PATHS = {
                       (0.0, -0.1381566356800764, 0.9702484618022774,
                        math.inf)),
     # the same run with the bias tuned so that the first edge lands
-    # 4.4e-13 above 0 at step 3: shorter than COLLAPSE_LENGTH, yet
-    # heavier than COLLAPSE_PROB
+    # 4.4e-13 above 0 at step 3, shorter than COLLAPSE_LENGTH
     "length-floor": ((EXP, -0.411601180487, (0.0, 1.0, 2.0, math.inf),
                       1.0, 10_000),
                      ("collapsed", 3, 1),
                      (0.0, 4.4314552027913123e-13, 1.1964377735397966,
                       math.inf)),
-    # N(0, 1), 24 bins, b = 0.05, from the solver's default seed: the top
-    # bin of a certified equilibrium carries about 1e-14, so the absolute
-    # COLLAPSE_PROB floor ends the run there; a floor tied to what the
-    # kernels resolve (ROADMAP item 5) will re-pin these two
-    "probability-floor-lloyd": (
-        (GAUSS, 0.05, GAUSS_24, 1.0, 10_000), ("collapsed", 77, 24),
-        (-math.inf, -0.7902276228592942, 0.10554119191965917,
-         0.7931159586151635, 1.3783915902177217, 1.8999776137500493,
-         2.3768648070575384, 2.8199107579128597, 3.2358964820347937,
-         3.629285633876292, 4.003096710073741, 4.359382100783415,
-         4.699518624015269, 5.0244065608277415, 5.334628298375992,
-         5.630594431096239, 5.912690570271768, 6.181429263682333,
-         6.437614506028102, 6.6825606520154635, 6.918524267712809,
-         7.149877517812986, 7.386977208605907, 7.663420594729956,
+    # N(0, 1), 24 bins, b = 0.05, from the solver's default seed: both
+    # runs converge to the solver's equilibrium, whose top three bins
+    # carry 1.0e-14, 1.0e-15 and 8.4e-17; no floor on mass stops them
+    "light-top-bin-lloyd": (
+        (GAUSS, 0.05, GAUSS_24, 1.0, 10_000), ("converged", 488, None),
+        (-math.inf, -0.7838520244536344, 0.11447278072192095,
+         0.8049350789161684, 1.393627397538533, 1.9193355525758051,
+         2.4012536716641986, 2.850488937204402, 3.274132202945853,
+         3.677029136973341, 4.062661410332193, 4.433628963335988,
+         4.791933589937812, 5.139155340869125, 5.476567359695005,
+         5.805213546327592, 6.125962988040135, 6.43955008723913,
+         6.746608791411819, 7.047719094521292, 7.3435360444822715,
+         7.635324444082381, 7.927526246523459, 8.242604705864865,
          math.inf)),
-    "probability-floor-damped": (
-        (GAUSS, 0.05, GAUSS_24, 0.5, 10_000), ("collapsed", 154, 24),
-        (-math.inf, -0.7903541114875314, 0.1053586924054234,
-         0.7928630875595841, 1.378045327391451, 1.8995052074899512,
-         2.3762217712993543, 2.8190388423456736, 3.234722255401521,
-         3.6277205030292006, 4.001039439146359, 4.356725031427381,
-         4.696158615661206, 5.020260905942656, 5.329654331560565,
-         5.624809376241954, 5.90618607684793, 6.174374338950997,
-         6.430242306801282, 6.675138800012661, 6.9113132312973535,
-         7.143084939398637, 7.3807180928786495, 7.657701093835904,
+    "light-top-bin-damped": (
+        (GAUSS, 0.05, GAUSS_24, 0.5, 10_000), ("converged", 985, None),
+        (-math.inf, -0.7838520244552958, 0.1144727807196079,
+         0.8049350789131398, 1.3936273975346882, 1.9193355525710207,
+         2.4012536716583273, 2.850488937197275, 3.274132202937274,
+         3.6770291369630863, 4.062661410320008, 4.433628963321581,
+         4.79193358992085, 5.1391553408492365, 5.476567359671763,
+         5.805213546300515, 6.1259629880086806, 6.439550087202683,
+         6.746608791369695, 7.047719094472738, 7.343536044426509,
+         7.635324444018748, 7.927526246451854, 8.242604705786807,
          math.inf)),
     "converged": ((GAUSS, 0.2, GAUSS_3, 0.5, 10_000), ("converged", 178, None),
                   (-math.inf, 0.33676662391709733, 1.6827857223444558,
@@ -260,33 +274,42 @@ class TestStopPaths:
                 == outcome
 
     def test_length_floor_is_not_the_probability_floor(self):
+        # the dead bin is short, not crossed, and holds 4.4e-13: its
+        # length alone ends the run
         (source, bias, start, damping, _), _, _ = STOP_PATHS["length-floor"]
         _, final = run_alone(source, bias, start, damping)
         assert 0.0 < final[1] < COLLAPSE_LENGTH
-        assert source.bin_probs(final).min() >= COLLAPSE_PROB
+        assert source.bin_probs(final)[0] > 1e-13
 
-    def test_probability_floor_is_not_the_length_floor(self):
-        for name in ("probability-floor-lloyd", "probability-floor-damped"):
+    def test_light_top_bin_limit_is_the_solver_root(self):
+        # the limit certifies and lies within 30 tol of the solver's
+        # edges (the runs stop on movement, not on distance to the
+        # root), with a top bin lighter than 1e-14
+        root = solve_n_bins_gauss(0.0, 1.0, 0.05, 24).interior_edges
+        for name in ("light-top-bin-lloyd", "light-top-bin-damped"):
             (source, bias, start, damping, _), _, _ = STOP_PATHS[name]
             _, final = run_alone(source, bias, start, damping)
-            assert np.diff(final).min() >= COLLAPSE_LENGTH
-            assert source.bin_probs(final)[-1] < COLLAPSE_PROB
+            limit = Partition(final, source, bias)
+            assert certify(limit, tol=1e-10).verdict
+            assert max(abs(x - y) for x, y in
+                       zip(limit.interior_edges, root)) <= 30 * 1e-10
+            assert source.bin_probs(final)[-1] < 1e-14
 
     def test_centroids_crossing_mid_run(self, monkeypatch):
         # as in TestCollapse, reversed centroids stand in for crossed
         # ones, here from the sixth step (step 5) on; the run stops at
         # that step with the edges it moved to, and its trace ends with
         # step 4
-        bin_moments = SourceModel._bin_moments
+        bin_means = SourceModel._bin_means
         calls = []
 
         def reversed_late(self, edges):
-            probs, means = bin_moments(self, edges)
+            means = bin_means(self, edges)
             calls.append(None)
-            return probs, (means if len(calls) <= 5 else means[..., ::-1])
+            return means if len(calls) <= 5 else means[..., ::-1]
 
         _, want = run_alone(GAUSS, 0.2, GAUSS_3, 0.5, max_iter=5)
-        monkeypatch.setattr(SourceModel, "_bin_moments", reversed_late)
+        monkeypatch.setattr(SourceModel, "_bin_means", reversed_late)
         outcome, final = run_alone(GAUSS, 0.2, GAUSS_3, 0.5)
         assert (outcome.status, outcome.iteration, outcome.bin_index) \
             == ("collapsed", 5, None)
@@ -296,13 +319,55 @@ class TestStopPaths:
         assert trace.outcome == outcome
         assert trace.recorded_steps == (0, 1, 2, 3, 4)
 
+    def test_nan_centroid_mid_run(self, monkeypatch):
+        # with no floor on mass, a mean that is not finite ends the run
+        # through the same centroid test
+        bin_means = SourceModel._bin_means
+        calls = []
+
+        def nan_late(self, edges):
+            means = bin_means(self, edges)
+            calls.append(None)
+            if len(calls) > 5:
+                means[..., -1] = math.nan
+            return means
+
+        monkeypatch.setattr(SourceModel, "_bin_means", nan_late)
+        outcome, _ = run_alone(GAUSS, 0.2, GAUSS_3, 0.5)
+        assert (outcome.status, outcome.iteration, outcome.bin_index) \
+            == ("collapsed", 5, None)
+
+
+@pytest.fixture
+def exps(monkeypatch):
+    """The shape of the argument of every exp that sources.py takes. A
+    mass takes one of its own in either family; an exponential mean takes
+    none, a Gaussian mean only the rule's weights over its 48 nodes."""
+    log = []
+
+    class LoggedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            log.append(np.shape(x))
+            return np.exp(x)
+
+    monkeypatch.setattr(sources, "np", LoggedNumpy())
+    return log
+
+
+def three_starts(source):
+    rng = np.random.default_rng(5)
+    return np.array([_random_start(source, 0.2, 8, rng).edges
+                     for _ in range(3)])
+
 
 class TestStepWork:
     def test_gaussian_step_makes_one_rule_pass_and_no_variance(
-            self, monkeypatch):
-        # a step reads probs and means from one pass of the rule and
-        # never reduces that pass to variances; a Partition record does,
-        # once
+            self, monkeypatch, exps):
+        # a step reads means from one pass of the rule and never reduces
+        # that pass to masses or variances; a Partition record does, once
         passes, spreads = [], []
         rule = sources._std_rule
 
@@ -317,16 +382,32 @@ class TestStepWork:
             return near, mass, mean, counted_spread
 
         monkeypatch.setattr(sources, "_std_rule", counted)
-        rng = np.random.default_rng(5)
-        starts = np.array([_random_start(GAUSS, 0.2, 8, rng).edges
-                           for _ in range(3)])
+        starts = three_starts(GAUSS)
         outcomes, _ = _run_rows(GAUSS, 0.2, starts, 5, 1e-10, 1.0)
         assert [o.status for o in outcomes] == ["max_iter"] * 3
         assert passes == [(3, 8)] * 6
         assert spreads == []
+        assert exps == [(3, 8, 48)] * 6
         passes.clear()
+        exps.clear()
         Partition(starts[0], GAUSS, 0.2)._moments
         assert passes == spreads == [(8,)]
+        assert exps == [(8, 48), (8,)]
+
+    def test_exponential_step_forms_no_mass(self, exps):
+        starts = three_starts(EXP)
+        outcomes, _ = _run_rows(EXP, 0.2, starts, 5, 1e-10, 1.0)
+        assert [o.status for o in outcomes] == ["max_iter"] * 3
+        assert exps == []
+        Partition(starts[0], EXP, 0.2)._moments
+        assert exps == [(8,)]
+
+    def test_restart_block_step_forms_no_mass(self, exps):
+        edges = np.array(_default_interior(0.0, 1.0, 0.2, 8))
+        _, converged, steps, _ = _damped_midpoints(GAUSS, 0.2, edges, 0.5, 3,
+                                                   1e-300)
+        assert (converged, steps) == (False, 3)
+        assert exps == [(8, 48)] * 3
 
 
 class TestTraceShape:

@@ -1,6 +1,7 @@
 """Run the Gaussian solve loop from random starts and count its restarts.
 
 Usage: python scripts/newton_starts.py [SRC] [--seed N]
+       python scripts/newton_starts.py OLD_SRC NEW_SRC [--seed N]
 
 Runs gaussian._solve_edges (Newton with short damped restarts; damping
 0.5, max_iter 100 000, tol 1e-10) on N(0, 1) from 1 500 random starts
@@ -28,24 +29,30 @@ JSON object:
 - breakdown_seconds: wall time of the loop on the starts that broke.
 
 SRC (default: this checkout's src) is put first on sys.path.
+
+Given two trees, the script runs each in its own `python` process, side
+by side, and compares them start by start: it prints every start whose
+steps, edges, restarts, failure or gap differ, then a count, and exits 1
+on any difference. Only breakdown_seconds is not compared.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+STARTS = 1500
+# the per-start fields two trees must agree on
+COMPARED = ("steps", "edges", "restarts", "failed", "gap")
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("src", nargs="?",
-                        default=str(Path(__file__).resolve().parents[1] / "src"))
-    parser.add_argument("--seed", type=int, default=20261018)
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
+
+def dump(src: str, seed: int) -> dict:
+    """The JSON object above for one tree."""
+    sys.path.insert(0, src)
     import numpy as np
     from cheaptalk import gaussian
     from cheaptalk.errors import CheapTalkError, EdgeOrderingError
@@ -61,10 +68,10 @@ def main() -> int:
 
     gaussian._damped_midpoints = counted
     source = SourceModel.gaussian(0.0, 1.0)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     out = {"broke": {"n-bin": [], "ladder": []}, "steps": {}, "edges": {},
            "restarts": {}, "failed": {}, "gap": {}, "breakdown_seconds": 0.0}
-    for i in range(1500):
+    for i in range(STARTS):
         bias = rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.6)
         if i < 1200:
             kind, closing = "n-bin", None
@@ -102,7 +109,57 @@ def main() -> int:
             out["gap"][i] = "reference did not converge"
         elif final is not None:
             out["gap"][i] = float(np.abs(final - want).max())
-    json.dump(out, sys.stdout)
+    return out
+
+
+def difference(key: str, old, new) -> str:
+    """One field of one start as it differs between the trees; edges of
+    the same count as their largest move."""
+    if key == "edges" and old and new and len(old) == len(new):
+        return f"edges moved {max(abs(a - b) for a, b in zip(old, new))!r}"
+    return f"{key} {old!r} -> {new!r}"
+
+
+def compare(old_src: str, new_src: str, seed: int) -> int:
+    """Run both trees side by side, one process each, and print every
+    start on which they differ; 1 on any difference."""
+    children = [subprocess.Popen(
+        [sys.executable, __file__, src, "--seed", str(seed)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for src in (old_src, new_src)]
+    results = []
+    for src, child in zip((old_src, new_src), children):
+        out, err = child.communicate()
+        if child.returncode != 0:
+            raise SystemExit(f"{src} exited {child.returncode}: {err}")
+        results.append(json.loads(out))
+    old, new = results
+    differ = 0
+    for i in map(str, range(STARTS)):
+        fields = [key for key in COMPARED if old[key].get(i) != new[key].get(i)]
+        if fields:
+            differ += 1
+            print(f"start {i}: " + "; ".join(
+                difference(key, old[key].get(i), new[key].get(i))
+                for key in fields))
+    print(f"{STARTS} starts: {differ} differ")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src", nargs="*",
+                        help="one tree to dump (default: this checkout's "
+                             "src), or OLD_SRC NEW_SRC to compare")
+    parser.add_argument("--seed", type=int, default=20261018)
+    args = parser.parse_args()
+    if len(args.src) == 2:
+        return compare(*args.src, args.seed)
+    if len(args.src) > 2:
+        parser.error("give at most two trees")
+    src = args.src[0] if args.src else str(
+        Path(__file__).resolve().parents[1] / "src")
+    json.dump(dump(src, args.seed), sys.stdout)
     print()
     return 0
 

@@ -22,7 +22,9 @@ distorts the map.
 Everything here runs on numpy alone: every bin moment, in Newton
 iterates and restart blocks alike, comes from the one Gaussian kernel,
 the fixed rule of sources._std_rule, and each Newton step solves its
-tridiagonal system by a Thomas sweep (_thomas).
+tridiagonal system by a Thomas sweep (_thomas). Below a few dozen bins
+an iterate costs a fixed count of numpy calls, not work per bin, so the
+loop makes no call that does no work.
 """
 
 from __future__ import annotations
@@ -316,14 +318,17 @@ def _newton_step(f: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     edge, adding its slope to the last row. A bin's two slopes sum to
     1 - Var, Var its variance in std^2 units, so each row's diagonal
     exceeds the sum of its off-diagonals by the mean of its two bins'
-    Var, closing row included: the Thomas sweep needs no pivoting."""
+    Var, closing row included: the Thomas sweep needs no pivoting. The
+    step is checked on the sweep's list and made an array once."""
     diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
     if ladder_step is not None:
         diag[-1] -= 0.5 * hi[-1]
     # a non-finite entry shows up as a non-finite pivot or step
     step = _thomas((-0.5 * lo[1:-1]).tolist(), diag.tolist(),
                    (-0.5 * hi[1:-1]).tolist(), (-f).tolist())
-    return None if step is None or not np.isfinite(step).all() else np.array(step)
+    if step is None or not all(map(math.isfinite, step)):
+        return None
+    return np.array(step)
 
 
 def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
@@ -334,12 +339,14 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     _full_edges; returns (edges, converged, steps, final_change).
 
     Every iterate, line-search trials included, costs one kernel pass:
-    _std_interval_slopes gives the bins' means, hence F, and the slopes
-    that _newton_step's Jacobian needs. Newton steps are halved until
-    the edges stay increasing and max|F| does not grow; a full step of
-    at most tol, once taken, converges.
+    _std_interval_slopes gives the bins' means, hence F and max|F|, and
+    the slopes that _newton_step's Jacobian needs; the edges reach it
+    through one buffer per solve. Newton steps are halved until the
+    edges stay increasing and max|F| does not grow; a full step of at
+    most tol, once taken, converges.
     Once max|F| is rounding noise (_F_FLOOR), a full step no smaller
-    than the smallest so far is noise too, and the loop stops. On a
+    than the smallest so far is noise too, and the loop stops; the
+    floor's scale is formed only for such a step. On a
     breakdown (a non-finite F or step, or one halved below 2^-20) it
     takes _RESTART_STEPS damped steps, from the start at first and then
     from the last damped iterate, and retries Newton. Steps taken,
@@ -347,38 +354,45 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     smallest full Newton step (inf if none was finite).
     """
     mean, std = source.mean, source.std
+    # the full edges in std units; the infinite ends are set once, and a
+    # ladder's closing edge is rewritten with each iterate
+    z = np.full(start.size + 2, np.inf)
+    z[0] = -np.inf
+    inner = z[1:-1]
 
     def residual(e):
-        z = (_full_edges(e, ladder_step) - mean) / std
+        np.subtract(e, mean, out=inner)
+        np.divide(inner, std, out=inner)
+        if ladder_step is not None:
+            z[-1] = (e[-1] + ladder_step - mean) / std
         means, lo, hi = _std_interval_slopes(z[:-1], z[1:])
-        return e - _midpoints(mean + std * means, bias), lo, hi
+        f = e - _midpoints(mean + std * means, bias)
+        return f, float(np.abs(f).max()), lo, hi
 
     # the start is checked here; the loop checks every later iterate
     source._bin_edges(_full_edges(start, ladder_step))
     edges = damped = start
-    f, lo, hi = residual(edges)
+    f, f_max, lo, hi = residual(edges)
     steps, smallest = 0, math.inf
     while steps < max_iter:
-        f_max = float(np.abs(f).max())
         step = _newton_step(f, lo, hi, ladder_step)
         if step is not None:
             size = float(np.abs(step).max())
-            if size <= tol:
-                new = edges + step
-                if (new[1:] > new[:-1]).all():
-                    return new, True, steps + 1, size
-            scale = abs(mean) + std + float(np.abs(edges).max())
-            if size >= smallest and f_max <= _F_FLOOR * scale:
+            new = edges + step
+            if size <= tol and (new[1:] > new[:-1]).all():
+                return new, True, steps + 1, size
+            if size >= smallest and f_max <= _F_FLOOR * (
+                    abs(mean) + std + float(np.abs(edges).max())):
                 return edges, smallest <= tol, steps, smallest
             smallest = min(smallest, size)
             t = 1.0
             while t >= 2.0 ** -20:
-                new = edges + t * step
                 if (new[1:] > new[:-1]).all():
-                    f_new, lo_new, hi_new = residual(new)
-                    if float(np.abs(f_new).max()) <= f_max:
+                    trial = residual(new)
+                    if trial[1] <= f_max:
                         break
                 t *= 0.5
+                new = edges + t * step
             else:
                 step = None
         if step is None:
@@ -386,9 +400,9 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
                 source, bias, damped, damping,
                 min(_RESTART_STEPS, max_iter - steps), tol, ladder_step)
             edges, steps = damped, steps + taken
-            f, lo, hi = residual(edges)
+            f, f_max, lo, hi = residual(edges)
         else:
-            edges, f, lo, hi, steps = new, f_new, lo_new, hi_new, steps + 1
+            edges, (f, f_max, lo, hi), steps = new, trial, steps + 1
     return edges, False, steps, smallest
 
 
@@ -425,7 +439,7 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
         if not (isinstance(n_edges, int) and n_edges >= 2):
             raise DomainError(f"n_edges must be an integer >= 2, got {n_edges!r}")
         width = max(2.0 * abs(bias), std / 4.0)
-        anchor = solve_two_bin_gauss(mean, std, bias).edges[1]
+        anchor = mean + std * _solve_balance(2.0 * bias / std)
         start = TruncatedLadder(anchor, (width,) * (n_edges - 1), margin)
         edges = start.edges_for(bias)
     if not (isinstance(margin, int) and 0 <= margin < n_edges):
@@ -453,16 +467,17 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
 
 def _default_interior(mean: float, std: float, bias: float,
                       n_bins: int) -> np.ndarray:
-    """Default interior-edge seed for the finite-bin iteration."""
+    """Default interior-edge seed for the finite-bin iteration, anchored
+    at the two-bin edge on the bounded side (centred at bias 0)."""
     width = max(2.0 * abs(bias), std / 4.0)
     count = n_bins - 1
+    if bias == 0.0:
+        return mean + width * (np.arange(1, count + 1) - 0.5 * n_bins)
+    # the edge of solve_two_bin_gauss, without building its Partition
+    anchor = mean + std * _solve_balance(2.0 * bias / std)
     if bias > 0.0:
-        anchor = solve_two_bin_gauss(mean, std, bias).edges[1]
         return anchor + width * np.arange(count)
-    if bias < 0.0:
-        anchor = solve_two_bin_gauss(mean, std, bias).edges[1]
-        return anchor - width * np.arange(count - 1, -1, -1)
-    return mean + width * (np.arange(1, count + 1) - 0.5 * n_bins)
+    return anchor - width * np.arange(count - 1, -1, -1)
 
 
 def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,

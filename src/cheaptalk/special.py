@@ -251,6 +251,8 @@ _ERFCX_CHEB = (
 )
 # c_0 follows from erfcx(0) = 1, where t = -1 and T_k(-1) = (-1)^k.
 _ERFCX_C0 = 1.0 - math.fsum((-1) ** k * c for k, c in enumerate(_ERFCX_CHEB, 1))
+# c_27 .. c_1, the order in which Clenshaw's recurrence reads them
+_ERFCX_CLENSHAW = _ERFCX_CHEB[::-1]
 
 
 def erfcx(x: float) -> float:
@@ -267,9 +269,10 @@ def erfcx(x: float) -> float:
     if x == math.inf:
         return 0.0
     t = (x - _ERFCX_K) / (x + _ERFCX_K)
+    t2 = 2.0 * t
     b1 = b2 = 0.0
-    for c in reversed(_ERFCX_CHEB):
-        b1, b2 = c + 2.0 * t * b1 - b2, b1
+    for c in _ERFCX_CLENSHAW:
+        b1, b2 = c + t2 * b1 - b2, b1
     return (_ERFCX_C0 + t * b1 - b2) / (1.0 + 2.0 * x)
 
 

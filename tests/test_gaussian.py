@@ -279,6 +279,18 @@ class TestFiniteBins:
         assert err.value.final_change > 0.0
         assert len(err.value.edges) == 4
 
+    def test_default_seed_anchor_is_the_two_bin_edge(self):
+        # the seed's edge on the bounded side is solve_two_bin_gauss's
+        # edge bit for bit, though formed without building its Partition
+        rng = np.random.default_rng(19)
+        for mean, std, size, sign in zip(
+                rng.uniform(-5.0, 5.0, 500), 10.0 ** rng.uniform(-2.0, 2.0, 500),
+                10.0 ** rng.uniform(-6.0, 0.5, 500), rng.choice([-1.0, 1.0], 500)):
+            mean, std, bias = float(mean), float(std), float(sign * size * std)
+            seed = _default_interior(mean, std, bias, 6)
+            anchor = seed[0] if bias > 0.0 else seed[-1]
+            assert anchor == solve_two_bin_gauss(mean, std, bias).edges[1]
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             solve_n_bins_gauss(0.0, 1.0, math.nan, 3)
@@ -457,6 +469,36 @@ class TestNewton:
         assert not res.converged
         assert res.iterations < 30
         assert res.final_change > 1e-15
+
+
+class TestFloatingPointErrors:
+    """No solve divides by zero, overflows or forms an invalid value such
+    as 0 * inf at an infinite end: the solve loop sets no np.errstate of
+    its own, so any of these raises here. Underflow in the far tails is
+    legitimate."""
+
+    RAISE = {"invalid": "raise", "divide": "raise", "over": "raise"}
+
+    def test_n_bin_solves(self):
+        with np.errstate(**self.RAISE):
+            for n_bins in range(2, 25):
+                for bias in (k / 10.0 for k in range(-5, 6)):
+                    p = solve_n_bins_gauss(0.0, 1.0, bias, n_bins)
+                    assert p.n_bins == n_bins
+
+    @pytest.mark.parametrize("bias", [-0.5, -0.3, -0.1, 0.1, 0.2, 0.4, 0.5])
+    def test_ladder_solves(self, bias):
+        with np.errstate(**self.RAISE):
+            res = solve_truncated_ladder(STD_GAUSS, bias)
+        assert res.converged and res.certificate.verdict
+
+    def test_solve_through_a_restart_block(self, monkeypatch):
+        blocks = restart_blocks(monkeypatch)
+        with np.errstate(**self.RAISE):
+            _, converged, _, _ = _solve_edges(
+                STD_GAUSS, -0.4, np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), 0.5,
+                100_000, 1e-10)
+        assert converged and blocks == [8]
 
 
 def dense(sub, diag, sup):

@@ -84,9 +84,14 @@ def solve_two_bin_gauss(mean: float, std: float, bias: float) -> Partition:
     source = SourceModel.gaussian(mean, std)
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
-    y = 2.0 * bias / std
-    c = _solve_balance(y)
-    return Partition((-math.inf, mean + std * c, math.inf), source, bias)
+    return Partition((-math.inf, _two_bin_edge(mean, std, bias), math.inf),
+                     source, bias)
+
+
+def _two_bin_edge(mean: float, std: float, bias: float) -> float:
+    """solve_two_bin_gauss's edge on checked arguments, with no Partition:
+    what the default seeds anchor at."""
+    return mean + std * _solve_balance(2.0 * bias / std)
 
 
 def _solve_balance(y: float) -> float:
@@ -439,7 +444,7 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
         if not (isinstance(n_edges, int) and n_edges >= 2):
             raise DomainError(f"n_edges must be an integer >= 2, got {n_edges!r}")
         width = max(2.0 * abs(bias), std / 4.0)
-        anchor = mean + std * _solve_balance(2.0 * bias / std)
+        anchor = _two_bin_edge(mean, std, bias)
         start = TruncatedLadder(anchor, (width,) * (n_edges - 1), margin)
         edges = start.edges_for(bias)
     if not (isinstance(margin, int) and 0 <= margin < n_edges):
@@ -473,8 +478,7 @@ def _default_interior(mean: float, std: float, bias: float,
     count = n_bins - 1
     if bias == 0.0:
         return mean + width * (np.arange(1, count + 1) - 0.5 * n_bins)
-    # the edge of solve_two_bin_gauss, without building its Partition
-    anchor = mean + std * _solve_balance(2.0 * bias / std)
+    anchor = _two_bin_edge(mean, std, bias)
     if bias > 0.0:
         return anchor + width * np.arange(count)
     return anchor - width * np.arange(count - 1, -1, -1)

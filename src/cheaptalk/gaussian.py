@@ -23,8 +23,8 @@ Everything here runs on numpy alone: every bin moment, in Newton
 iterates and restart blocks alike, comes from the one Gaussian kernel,
 the fixed rule of sources._std_rule, and each Newton step solves its
 tridiagonal system by a Thomas sweep (_thomas). Below a few dozen bins
-an iterate costs a fixed count of numpy calls, not work per bin, so the
-loop makes no call that does no work.
+an iterate costs a fixed count of numpy calls, not work per bin, and the
+loop forms nothing it does not read.
 """
 
 from __future__ import annotations
@@ -323,8 +323,9 @@ def _newton_step(f: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     edge, adding its slope to the last row. A bin's two slopes sum to
     1 - Var, Var its variance in std^2 units, so each row's diagonal
     exceeds the sum of its off-diagonals by the mean of its two bins'
-    Var, closing row included: the Thomas sweep needs no pivoting. The
-    step is checked on the sweep's list and made an array once."""
+    Var, closing row included: the Thomas sweep needs no pivoting. It
+    runs on Python floats, so the step becomes an array once, when it is
+    known to be finite."""
     diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
     if ladder_step is not None:
         diag[-1] -= 0.5 * hi[-1]
@@ -345,13 +346,11 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
 
     Every iterate, line-search trials included, costs one kernel pass:
     _std_interval_slopes gives the bins' means, hence F and max|F|, and
-    the slopes that _newton_step's Jacobian needs; the edges reach it
-    through one buffer per solve. Newton steps are halved until the
-    edges stay increasing and max|F| does not grow; a full step of at
-    most tol, once taken, converges.
+    the slopes that _newton_step's Jacobian needs. Newton steps are
+    halved until the edges stay increasing and max|F| does not grow; a
+    full step of at most tol, once taken, converges.
     Once max|F| is rounding noise (_F_FLOOR), a full step no smaller
-    than the smallest so far is noise too, and the loop stops; the
-    floor's scale is formed only for such a step. On a
+    than the smallest so far is noise too, and the loop stops. On a
     breakdown (a non-finite F or step, or one halved below 2^-20) it
     takes _RESTART_STEPS damped steps, from the start at first and then
     from the last damped iterate, and retries Newton. Steps taken,

@@ -281,7 +281,7 @@ class TestFiniteBins:
 
     def test_default_seed_anchor_is_the_two_bin_edge(self):
         # the seed's edge on the bounded side is solve_two_bin_gauss's
-        # edge bit for bit, though formed without building its Partition
+        # edge bit for bit
         rng = np.random.default_rng(19)
         for mean, std, size, sign in zip(
                 rng.uniform(-5.0, 5.0, 500), 10.0 ** rng.uniform(-2.0, 2.0, 500),

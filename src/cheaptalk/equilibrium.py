@@ -57,10 +57,10 @@ class Partition:
     edges[0] and edges[-1] always coincide with the support endpoints
     (0 and +inf for exponential sources, -inf and +inf for Gaussian), so
     every value the source can produce lands in exactly one bin. Interior
-    edges are finite and strictly increasing; each bin then has positive
-    length inside the support, which is the structural form of "positive
-    probability" that remains meaningful even where the tail mass
-    underflows in double precision.
+    edges are finite and strictly increasing, by the source's one edge
+    check (_bin_edges); each bin then has positive length inside the
+    support, the structural form of "positive probability" that stays
+    meaningful even where the tail mass underflows in double precision.
     """
 
     edges: tuple[float, ...]
@@ -68,20 +68,12 @@ class Partition:
     bias: float
 
     def __post_init__(self) -> None:
-        edges = tuple(float(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
+        edges = [float(e) for e in self.edges]
         object.__setattr__(self, "bias", float(self.bias))
         if not math.isfinite(self.bias):
             raise DomainError(f"bias must be finite, got {self.bias!r}")
-        if len(edges) < 2:
-            raise DomainError("a partition needs at least two edges")
-        if any(math.isnan(e) for e in edges):
-            raise DomainError("partition edges must not be NaN")
-        for a, b in zip(edges, edges[1:]):
-            if not a < b:
-                raise DomainError(
-                    f"partition edges must be strictly increasing, got "
-                    f"{a!r} before {b!r}")
+        edges = tuple(self.source._bin_edges(edges).tolist())
+        object.__setattr__(self, "edges", edges)
         lo, hi = self.source.support
         if edges[0] != lo or edges[-1] != hi:
             raise DomainError(
@@ -116,11 +108,13 @@ class Partition:
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(probs, means, variances) of the bins as read-only arrays,
-        computed once, on first use, by the unchecked kernels in one pass
-        (__post_init__ has checked the edges); certify, decoder_cost and
-        decoder_best_response read it. Not a field, so it changes neither
-        equality nor hashing."""
-        moments = self.source._bin_record(np.asarray(self.edges))
+        computed once, on first use, by one pass of the unchecked kernel
+        _bin_moments (__post_init__ has checked the edges through the
+        source); certify, decoder_cost and decoder_best_response read it.
+        Not a field, so it changes neither equality nor hashing."""
+        probs, means, variances = self.source._bin_moments(
+            np.asarray(self.edges))
+        moments = (probs(), means, variances())
         for a in moments:
             a.flags.writeable = False
         return moments

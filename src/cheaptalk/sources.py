@@ -8,8 +8,9 @@ such edges), plus quantiles and sampling. The scalar interval
 methods are the same code on a single bin. Internal loops, which keep
 their edges increasing, read means alone through the unchecked
 _bin_means; a Partition fills its record of all three moments once, on
-first use, through _bin_record. Both go through one kernel per family,
-_bin_moments, which forms a mass or a variance only when it is read.
+first use, from one _bin_moments call. Both go through that one kernel
+per family, which forms a mass or a variance only when it is read. Every
+edge sequence, a Partition's too, passes one check, _bin_edges.
 
 Numerical ground rules:
 
@@ -309,11 +310,6 @@ class SourceModel:
             raise ZeroProbabilityError(
                 f"[{row[0]}, {row[1]}] lies outside the exponential support")
 
-    def _exp_windows(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Start and in-support length of each exponential bin."""
-        a = np.maximum(e, 0.0)
-        return a[..., :-1], a[..., 1:] - a[..., :-1]
-
     def bin_probs(self, edges) -> np.ndarray:
         """P(e_k < M < e_{k+1}) for every bin of an increasing edge array.
 
@@ -358,7 +354,8 @@ class SourceModel:
         The whole line, which only a row of two edges can hold, gives
         exactly (1, mean, std**2)."""
         if self.kind == EXPONENTIAL:
-            start, length = self._exp_windows(e)
+            a = np.maximum(e, 0.0)
+            start, length = a[..., :-1], a[..., 1:] - a[..., :-1]
             s = self.rate * length
             return (lambda: np.exp(-self.rate * start) * -np.expm1(-s),
                     start + 1.0 / self.rate - _exp_gap(s, self.rate),
@@ -380,13 +377,6 @@ class SourceModel:
             return var if whole is None else np.where(whole, sd2, var)
 
         return probs, self.mean + self.std * (near + shift), variances
-
-    def _bin_record(self, e: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(probs, means, variances) on checked edges, the record a
-        Partition keeps, from one _bin_moments pass."""
-        probs, means, variances = self._bin_moments(e)
-        return probs(), means, variances()
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -429,7 +419,7 @@ class SourceModel:
 
         if power not in (1, 2):
             raise DomainError(f"power must be 1 or 2, got {power!r}")
-        self._bin_edges((lo, hi))
+        self._check_support(self._bin_edges((lo, hi)))
 
         def integral(f, a: float, b: float, scale: float) -> float:
             val, err = quad(f, a, b, epsabs=1e-12 * scale, epsrel=1e-12,
@@ -441,9 +431,6 @@ class SourceModel:
 
         if self.kind == EXPONENTIAL:
             lam = self.rate
-            if hi <= 0.0:
-                raise ZeroProbabilityError(
-                    f"[{lo}, {hi}] lies outside the exponential support")
             a = max(lo, 0.0)
             b = min(hi, a + 42.0 / lam)
             if math.isinf(hi):

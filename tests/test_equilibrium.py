@@ -58,6 +58,22 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition((0.0, 1.0, math.inf), EXP, math.nan)
 
+    @pytest.mark.parametrize("edges, src", [
+        ((0.0, math.nan, math.inf), EXP),
+        ((0.0, 1.0, 1.0, math.inf), EXP),
+        ((-math.inf, 1.0, 0.5, math.inf), GAUSS),
+        ((-math.inf, -math.inf, 0.0, math.inf), GAUSS),
+        ((0.0, 1.0, math.inf, math.inf), EXP),
+        ((0.0,), EXP),
+        ((), GAUSS),
+    ])
+    def test_edges_fail_the_sources_check(self, edges, src):
+        # the one edge check of the bin methods, with bin_means' message
+        with pytest.raises(DomainError, match="strictly increasing sequence"):
+            Partition(edges, src, 0.1)
+        with pytest.raises(DomainError, match="strictly increasing sequence"):
+            src.bin_means(edges)
+
     def test_accessors(self):
         p = Partition((0.0, 1.0, 3.0, math.inf), EXP, 0.2)
         assert p.n_bins == 3

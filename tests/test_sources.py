@@ -593,7 +593,7 @@ class TestVectorIntervalMean:
         for edges in (up, -up[:, ::-1]):
             probs = GAUSS.bin_probs(edges)[:, 0]
             assert probs.max() <= 1.0
-            assert np.array_equal(GAUSS._bin_record(edges)[0][:, 0], probs)
+            assert np.array_equal(GAUSS._bin_moments(edges)[0]()[:, 0], probs)
         eps = np.finfo(float).eps
         with mp.workdps(40):
             for x, p in zip(a.tolist(), probs.tolist()):
@@ -685,6 +685,8 @@ class TestVectorIntervalMean:
         for method in (EXP.bin_means, EXP.bin_variances):
             with pytest.raises(ZeroProbabilityError, match=r"\[-3.0, -1.0\]"):
                 method(rows)
+        with pytest.raises(ZeroProbabilityError, match=r"\[-3.0, -1.0\]"):
+            EXP.quadrature_moment(-3.0, -1.0, 1)
 
 
 def mp_std_slopes(lo, hi):

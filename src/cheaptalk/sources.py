@@ -123,18 +123,19 @@ def _std_interval_slopes(alpha, beta):
 
 def _std_window(za, zb):
     """The part of [za, zb] that carries a standard normal's conditional
-    mass there, elementwise: (near, lo, hi), near the bin's point nearest
-    the origin, and lo <= 0 <= hi the window's ends as offsets from near,
+    mass there, elementwise, for bins already reflected to za + zb >= 0:
+    (near, lo, hi), near = max(za, 0) >= 0 the bin's point nearest the
+    origin, and lo <= 0 <= hi the window's ends as offsets from near,
     each far end cut where the conditional density has fallen below e^-50
-    of its peak, min(10, 50/|near|) past near. A rule over a whole long or
+    of its peak, min(10, 50/near) past near. A rule over a whole long or
     half-infinite bin can miss a mass that sits in a sliver at one end.
     The variance weights the cut tail by about the square of its
     distance, so a cut at e^-40 still moved deep half-line variances by
     5e-15. The offsets are never formed as near + reach, which rounds to
-    near once reach is below half an ulp of near (|near| past about 6.7e8).
+    near once reach is below half an ulp of near (near past about 6.7e8).
     """
-    near = np.minimum(np.maximum(za, 0.0), zb)
-    reach = 50.0 / np.maximum(np.abs(near), 5.0)
+    near = np.maximum(za, 0.0)
+    reach = 50.0 / np.maximum(near, 5.0)
     return near, np.maximum(za - near, -reach), np.minimum(zb - near, reach)
 
 
@@ -409,11 +410,12 @@ class SourceModel:
         Independent slow path used by tests and verification; it shares no
         closed form or rule with truncated_mean/variance. Gaussian bins are
         integrated over their _std_window in the shifted variable
-        u = z - near: the integrals of u^k * pdf(near + u)/pdf(near) give
-        E[u] and E[u^2], and the raw moment is built from near, E[u] and
-        E[u^2], so nothing is lost to a large near. Exponential windows are
-        cut 42 mean-lengths in. Needs scipy, which only the test extra
-        installs (pip install cheaptalk[test]).
+        u = z - near, reflected to za + zb >= 0 as the rule's are: the
+        integrals of u^k * pdf(near + u)/pdf(near) give E[u] and E[u^2],
+        a reflected bin negates near and E[u], and the raw moment is built
+        from near, E[u] and E[u^2], so nothing is lost to a large near.
+        Exponential windows are cut 42 mean-lengths in. Needs scipy, which
+        only the test extra installs (pip install cheaptalk[test]).
         """
         from scipy.integrate import quad
 
@@ -442,14 +444,17 @@ class SourceModel:
                 return x ** power * lam * math.exp(-lam * (x - a)) / norm
 
             return integral(integrand, a, b, 1.0)
+        za, zb = (lo - self.mean) / self.std, (hi - self.mean) / self.std
+        sign = -1.0 if za + zb < 0.0 else 1.0
         near, u_lo, u_hi = (float(v) for v in _std_window(
-            (lo - self.mean) / self.std, (hi - self.mean) / self.std))
+            *sorted((sign * za, sign * zb))))
         mass = integral(lambda u: math.exp(-u * (near + 0.5 * u)), u_lo, u_hi,
                         0.0)
         reach = max(-u_lo, u_hi)
         eu = [integral(lambda u: u ** k * math.exp(-u * (near + 0.5 * u)),
                        u_lo, u_hi, mass * reach ** k) / mass
               for k in range(1, power + 1)]
+        near, eu[0] = sign * near, sign * eu[0]
         shift = self.mean + self.std * near
         if power == 1:
             return shift + self.std * eu[0]

@@ -94,6 +94,8 @@ INVOCATIONS = [
     ("usage: zero bins", ("solve", *EXP, "--rate", "1", "--bias", "0.2", "--bins", "0")),
     ("usage: negative std", ("solve", *GAUSS, "--std", "-1", "--bias", "0.2",
                              "--bins", "3")),
+    ("usage: solve negative tol", ("solve", *GAUSS, "--bias", "0.2", "--bins", "3",
+                                   "--tol", "-1")),
     ("sweep exp bias", ("sweep", *EXP, "--rate", "1.2", "--vary", "bias",
                         "--from", "-0.7", "--to", "0.5", "--steps", "50",
                         "--bins", "3", "--format", "json")),
@@ -145,6 +147,8 @@ INVOCATIONS = [
                               "--bins", "3", "--init", "1,2", "--seed", "3")),
     ("usage: dynamics 1 bin", ("dynamics", *GAUSS, "--bias", "0.1", "--bins", "1",
                                "--seed", "3")),
+    ("usage: dynamics bad init", ("dynamics", *EXP, "--rate", "1", "--bias", "0.1",
+                                  "--bins", "3", "--init", "1,0")),
     *[(f"verify {name}", ("verify", f"{{dir}}/{name}.json", "--seed", "7"))
       for name in DOCUMENTS],
     # sample counts that are not a multiple of monte_carlo_cost's block

@@ -223,6 +223,27 @@ def _meta(started: float, note: str | None = None) -> dict:
 # solve
 
 
+# solver failures, a subclass before its base: (error class, sweep
+# status, solve stderr prefix); solve reports a DomainError as misuse
+_FAILURES = (
+    (NoInformativeEquilibriumError, "no-informative-equilibrium",
+     "no informative equilibrium"),
+    (BinCollapseError, "collapse", "bin collapse"),
+    (NonConvergenceError, "non-convergence", "iteration failed"),
+    (EdgeOrderingError, "edge-ordering", "iteration failed"),
+    (DomainError, "invalid", None),
+)
+
+
+def _failure(err: Exception) -> tuple[str, str | None]:
+    """(sweep status, solve stderr prefix) of err; re-raises any error
+    that is not a solver failure."""
+    for kind, status, prefix in _FAILURES:
+        if isinstance(err, kind):
+            return status, prefix
+    raise err
+
+
 def _certificate_doc(cert) -> dict:
     doc = {
         "residuals": list(cert.residuals),
@@ -309,17 +330,11 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             note = (f"truncated ladder, {result.iterations} iterations, "
                     f"smallest full Newton step {_fmt(result.final_change)}"
                     + ("" if result.converged else "; did not converge"))
-    except NoInformativeEquilibriumError as err:
-        sys.stderr.write(f"no informative equilibrium: {err}\n")
-        return 2
-    except BinCollapseError as err:
-        sys.stderr.write(f"bin collapse: {err}\n")
-        return 2
-    except (NonConvergenceError, EdgeOrderingError) as err:
-        sys.stderr.write(f"iteration failed: {err}\n")
-        return 2
     except DomainError as err:
         parser.error(str(err))
+    except Exception as err:
+        sys.stderr.write(f"{_failure(err)[1]}: {err}\n")
+        return 2
 
     report = _report(partition, cert)
     if args.format == "json":
@@ -357,22 +372,6 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # sweep
 
 
-_STATUS = (
-    (NoInformativeEquilibriumError, "no-informative-equilibrium"),
-    (BinCollapseError, "collapse"),
-    (NonConvergenceError, "non-convergence"),
-    (EdgeOrderingError, "edge-ordering"),
-    (DomainError, "invalid"),
-)
-
-
-def _classify(err: Exception) -> str:
-    for kind, label in _STATUS:
-        if isinstance(err, kind):
-            return label
-    raise err
-
-
 def _sweep_row(source: SourceModel, bias: float, n_bins: int,
                args: argparse.Namespace) -> dict:
     row: dict[str, Any] = {"bias": bias, "bins": n_bins, "status": "ok"}
@@ -389,7 +388,7 @@ def _sweep_row(source: SourceModel, bias: float, n_bins: int,
                 row["decoder_cost_infinite"] = decoder_cost_infinite(source.rate, bias)
         _, partition = _solve_bins(source, bias, n_bins, args)
     except Exception as err:  # status column carries the failure
-        row["status"] = _classify(err)
+        row["status"] = _failure(err)[0]
         return row
     row.update(_report(partition, certify(partition, tol=args.cert_tol)))
     return row
@@ -429,8 +428,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if any(c < 1 for c in counts):
             parser.error("bin counts must be at least 1")
         grid = [(args.bias, c) for c in counts]
-    if not grid:
-        parser.error("empty sweep grid")
 
     rows = [
         {"index": i, **_sweep_row(source, b, n, args)}

@@ -205,6 +205,27 @@ class TestSolve:
              "--seed", "1"),
             ("dynamics", "--source", "gauss", "--bias", "0.5", "--bins", "3",
              "--seed", "-1"),
+            ("solve", "--source", "gauss", "--bias", "0.5", "--bins", "3",
+             "--tol", "-1"),
+            ("solve", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--bins", "0"),
+            ("sweep", "--source", "gauss", "--vary", "bias", "--from", "0",
+             "--to", "0.5"),
+            ("sweep", "--source", "gauss", "--vary", "bias", "--from", "0",
+             "--to", "0.5", "--steps", "0"),
+            ("sweep", "--source", "gauss", "--vary", "bins", "--from", "1",
+             "--to", "3"),
+            ("sweep", "--source", "gauss", "--vary", "bins", "--from", "1.5",
+             "--to", "3", "--bias", "0.1"),
+            ("sweep", "--source", "gauss", "--vary", "bins", "--from", "0",
+             "--to", "3", "--bias", "0.1"),
+            ("verify", "missing.json", "--seed", "1", "--mc-samples", "1"),
+            ("dynamics", "--source", "gauss", "--bias", "0.5", "--bins", "1",
+             "--seed", "1"),
+            ("dynamics", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--bins", "3", "--init", "1,x"),
+            ("dynamics", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--bins", "3", "--init", "1,0"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv

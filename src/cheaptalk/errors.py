@@ -26,15 +26,12 @@ class QuadratureError(CheapTalkError, ArithmeticError):
 class BinCollapseError(CheapTalkError, ArithmeticError):
     """A construction step produced an empty, inverted, or vanishing bin.
 
-    `bin_index` (1-based, when known) identifies the offending bin and
-    `step` the iteration or recursion stage that produced it.
+    `bin_index` (1-based, when known) identifies the offending bin.
     """
 
-    def __init__(self, message: str, *, bin_index: int | None = None,
-                 step: int | None = None) -> None:
+    def __init__(self, message: str, *, bin_index: int | None = None) -> None:
         super().__init__(message)
         self.bin_index = bin_index
-        self.step = step
 
 
 class NoInformativeEquilibriumError(BinCollapseError):

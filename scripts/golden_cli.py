@@ -55,6 +55,9 @@ INVOCATIONS = [
     ("solve exp csv", ("solve", *EXP, "--rate", "2.5", "--bias", "0.05",
                        "--bins", "6", "--format", "csv")),
     ("solve exp ladder", ("solve", *EXP, "--rate", "1.5", "--bias", "0.3", "--ladder")),
+    # rate*bias = 1e-9: the common length is near sqrt(12e-9), not 2*bias
+    ("solve exp ladder tiny bias", ("solve", *EXP, "--rate", "1", "--bias", "1e-9",
+                                    "--ladder")),
     ("solve exp ladder csv", ("solve", *EXP, "--rate", "1", "--bias", "0.5",
                               "--ladder", "--edges", "30", "--format", "csv")),
     ("solve exp negative bias", ("solve", *EXP, "--rate", "1.3", "--bias", "-0.1",

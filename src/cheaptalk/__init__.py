@@ -24,7 +24,6 @@ from .errors import (
     CheapTalkError,
     DomainError,
     EdgeOrderingError,
-    InvalidBracketError,
     NoInformativeEquilibriumError,
     NonConvergenceError,
     QuadratureError,
@@ -100,7 +99,6 @@ __all__ = [
     "__version__",
     "CheapTalkError",
     "DomainError",
-    "InvalidBracketError",
     "ZeroProbabilityError",
     "QuadratureError",
     "BinCollapseError",

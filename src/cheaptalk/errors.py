@@ -11,10 +11,6 @@ class DomainError(CheapTalkError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class InvalidBracketError(CheapTalkError, ValueError):
-    """A root bracket whose endpoint values have the same strict sign."""
-
-
 class ZeroProbabilityError(CheapTalkError, ArithmeticError):
     """A conditional moment was requested on an interval with no mass."""
 

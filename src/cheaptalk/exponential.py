@@ -14,8 +14,9 @@ infimum 1/lam have no solution, which is exactly the bin-collapse
 regime for negative bias.
 
 Every bin length at every bias is the closed-form inverse of g through
-the principal Lambert branch; bracketed root-finding is left to the
-equal-length fixed point, whose equation has no Lambert form.
+the principal Lambert branch. The equal-length fixed point, whose
+equation has no Lambert form, takes Newton steps (special._newton) on
+its closed-form derivative.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     NoInformativeEquilibriumError,
 )
 from .sources import SourceModel, _exp_gap, _exp_window_variance
-from .special import Bracket, find_root, lambert_w0_conjugate
+from .special import _newton, lambert_w0_conjugate
 
 __all__ = [
     "g",
@@ -208,32 +209,51 @@ def equal_length_defect(length: float, rate: float, bias: float) -> float:
     return (c - length) * math.exp(rate * length) - (c + length)
 
 
+# atanh(y) - y = y^3 * sum_k y^(2k-2)/(2k+1) below the cut, as Horner
+# reads it; 27 terms put the remainder below half an ulp up to y = 0.5
+_ATANH_SERIES_CUT = 0.5
+_ATANH_SERIES = tuple(1.0 / (2 * k + 1) for k in range(27, 0, -1))
+
+
+def _atanh_excess(y: float) -> float:
+    """atanh(y) - y for 0 <= y < 1, without cancellation at small y."""
+    if y >= _ATANH_SERIES_CUT:
+        return math.atanh(y) - y
+    y2 = y * y
+    acc = 0.0
+    for coeff in _ATANH_SERIES:
+        acc = acc * y2 + coeff
+    return acc * y2 * y
+
+
 def fixed_point_length(rate: float, bias: float) -> float:
     """Common bin length of the infinite equal-length equilibrium.
 
     Unique zero of equal_length_defect on (2*bias, 2/rate + 2*bias),
-    requiring bias > 0. Solved in log form so the bracket endpoints stay
-    evaluable even when exp(rate*length) would overflow.
+    requiring bias > 0. In y = length/c, c = 2/rate + 2*bias, the defect
+    vanishes where atanh(y) - y = rate*bias*y; the left side minus the
+    right is convex in y and negative just right of 0. Both
+    sqrt(3*rate*bias) (where the series' leading term y^3/3 meets the
+    right side) and tanh(1 + rate*bias) lie right of the root, so Newton
+    steps from the smaller fall monotonically onto it, to within a few
+    ulps at every bias. A seed that rounds to 1 puts the root within an
+    ulp of c.
     """
     _check_rate(rate)
     if not (math.isfinite(bias) and bias > 0.0):
         raise DomainError(
             f"the equal-length fixed point needs bias > 0, got {bias!r}")
     c = 2.0 / rate + 2.0 * bias
+    rb = rate * bias
+    y = min(math.sqrt(3.0 * rb), math.tanh(1.0 + rb))
+    if y >= 1.0:
+        return math.nextafter(c, 0.0)
 
-    def log_defect(s: float) -> float:
-        # same sign as equal_length_defect on (2*bias, c)
-        return math.log(c - s) - math.log(c + s) + rate * s
+    def step(y: float) -> float:
+        return ((_atanh_excess(y) - rb * y)
+                / (y * y / ((1.0 - y) * (1.0 + y)) - rb))
 
-    lo = 2.0 * bias
-    two_rb = 2.0 * rate * bias
-    f_lo = two_rb - math.log1p(two_rb)  # log_defect(lo), always > 0
-    hi = math.nextafter(c, 0.0)
-    f_hi = log_defect(hi)
-    if f_hi >= 0.0:
-        # the root is within one ulp of c
-        return hi
-    return find_root(log_defect, Bracket(lo, hi, f_lo, f_hi), tol=1e-13)
+    return _newton(step, y) * c
 
 
 def infinite_equilibrium(rate: float, bias: float, n_edges: int = 64) -> Partition:

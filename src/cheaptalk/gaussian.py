@@ -2,9 +2,9 @@
 
 The two-bin equilibrium always exists: its normalized edge c solves
 two_bin_balance(c) = 2*bias/std, and the balance map is odd and strictly
-increasing, so an expanding bracket plus the shared root-finder settles
-it. Finite bin counts above two and the (truncated) infinite ladder have
-no closed form. One loop (_solve_edges) finds both by Newton's method on
+increasing, so the shared Newton loop (special._newton) settles it.
+Finite bin counts above two and the (truncated) infinite ladder have no
+closed form. One loop (_solve_edges) finds both by Newton's method on
 the equilibrium condition F(e) = e - midpoints(e) in the interior edges,
 whose Jacobian is tridiagonal: each conditional mean moves only with its
 own two edges. Where Newton breaks down, a short block of damped steps
@@ -47,7 +47,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .sources import GAUSSIAN, SourceModel, _std_interval_slopes
-from .special import Bracket, find_root, mills_ratio, std_normal_cdf, std_normal_pdf
+from .special import _newton, mills_ratio, std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "two_bin_balance",
@@ -107,14 +107,13 @@ def _solve_balance(y: float) -> float:
         return 0.0
     if y < 0.0:
         return -_solve_balance(-y)
-    c, last = y, math.inf
-    while True:
+
+    def step(c: float) -> float:
         upper, lower = mills_ratio(c), mills_ratio(-c)
-        step = ((2.0 * c - upper + lower - y)
+        return ((2.0 * c - upper + lower - y)
                 / (2.0 - upper * (upper - c) - lower * (lower + c)))
-        if not abs(step) < last:
-            return c
-        c, last = c - step, abs(step)
+
+    return _newton(step, y)
 
 
 def balance_derivative_floor(grid, step: float = 1e-5) -> float:
@@ -140,17 +139,16 @@ def lower_mills_peak() -> tuple[float, float]:
 
     This product bounds one of the two Mills terms in the balance map's
     derivative; its peak is what the derivative floor subtracts. Its
-    derivative is pdf(c)/cdf(c) times 1 - c^2 - c*pdf(c)/cdf(c), whose
-    one root on (1e-6, 4) the shared root-finder locates to rounding.
+    derivative is pdf(c)/cdf(c) times s(c) = 1 - c^2 - c*m(c), with
+    m = pdf/cdf and m' = -m*(c + m). Newton's method on s from c = 1
+    locates its one positive root to rounding.
     """
-    def product(c: float) -> float:
-        return c * std_normal_pdf(c) / std_normal_cdf(c)
+    def step(c: float) -> float:
+        m = std_normal_pdf(c) / std_normal_cdf(c)
+        return (1.0 - c * c - c * m) / (c * m * (c + m) - 2.0 * c - m)
 
-    def slope_sign(c: float) -> float:
-        return 1.0 - c * c - product(c)
-
-    c = find_root(slope_sign, Bracket.scan(slope_sign, 1e-6, 4.0), tol=1e-15)
-    return c, product(c)
+    c = _newton(step, 1.0)
+    return c, c * std_normal_pdf(c) / std_normal_cdf(c)
 
 
 def half_line_bin_bound(std: float, bias: float) -> int:

@@ -78,22 +78,33 @@ def _exp_gap(s, rate: float):
     return (1.0 / rate) / (np.expm1(t) / t) * (s < _EXPM1_MAX)
 
 
+# (sinh(s) - s)/s = sum_k s^(2k)/(2k+1)!, k = 1..9, as Horner reads it in
+# s^2; for s <= 1 the terms left out sum to under half an ulp
+_SINH_EXCESS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1))
+
+
 def _exp_window_variance(length, rate: float):
     """Variance of an exponential conditioned on a window of this length.
 
-    Elementwise; depends on the window only through its length. Uses a
-    short-window series below s = 1e-3 because the closed form subtracts
-    two nearly equal squares there, and saturates to 1/rate^2 once sinh
-    would overflow (the true value is within 1e-300 of that limit).
+    Elementwise; depends on the window only through its length. With
+    s = rate*length/2 and d = 1 - s/sinh(s) it is d*(2 - d)/rate^2, the
+    closed form (1 - (s/sinh(s))^2)/rate^2 with no difference of nearly
+    equal squares. Below s = 1, d = q/(1 + q) with q = (sinh(s) - s)/s
+    from its series, so d keeps every digit as s -> 0 (the series reads s
+    clamped to 1, so long and infinite windows form no inf or NaN there).
+    Past s = 350, where sinh nears overflow, d is exactly 1: the true
+    variance is within 1e-300 of 1/rate^2.
     """
-    length = np.asarray(length, dtype=float)
-    s = 0.5 * rate * length
+    s = 0.5 * rate * np.asarray(length, dtype=float)
+    t2 = np.minimum(s, 1.0) ** 2
+    q = 0.0
+    for coeff in _SINH_EXCESS:
+        q = q * t2 + coeff
+    q = q * t2
     with np.errstate(over="ignore", invalid="ignore"):
-        series = (length * length / 12.0) * (1.0 - 0.2 * s * s)
-        half = length / (2.0 * np.sinh(s))
-        closed = 1.0 / (rate * rate) - half * half
-    return np.where(s < 1e-3, series,
-                    np.where(s > 350.0, 1.0 / (rate * rate), closed))[()]
+        d = np.where(s < 1.0, q / (1.0 + q),
+                     np.where(s > 350.0, 1.0, 1.0 - s / np.sinh(s)))
+    return (d * (2.0 - d) / (rate * rate))[()]
 
 
 def _std_interval_slopes(alpha, beta):

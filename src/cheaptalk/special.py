@@ -1,9 +1,9 @@
-"""Scalar special functions and a bracketed root finder.
+"""Scalar special functions and the shared Newton loop.
 
 Everything downstream leans on four numerical primitives: the two real
 branches of the Lambert W function, the standard normal pdf/cdf pair with
-a tail-stable Mills ratio, and a derivative-free root finder with
-guaranteed convergence on a sign-changing bracket.
+a tail-stable Mills ratio, and one Newton loop (_newton) for the scalar
+equations whose closed-form step the caller supplies.
 
 The Lambert W implementations use Halley's iteration on w*exp(w) = x
 (lambert_w0_conjugate, near the branch point, on the same equation
@@ -26,10 +26,9 @@ the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InvalidBracketError, NonConvergenceError
+from .errors import DomainError
 
 __all__ = [
     "BRANCH_POINT",
@@ -42,8 +41,6 @@ __all__ = [
     "std_normal_quantile",
     "erfcx",
     "mills_ratio",
-    "Bracket",
-    "find_root",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -319,86 +316,17 @@ def mills_ratio(x: float) -> float:
     return _SQRT_2_OVER_PI / erfcx(x / _SQRT2)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] whose endpoint values straddle zero.
+def _newton(step_at: Callable[[float], float], x: float) -> float:
+    """Take Newton steps x -> x - step_at(x) until one does not shrink.
 
-    Endpoint values may be exactly zero; strictly same-signed endpoints
-    raise InvalidBracketError.
+    On a root where the steps contract, they shrink until rounding noise
+    sets their size, so the first step no shorter than the one before it
+    (or a NaN step) marks the root to rounding; that iterate is returned
+    without the step.
     """
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise InvalidBracketError(
-                f"bracket endpoints must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if any(math.isnan(v) for v in (self.f_lo, self.f_hi)):
-            raise InvalidBracketError("bracket endpoint values must not be NaN")
-        if self.f_lo * self.f_hi > 0.0:
-            raise InvalidBracketError(
-                f"no sign change on [{self.lo}, {self.hi}]: "
-                f"f(lo)={self.f_lo!r}, f(hi)={self.f_hi!r}")
-
-    @classmethod
-    def scan(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        """Evaluate f at both endpoints and build the bracket."""
-        return cls(lo, hi, f(lo), f(hi))
-
-
-def find_root(f: Callable[[float], float], bracket: Bracket,
-              tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Locate a root of f inside a sign-changing bracket.
-
-    Inverse-quadratic/secant steps with a bisection fallback, so progress
-    is guaranteed. Returns r once |f(r)| <= tol or the bracket width has
-    shrunk to tol (with a machine-epsilon floor near r).
-    """
-    a, b = bracket.lo, bracket.hi
-    fa, fb = bracket.f_lo, bracket.f_hi
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        xm = 0.5 * (c - b)
-        width_floor = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * tol
-        if abs(xm) <= width_floor or fb == 0.0 or abs(fb) <= tol:
-            return b
-        if abs(e) < width_floor or abs(fa) <= abs(fb):
-            d = e = xm  # bisection
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(width_floor * q), abs(e * q)):
-                e = d
-                d = p / q  # accept interpolation
-            else:
-                d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > width_floor else math.copysign(width_floor, xm)
-        fb = f(b)
-    raise NonConvergenceError(
-        f"root finder did not converge in {max_iter} iterations",
-        iterations=max_iter)
+    last = math.inf
+    while True:
+        step = step_at(x)
+        if not abs(step) < last:
+            return x
+        x, last = x - step, abs(step)

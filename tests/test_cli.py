@@ -112,6 +112,19 @@ class TestSolve:
         assert doc["equilibrium"]["certificate"]["excluded_edges"] == [30]
         assert doc["equilibrium"]["certificate"]["verdict"] is True
 
+    def test_exp_ladder_at_tiny_bias(self, capsys):
+        # at rate*bias = 1e-9 the common length is near sqrt(12e-9), not
+        # 2*bias; the window and the limit cost in the note match
+        # 60-digit mpmath roots of equal_length_defect
+        code, out, err = run(capsys, "solve", "--source", "exp", "--rate", "1",
+                             "--bias", "1e-9", "--ladder")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["equilibrium"]["edges"][1] == pytest.approx(
+            1.0954451151198768e-4, rel=1e-12)
+        cost = float(doc["meta"]["note"].rsplit(" ", 1)[1])
+        assert cost == pytest.approx(9.999999996000001e-10, rel=1e-12)
+
     def test_gauss_ladder_converges(self, capsys):
         code, out, _ = run(capsys, "solve", "--source", "gauss", "--bias",
                            "0.3", "--ladder", "--edges", "30")
@@ -259,6 +272,18 @@ class TestSweep:
         # every other grid point is linspace's own value
         assert [float(r["bias"]) for r in rows[:5] + rows[6:]] == [
             float(v) for i, v in enumerate(np.linspace(-1.0, 0.2, 7)) if i != 5]
+
+    def test_bias_sweep_fixed_point_at_tiny_bias(self, capsys):
+        # 60-digit mpmath roots of equal_length_defect and their limit costs
+        code, out, err = run(capsys, "sweep", "--source", "exp", "--rate", "1",
+                             "--vary", "bias", "--from", "1e-8", "--to", "2e-8",
+                             "--steps", "2", "--bins", "2", "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [r["fixed_point_length"] for r in rows] == pytest.approx(
+            [3.4641016186018562e-4, 4.8989794953643152e-4], rel=1e-12)
+        assert [r["decoder_cost_infinite"] for r in rows] == pytest.approx(
+            [9.99999996e-9, 1.999999984e-8], rel=1e-12)
 
     def test_bins_sweep_decoder_cost_decreases(self, capsys):
         code, out, _ = run(capsys, "sweep", "--source", "exp", "--rate", "1",

@@ -65,8 +65,9 @@ class TestBalance:
             root = mp.findroot(lambda c: 1 - c * c - product(c), mp.mpf("0.84"))
             peak = product(root)
         loc, val = lower_mills_peak()
-        assert loc == pytest.approx(float(root), abs=1e-12)
-        assert val == pytest.approx(float(peak), rel=1e-15)
+        # both to 2 ulps (measured 0.05 and 0.26)
+        assert abs(loc - root) <= 2 * math.ulp(loc)
+        assert abs(val - peak) <= 2 * math.ulp(val)
 
 
 class TestTwoBin:
@@ -97,8 +98,7 @@ class TestTwoBin:
         # the normalized edge for 400 values of 2*bias/std, log-spaced
         # from 1e-6 to 30 and uniform on [0, 4], either sign: the balance
         # residual at the float root, in 50-digit mpmath, is at most
-        # 5e-14 (measured 3.0e-15; a find_root stop at tol 1e-12 left up
-        # to 8.9e-13)
+        # 5e-14 (measured 3.0e-15: Newton stops on rounding noise)
         rng = np.random.default_rng(7)
         ys = (np.concatenate((10.0 ** rng.uniform(-6.0, 1.5, 300),
                               rng.uniform(0.0, 4.0, 100)))

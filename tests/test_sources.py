@@ -272,10 +272,20 @@ class TestExponentialMoments:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_window_variance_series_and_saturation(self):
-        # the small-window series hands off smoothly to the exact form
-        lo = _exp_window_variance(1e-3 * (1.0 - 1e-9), 1.0)
-        hi = _exp_window_variance(1e-3 * (1.0 + 1e-9), 1.0)
-        assert lo == pytest.approx(hi, rel=1e-7)
+        # (1 - (s/sinh s)^2)/rate^2, s = rate*length/2, in 50-digit mpmath,
+        # to 2e-15 relative from s = 1e-12 to 1e3, through the series
+        # cut at s = 1 and the saturation at 350 (measured 6.3e-16)
+        rate = 0.37
+        s = np.concatenate((np.logspace(-12.0, 3.0, 301),
+                            [np.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-12, 350.0]))
+        got = _exp_window_variance(2.0 * s / rate, rate)
+        with mp.workdps(50):
+            for si, v in zip((2.0 * s / rate).tolist(), got.tolist()):
+                half = mp.mpf(rate) * mp.mpf(si) / 2
+                want = (1 - (half / mp.sinh(half)) ** 2) / mp.mpf(rate) ** 2
+                assert abs(v - want) <= 2e-15 * want, si
+        assert _exp_window_variance(np.array([0.0, INF]), rate).tolist() == \
+            [0.0, 1.0 / rate ** 2]
         assert _exp_window_variance(900.0, 1.0) == 1.0
         # tiny window behaves like a uniform: l^2/12
         assert _exp_window_variance(1e-6, 1.0) == pytest.approx(1e-12 / 12.0,

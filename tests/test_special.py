@@ -1,4 +1,4 @@
-"""Scalar special functions: Lambert branches, normal helpers, root finding."""
+"""Scalar special functions: Lambert branches, normal helpers, the Newton loop."""
 
 import importlib.util
 import math
@@ -11,13 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheaptalk import special
-from cheaptalk.errors import DomainError, InvalidBracketError, NonConvergenceError
+from cheaptalk.errors import DomainError
 from cheaptalk.special import (
     _ERFCX_CHEB,
     BRANCH_POINT,
-    Bracket,
     erfcx,
-    find_root,
     lambert_w0,
     lambert_w0_conjugate,
     lambert_w_minus1,
@@ -316,44 +314,12 @@ class TestQuantile:
                 std_normal_quantile(q)
 
 
-class TestRootFinding:
-    def test_bracket_rejects_same_sign(self):
-        with pytest.raises(InvalidBracketError):
-            Bracket(0.0, 1.0, 2.0, 3.0)
+class TestNewton:
+    def test_stops_at_the_root_to_rounding(self):
+        # x^2 = 2 from x = 2: the iterates fall onto sqrt(2), and the loop
+        # stops on the first step that does not shrink, within an ulp
+        root = special._newton(lambda x: (x * x - 2.0) / (2.0 * x), 2.0)
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
-    def test_bracket_rejects_disorder_and_nan(self):
-        with pytest.raises(InvalidBracketError):
-            Bracket(1.0, 0.0, -1.0, 1.0)
-        with pytest.raises(InvalidBracketError):
-            Bracket(0.0, 1.0, math.nan, 1.0)
-
-    def test_simple_roots(self):
-        r = find_root(lambda x: x * x - 2.0, Bracket.scan(lambda x: x * x - 2.0,
-                                                          0.0, 2.0))
-        assert r == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        r = find_root(math.cos, Bracket.scan(math.cos, 1.0, 2.0))
-        assert r == pytest.approx(math.pi / 2.0, abs=1e-12)
-
-    def test_root_at_endpoint(self):
-        f = lambda x: x - 1.0
-        assert find_root(f, Bracket.scan(f, 1.0, 2.0)) == 1.0
-
-    def test_hard_flat_function(self):
-        # septic root at 0.8: |f| <= 1e-30 only pins x to ~(1e-30)^(1/7)
-        f = lambda x: (x - 0.8) ** 7
-        r = find_root(f, Bracket.scan(f, 0.0, 1.0), tol=1e-30)
-        assert r == pytest.approx(0.8, abs=1e-4)
-
-    def test_non_convergence_reports_iterations(self):
-        f = lambda x: (x - 0.47) ** 9
-        with pytest.raises(NonConvergenceError) as err:
-            find_root(f, Bracket.scan(f, 0.0, 1.0), tol=1e-300, max_iter=3)
-        assert err.value.iterations == 3
-
-    @given(st.floats(min_value=-10.0, max_value=10.0),
-           st.floats(min_value=0.1, max_value=5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_affine_roots_property(self, c, slope):
-        f = lambda x: slope * (x - c)
-        r = find_root(f, Bracket.scan(f, c - 7.0, c + 11.0))
-        assert r == pytest.approx(c, abs=1e-9)
+    def test_nan_step_returns_the_iterate(self):
+        assert special._newton(lambda x: math.nan, 3.0) == 3.0

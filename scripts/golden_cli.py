@@ -71,6 +71,9 @@ INVOCATIONS = [
                                   "--bins", "2")),
     ("solve exp collapse", ("solve", *EXP, "--rate", "1", "--bias", "-0.25",
                             "--bins", "3")),
+    # u = rate*(2/rate + 2*bias) overflows to inf: lambert_w0_conjugate(inf)
+    ("solve exp overflowing rate*bias", ("solve", *EXP, "--rate", "1e200",
+                                         "--bias", "1e200", "--bins", "3")),
     ("solve gauss", ("solve", *GAUSS, "--mean", "0.3", "--std", "1.2",
                      "--bias", "0.15", "--bins", "5")),
     ("solve gauss 1 bin", ("solve", *GAUSS, "--bias", "0.1", "--bins", "1")),

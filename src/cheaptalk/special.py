@@ -5,13 +5,15 @@ branches of the Lambert W function, the standard normal pdf/cdf pair with
 a tail-stable Mills ratio, and one Newton loop (_newton) for the scalar
 equations whose closed-form step the caller supplies.
 
-The Lambert W implementations use Halley's iteration on w*exp(w) = x
-(lambert_w0_conjugate, near the branch point, on the same equation
-shifted to w + 1 and formed from 1 + e*x). Seeds: a series in
-p = sqrt(2*(1 + e*x)) near the branch point x = -1/e, log-based
-asymptotics for large |log| regions, and the identity
-v - log(v) = -log(-x) (v = -w) for the lower branch away from the branch
-point, which stays well conditioned as x -> 0-.
+Every iteration here runs through _newton, which stops at the first
+step that does not shrink: the Lambert W branches and the normal
+quantile each hand it a step function. The Lambert W implementations
+take Halley steps on w*exp(w) = x (lambert_w0_conjugate, near the branch
+point, on the same equation shifted to w + 1 and formed from 1 + e*x),
+or, for the lower branch away from the branch point, Newton steps on
+v - log(v) = -log(-x) (v = -w), which stays well conditioned as x -> 0-.
+Seeds: a series in p = sqrt(2*(1 + e*x)) near the branch point
+x = -1/e and log-based asymptotics for large |log| regions.
 
 The normal tail has one home here: the scaled complementary error
 function erfcx(x) = exp(x^2) erfc(x) for x >= 0 as one Chebyshev series
@@ -54,10 +56,6 @@ BRANCH_POINT = -math.exp(-1.0)
 # Inputs this far below -1/e are treated as rounding noise and clamped.
 _BRANCH_SLACK = 1e-12
 
-# Halley and Newton iterates stop on a step of at most this many ulps.
-_EPS = 2.0 ** -52
-_STEP_ULPS = 4.0
-
 
 def _branch_series(p: float) -> float:
     """Expansion of W about the branch point; p >= 0 selects the principal
@@ -67,34 +65,27 @@ def _branch_series(p: float) -> float:
 
 
 def _halley_wexp(w: float, x: float, *, lower: bool) -> float:
-    """Refine a seed for w*exp(w) = x, keeping the iterate on its branch.
+    """Refine a seed for w*exp(w) = x by Halley steps through _newton.
 
-    Rounding in the residual moves w by a few ulps whatever w is, so the
-    iteration stops on a step of at most _STEP_ULPS ulps of w, or on one
-    that is no shorter than the step before it.
+    A step that would cross w = -1 off the branch goes halfway to -1
+    instead; a zero residual is a zero step and a zero denominator a NaN
+    one, and either ends the loop.
     """
-    last = math.inf
-    for _ in range(60):
+    def step_at(w: float) -> float:
         ew = math.exp(w)
         f = w * ew - x
         if f == 0.0:
-            return w
+            return 0.0
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         if denom == 0.0:
-            break
+            return math.nan
         step = f / denom
-        w_next = w - step
-        if lower and w_next > -1.0:
-            w_next = 0.5 * (w - 1.0)
-        elif not lower and w_next < -1.0:
-            w_next = 0.5 * (w - 1.0)
-        change = abs(w_next - w)
-        if change <= _STEP_ULPS * _EPS * abs(w_next) or change >= last:
-            return w_next
-        last = change
-        w = w_next
-    return w
+        if (w - step > -1.0) if lower else (w - step < -1.0):
+            return 0.5 * wp1
+        return step
+
+    return _newton(step_at, w)
 
 
 def lambert_w0(x: float) -> float:
@@ -112,6 +103,8 @@ def lambert_w0(x: float) -> float:
         raise DomainError(f"lambert_w0 is undefined for x={x!r} < -1/e")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return x
     if x < 0.0:
         q = 1.0 + math.e * x
         if q <= 0.0:
@@ -151,23 +144,15 @@ def lambert_w_minus1(x: float) -> float:
             return w
         return _halley_wexp(w, x, lower=True)
     # Solve v - log(v) = -log(-x) for v = -w > 1 by Newton; on this range
-    # the equation is well conditioned all the way down to x -> 0-.
-    # It stops as _halley_wexp does.
+    # the equation is well conditioned all the way down to x -> 0-. A
+    # step that would reach v <= 1 goes halfway to 1 instead.
     y = -math.log(-x)
-    v = y + math.log(y)
-    last = math.inf
-    for _ in range(60):
-        g = v - math.log(v) - y
-        step = g * v / (v - 1.0)
-        v_next = v - step
-        if v_next <= 1.0:
-            v_next = 0.5 * (v + 1.0)
-        change = abs(v_next - v)
-        v = v_next
-        if change <= _STEP_ULPS * _EPS * v or change >= last:
-            break
-        last = change
-    return -v
+
+    def step_at(v: float) -> float:
+        step = (v - math.log(v) - y) * v / (v - 1.0)
+        return step if v - step > 1.0 else 0.5 * (v - 1.0)
+
+    return -_newton(step_at, y + math.log(y))
 
 
 def lambert_w0_conjugate(u: float) -> float:
@@ -179,7 +164,8 @@ def lambert_w0_conjugate(u: float) -> float:
     u is close to 1, which is exactly where the near-threshold solves land.
     For 1 < u <= 2, Halley's iteration runs in t + 1 on an equation whose
     residual is formed from that 1 + e*x, so t + u is accurate to its
-    conditioning eps*u/(u - 1); for u > 2 it runs on w*exp(w) = x.
+    conditioning eps*u/(u - 1); for u > 2 it runs on w*exp(w) = x. Both
+    take their steps through _newton; u = inf gives the limit -0.0.
     """
     if math.isnan(u):
         raise DomainError("lambert_w0_conjugate is undefined for NaN")
@@ -188,6 +174,8 @@ def lambert_w0_conjugate(u: float) -> float:
             raise DomainError("lambert_w0_conjugate requires u >= 1")
         u = 1.0
     if u > 2.0:
+        if u == math.inf:
+            return -0.0
         x = -math.exp(math.log(u) - u)
         return _halley_wexp(x, x, lower=False)
     eps = u - 1.0
@@ -200,18 +188,16 @@ def lambert_w0_conjugate(u: float) -> float:
         return _branch_series(p)
     # Halley in d = w + 1 on h(d) = d*exp(d) - expm1(d) = q, which is
     # w*exp(w) = x times e, shifted by 1: its residual is formed from q,
-    # not from x, so it keeps the digits that x loses near the branch point
-    d = 1.0 + _branch_series(p)
-    for _ in range(60):
+    # not from x, so it keeps the digits that x loses near the branch point;
+    # a step that would reach d <= 0 halves d instead
+    def step_at(d: float) -> float:
         ed = math.exp(d)
         f = d * ed - math.expm1(d) - q
         slope = d * ed
         step = f / (slope - 0.5 * f * (1.0 + d) * ed / slope)
-        d = d - step if step < d else 0.5 * d
-        # rounding in the residual moves d by a few ulps of 1 whatever d is
-        if abs(step) <= _STEP_ULPS * _EPS:
-            break
-    return d - 1.0
+        return step if step < d else 0.5 * d
+
+    return _newton(step_at, 1.0 + _branch_series(p)) - 1.0
 
 
 def std_normal_pdf(x: float) -> float:
@@ -279,16 +265,16 @@ def std_normal_quantile(q: float) -> float:
     Newton's method on log sf(y) = log p for y >= 0, p = min(q, 1 - q)
     (1 - q is exact for q >= 1/2), from y = sqrt(-2 log 2p): log sf is
     concave, and sf(y) <= exp(-y^2/2)/2 puts the start at or past the
-    root, so the iterates fall monotonically onto it. sf comes from
-    math.erfc while it is a normal float and from erfcx further out, so
-    q down to the smallest subnormal works.
+    root, so the iterates fall monotonically onto it, through _newton. sf
+    comes from math.erfc while it is a normal float and from erfcx further
+    out, so q down to the smallest subnormal works.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"the normal quantile needs 0 < q < 1, got {q!r}")
     p = min(q, 1.0 - q)
     log_p = math.log(p)
-    y = math.sqrt(-2.0 * math.log(2.0 * p))
-    for _ in range(100):
+
+    def step_at(y: float) -> float:
         h = y / _SQRT2
         tail = 0.5 * math.erfc(h)
         if tail > 1e-290:
@@ -300,10 +286,9 @@ def std_normal_quantile(q: float) -> float:
             scaled = erfcx(h)
             ratio = _SQRT_PI_OVER_2 * scaled
             log_tail = math.log(0.5 * scaled) - h * h
-        step = (log_tail - log_p) * ratio
-        y += step
-        if abs(step) <= 1e-9 * (1.0 + y):
-            break
+        return (log_p - log_tail) * ratio
+
+    y = _newton(step_at, math.sqrt(-2.0 * math.log(2.0 * p)))
     return y if q >= 0.5 else -y
 
 

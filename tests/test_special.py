@@ -38,6 +38,7 @@ class TestLambertW0:
         assert lambert_w0(0.0) == 0.0
         assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-15)
         assert lambert_w0(BRANCH_POINT) == -1.0
+        assert lambert_w0(math.inf) == math.inf
 
     def test_identity_on_wide_grid(self):
         xs = np.concatenate([
@@ -121,14 +122,22 @@ class TestConjugate:
         with pytest.raises(DomainError):
             lambert_w0_conjugate(0.999)
 
+    def test_limit_at_infinity(self):
+        # -u*exp(-u) -> -0.0, as the finite u = 1e5 already gives
+        for u in (1e5, math.inf):
+            t = lambert_w0_conjugate(u)
+            assert t == 0.0 and math.copysign(1.0, t) == -1.0
+
 
 EPS = 2.0 ** -52
 
 
 class CountingMath:
     """The math module, counting its exp and log calls: each Halley
-    iteration makes one exp call and each lower-branch Newton iteration
-    one log call."""
+    step makes one exp call, each lower-branch Newton step one log call
+    and each quantile step one log call, plus one exp call while
+    math.erfc serves. With no cap on _newton's loop, the count bounds
+    its steps."""
 
     def __init__(self):
         self.calls = 0
@@ -150,8 +159,8 @@ class TestLambertAgainstMpmath:
     number at x is 1/|1 + w|, so rounding in the residual alone moves w
     by about eps*|w/(1 + w)|; the results must lie within 4*eps*(|w| +
     |w/(1 + w)|). The conjugate's length s = t + u must lie within
-    4*eps*u/(u - 1) relative. No call may run its loop to the cap of 60
-    iterations: each counts its exp and log calls."""
+    4*eps*u/(u - 1) relative. No call may take more than a few steps:
+    each counts its exp and log calls."""
 
     RNG = np.random.default_rng(17)
     CASES = {
@@ -185,8 +194,11 @@ class TestLambertAgainstMpmath:
         counting = CountingMath()
         monkeypatch.setattr(special, "math", counting)
         rng = np.random.default_rng(18)
+        # u - 1 from 1e-5 to 1 holds the start of the Halley range (p = 1e-3
+        # at u - 1 = 1e-3); the third block, down to 1e-15, the series return
         us = np.concatenate((1.0 + 10.0 ** rng.uniform(-5.0, 0.0, 150),
-                             2.0 + 10.0 ** rng.uniform(-10.0, 2.8, 250)))
+                             2.0 + 10.0 ** rng.uniform(-10.0, 2.8, 250),
+                             1.0 + 10.0 ** rng.uniform(-15.0, -5.0, 150)))
         with mp.workdps(50):
             for u in us:
                 u = float(u)
@@ -288,10 +300,13 @@ class TestQuantile:
     """std_normal_quantile, which SourceModel.quantile uses."""
 
     @pytest.mark.parametrize("tail", ["lower", "upper"])
-    def test_against_mpmath(self, tail):
+    def test_against_mpmath(self, monkeypatch, tail):
         # q from 1e-300 to 1/2, mirrored to 1 - q up to 1 - 2^-53 for the
         # upper tail. The quantile of q is exact to within its condition:
         # bound 4 ulps of (|x| + min(q, 1 - q)/pdf(x)), measured 1.3.
+        # Its Newton steps are bounded by counting exp and log calls.
+        counting = CountingMath()
+        monkeypatch.setattr(special, "math", counting)
         levels = np.concatenate((np.logspace(-300.0, np.log10(0.5), 400),
                                  [2.0 ** -53, 0.25, 0.4999999]))
         if tail == "upper":
@@ -300,7 +315,9 @@ class TestQuantile:
         for q in levels.tolist():
             want, density, p = mp_quantile(q)
             scale = abs(want) + p / density
+            counting.calls = 0
             got = std_normal_quantile(q)
+            assert counting.calls < 20, q
             assert float(abs(got - want) / scale) <= 4 * 2.0 ** -52, q
 
     def test_centre_subnormals_and_domain(self):
@@ -323,3 +340,7 @@ class TestNewton:
 
     def test_nan_step_returns_the_iterate(self):
         assert special._newton(lambda x: math.nan, 3.0) == 3.0
+
+    def test_zero_step_returns_the_iterate(self):
+        # an exact root (f == 0) steps by 0, and the next 0 does not shrink
+        assert special._newton(lambda x: 0.0, 3.0) == 3.0

@@ -163,6 +163,7 @@ INVOCATIONS = [
     ("verify gauss blocks", ("verify", "{dir}/gauss-n-bins.json", "--seed", "11",
                              "--mc-samples", "100003")),
     ("verify tampered", ("verify", "{dir}/tampered.json", "--seed", "7")),
+    ("verify nan costs", ("verify", "{dir}/nan-costs.json", "--seed", "7")),
     ("verify bad json", ("verify", "{dir}/bad.json")),
     ("usage: verify negative seed", ("verify", "{dir}/exp-n-bins.json", "--seed",
                                      "-1")),
@@ -177,7 +178,8 @@ def run_cli(src: str, argv, cwd: str) -> subprocess.CompletedProcess:
 
 
 def write_documents(src: str, workdir: str) -> None:
-    """Solve documents from src for `verify`, one tampered, one not JSON."""
+    """Solve documents from src for `verify`, one tampered, one with NaN
+    costs, one not JSON."""
     for name, argv in DOCUMENTS.items():
         path = os.path.join(workdir, f"{name}.json")
         done = run_cli(src, (*argv, "--out", path), workdir)
@@ -185,6 +187,8 @@ def write_documents(src: str, workdir: str) -> None:
             raise SystemExit(f"writing {name} exited {done.returncode}: {done.stderr}")
     with open(os.path.join(workdir, "exp-n-bins.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
+    with open(os.path.join(workdir, "nan-costs.json"), "w", encoding="utf-8") as fh:
+        json.dump(dict(doc, costs={"decoder": "nan", "encoder": "nan"}), fh)
     doc["equilibrium"]["edges"][1] = 1.1 * float(doc["equilibrium"]["edges"][1])
     with open(os.path.join(workdir, "tampered.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

@@ -16,8 +16,9 @@ dynamics tests pin. The fixed start puts the interior edges at the
 source's k/n quantiles, k = 1..n-1.
 
 Each run prints one line: its name, the outcome (status, stop step,
-bin index), the iteration count and the repr of the final edges, or the
-repr of the basin_probe summary. The script prints every line that
+bin index), the iteration count, the repr of the final edges and the
+reprs of the trace's recorded_steps and residual_history, or the repr
+of the basin_probe summary. The script prints every line that
 differs between the trees and a count, and exits 1 on any difference.
 `--dump SRC` prints one tree's lines instead.
 """
@@ -91,7 +92,8 @@ def dump(src: str) -> None:
         else:
             o = result.outcome
             print(f"{name}\t{o.status} {o.iteration} {o.bin_index}\t"
-                  f"{result.iterations}\t{result.final_partition.edges!r}")
+                  f"{result.iterations}\t{result.final_partition.edges!r}\t"
+                  f"{result.recorded_steps!r}\t{result.residual_history!r}")
 
 
 def start(src: str) -> subprocess.Popen:

@@ -507,7 +507,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     costs = decoder_cost(partition)
     for label, stored, fresh in (("decoder", stored_decoder, costs.decoder_cost),
                                  ("encoder", stored_encoder, costs.encoder_cost)):
-        if abs(fresh - stored) > 1e-12 * max(1.0, abs(stored)):
+        # a stored NaN fails the check: every comparison with it is False
+        if not abs(fresh - stored) <= 1e-12 * max(1.0, abs(stored)):
             failures.append(
                 f"stored {label} cost {_fmt(stored)} does not match "
                 f"recomputed {_fmt(fresh)}")

@@ -17,13 +17,19 @@ every live start at once through the bin kernels, which give it the bin
 centroids and nothing else, and per-start tests take a start out at the
 step where it collapses, converges or reaches max_iter. One minimum over
 the step's edge gaps clears every start of crossed and dead bins at once;
-only a step that fails it runs the per-start collapse tests. A bin is
-dead when it is shorter than COLLAPSE_LENGTH, never for its mass alone:
-the kernels resolve the centroid of a far-tail bin whose mass underflows,
-and Gaussian equilibria hold such bins. basin_probe runs all its starts
-that way, with no trace; lloyd_method_i and fixed_point_iterate are
-one-start calls of the same loop that also record the trace. Every
-start's outcome and edges are bit for bit those of running it alone.
+only a step that fails it runs the one collapse test, which names each
+failing start at its first crossed edge gap, else at its first dead bin.
+A bin is dead when it is shorter than COLLAPSE_LENGTH, never for its
+mass alone: the kernels resolve the centroid of a far-tail bin whose
+mass underflows, and Gaussian equilibria hold such bins. basin_probe
+runs all its starts that way, with no trace; fixed_point_iterate is the
+one-start call of the same loop that also records the trace, and
+lloyd_method_i is fixed_point_iterate at damping 1. The trace takes one
+entry per step, thinned past step 1000 but always kept at step 0, at
+max_iter and at the step the run converges; a run that collapses on a
+dead bin, or on centroids crossed at step 0, ends it with a NaN
+residual. Every start's outcome and edges are bit for bit those of
+running it alone.
 """
 
 from __future__ import annotations
@@ -87,8 +93,8 @@ class IterationTrace:
     iterates[i] is the partition after recorded_steps[i] iterations
     (step 0 is the initial state) and residual_history[i] is its
     max-abs equilibrium residual. Snapshots are thinned: every step is
-    kept through 1000 iterations, every 10th after, the final state
-    always.
+    kept through 1000 iterations, every 10th after, and step 0,
+    max_iter and the step a run converges always.
     """
 
     iterates: tuple[Partition, ...]
@@ -125,23 +131,20 @@ class _Recorder:
         self.residuals: list[float] = []
 
     def add(self, step: int, edges: np.ndarray, residual: float,
-            force: bool = False) -> None:
-        if not (force or step <= _THIN_AFTER or step % _THIN_STRIDE == 0):
-            return
-        if self.steps and self.steps[-1] == step:
-            return
-        self.steps.append(step)
-        self.edges.append(edges.tolist())
-        self.residuals.append(residual)
+            force: bool) -> None:
+        if force or step <= _THIN_AFTER or step % _THIN_STRIDE == 0:
+            self.steps.append(step)
+            self.edges.append(edges.tolist())
+            self.residuals.append(residual)
 
-    def trace(self, outcome: IterationOutcome, iterations: int) -> IterationTrace:
+    def trace(self, outcome: IterationOutcome) -> IterationTrace:
         return IterationTrace(
             iterates=tuple(Partition(e, self.source, self.bias)
                            for e in self.edges),
             residual_history=tuple(self.residuals),
             recorded_steps=tuple(self.steps),
             outcome=outcome,
-            iterations=iterations,
+            iterations=outcome.iteration,
         )
 
 
@@ -170,7 +173,7 @@ def lloyd_method_i(source: SourceModel, bias: float, init: Partition,
     actions land outside their own bins is not an error here; only
     equilibria, not iterates, owe that property.
     """
-    return _run(source, bias, init, max_iter, tol, damping=1.0)
+    return fixed_point_iterate(source, bias, init, 1.0, max_iter, tol)
 
 
 def fixed_point_iterate(source: SourceModel, bias: float, init: Partition,
@@ -183,18 +186,13 @@ def fixed_point_iterate(source: SourceModel, bias: float, init: Partition,
     lloyd_method_i exactly. Same outcome contract as lloyd_method_i;
     edge-ordering violations are collapses, not exceptions.
     """
-    return _run(source, bias, init, max_iter, tol, damping=damping)
-
-
-def _run(source: SourceModel, bias: float, init: Partition, max_iter: int,
-         tol: float, damping: float) -> IterationTrace:
     _check_iteration_params(damping, max_iter, tol)
     # Rebind the edges to this run's source and bias; validates support.
     start = Partition(init.edges, source, bias)
     rec = _Recorder(source, bias)
     (outcome,), _ = _run_rows(source, bias, np.array([start.edges]),
                               max_iter, tol, damping, rec)
-    return rec.trace(outcome, outcome.iteration)
+    return rec.trace(outcome)
 
 
 def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
@@ -239,24 +237,19 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
         # crossed and of short bins; almost every step passes it
         gaps = e[:, 1:] - e[:, :-1]
         if not gaps.min() >= COLLAPSE_LENGTH:
-            # an edge left the support or crossed a neighbor (NaN included);
-            # the edges of step 0 are a partition's, so none has
-            bad = ~(gaps > 0.0)
-            if np.count_nonzero(bad):
-                keep = stop(bad.any(axis=1), "collapsed", bad.argmax(axis=1))
-                live, e, gaps, moved, old = (
-                    live[keep], e[keep], gaps[keep], moved[keep], old[keep])
-                if not live.size:
-                    break
-            dead = gaps < COLLAPSE_LENGTH
-            if np.count_nonzero(dead):
-                if rec is not None:
-                    rec.add(it, e[0], math.nan, force=True)
-                keep = stop(dead.any(axis=1), "collapsed", dead.argmax(axis=1))
-                live, e, moved, old = (
-                    live[keep], e[keep], moved[keep], old[keep])
-                if not live.size:
-                    break
+            # a failing row is named at its first crossed gap (an edge off
+            # the support or past a neighbor, NaN included), else at its
+            # first short one, so crossed gaps rank 3 and short ones 1;
+            # only a short bin leaves edges to log, and the edges of step
+            # 0 are a partition's, so they cross nowhere
+            rank = 2 * ~(gaps > 0.0) + ~(gaps >= COLLAPSE_LENGTH)
+            worst = rank.max(axis=1)
+            if rec is not None and worst[0] == 1:
+                rec.add(it, e[0], math.nan, force=True)
+            keep = stop(worst > 0, "collapsed", rank.argmax(axis=1))
+            live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
+            if not live.size:
+                break
         means = source._bin_means(e)
         rising = means[:, 1:] > means[:, :-1]
         if np.count_nonzero(rising) < rising.size:
@@ -272,24 +265,23 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                 break
         targets = _midpoints(means, bias)
         residual = np.abs(moved - targets).max(axis=1, initial=0.0)
-        if rec is not None:
-            rec.add(it, e[0], float(residual[0]), force=it == 0)
         done = residual <= tol
+        converged = 0
         # the movement is only worth measuring once some residual is small
         if it and np.count_nonzero(done):
             done &= np.abs(moved - old).max(axis=1, initial=0.0) <= tol
-            if np.count_nonzero(done):
-                if rec is not None:
-                    rec.add(it, e[0], float(residual[0]), force=True)
-                keep = stop(done, "converged")
-                live, e, moved, targets, residual = (
-                    live[keep], e[keep], moved[keep], targets[keep],
-                    residual[keep])
-                if not live.size:
-                    break
-    if live.size:
+            converged = np.count_nonzero(done)
         if rec is not None:
-            rec.add(max_iter, e[0], float(residual[0]), force=True)
+            # the traced row is the only row, so it stops when any row does
+            rec.add(it, e[0], float(residual[0]),
+                    force=it in (0, max_iter) or converged > 0)
+        if converged:
+            keep = stop(done, "converged")
+            live, e, moved, targets = (
+                live[keep], e[keep], moved[keep], targets[keep])
+            if not live.size:
+                break
+    if live.size:
         stop(np.ones(live.size, dtype=bool), "max_iter")
     return outcomes, final
 
@@ -347,19 +339,12 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
                        for _ in range(n_inits)])
     outcomes, final = _run_rows(source, bias, starts, max_iter, tol, damping)
 
-    converged = 0
-    collapsed = 0
-    hit_max = 0
+    statuses = [outcome.status for outcome in outcomes]
     reps: list[np.ndarray] = []
     sizes: list[int] = []
-    for outcome, edges in zip(outcomes, final):
-        if outcome.status == "collapsed":
-            collapsed += 1
+    for status, edges in zip(statuses, final):
+        if status != "converged":
             continue
-        if outcome.status == "max_iter":
-            hit_max += 1
-            continue
-        converged += 1
         limit = edges[1:-1]
         for j, rep in enumerate(reps):
             if float(np.max(np.abs(limit - rep))) <= cluster_tol:
@@ -373,10 +358,10 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
         method=method,
         n_inits=n_inits,
         seed=seed,
-        fraction_converged=converged / n_inits,
+        fraction_converged=statuses.count("converged") / n_inits,
         distinct_limits=tuple(tuple(float(v) for v in r) for r in reps),
         cluster_sizes=tuple(sizes),
-        collapsed=collapsed,
-        hit_max_iter=hit_max,
+        collapsed=statuses.count("collapsed"),
+        hit_max_iter=statuses.count("max_iter"),
         cluster_tol=cluster_tol,
     )

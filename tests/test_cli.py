@@ -226,6 +226,8 @@ class TestSolve:
              "--to", "0.5"),
             ("sweep", "--source", "gauss", "--vary", "bias", "--from", "0",
              "--to", "0.5", "--steps", "0"),
+            ("sweep", "--source", "gauss", "--vary", "bias", "--from", "0",
+             "--to", "0.5", "--steps", "3", "--bins", "0"),
             ("sweep", "--source", "gauss", "--vary", "bins", "--from", "1",
              "--to", "3"),
             ("sweep", "--source", "gauss", "--vary", "bins", "--from", "1.5",
@@ -398,6 +400,47 @@ class TestVerify:
                            "--mc-samples", "100000")
         assert code == 3
         assert "does not match" in err
+
+    def test_nan_costs_exit_three(self, capsys, tmp_path):
+        # every comparison with NaN is False, so a stored NaN cost must
+        # fail the match instead of slipping past it
+        target = self.write_doc(capsys, tmp_path)
+        doc = json.loads(target.read_text())
+        doc["costs"] = {"decoder": "nan", "encoder": "nan"}
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(target), "--seed", "7")
+        assert code == 3
+        assert json.loads(out)["verified"] is False
+        assert "does not match" in err
+
+    def test_stored_failed_certificate_exits_three(self, capsys, tmp_path):
+        # solve writes the document of a failed certificate before it
+        # exits 2, and verify refuses it
+        target = tmp_path / "doc.json"
+        code, _, _ = run(capsys, "solve", "--source", "gauss", "--bias",
+                         "0.1", "--bins", "4", "--cert-tol", "1e-30",
+                         "--out", str(target))
+        assert code == 2
+        code, out, err = run(capsys, "verify", str(target), "--seed", "7")
+        assert code == 3
+        assert json.loads(out)["verified"] is False
+        assert "stored certificate already reports failure" in err
+
+    def test_monte_carlo_far_from_closed_form_exits_three(
+            self, capsys, tmp_path, monkeypatch):
+        from cheaptalk import cli
+        from cheaptalk.equilibrium import decoder_cost
+
+        def ten_errors_off(partition, samples, seed):
+            return decoder_cost(partition).decoder_cost + 10 * 1e-3, 1e-3
+
+        target = self.write_doc(capsys, tmp_path)
+        monkeypatch.setattr(cli, "monte_carlo_cost", ten_errors_off)
+        code, out, err = run(capsys, "verify", str(target), "--seed", "7")
+        assert code == 3
+        (failure,) = json.loads(out)["failures"]
+        assert "standard errors from the closed form" in failure
+        assert "standard errors from the closed form" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_edge_document_has_finite_costs(self, capsys, tmp_path):

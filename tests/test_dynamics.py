@@ -8,6 +8,7 @@ import pytest
 from cheaptalk import sources
 from cheaptalk.dynamics import (
     COLLAPSE_LENGTH,
+    IterationOutcome,
     IterationTrace,
     _random_start,
     _run_rows,
@@ -437,9 +438,18 @@ class TestTraceShape:
         assert steps[-1] == 10_000
 
     def test_trace_field_validation(self):
-        with pytest.raises(DomainError):
-            IterationTrace(iterates=(), residual_history=(0.1,),
-                           recorded_steps=(0,), outcome=None, iterations=1)
+        for make in (
+            lambda: IterationTrace(iterates=(), residual_history=(0.1,),
+                                   recorded_steps=(0,), outcome=None,
+                                   iterations=1),
+            lambda: IterationTrace(iterates=(), residual_history=(),
+                                   recorded_steps=(), outcome=None,
+                                   iterations=0),
+            lambda: IterationOutcome("stalled", 3),
+            lambda: IterationOutcome("converged", 3, bin_index=2),
+        ):
+            with pytest.raises(DomainError):
+                make()
 
     def test_deterministic_reruns(self):
         init = exp_partition((0.9, 2.2), 0.5)
@@ -478,8 +488,10 @@ class TestBasinProbe:
             basin_probe(EXP, 0.4, 2, 4, seed=seed)
 
     def test_needs_at_least_one_init(self):
-        with pytest.raises(DomainError):
-            basin_probe(EXP, 0.4, 2, 0, seed=3)
+        # and at least two bins
+        for n_bins, n_inits in ((2, 0), (1, 4)):
+            with pytest.raises(DomainError):
+                basin_probe(EXP, 0.4, n_bins, n_inits, seed=3)
 
     def test_counts_partition_the_runs(self):
         summary = basin_probe(EXP, -0.3, 2, 10, seed=11)

@@ -96,6 +96,10 @@ INVOCATIONS = [
                                 "--edges", "30", "--format", "csv")),
     ("solve gauss ladder max-iter", ("solve", *GAUSS, "--bias", "0.3", "--ladder",
                                      "--max-iter", "2")),
+    # the outer bins span over 1e154 std, where an unbounded end offset
+    # would overflow the slope exponent
+    ("solve gauss far scale", ("solve", *GAUSS, "--std", "1e-160", "--bias", "1",
+                               "--bins", "3")),
     ("usage: no rate", ("solve", *EXP, "--bias", "0.2", "--bins", "3")),
     ("usage: zero bins", ("solve", *EXP, "--rate", "1", "--bias", "0.2", "--bins", "0")),
     ("usage: negative std", ("solve", *GAUSS, "--std", "-1", "--bias", "0.2",
@@ -164,6 +168,7 @@ INVOCATIONS = [
                              "--mc-samples", "100003")),
     ("verify tampered", ("verify", "{dir}/tampered.json", "--seed", "7")),
     ("verify nan costs", ("verify", "{dir}/nan-costs.json", "--seed", "7")),
+    ("verify inf costs", ("verify", "{dir}/inf-costs.json", "--seed", "7")),
     ("verify bad json", ("verify", "{dir}/bad.json")),
     ("usage: verify negative seed", ("verify", "{dir}/exp-n-bins.json", "--seed",
                                      "-1")),
@@ -179,7 +184,7 @@ def run_cli(src: str, argv, cwd: str) -> subprocess.CompletedProcess:
 
 def write_documents(src: str, workdir: str) -> None:
     """Solve documents from src for `verify`, one tampered, one with NaN
-    costs, one not JSON."""
+    costs, one with infinite costs, one not JSON."""
     for name, argv in DOCUMENTS.items():
         path = os.path.join(workdir, f"{name}.json")
         done = run_cli(src, (*argv, "--out", path), workdir)
@@ -187,8 +192,10 @@ def write_documents(src: str, workdir: str) -> None:
             raise SystemExit(f"writing {name} exited {done.returncode}: {done.stderr}")
     with open(os.path.join(workdir, "exp-n-bins.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    with open(os.path.join(workdir, "nan-costs.json"), "w", encoding="utf-8") as fh:
-        json.dump(dict(doc, costs={"decoder": "nan", "encoder": "nan"}), fh)
+    for cost in ("nan", "inf"):
+        path = os.path.join(workdir, f"{cost}-costs.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dict(doc, costs={"decoder": cost, "encoder": cost}), fh)
     doc["equilibrium"]["edges"][1] = 1.1 * float(doc["equilibrium"]["edges"][1])
     with open(os.path.join(workdir, "tampered.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

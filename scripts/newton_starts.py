@@ -13,6 +13,10 @@ sign from {-1, 1} and a size from U(0.02, 0.6) for the bias, then
 - starts 1200-1499, 40-edge ladders at the bias's absolute value: an
   anchor from U(-4, 4) and 39 lengths from U(0.05, 1), closing bin 2|b|.
 
+An n-bin start passes no closing argument, so each tree closes a finite
+game by its own default: None in older trees, +inf since the closing
+step became a plain float.
+
 Each Newton breakdown starts one restart round of damped steps, so the
 rounds of a start are the breakdowns it handled; they are counted by
 wrapping gaussian._damped_midpoints. Every start is also run through
@@ -74,19 +78,19 @@ def dump(src: str, seed: int) -> dict:
     for i in range(STARTS):
         bias = rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.6)
         if i < 1200:
-            kind, closing = "n-bin", None
+            kind, closing = "n-bin", ()
             n_bins = int(rng.integers(3, 25))
             edges = np.sort(rng.uniform(-4.0, 4.0, size=n_bins - 1))
         else:
             kind, bias = "ladder", abs(bias)
-            closing = 2.0 * bias
+            closing = (2.0 * bias,)
             anchor, lengths = rng.uniform(-4.0, 4.0), rng.uniform(0.05, 1.0, 39)
             edges = anchor + np.concatenate(([0.0], np.cumsum(lengths)))
         rounds.clear()
         started = time.perf_counter()
         try:
             final, converged, steps, change = gaussian._solve_edges(
-                source, bias, edges, 0.5, 100_000, 1e-10, closing)
+                source, bias, edges, 0.5, 100_000, 1e-10, *closing)
         except CheapTalkError as err:
             final, out["failed"][i] = None, f"{type(err).__name__}: {err}"
         else:
@@ -101,7 +105,7 @@ def dump(src: str, seed: int) -> dict:
                                   "damped_steps": sum(rounds)}
         try:
             want, converged, _, _ = damped(source, bias, edges, 0.5, 100_000,
-                                           1e-14, closing)
+                                           1e-14, *closing)
         except EdgeOrderingError as err:
             out["gap"][i] = f"reference: {err}"
             continue

@@ -507,8 +507,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     costs = decoder_cost(partition)
     for label, stored, fresh in (("decoder", stored_decoder, costs.decoder_cost),
                                  ("encoder", stored_encoder, costs.encoder_cost)):
-        # a stored NaN fails the check: every comparison with it is False
-        if not abs(fresh - stored) <= 1e-12 * max(1.0, abs(stored)):
+        # a stored NaN fails every comparison; the bound scales with the
+        # fresh cost, so a stored inf cannot widen it to inf
+        if not abs(fresh - stored) <= 1e-12 * max(1.0, abs(fresh)):
             failures.append(
                 f"stored {label} cost {_fmt(stored)} does not match "
                 f"recomputed {_fmt(fresh)}")

@@ -110,26 +110,16 @@ def bias_threshold(rate: float, n: int) -> float:
 
 
 def solve_two_bin(rate: float, bias: float) -> Partition:
-    """The unique two-bin equilibrium, via the principal Lambert branch.
-
-    The single interior edge is the first length of the backward walk,
-    (t + u)/rate with u = rate*(2/rate + 2*bias) and t the conjugate
-    principal-branch point of -u*exp(-u), so it equals
-    solve_n_bins(rate, bias, 2)'s edge bit for bit. It lands in
-    (1/rate + 2*bias, 2/rate + 2*bias). Raises
+    """The unique two-bin equilibrium, via the principal Lambert branch:
+    solve_n_bins(rate, bias, 2), whose one interior edge is the first
+    length of the backward walk, (t + u)/rate with
+    u = rate*(2/rate + 2*bias) and t the conjugate principal-branch point
+    of -u*exp(-u). It lands in (1/rate + 2*bias, 2/rate + 2*bias). Raises
     NoInformativeEquilibriumError when bias <= -1/(2*rate), where only
-    the single-bin equilibrium exists.
+    the single-bin equilibrium exists: there u <= 1 also as rounded, since
+    rate times the rounded 1/rate never rounds above 1.
     """
-    _check_rate(rate)
-    if not math.isfinite(bias):
-        raise DomainError(f"bias must be finite, got {bias!r}")
-    walk = _backward_lengths(rate, bias, 1)
-    # just above the threshold rate*(2/rate + 2*bias) can still round to 1
-    if bias <= bias_threshold(rate, 2) or not walk:
-        raise NoInformativeEquilibriumError(
-            f"no two-bin equilibrium at rate={rate}, bias={bias}: requires "
-            f"bias > {bias_threshold(rate, 2)}")
-    return Partition((0.0, walk[0], math.inf), SourceModel.exponential(rate), bias)
+    return solve_n_bins(rate, bias, 2)
 
 
 def _backward_lengths(rate: float, bias: float, count: int) -> list[float]:

@@ -9,8 +9,8 @@ the equilibrium condition F(e) = e - midpoints(e) in the interior edges,
 whose Jacobian is tridiagonal: each conditional mean moves only with its
 own two edges. Where Newton breaks down, a short block of damped steps
 of the shared midpoint map, which needs no derivative, moves the start
-before Newton tries again. A finite-bin game closes its last bin at
-+inf, a truncated ladder one synthetic bin past its last edge.
+before Newton tries again. The last bin closes one step past the last
+edge: +inf for a finite game, one synthetic bin for a truncated ladder.
 
 An infinite ladder cannot be iterated whole. The artifact keeps a
 truncated window of edges anchored at the two-bin edge on the bounded
@@ -261,16 +261,16 @@ _RESTART_STEPS = 8
 _F_FLOOR = 256.0 * np.finfo(float).eps
 
 
-def _full_edges(edges: np.ndarray, ladder_step: float | None) -> np.ndarray:
-    """Bins (-inf, e_0), ..., (e_last, close) of the interior edges, with
-    close = +inf, or e_last + ladder_step for a truncated ladder."""
-    close = np.inf if ladder_step is None else edges[-1] + ladder_step
-    return np.concatenate(([-np.inf], edges, [close]))
+def _full_edges(edges: np.ndarray, ladder_step: float = math.inf) -> np.ndarray:
+    """Bins (-inf, e_0), ..., (e_last, e_last + ladder_step) of the
+    interior edges: +inf closes a finite game, 2|bias| a truncated
+    ladder."""
+    return np.concatenate(([-np.inf], edges, [edges[-1] + ladder_step]))
 
 
 def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
                       damping: float, max_iter: int, tol: float,
-                      ladder_step: float | None = None
+                      ladder_step: float = math.inf
                       ) -> tuple[np.ndarray, bool, int, float]:
     """Damped midpoint iteration from increasing edges; returns (edges,
     converged, iterations, last_change). Bins are those of _full_edges."""
@@ -310,25 +310,24 @@ def _thomas(sub, diag, sup, rhs) -> list[float] | None:
     return values
 
 
-def _newton_step(f: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 ladder_step: float | None) -> np.ndarray | None:
+def _newton_step(f: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray | None:
     """The full Newton step -J^-1 F, or None if it is not finite, as it
     is not wherever F is not. J is tridiagonal: each mean moves only with
     its own two edges, by the slopes lo and hi of each full bin's mean
     in its lower and upper edge, which _std_interval_slopes gives in the
     pass that gives F (the fixed rule of sources._std_rule, right on bins
-    down to 1e-12 wide); a ladder's closing edge moves with the last
-    edge, adding its slope to the last row. A bin's two slopes sum to
-    1 - Var, Var its variance in std^2 units, so each row's diagonal
-    exceeds the sum of its off-diagonals by the mean of its two bins'
-    Var, closing row included: the Thomas sweep needs no pivoting. It
-    runs on Python floats, so the step becomes an array once, when it is
-    known to be finite."""
-    diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
-    if ladder_step is not None:
-        diag[-1] -= 0.5 * hi[-1]
+    down to 1e-12 wide); the closing edge moves with the last edge,
+    adding its slope, exactly 0 at +inf, to the last row. A bin's two
+    slopes sum to 1 - Var, Var its variance in std^2 units, so each row's
+    diagonal exceeds the sum of its off-diagonals by the mean of its two
+    bins' Var, closing row included: the Thomas sweep needs no pivoting.
+    It runs on Python floats, so the step becomes an array once, when it
+    is known to be finite."""
+    diag = (1.0 - 0.5 * (hi[:-1] + lo[1:])).tolist()
+    diag[-1] -= 0.5 * hi.item(-1)
     # a non-finite entry shows up as a non-finite pivot or step
-    step = _thomas((-0.5 * lo[1:-1]).tolist(), diag.tolist(),
+    step = _thomas((-0.5 * lo[1:-1]).tolist(), diag,
                    (-0.5 * hi[1:-1]).tolist(), (-f).tolist())
     if step is None or not all(map(math.isfinite, step)):
         return None
@@ -337,7 +336,7 @@ def _newton_step(f: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
                  damping: float, max_iter: int, tol: float,
-                 ladder_step: float | None = None
+                 ladder_step: float = math.inf
                  ) -> tuple[np.ndarray, bool, int, float]:
     """The one solve loop, on F(e) = e - midpoints(e) with bins as in
     _full_edges; returns (edges, converged, steps, final_change).
@@ -356,17 +355,16 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     smallest full Newton step (inf if none was finite).
     """
     mean, std = source.mean, source.std
-    # the full edges in std units; the infinite ends are set once, and a
-    # ladder's closing edge is rewritten with each iterate
-    z = np.full(start.size + 2, np.inf)
+    # the full edges in std units; the -inf end is set once, and the
+    # closing edge, +inf for a finite game, is written with each iterate
+    z = np.empty(start.size + 2)
     z[0] = -np.inf
     inner = z[1:-1]
 
     def residual(e):
         np.subtract(e, mean, out=inner)
         np.divide(inner, std, out=inner)
-        if ladder_step is not None:
-            z[-1] = (e[-1] + ladder_step - mean) / std
+        z[-1] = (e.item(-1) + ladder_step - mean) / std
         means, lo, hi = _std_interval_slopes(z[:-1], z[1:])
         f = e - _midpoints(mean + std * means, bias)
         return f, float(np.abs(f).max()), lo, hi
@@ -377,7 +375,7 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     f, f_max, lo, hi = residual(edges)
     steps, smallest = 0, math.inf
     while steps < max_iter:
-        step = _newton_step(f, lo, hi, ladder_step)
+        step = _newton_step(f, lo, hi)
         if step is not None:
             size = float(np.abs(step).max())
             new = edges + step

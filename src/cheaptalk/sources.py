@@ -24,7 +24,8 @@ Numerical ground rules:
   bin_variances variances, a Partition record all three), and the means
   and edge slopes of the mean from which the Newton solve loop builds
   its residual and Jacobian (_std_interval_slopes, both ends in one
-  stacked pass, with no np.errstate: no step forms 0 * inf). Bins are read
+  stacked pass, with no np.errstate: ends cut 40 std out have slope
+  exactly 0, so no step overflows or forms 0 * inf). Bins are read
   reflected to za + zb >= 0, so reflection is exact; the mass is
   pdf(near) times an integral of exp(-u^2/2 - u*near) <= 1, so nothing
   cancels on short bins, and the mean near + E[u] stays accurate where
@@ -52,10 +53,12 @@ __all__ = ["SourceModel"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # _exp_gap clamps rate*length to [_TINY, _EXPM1_MAX]: expm1 stays finite
-# up to log(DBL_MAX) = 709.7827. Both are 0-d arrays because numpy takes
-# those as ufunc operands faster than Python floats (0.9 against 1.3 us).
+# up to log(DBL_MAX) = 709.7827. _std_interval_slopes cuts its end offsets
+# to [_END_MIN, _END_MAX]. All are 0-d arrays because numpy takes those
+# as ufunc operands faster than Python floats (0.9 against 1.3 us).
 _TINY = np.array(1e-300)
 _EXPM1_MAX = np.array(709.78)
+_END_MIN, _END_MAX = np.array(-40.0), np.array(40.0)
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
@@ -115,19 +118,20 @@ def _std_interval_slopes(alpha, beta):
 
     Z, the mean and both densities come from one _std_rule pass in the
     bin's own frame, where pdf(end)/Z = g(end - near)/integral of g,
-    g(u) = exp(u*(-u/2 - near)). Both ends go through one (2, bins) pass
-    of that arithmetic. An infinite end has g = exp(-inf) = 0 and an
-    infinite span to the mean; that span is set to 0, so the slope is
-    exactly 0 and no 0 * inf is formed, hence no RuntimeWarning.
+    g(u) = exp(u*(-u/2 - near)) <= exp(-u^2/2). Both ends go through one
+    (2, bins) pass of that arithmetic, each cut to 40 from near: past
+    that g < exp(-800) rounds to 0, so a far or infinite end has slope
+    exactly 0 and nothing overflows or forms 0 * inf, hence no
+    RuntimeWarning.
     """
     near, mass, mean, _ = _std_rule(alpha, beta)
     ends = np.empty((2, *near.shape))
     np.subtract(alpha, near, out=ends[0])
     np.subtract(beta, near, out=ends[1])
+    np.minimum(np.maximum(ends, _END_MIN, out=ends), _END_MAX, out=ends)
     span = np.empty_like(ends)
     np.subtract(mean, ends[0], out=span[0])
     np.subtract(ends[1], mean, out=span[1])
-    span[np.isinf(ends)] = 0.0
     slopes = np.exp(ends * (-0.5 * ends - near)) * span / mass
     return near + mean, slopes[0], slopes[1]
 

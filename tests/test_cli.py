@@ -401,12 +401,14 @@ class TestVerify:
         assert code == 3
         assert "does not match" in err
 
-    def test_nan_costs_exit_three(self, capsys, tmp_path):
-        # every comparison with NaN is False, so a stored NaN cost must
-        # fail the match instead of slipping past it
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+    def test_nan_costs_exit_three(self, capsys, tmp_path, cost):
+        # every comparison with NaN is False, and a bound scaled by a
+        # stored inf would be inf, so a non-finite stored cost must fail
+        # the match instead of slipping past it
         target = self.write_doc(capsys, tmp_path)
         doc = json.loads(target.read_text())
-        doc["costs"] = {"decoder": "nan", "encoder": "nan"}
+        doc["costs"] = {"decoder": cost, "encoder": cost}
         target.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", str(target), "--seed", "7")
         assert code == 3

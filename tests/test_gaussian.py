@@ -492,6 +492,17 @@ class TestFloatingPointErrors:
             res = solve_truncated_ladder(STD_GAUSS, bias)
         assert res.converged and res.certificate.verdict
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_far_scale_solves(self, scale):
+        # bias/std = scale: the outer bins span more than 1e154 std, where
+        # an unbounded end offset would overflow the slope exponent. The
+        # ladder does not converge at these scales; it must still return.
+        with np.errstate(**self.RAISE):
+            p = solve_n_bins_gauss(0.0, 1.0, scale, 3)
+            res = solve_truncated_ladder(STD_GAUSS, scale)
+        assert certify(p).verdict
+        assert res.ladder.n_edges == 40
+
     def test_solve_through_a_restart_block(self, monkeypatch):
         blocks = restart_blocks(monkeypatch)
         with np.errstate(**self.RAISE):
@@ -519,15 +530,27 @@ class TestThomas:
             want = np.linalg.solve(dense(sub, diag, sup), rhs)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("bias", [0.05, 0.3, 0.5])
-    def test_ladder_jacobian_with_its_closing_row(self, bias):
+    @pytest.mark.parametrize("bias, n_bins",
+                             [(0.05, None), (0.3, None), (0.5, None), (0.3, 12)],
+                             ids=["0.05", "0.3", "0.5", "12-bin game"])
+    def test_ladder_jacobian_with_its_closing_row(self, bias, n_bins):
         # the Jacobian _newton_step builds at a solved ladder, closing
-        # edge e_last + 2b included: each row's diagonal exceeds its
-        # off-diagonals by the mean variance of its two bins
-        edges = np.array(solve_truncated_ladder(STD_GAUSS, bias)
-                         .partition.interior_edges)
-        z = np.concatenate(([-np.inf], edges, [edges[-1] + 2.0 * bias]))
+        # edge e_last + 2b included, or at a finite game, closing at +inf:
+        # each row's diagonal exceeds its off-diagonals by the mean
+        # variance of its two bins
+        if n_bins is None:
+            edges = np.array(solve_truncated_ladder(STD_GAUSS, bias)
+                             .partition.interior_edges)
+            close = edges[-1] + 2.0 * bias
+        else:
+            edges = np.array(solve_n_bins_gauss(0.0, 1.0, bias, n_bins)
+                             .interior_edges)
+            close = math.inf
+        z = np.concatenate(([-np.inf], edges, [close]))
         _, lo, hi = _std_interval_slopes(z[:-1], z[1:])
+        if n_bins is not None:
+            # the closing row's added slope is exactly +0.0 at +inf
+            assert hi[-1] == 0.0 and math.copysign(1.0, hi[-1]) == 1.0
         sub, sup = -0.5 * lo[1:-1], -0.5 * hi[1:-1]
         diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
         diag[-1] -= 0.5 * hi[-1]

@@ -727,7 +727,21 @@ SLOPE_CASES = (
 
 class TestIntervalSlopes:
     """The edge slopes of the conditional mean against 50-digit mpmath
-    derivatives, on bins down to 1e-12 wide and out to |z| = 40."""
+    derivatives, on bins down to 1e-12 wide and out to |z| = 40; an end
+    farther out has slope exactly 0, as an infinite end does."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_finite_end_is_an_infinite_end(self):
+        # mpmath's erfc overflows at 1e160, so SLOPE_CASES cannot take
+        # these bins; the same bin with an infinite end is the reference
+        lower = np.array([-30.0, -1.0, 0.0, 0.5, 3.0, 40.0, 1e3, 1e5])
+        ones = np.ones_like(lower)
+        for got, want in ((_std_interval_slopes(lower, 1e160 * ones),
+                           _std_interval_slopes(lower, INF * ones)),
+                          (_std_interval_slopes(-1e200 * ones, -lower),
+                           _std_interval_slopes(-INF * ones, -lower))):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_against_mpmath(self):

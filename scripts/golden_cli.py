@@ -106,6 +106,13 @@ INVOCATIONS = [
                              "--bins", "3")),
     ("usage: solve negative tol", ("solve", *GAUSS, "--bias", "0.2", "--bins", "3",
                                    "--tol", "-1")),
+    ("usage: solve ladder margin", ("solve", *GAUSS, "--bias", "0.3", "--ladder",
+                                    "--margin", "40")),
+    ("usage: unwritable out", ("solve", *EXP, "--rate", "1", "--bias", "0.2",
+                               "--bins", "3", "--out", "{dir}/missing/out.json")),
+    # 2/rate overflows: the scale 2/rate + 2*bias is not finite
+    ("solve exp subnormal rate", ("solve", *EXP, "--rate", "1e-308", "--bias", "1",
+                                  "--bins", "2")),
     ("sweep exp bias", ("sweep", *EXP, "--rate", "1.2", "--vary", "bias",
                         "--from", "-0.7", "--to", "0.5", "--steps", "50",
                         "--bins", "3", "--format", "json")),
@@ -135,6 +142,12 @@ INVOCATIONS = [
                                  "--format", "json")),
     ("sweep empty grid", ("sweep", *EXP, "--rate", "1", "--vary", "bins",
                           "--from", "5", "--to", "2", "--bias", "0.1")),
+    # rate^2 underflows: the window variance divides by the rate twice
+    ("sweep exp tiny rate", ("sweep", *EXP, "--rate", "1e-200", "--vary", "bias",
+                             "--from", "1", "--to", "2", "--steps", "2",
+                             "--bins", "2")),
+    ("usage: sweep zero std", ("sweep", *GAUSS, "--std", "0", "--vary", "bias",
+                               "--from", "0", "--to", "0.5", "--steps", "3")),
     ("dynamics exp lloyd", ("dynamics", *EXP, "--rate", "1", "--bias", "0.5",
                             "--bins", "4", "--init", "1,2,3", "--method", "lloyd")),
     ("dynamics exp fixed-point", ("dynamics", *EXP, "--rate", "1.3", "--bias", "0.2",

@@ -5,6 +5,13 @@ error, 2 solver-reported non-existence, collapse, or non-convergence,
 3 verification failure. Dynamics outcomes are data, so that command
 exits 0 whenever the configuration was valid.
 
+`entry` owns the two rules every subcommand shares. A DomainError that
+escapes a subcommand is a usage error: it exits 1 with that subcommand's
+usage line. And one writer renders each document: CSV rows under
+`--format csv`, else JSON closed by a `meta` block timed from `entry`,
+written to `--out` (a path it cannot write is a usage error too) or to
+stdout.
+
 All floating-point output carries 17 significant digits, enough to
 reconstruct the exact double. Infinite values are serialized as the
 strings "inf"/"-inf" so documents stay inside strict JSON.
@@ -110,12 +117,31 @@ def _rows_to_csv(header: list[str], rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
+def _write(args: argparse.Namespace, doc: dict, note: str | None = None,
+           header: list[str] | None = None, rows: list[dict] | None = None
+           ) -> None:
+    """Write a command's result to --out, or to stdout: the rows under
+    header as CSV when --format is csv, else doc as JSON closed by its
+    meta block (tool version, runtime since entry parsed the arguments,
+    and note if given)."""
+    if args.format == "csv":
+        text = _rows_to_csv(header, rows)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        meta = {
+            "tool_version": __version__,
+            "runtime_ms": round((time.perf_counter() - args.started) * 1000.0, 3),
+        }
+        if note is not None:
+            meta["note"] = note
+        text = _render_json({**doc, "meta": meta})
+    if args.out is None:
+        print(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as err:
+        args.parser.error(f"cannot write {args.out}: {err.strerror}")
 
 
 def _parse_flag(v: Any) -> bool:
@@ -198,25 +224,11 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 
 def _make_source(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SourceModel:
-    try:
-        if args.source == "exp":
-            if args.rate is None:
-                parser.error("--rate is required with --source exp")
-            return SourceModel.exponential(args.rate)
-        return SourceModel.gaussian(args.mean, args.std)
-    except DomainError as err:
-        parser.error(str(err))
-        raise AssertionError("unreachable")
-
-
-def _meta(started: float, note: str | None = None) -> dict:
-    meta = {
-        "tool_version": __version__,
-        "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
-    if note is not None:
-        meta["note"] = note
-    return meta
+    if args.source == "exp":
+        if args.rate is None:
+            parser.error("--rate is required with --source exp")
+        return SourceModel.exponential(args.rate)
+    return SourceModel.gaussian(args.mean, args.std)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +236,17 @@ def _meta(started: float, note: str | None = None) -> dict:
 
 
 # solver failures, a subclass before its base: (error class, sweep
-# status, solve stderr prefix); solve reports a DomainError as misuse
+# status, solve stderr prefix); a DomainError is misuse, not among them
 _FAILURES = (
     (NoInformativeEquilibriumError, "no-informative-equilibrium",
      "no informative equilibrium"),
     (BinCollapseError, "collapse", "bin collapse"),
     (NonConvergenceError, "non-convergence", "iteration failed"),
     (EdgeOrderingError, "edge-ordering", "iteration failed"),
-    (DomainError, "invalid", None),
 )
 
 
-def _failure(err: Exception) -> tuple[str, str | None]:
+def _failure(err: Exception) -> tuple[str, str]:
     """(sweep status, solve stderr prefix) of err; re-raises any error
     that is not a solver failure."""
     for kind, status, prefix in _FAILURES:
@@ -293,7 +304,6 @@ def _report(partition: Partition, cert) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    started = time.perf_counter()
     source = _make_source(args, parser)
     bias = args.bias
     if args.bins is not None and args.bins < 1:
@@ -330,33 +340,27 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             note = (f"truncated ladder, {result.iterations} iterations, "
                     f"smallest full Newton step {_fmt(result.final_change)}"
                     + ("" if result.converged else "; did not converge"))
-    except DomainError as err:
-        parser.error(str(err))
     except Exception as err:
         sys.stderr.write(f"{_failure(err)[1]}: {err}\n")
         return 2
 
     report = _report(partition, cert)
-    if args.format == "json":
-        text = _render_json({
-            "source": source.describe(),
-            "bias": bias,
-            "solver": solver,
-            "equilibrium": {
-                "edges": report["edges"],
-                "centroids": report["centroids"],
-                "lengths": report["lengths"],
-                "certificate": _certificate_doc(cert),
-            },
-            "costs": {"decoder": report["decoder_cost"],
-                      "encoder": report["encoder_cost"]},
-            "meta": _meta(started, note),
-        })
-    else:
-        text = _rows_to_csv(
-            ["kind", "rate", "mean", "std", "bias", "solver", *_REPORT_COLUMNS],
-            [{**source.describe(), "bias": bias, "solver": solver, **report}])
-    _emit(text, args.out)
+    doc = {
+        "source": source.describe(),
+        "bias": bias,
+        "solver": solver,
+        "equilibrium": {
+            "edges": report["edges"],
+            "centroids": report["centroids"],
+            "lengths": report["lengths"],
+            "certificate": _certificate_doc(cert),
+        },
+        "costs": {"decoder": report["decoder_cost"],
+                  "encoder": report["encoder_cost"]},
+    }
+    _write(args, doc, note,
+           ["kind", "rate", "mean", "std", "bias", "solver", *_REPORT_COLUMNS],
+           [{**source.describe(), "bias": bias, "solver": solver, **report}])
     if not cert.verdict:
         sys.stderr.write(
             f"certificate failed: max |residual| {_fmt(cert.max_abs_residual)} "
@@ -388,14 +392,14 @@ def _sweep_row(source: SourceModel, bias: float, n_bins: int,
                 row["decoder_cost_infinite"] = decoder_cost_infinite(source.rate, bias)
         _, partition = _solve_bins(source, bias, n_bins, args)
     except Exception as err:  # status column carries the failure
-        row["status"] = _failure(err)[0]
+        row["status"] = ("invalid" if isinstance(err, DomainError)
+                         else _failure(err)[0])
         return row
     row.update(_report(partition, certify(partition, tol=args.cert_tol)))
     return row
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    started = time.perf_counter()
     source = _make_source(args, parser)
     if args.vary == "bias":
         if args.steps is None:
@@ -440,18 +444,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             header += ["fixed_point_length", "decoder_cost_infinite"]
     header += [c for c in _REPORT_COLUMNS
                if c not in ("tolerance", "excluded_edges")]
-
-    if args.format == "csv":
-        text = _rows_to_csv(header, rows)
-    else:
-        doc = {
-            "source": source.describe(),
-            "vary": args.vary,
-            "rows": [{k: r.get(k) for k in header} for r in rows],
-            "meta": _meta(started),
-        }
-        text = _render_json(doc)
-    _emit(text, args.out)
+    _write(args, {
+        "source": source.describe(),
+        "vary": args.vary,
+        "rows": [{k: r.get(k) for k in header} for r in rows],
+    }, header=header, rows=rows)
     return 0
 
 
@@ -476,7 +473,6 @@ def _load_partition(doc: dict) -> tuple[SourceModel, Partition, dict]:
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    started = time.perf_counter()
     if args.mc_samples < 2:
         parser.error("--mc-samples must be at least 2")
     if args.seed < 0:
@@ -491,8 +487,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         stored_decoder = _parse_number(doc["costs"]["decoder"])
         stored_encoder = _parse_number(doc["costs"]["encoder"])
         cert = certify(partition, tol=stored_tol, excluded_edges=excluded)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            DomainError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         sys.stderr.write(f"cannot parse result document: {err}\n")
         return 1
 
@@ -521,7 +516,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"Monte Carlo decoder cost {_fmt(estimate)} is {_fmt(gap / se)} "
             "standard errors from the closed form (limit 4)")
 
-    report = {
+    _write(args, {
         "document": args.document,
         "verified": not failures,
         "certificate": _certificate_doc(cert),
@@ -533,9 +528,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             "standard_error": se,
         },
         "failures": failures,
-        "meta": _meta(started),
-    }
-    _emit(_render_json(report), args.out)
+    })
     if failures:
         for f in failures:
             sys.stderr.write(f"verification failure: {f}\n")
@@ -559,17 +552,13 @@ def _dynamics_init(source: SourceModel, args: argparse.Namespace,
             parser.error(
                 f"--init needs {args.bins - 1} interior edges for "
                 f"--bins {args.bins}, got {len(interior)}")
-        try:
-            return Partition((lo, *interior, hi), source, args.bias)
-        except DomainError as err:
-            parser.error(str(err))
+        return Partition((lo, *interior, hi), source, args.bias)
     from .dynamics import _random_start
     return _random_start(source, args.bias, args.bins,
                          np.random.default_rng(args.seed))
 
 
 def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    started = time.perf_counter()
     source = _make_source(args, parser)
     if args.bins < 2:
         parser.error("--bins must be at least 2 for dynamics runs")
@@ -578,16 +567,12 @@ def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be a nonnegative integer")
     from .dynamics import fixed_point_iterate, lloyd_method_i
-    try:
-        init = _dynamics_init(source, args, parser)
-        if args.method == "lloyd":
-            trace = lloyd_method_i(source, args.bias, init, args.max_iter,
-                                   args.tol)
-        else:
-            trace = fixed_point_iterate(source, args.bias, init, args.damping,
-                                        args.max_iter, args.tol)
-    except DomainError as err:
-        parser.error(str(err))
+    init = _dynamics_init(source, args, parser)
+    if args.method == "lloyd":
+        trace = lloyd_method_i(source, args.bias, init, args.max_iter, args.tol)
+    else:
+        trace = fixed_point_iterate(source, args.bias, init, args.damping,
+                                    args.max_iter, args.tol)
 
     outcome = {
         "status": trace.outcome.status,
@@ -613,19 +598,12 @@ def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             "centroids": list(decoder_best_response(final).centroids),
             "certificate": _certificate_doc(cert),
         }
-    doc["meta"] = _meta(started)
-
-    if args.format == "csv":
-        rows = [
-            {"step": s, "residual": r, "edges": p.edges,
-             "status": trace.outcome.status}
-            for s, r, p in zip(trace.recorded_steps, trace.residual_history,
-                               trace.iterates)
-        ]
-        text = _rows_to_csv(["step", "residual", "edges", "status"], rows)
-    else:
-        text = _render_json(doc)
-    _emit(text, args.out)
+    _write(args, doc, header=["step", "residual", "edges", "status"], rows=[
+        {"step": s, "residual": r, "edges": p.edges,
+         "status": trace.outcome.status}
+        for s, r, p in zip(trace.recorded_steps, trace.residual_history,
+                           trace.iterates)
+    ])
     return 0
 
 
@@ -682,7 +660,7 @@ def _build_parser() -> _Parser:
                         help="Monte Carlo seed")
     verify.add_argument("--mc-samples", type=int, default=1_000_000)
     verify.add_argument("--out")
-    verify.set_defaults(run=_cmd_verify, parser=verify)
+    verify.set_defaults(run=_cmd_verify, parser=verify, format="json")
 
     dyn = sub.add_parser("dynamics", help="run best-response dynamics")
     _add_source_args(dyn)
@@ -707,8 +685,13 @@ def _build_parser() -> _Parser:
 
 def entry(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # each command reports usage errors through its own subparser
-    return args.run(args, args.parser)
+    args.started = time.perf_counter()
+    # each command reports usage errors through its own subparser, and a
+    # DomainError from the library is one
+    try:
+        return args.run(args, args.parser)
+    except DomainError as err:
+        args.parser.error(str(err))
 
 
 if __name__ == "__main__":

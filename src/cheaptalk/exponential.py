@@ -53,6 +53,20 @@ def _check_rate(rate: float) -> None:
         raise DomainError(f"rate must be a finite positive real, got {rate!r}")
 
 
+def _scale(rate: float, bias: float) -> float:
+    """c = 2/rate + 2*bias: the g-target of the last finite bin, and the
+    scale of the equal-length ladder. DomainError where it is +inf or NaN,
+    as at rates below 2/DBL_MAX, where 2/rate overflows, or at biases near
+    DBL_MAX. c = -inf, at biases near -DBL_MAX, has no two-bin walk: no
+    informative equilibrium."""
+    c = 2.0 / rate + 2.0 * bias
+    if math.isnan(c) or c == math.inf:
+        raise DomainError(
+            f"2/rate + 2*bias must be finite, got {c!r} at rate={rate!r}, "
+            f"bias={bias!r}")
+    return c
+
+
 def h(length: float, rate: float) -> float:
     """length / (exp(rate*length) - 1): the mean shortfall of a window.
 
@@ -137,8 +151,10 @@ def _backward_lengths(rate: float, bias: float, count: int) -> list[float]:
     u = rate*target > 1, so s - u is the principal-branch point
     lambert_w0_conjugate(u).
     """
-    c = 2.0 / rate + 2.0 * bias
     walk: list[float] = []
+    if count < 1:  # a one-bin game has no finite bin to scale
+        return walk
+    c = _scale(rate, bias)
     while len(walk) < count:
         target = c - h(walk[-1], rate) if walk else c
         u = rate * target
@@ -195,7 +211,7 @@ def equal_length_defect(length: float, rate: float, bias: float) -> float:
     and zero exactly at the common length of the infinite equilibrium.
     """
     _check_rate(rate)
-    c = 2.0 / rate + 2.0 * bias
+    c = _scale(rate, bias)
     return (c - length) * math.exp(rate * length) - (c + length)
 
 
@@ -227,13 +243,13 @@ def fixed_point_length(rate: float, bias: float) -> float:
     right side) and tanh(1 + rate*bias) lie right of the root, so Newton
     steps from the smaller fall monotonically onto it, to within a few
     ulps at every bias. A seed that rounds to 1 puts the root within an
-    ulp of c.
+    ulp of c. DomainError where c is not finite.
     """
     _check_rate(rate)
     if not (math.isfinite(bias) and bias > 0.0):
         raise DomainError(
             f"the equal-length fixed point needs bias > 0, got {bias!r}")
-    c = 2.0 / rate + 2.0 * bias
+    c = _scale(rate, bias)
     rb = rate * bias
     y = min(math.sqrt(3.0 * rb), math.tanh(1.0 + rb))
     if y >= 1.0:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cheaptalk.cli import entry
+from cheaptalk.errors import DomainError
 from cheaptalk.sources import SourceModel
 
 
@@ -241,10 +242,43 @@ class TestSolve:
              "--bins", "3", "--init", "1,x"),
             ("dynamics", "--source", "exp", "--rate", "1", "--bias", "0.5",
              "--bins", "3", "--init", "1,0"),
+            ("sweep", "--source", "gauss", "--std", "0", "--vary", "bias",
+             "--from", "0", "--to", "0.5", "--steps", "3"),
+            ("solve", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--bins", "3", "--cert-tol", "0"),
+            ("solve", "--source", "gauss", "--bias", "0.3", "--ladder",
+             "--margin", "40"),
+            ("solve", "--source", "exp", "--rate", "1", "--bias", "0.5",
+             "--ladder", "--edges", "0"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
             assert err.startswith(f"usage: cheaptalk {argv[0]} "), argv
+
+    def test_domain_error_after_the_solve_is_a_usage_error(
+            self, capsys, monkeypatch):
+        def refuse(partition):
+            raise DomainError("refused")
+
+        monkeypatch.setattr("cheaptalk.cli.decoder_cost", refuse)
+        code, out, err = run(capsys, "solve", "--source", "exp", "--rate", "1",
+                             "--bias", "0.5", "--bins", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: cheaptalk solve ")
+        assert err.endswith("cheaptalk solve: error: refused\n")
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        good = tmp_path / "eq.json"
+        assert run(capsys, "solve", "--source", "exp", "--rate", "1", "--bias",
+                   "0.5", "--bins", "3", "--out", str(good))[0] == 0
+        target = str(tmp_path / "missing" / "out.json")
+        for argv in (("solve", "--source", "exp", "--rate", "1", "--bias",
+                      "0.5", "--bins", "3"),
+                     ("verify", str(good), "--seed", "1", "--mc-samples", "100")):
+            code, out, err = run(capsys, *argv, "--out", target)
+            assert code == 1 and out == "", argv
+            assert err.startswith(f"usage: cheaptalk {argv[0]} "), argv
+            assert target in err and "Traceback" not in err, argv
 
 
 class TestSweep:

@@ -251,6 +251,21 @@ class TestNBinRecursion:
         with pytest.raises(DomainError):
             solve_n_bins(1.0, 0.0, 0)
 
+    def test_scale_must_be_finite(self):
+        # c = 2/rate + 2*bias: 2/rate overflows at subnormal rates below
+        # 2/DBL_MAX, and with a bias near -DBL_MAX c is inf - inf
+        for rate, bias in ((1e-308, 1.0), (5e-309, bias_threshold(5e-309, 2))):
+            for n in (2, 3):
+                with pytest.raises(DomainError, match=r"2/rate \+ 2\*bias"):
+                    solve_n_bins(rate, bias, n)
+        with pytest.raises(DomainError, match=r"2/rate \+ 2\*bias"):
+            solve_two_bin(5e-309, bias_threshold(5e-309, 2))
+        # one bin needs no walk
+        assert solve_n_bins(1e-308, 1.0, 1).edges == (0.0, math.inf)
+        # c = -inf, a bias far below the threshold: still no equilibrium
+        with pytest.raises(NoInformativeEquilibriumError):
+            solve_n_bins(1.0, -1.7e308, 2)
+
     @given(st.floats(min_value=0.01, max_value=1.5),
            st.integers(min_value=2, max_value=12))
     @settings(max_examples=40, deadline=None)
@@ -323,6 +338,12 @@ class TestEqualLengthLadder:
         lstar = fixed_point_length(1.0, 400.0)
         assert 800.0 < lstar < 802.0
 
+    def test_fixed_point_needs_a_finite_scale(self):
+        # the true length overflows at bias 1e308 and at subnormal rates
+        for rate, bias in ((1e-308, 1.0), (1.0, 1e308)):
+            with pytest.raises(DomainError, match=r"2/rate \+ 2\*bias"):
+                fixed_point_length(rate, bias)
+
     def test_fixed_point_and_limit_cost_against_mpmath(self):
         # rate from 1e-3 to 1e3 and bias from 1e-12 to 1e3: the length is
         # within 16 ulps of a 60-digit root of equal_length_defect
@@ -345,6 +366,30 @@ class TestEqualLengthLadder:
                     cost = (1 - (s / mp.sinh(s)) ** 2) / lam ** 2
                     assert abs(decoder_cost_infinite(rate, bias) - cost) <= \
                         1e-14 * cost, (rate, bias)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fixed_point_and_limit_cost_at_tiny_rates(self):
+        # rate from 1e-150 to 1e-300 at bias 1, where rate^2 underflows
+        # (below 1.5e-154): as above, against a root found by geometric
+        # bisection. s = rate*length/2 falls to 1.7e-150, so the oracle's
+        # exp(rate*length) and 1 - (s/sinh(s))^2 cancel some 300 digits.
+        # Measured: 0.91 ulps and 3.9e-16 relative
+        with mp.workdps(700):
+            for rate in np.logspace(-150.0, -300.0, 7).tolist():
+                lam, c = mp.mpf(rate), 2 / mp.mpf(rate) + 2
+                lo, hi = mp.mpf(2), c
+                while hi > lo * (1 + mp.mpf(2) ** -80):
+                    mid = mp.sqrt(lo * hi)
+                    if (c - mid) * mp.exp(lam * mid) > c + mid:
+                        lo = mid
+                    else:
+                        hi = mid
+                lstar = fixed_point_length(rate, 1.0)
+                assert abs(lstar - lo) <= 16 * math.ulp(lstar), rate
+                s = lam * lo / 2
+                cost = (1 - (s / mp.sinh(s)) ** 2) / lam ** 2
+                assert abs(decoder_cost_infinite(rate, 1.0) - cost) <= \
+                    1e-14 * cost, rate
 
     def test_n_bin_lengths_approach_fixed_point(self):
         lstar = fixed_point_length(1.0, 0.5)

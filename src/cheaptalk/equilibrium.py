@@ -2,8 +2,9 @@
 
 The shared substrate for both solvers and the dynamics engine. A
 Partition carries the full game context (edges, source, bias) as an
-immutable value; everything else is derived from it through the
-source's array bin moments:
+immutable value, plus the one edge array the source's check returned.
+Everything else is derived from that array and the source's array bin
+moments, with no per-element Python pass:
 
 - the decoder's best response maps each bin to its conditional mean;
 - the encoder's best response places each interior edge at the midpoint
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +63,12 @@ class Partition:
     check (_bin_edges); each bin then has positive length inside the
     support, the structural form of "positive probability" that stays
     meaningful even where the tail mass underflows in double precision.
+
+    The checked float array that edges is read from stays on the
+    partition as _edge_array: its own read-only copy, never the caller's
+    array, and not a field, so it changes neither equality nor hashing.
+    The moment record, certify, encoder_best_response and
+    monte_carlo_cost read it in place of the edges tuple.
     """
 
     edges: tuple[float, ...]
@@ -72,8 +80,11 @@ class Partition:
         object.__setattr__(self, "bias", float(self.bias))
         if not math.isfinite(self.bias):
             raise DomainError(f"bias must be finite, got {self.bias!r}")
-        edges = tuple(self.source._bin_edges(edges).tolist())
+        array = self.source._bin_edges(edges)
+        array.flags.writeable = False
+        edges = tuple(array.tolist())
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_edge_array", array)
         lo, hi = self.source.support
         if edges[0] != lo or edges[-1] != hi:
             raise DomainError(
@@ -109,11 +120,11 @@ class Partition:
     def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(probs, means, variances) of the bins as read-only arrays,
         computed once, on first use, by one pass of the unchecked kernel
-        _bin_moments (__post_init__ has checked the edges through the
-        source); certify, decoder_cost and decoder_best_response read it.
-        Not a field, so it changes neither equality nor hashing."""
-        probs, means, variances = self.source._bin_moments(
-            np.asarray(self.edges))
+        _bin_moments over _edge_array, the edge array __post_init__ has
+        checked through the source; certify, decoder_cost and
+        decoder_best_response read it. Not a field, so it changes neither
+        equality nor hashing."""
+        probs, means, variances = self.source._bin_moments(self._edge_array)
         moments = (probs(), means, variances())
         for a in moments:
             a.flags.writeable = False
@@ -127,17 +138,16 @@ class ActionProfile:
     centroids: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(float(v) for v in self.centroids)
+        c = tuple(map(float, self.centroids))
         object.__setattr__(self, "centroids", c)
         if len(c) < 1:
             raise DomainError("an action profile needs at least one action")
-        if any(not math.isfinite(v) for v in c):
+        if not all(map(math.isfinite, c)):
             raise DomainError("actions must be finite")
-        for a, b in zip(c, c[1:]):
-            if not a < b:
-                raise DomainError(
-                    f"actions must be strictly increasing, got {a!r} "
-                    f"before {b!r}")
+        if not all(map(operator.lt, c, c[1:])):
+            a, b = next((a, b) for a, b in zip(c, c[1:]) if not a < b)
+            raise DomainError(
+                f"actions must be strictly increasing, got {a!r} before {b!r}")
 
     def __len__(self) -> int:
         return len(self.centroids)
@@ -203,7 +213,7 @@ def _check_seed(seed: int) -> None:
 
 def decoder_best_response(partition: Partition) -> ActionProfile:
     """Conditional mean of the source on each bin (the centroid rule)."""
-    return ActionProfile(tuple(partition._moments[1].tolist()))
+    return ActionProfile(partition._moments[1].tolist())
 
 
 def encoder_best_response(actions: ActionProfile, source: SourceModel,
@@ -216,17 +226,20 @@ def encoder_best_response(actions: ActionProfile, source: SourceModel,
     this step, and the exception carries the offending bin index.
     """
     lo, hi = source.support
-    interior = _midpoints(np.asarray(actions.centroids), bias)
+    u = np.asarray(actions.centroids)
+    interior = _midpoints(u, bias)
     if interior.size and interior[0] <= lo:
         raise BinCollapseError(
             f"first edge {float(interior[0])!r} fell at or below the support "
             f"endpoint {lo}", bin_index=1)
     p = Partition((lo, *interior, hi), source, bias)
-    for k, v in enumerate(actions.centroids):
-        if not p.edges[k] < v < p.edges[k + 1]:
-            raise BinCollapseError(
-                f"action {v!r} left its bin ({p.edges[k]!r}, "
-                f"{p.edges[k + 1]!r})", bin_index=k + 1)
+    e = p._edge_array
+    inside = (e[:-1] < u) & (u < e[1:])
+    if not inside.all():
+        k = int(inside.argmin())
+        raise BinCollapseError(
+            f"action {actions.centroids[k]!r} left its bin ({p.edges[k]!r}, "
+            f"{p.edges[k + 1]!r})", bin_index=k + 1)
     return p
 
 
@@ -239,16 +252,19 @@ def certify(partition: Partition, tol: float = 1e-8,
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    residuals = (np.asarray(partition.interior_edges)
+    residuals = (partition._edge_array[1:-1]
                  - _midpoints(partition._moments[1], partition.bias))
     excluded = tuple(sorted({int(k) for k in excluded_edges}))
     for k in excluded:
         if not 1 <= k <= len(residuals):
             raise DomainError(
                 f"excluded edge {k} out of range 1..{len(residuals)}")
-    kept = (np.delete(residuals, [k - 1 for k in excluded]) if excluded
-            else residuals)
-    max_abs = float(np.max(np.abs(kept), initial=0.0))
+    # every |r| >= 0 = initial, so zeroing an excluded entry drops it from
+    # the maximum, NaN included
+    kept = np.abs(residuals)
+    if excluded:
+        kept[[k - 1 for k in excluded]] = 0.0
+    max_abs = float(kept.max(initial=0.0))
     return EquilibriumCertificate(
         residuals=tuple(residuals.tolist()),
         max_abs_residual=max_abs,
@@ -296,7 +312,7 @@ def monte_carlo_cost(partition: Partition, n: int, seed: int) -> tuple[float, fl
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     u = np.asarray(decoder_best_response(partition).centroids)
-    interior = np.asarray(partition.interior_edges)
+    interior = partition._edge_array[1:-1]
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, _MC_BLOCK):
         err = partition.source.sample(rng, min(_MC_BLOCK, n - start))

@@ -212,13 +212,13 @@ class TruncatedLadder:
     margin: int = 5
 
     def __post_init__(self) -> None:
-        lengths = tuple(float(v) for v in self.lengths)
+        lengths = tuple(map(float, self.lengths))
         object.__setattr__(self, "lengths", lengths)
         if not math.isfinite(self.anchor_edge):
             raise DomainError(f"anchor edge must be finite, got {self.anchor_edge!r}")
         if len(lengths) < 1:
             raise DomainError("a ladder needs at least one bin length")
-        if any(not (math.isfinite(v) and v > 0.0) for v in lengths):
+        if not (all(map(math.isfinite, lengths)) and min(lengths) > 0.0):
             raise DomainError("ladder lengths must be finite and positive")
         if not (isinstance(self.margin, int) and self.margin >= 0):
             raise DomainError(f"margin must be a nonnegative integer, got {self.margin!r}")

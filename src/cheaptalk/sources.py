@@ -97,7 +97,8 @@ def _exp_window_variance(length, rate: float):
     clamped to 1, so long and infinite windows form no inf or NaN there).
     Past s = 350, where sinh nears overflow, d is exactly 1: the true
     variance is within 1e-300 of 1/rate^2. It divides by the rate twice,
-    since rate^2 underflows below rate = 1.5e-154.
+    since rate^2 underflows below rate = 1.5e-154; a variance past DBL_MAX
+    is inf, under the same np.errstate, so it warns on no stream.
     """
     s = 0.5 * rate * np.asarray(length, dtype=float)
     t2 = np.minimum(s, 1.0) ** 2
@@ -108,7 +109,7 @@ def _exp_window_variance(length, rate: float):
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.where(s < 1.0, q / (1.0 + q),
                      np.where(s > 350.0, 1.0, 1.0 - s / np.sinh(s)))
-    return (d * (2.0 - d) / rate / rate)[()]
+        return (d * (2.0 - d) / rate / rate)[()]
 
 
 def _std_interval_slopes(alpha, beta):

@@ -294,6 +294,18 @@ class TestSweep:
         assert statuses[0] == "no-informative-equilibrium"
         assert statuses[-1] == "ok"
 
+    def test_infinite_variance_writes_nothing_to_stderr(self):
+        # at rate 1e-200 the tail bin's variance, 1/rate^2, is past DBL_MAX;
+        # a child process, because pytest would record a warning in-process
+        proc = subprocess.run(
+            [sys.executable, "-m", "cheaptalk.cli", "sweep", "--source", "exp",
+             "--rate", "1e-200", "--vary", "bias", "--from", "1", "--to", "2",
+             "--steps", "2", "--bins", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [r["decoder_cost"] for r in rows] == ["inf", "inf"]
+
     def test_bias_grid_through_zero_snaps_to_zero(self):
         # linspace puts -1.1e-16 where this grid means 0; at that bias the
         # exponential max_bins walk would take some 1e8 bins

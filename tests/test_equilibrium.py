@@ -92,6 +92,21 @@ class TestPartition:
         assert p.n_bins == 1
         assert p.interior_edges == ()
 
+    def test_edge_array_is_its_own_read_only_copy(self):
+        values = (0.0, 0.4, 1.1, 2.0, math.inf)
+        given = np.array(values)
+        p = Partition(given, EXP, 0.2)
+        given[1:4] = (0.1, 0.2, 0.3)  # the caller reuses its array
+        assert not np.shares_memory(p._edge_array, given)
+        assert not p._edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            p._edge_array[1] = 0.9
+        assert p.edges == values and p._edge_array.tolist() == list(values)
+        fresh = Partition(values, EXP, 0.2)
+        for got, want in zip(p._moments, fresh._moments):
+            assert got.tobytes() == want.tobytes()
+        assert certify(p) == certify(fresh)
+
 
 class TestBinMoments:
     # one fresh partition per family, neither solved nor certified before
@@ -149,6 +164,28 @@ class TestBinMoments:
         assert {filled, fresh} == {fresh}
 
 
+def _profile_error(values):
+    """The message of ActionProfile's checks as a per-element loop reads
+    them: finiteness over every action first, then the first pair out of
+    order."""
+    c = [float(v) for v in values]
+    if not c:
+        return "an action profile needs at least one action"
+    if any(not math.isfinite(v) for v in c):
+        return "actions must be finite"
+    for a, b in zip(c, c[1:]):
+        if not a < b:
+            return f"actions must be strictly increasing, got {a!r} before {b!r}"
+
+
+def _profile(changes):
+    """200 increasing actions 1.0, 1.5, ... with some entries replaced."""
+    u = (1.0 + 0.5 * np.arange(200)).tolist()
+    for k, v in changes.items():
+        u[k] = v
+    return u
+
+
 class TestActionProfile:
     def test_must_increase(self):
         with pytest.raises(DomainError):
@@ -157,6 +194,21 @@ class TestActionProfile:
             ActionProfile((2.0, 1.0))
         with pytest.raises(DomainError):
             ActionProfile((0.0, math.inf))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({199: 100.0}, "got 100.0 before 100.0"),
+        ({199: 99.0}, "got 100.0 before 99.0"),
+        ({50: 25.5, 199: 99.0}, "got 25.5 before 25.5"),
+        ({10: math.nan, 100: 0.0}, "actions must be finite"),
+        ({20: 0.0, 150: math.nan}, "actions must be finite"),
+        ({199: math.inf}, "actions must be finite"),
+        ({199: -0.0}, "got 100.0 before -0.0"),
+    ])
+    def test_first_failure_of_200_actions(self, changes, message):
+        u = _profile(changes)
+        with pytest.raises(DomainError, match=message) as err:
+            ActionProfile(np.array(u))
+        assert str(err.value) == _profile_error(u)
 
 
 class TestBestResponses:
@@ -194,6 +246,33 @@ class TestBestResponses:
         with pytest.raises(BinCollapseError) as err:
             encoder_best_response(u, EXP, -0.5)
         assert err.value.bin_index == 1
+
+    @pytest.mark.parametrize("src", [EXP, GAUSS])
+    @pytest.mark.parametrize("bias, tight, bin_index", [
+        (0.2, (199,), 200),  # the last action falls below its bin
+        (0.2, (50, 199), 51),
+        (-0.2, (199,), 199),  # the last but one rises above its bin
+        (-0.2, (120, 199), 120),
+    ])
+    def test_encoder_reports_the_first_action_out_of_its_bin(
+            self, src, bias, tight, bin_index):
+        # 200 actions one apart, but 0.1 apart at the tight pairs: an
+        # action leaves its bin where a neighbor is within 2|bias|
+        gaps = np.ones(199)
+        gaps[[k - 1 for k in tight]] = 0.1
+        u = np.concatenate(([1.0], 1.0 + np.cumsum(gaps)))
+        lo, hi = src.support
+        edges = [lo, *(0.5 * (u[:-1] + u[1:]) + bias).tolist(), hi]
+        actions = ActionProfile(u)
+        # the failing bin of the per-action loop
+        k = next(k for k, v in enumerate(actions.centroids)
+                 if not edges[k] < v < edges[k + 1])
+        with pytest.raises(BinCollapseError) as err:
+            encoder_best_response(actions, src, bias)
+        assert err.value.bin_index == k + 1 == bin_index
+        assert str(err.value) == (
+            f"action {actions.centroids[k]!r} left its bin ({edges[k]!r}, "
+            f"{edges[k + 1]!r})")
 
     def test_round_trip_stability_at_equilibrium(self):
         for p in certified_examples():
@@ -246,6 +325,43 @@ class TestCertify:
             certify(p, excluded_edges=(0,))
         with pytest.raises(DomainError):
             certify(p, excluded_edges=(5,))
+
+    # six interior edges whose residuals take both signs
+    SIX = (0.0, 0.5, 1.5936242600400401, 2.6, 3.0, 4.5, 5.0, math.inf)
+
+    @pytest.mark.parametrize("excluded", [
+        (), (3, 1, 3), (6, 2, 2, 6), (5, 4, 3, 2, 1, 6), (2, 2)])
+    def test_excluded_edges_match_the_delete_form(self, excluded):
+        p = Partition(self.SIX, EXP, 0.1)
+        full = certify(p)
+        cert = certify(p, excluded_edges=excluded)
+        kept = np.delete(np.array(full.residuals), [k - 1 for k in set(excluded)])
+        assert cert.max_abs_residual == float(np.max(np.abs(kept), initial=0.0))
+        assert cert.residuals == full.residuals
+        assert cert.excluded_edges == tuple(sorted(set(excluded)))
+
+    @pytest.mark.parametrize("nan_bin, edge", [(0, 1), (-1, 6)])
+    def test_nan_residual_counts_only_where_kept(self, nan_bin, edge):
+        p = Partition(self.SIX, EXP, 0.1)
+        probs, means, variances = p._moments
+        means = means.copy()
+        means[nan_bin] = math.nan  # the NaN reaches only one residual
+        p.__dict__["_moments"] = (probs, means, variances)
+        kept = certify(p, tol=10.0)
+        assert math.isnan(kept.residuals[edge - 1])
+        assert math.isnan(kept.max_abs_residual) and not kept.verdict
+        dropped = certify(p, tol=10.0, excluded_edges=(edge, 3))
+        assert dropped.verdict
+        np.testing.assert_array_equal(dropped.residuals, kept.residuals)
+        rest = np.delete(np.array(kept.residuals), [edge - 1, 2])
+        assert dropped.max_abs_residual == float(np.max(np.abs(rest)))
+
+    def test_out_of_range_excluded_edge_names_the_smallest(self):
+        p = Partition(self.SIX, EXP, 0.1)
+        with pytest.raises(DomainError, match=r"excluded edge 0 out of range 1\.\.6"):
+            certify(p, excluded_edges=(3, 9, 0))
+        with pytest.raises(DomainError, match=r"excluded edge 7 out of range 1\.\.6"):
+            certify(p, excluded_edges=(9, 2, 7))
 
     def test_certification_survives_endpoint_normalization(self):
         for p in certified_examples():

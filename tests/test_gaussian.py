@@ -156,6 +156,16 @@ class TestTruncatedLadderType:
         with pytest.raises(DomainError):
             TruncatedLadder(0.0, (1.0,), margin=-1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0,
+                                     -0.0, -0.5])
+    @pytest.mark.parametrize("at", [0, 199])
+    def test_every_length_is_checked(self, bad, at):
+        lengths = [0.1] * 200
+        lengths[at] = bad
+        with pytest.raises(DomainError,
+                           match="^ladder lengths must be finite and positive$"):
+            TruncatedLadder(0.0, np.array(lengths))
+
     def test_edges_for_orientation(self):
         ladder = TruncatedLadder(1.0, (0.5, 0.7))
         up = ladder.edges_for(0.3)

@@ -291,6 +291,15 @@ class TestExponentialMoments:
         assert _exp_window_variance(1e-6, 1.0) == pytest.approx(1e-12 / 12.0,
                                                                 rel=1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_variance_past_dbl_max_is_inf_without_a_warning(self):
+        # rate 1e-200: a bin 1e150 long has variance about 1e300/12, and
+        # the longer ones pass DBL_MAX
+        got = SourceModel.exponential(1e-200).bin_variances(
+            [0.0, 1e150, 1.5936242600400402e200, INF])
+        assert got[0] == pytest.approx(1e300 / 12.0, rel=1e-15)
+        assert got[1:].tolist() == [INF, INF]
+
     def test_zero_probability_interval_raises(self):
         with pytest.raises(ZeroProbabilityError):
             EXP.truncated_mean(-3.0, -1.0)

@@ -15,11 +15,17 @@ stops at 2 000 steps. The grid ends with the stop paths that the
 dynamics tests pin. The fixed start puts the interior edges at the
 source's k/n quantiles, k = 1..n-1.
 
-Each run prints one line: its name, the outcome (status, stop step,
-bin index), the iteration count, the repr of the final edges and the
-reprs of the trace's recorded_steps and residual_history, or the repr
-of the basin_probe summary. The script prints every line that
-differs between the trees and a count, and exits 1 on any difference.
+Each run prints one line of four tab-separated fields: its name; its
+outcome, which is the status, stop step and bin index of an engine run,
+or the outcome counts and cluster sizes of a basin_probe summary; the
+final edges or the summary's distinct limits; and the rest (the
+iteration count and the reprs of the trace's recorded_steps and
+residual_history, or the repr of the summary). The script prints every
+line that differs between the trees, each marked "OUTCOME" when its
+outcome field differs and not only its floats. It ends with one count
+per source (the stop-path runs count as "pin"): runs, runs that differ,
+runs whose outcome differs, and the worst relative change of an edge or
+limit among runs whose outcome does not. It exits 1 on any difference.
 `--dump SRC` prints one tree's lines instead.
 """
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -88,11 +95,15 @@ def dump(src: str) -> None:
     for name, call in runs():
         result = call()
         if isinstance(result, BasinProbeSummary):
-            print(f"{name}\t{result!r}")
+            print(f"{name}\tconverged={result.fraction_converged!r} "
+                  f"collapsed={result.collapsed} "
+                  f"max_iter={result.hit_max_iter} "
+                  f"sizes={result.cluster_sizes!r}\t"
+                  f"{result.distinct_limits!r}\t{result!r}")
         else:
             o = result.outcome
             print(f"{name}\t{o.status} {o.iteration} {o.bin_index}\t"
-                  f"{result.iterations}\t{result.final_partition.edges!r}\t"
+                  f"{result.final_partition.edges!r}\t{result.iterations}\t"
                   f"{result.recorded_steps!r}\t{result.residual_history!r}")
 
 
@@ -110,6 +121,30 @@ def lines(src: str, child: subprocess.Popen) -> list[str]:
     return out.splitlines()
 
 
+FLOAT = re.compile(r"-?(?:inf|nan|\d[\d.]*(?:e[-+]?\d+)?)")
+
+
+def source_of(name: str) -> str:
+    return name.split(" bias=")[0] if " bias=" in name else "pin"
+
+
+def worst_relative_change(a: str, b: str) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the floats of two edge
+    fields, pairwise; inf when they hold different counts or non-finite
+    values differ."""
+    xs, ys = ([float(v) for v in FLOAT.findall(f)] for f in (a, b))
+    if len(xs) != len(ys):
+        return float("inf")
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if x == y or x != x and y != y:
+            continue
+        scale = max(abs(x), abs(y))
+        worst = max(worst, abs(x - y) / scale if scale < float("inf")
+                    else float("inf"))
+    return worst
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", nargs="?")
@@ -124,12 +159,30 @@ def main() -> int:
     # the two trees run side by side, one process each
     children = [(src, start(src)) for src in (args.old_src, args.new_src)]
     old, new = (lines(src, child) for src, child in children)
-    differ = [(a, b) for a, b in zip(old, new) if a != b]
-    for a, b in differ:
+    # source -> [runs, differ, outcome differs, worst relative change]
+    tally: dict[str, list] = {}
+    differ = 0
+    for a, b in zip(old, new):
+        name, outcome_a, edges_a, _ = a.split("\t", 3)
+        _, outcome_b, edges_b, _ = b.split("\t", 3)
+        counts = tally.setdefault(source_of(name), [0, 0, 0, 0.0])
+        counts[0] += 1
+        if a == b:
+            continue
+        differ += 1
+        counts[1] += 1
+        if outcome_a != outcome_b:
+            counts[2] += 1
+            print("OUTCOME")
+        else:
+            counts[3] = max(counts[3], worst_relative_change(edges_a, edges_b))
         print(f"- {a}\n+ {b}")
     if len(old) != len(new):
         print(f"line counts differ: {len(old)} and {len(new)}")
-    print(f"{len(old)} runs: {len(differ)} differ")
+    for source, (n, changed, outcomes, worst) in tally.items():
+        print(f"{source}: {n} runs, {changed} differ, {outcomes} with a "
+              f"changed outcome, worst relative edge change {worst:.3g}")
+    print(f"{len(old)} runs: {differ} differ")
     return 1 if differ or len(old) != len(new) else 0
 
 

@@ -553,9 +553,10 @@ def _dynamics_init(source: SourceModel, args: argparse.Namespace,
                 f"--init needs {args.bins - 1} interior edges for "
                 f"--bins {args.bins}, got {len(interior)}")
         return Partition((lo, *interior, hi), source, args.bias)
-    from .dynamics import _random_start
-    return _random_start(source, args.bias, args.bins,
-                         np.random.default_rng(args.seed))
+    from .dynamics import _random_starts
+    (edges,) = _random_starts(source, args.bins, 1,
+                              np.random.default_rng(args.seed))
+    return Partition(edges, source, args.bias)
 
 
 def _cmd_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -15,21 +15,30 @@ and the equilibrium defect (max-abs residual) fall to tol, which makes
 One loop (_run_rows) runs any number of starts together: each step moves
 every live start at once through the bin kernels, which give it the bin
 centroids and nothing else, and per-start tests take a start out at the
-step where it collapses, converges or reaches max_iter. One minimum over
-the step's edge gaps clears every start of crossed and dead bins at once;
-only a step that fails it runs the one collapse test, which names each
-failing start at its first crossed edge gap, else at its first dead bin.
-A bin is dead when it is shorter than COLLAPSE_LENGTH, never for its
-mass alone: the kernels resolve the centroid of a far-tail bin whose
-mass underflows, and Gaussian equilibria hold such bins. basin_probe
-runs all its starts that way, with no trace; fixed_point_iterate is the
-one-start call of the same loop that also records the trace, and
-lloyd_method_i is fixed_point_iterate at damping 1. The trace takes one
-entry per step, thinned past step 1000 but always kept at step 0, at
-max_iter and at the step the run converges; a run that collapses on a
-dead bin, or on centroids crossed at step 0, ends it with a NaN
-residual. Every start's outcome and edges are bit for bit those of
-running it alone.
+step where it collapses, converges or reaches max_iter. The loop runs in
+the frame its source's kernel works in (SourceModel._frame): std units,
+z = (x - mean)/std, for a Gaussian, x itself for an exponential. Edges
+are mapped into it once per run, and the bias, tol and COLLAPSE_LENGTH
+divided by the std once, so no step maps edges or means between frames;
+edges and residuals come back to x once, when a run's results or trace
+are returned. At damping 1 a step's move is its targets themselves, with
+no blend. Where the map into the frame is exact (every exponential, and
+N(0, 1)) a run is bit for bit the run in x. One minimum over the step's
+edge gaps clears every start of crossed and dead bins at once; only a
+step that fails it runs the one collapse test, which names each failing
+start at its first crossed edge gap, else at its first dead bin. A bin
+is dead when it is shorter than COLLAPSE_LENGTH in x, never for its mass
+alone: the kernels resolve the centroid of a far-tail bin whose mass
+underflows, and Gaussian equilibria hold such bins. basin_probe draws
+all its starts from one quantile box (_random_starts, which the CLI's
+random init also uses) and runs them that way, with no trace;
+fixed_point_iterate is the one-start call of the same loop that also
+records the trace, and lloyd_method_i is fixed_point_iterate at
+damping 1. The trace takes one entry per step, thinned past step 1000
+but always kept at step 0, at max_iter and at the step the run
+converges; a run that collapses on a dead bin, or on centroids crossed
+at step 0, ends it with a NaN residual. Every start's outcome and edges
+are bit for bit those of running it alone.
 """
 
 from __future__ import annotations
@@ -120,12 +129,13 @@ class IterationTrace:
 
 
 class _Recorder:
-    """Thinned (step, edges, residual) log; partitions are built only for
-    the steps it keeps, when the trace is assembled."""
+    """Thinned (step, edges, residual) log of a run from start, kept in
+    the run's frame; edges and residuals are mapped back to x, and
+    partitions built, only for the steps it keeps, when the trace is
+    assembled. Step 0, always kept first, is start itself."""
 
-    def __init__(self, source: SourceModel, bias: float) -> None:
-        self.source = source
-        self.bias = bias
+    def __init__(self, start: Partition) -> None:
+        self.start = start
         self.steps: list[int] = []
         self.edges: list[list[float]] = []
         self.residuals: list[float] = []
@@ -138,25 +148,41 @@ class _Recorder:
             self.residuals.append(residual)
 
     def trace(self, outcome: IterationOutcome) -> IterationTrace:
+        source, bias = self.start.source, self.start.bias
+        rows = _to_x(source, np.array(self.edges[1:])).tolist()
+        residuals = source._frame[1] * np.array(self.residuals)
         return IterationTrace(
-            iterates=tuple(Partition(e, self.source, self.bias)
-                           for e in self.edges),
-            residual_history=tuple(self.residuals),
+            iterates=(self.start,
+                      *(Partition(e, source, bias) for e in rows)),
+            residual_history=tuple(residuals.tolist()),
             recorded_steps=tuple(self.steps),
             outcome=outcome,
             iterations=outcome.iteration,
         )
 
 
-def _random_start(source: SourceModel, bias: float, n_bins: int,
-                  rng: np.random.Generator) -> Partition:
-    """Interior edges drawn as sorted uniforms between the 0.001 and 0.999
+def _to_x(source: SourceModel, z: np.ndarray) -> np.ndarray:
+    """Edges z of source's frame in x; a frame that is x itself returns
+    z, so every zero keeps its sign."""
+    offset, scale = source._frame
+    return z if (offset, scale) == (0.0, 1.0) else offset + scale * z
+
+
+def _random_starts(source: SourceModel, n_bins: int, n_inits: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """(n_inits, n_bins + 1) start edges, one row per start in turn: its
+    interior edges drawn as sorted uniforms between the 0.001 and 0.999
     source quantiles, redrawn until strictly increasing."""
-    box = (source.quantile(0.001), source.quantile(0.999))
-    while True:
-        draws = np.sort(rng.uniform(box[0], box[1], size=n_bins - 1))
-        if draws.size < 2 or np.all(np.diff(draws) > 0.0):
-            return Partition.from_interior(draws, source, bias)
+    lo, hi = source.quantile(0.001), source.quantile(0.999)
+    starts = np.empty((n_inits, n_bins + 1))
+    starts[:, 0], starts[:, -1] = source.support
+    for row in starts:
+        while True:
+            draws = np.sort(rng.uniform(lo, hi, size=n_bins - 1))
+            if draws.size < 2 or np.all(np.diff(draws) > 0.0):
+                row[1:-1] = draws
+                break
+    return starts
 
 
 def lloyd_method_i(source: SourceModel, bias: float, init: Partition,
@@ -189,7 +215,7 @@ def fixed_point_iterate(source: SourceModel, bias: float, init: Partition,
     _check_iteration_params(damping, max_iter, tol)
     # Rebind the edges to this run's source and bias; validates support.
     start = Partition(init.edges, source, bias)
-    rec = _Recorder(source, bias)
+    rec = _Recorder(start)
     (outcome,), _ = _run_rows(source, bias, np.array([start.edges]),
                               max_iter, tol, damping, rec)
     return rec.trace(outcome)
@@ -202,17 +228,25 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
     """Run the dynamics from every row of edges in one loop.
 
     edges is (runs, n_bins + 1), each row a partition of the support.
-    Each step moves every live row at once through the unchecked bin
-    kernels, and tests on each row stop it at the step where its own run
-    stops, so every row ends bit for bit as it would alone. rec, given
-    only with one row, logs that row's thinned trace. Returns each row's
-    outcome and its edges at the step it stopped. The caller checks the
-    iteration parameters.
+    The run maps them once into the frame its source's kernel works in,
+    z = (x - offset)/scale with (offset, scale) = source._frame (std
+    units for a Gaussian, x for an exponential), and divides the bias,
+    tol and COLLAPSE_LENGTH by the scale once, so each step maps nothing
+    and reads its means through source._frame_means. Each step moves
+    every live row at once, to its targets themselves at damping 1, and
+    tests on each row stop it at the step where its own run stops, so
+    every row ends bit for bit as it would alone. rec, given only with
+    one row, logs that row's thinned trace in the frame. Returns each
+    row's outcome and its edges, in x, at the step it stopped. The caller
+    checks the iteration parameters.
     """
     outcomes: list[IterationOutcome] = [None] * len(edges)
-    final = np.array(edges, dtype=float)
+    offset, scale = source._frame
+    # x - 0.0 and x/1.0 are x itself, so an identity frame moves no bit
+    e = (np.array(edges, dtype=float) - offset) / scale
+    bias, tol, floor = bias / scale, tol / scale, COLLAPSE_LENGTH / scale
+    final = np.empty_like(e)
     live = np.arange(len(edges))
-    e = final.copy()
     # each step writes its moved edges into e, so moved and old hold
     # copies of them, not views
     moved = old = e[:, 1:-1].copy()
@@ -229,20 +263,24 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
 
     for it in range(max_iter + 1):
         if it:
+            # at damping 1 the blend is targets bit for bit: old is
+            # finite, and targets, formed from increasing means, is never
+            # -0.0, so 0.0 * old + targets is targets
             old = moved
-            moved = (1.0 - damping) * old + damping * targets
+            moved = (targets if damping == 1.0
+                     else (1.0 - damping) * old + damping * targets)
             e[:, 1:-1] = moved
         # a > b exactly when a - b > 0, for every pair of floats, so one
         # minimum over the gaps, which fails on NaN, clears the step of
         # crossed and of short bins; almost every step passes it
         gaps = e[:, 1:] - e[:, :-1]
-        if not gaps.min() >= COLLAPSE_LENGTH:
+        if not gaps.min() >= floor:
             # a failing row is named at its first crossed gap (an edge off
             # the support or past a neighbor, NaN included), else at its
             # first short one, so crossed gaps rank 3 and short ones 1;
             # only a short bin leaves edges to log, and the edges of step
             # 0 are a partition's, so they cross nowhere
-            rank = 2 * ~(gaps > 0.0) + ~(gaps >= COLLAPSE_LENGTH)
+            rank = 2 * ~(gaps > 0.0) + ~(gaps >= floor)
             worst = rank.max(axis=1)
             if rec is not None and worst[0] == 1:
                 rec.add(it, e[0], math.nan, force=True)
@@ -250,7 +288,7 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
             live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
             if not live.size:
                 break
-        means = source._bin_means(e)
+        means = source._frame_means(e)
         rising = means[:, 1:] > means[:, :-1]
         if np.count_nonzero(rising) < rising.size:
             # the centroids crossed: no valid decoder profile to continue
@@ -283,7 +321,7 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                 break
     if live.size:
         stop(np.ones(live.size, dtype=bool), "max_iter")
-    return outcomes, final
+    return outcomes, _to_x(source, final)
 
 
 @dataclass(frozen=True)
@@ -331,12 +369,13 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
         raise DomainError(f"n_inits must be a positive integer, got {n_inits!r}")
     if not (isinstance(n_bins, int) and n_bins >= 2):
         raise DomainError(f"basin probing needs n_bins >= 2, got {n_bins!r}")
+    if not math.isfinite(bias):
+        raise DomainError(f"bias must be finite, got {bias!r}")
     damping = damping if method == "fixed-point" else 1.0
     _check_iteration_params(damping, max_iter, tol)
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    starts = np.array([_random_start(source, bias, n_bins, rng).edges
-                       for _ in range(n_inits)])
+    starts = _random_starts(source, n_bins, n_inits,
+                            np.random.default_rng(seed))
     outcomes, final = _run_rows(source, bias, starts, max_iter, tol, damping)
 
     statuses = [outcome.status for outcome in outcomes]

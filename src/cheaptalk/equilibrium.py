@@ -60,9 +60,11 @@ class Partition:
     (0 and +inf for exponential sources, -inf and +inf for Gaussian), so
     every value the source can produce lands in exactly one bin. Interior
     edges are finite and strictly increasing, by the source's one edge
-    check (_bin_edges); each bin then has positive length inside the
-    support, the structural form of "positive probability" that stays
-    meaningful even where the tail mass underflows in double precision.
+    check (_bin_edges), which converts every edge once and raises
+    DomainError on one that is not a number; each bin then has positive
+    length inside the support, the structural form of "positive
+    probability" that stays meaningful even where the tail mass
+    underflows in double precision.
 
     The checked float array that edges is read from stays on the
     partition as _edge_array: its own read-only copy, never the caller's
@@ -76,11 +78,16 @@ class Partition:
     bias: float
 
     def __post_init__(self) -> None:
-        edges = [float(e) for e in self.edges]
+        # one list, read once from any iterable (a generator too), so the
+        # array kept below is never the caller's
+        edges = (self.edges.tolist() if isinstance(self.edges, np.ndarray)
+                 else list(self.edges))
         object.__setattr__(self, "bias", float(self.bias))
         if not math.isfinite(self.bias):
             raise DomainError(f"bias must be finite, got {self.bias!r}")
         array = self.source._bin_edges(edges)
+        if array.ndim != 1:
+            raise DomainError(f"a partition has one edge sequence, got {edges!r}")
         array.flags.writeable = False
         edges = tuple(array.tolist())
         object.__setattr__(self, "edges", edges)

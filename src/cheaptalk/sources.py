@@ -5,12 +5,18 @@ array methods here (bin_probs, bin_means, bin_variances: one value per
 bin of an increasing edge array, which may have infinite ends and need
 not span the support, or one row of values per row of a 2-D array of
 such edges), plus quantiles and sampling. The scalar interval
-methods are the same code on a single bin. Internal loops, which keep
-their edges increasing, read means alone through the unchecked
-_bin_means; a Partition fills its record of all three moments once, on
-first use, from one _bin_moments call. Both go through that one kernel
-per family, which forms a mass or a variance only when it is read. Every
-edge sequence, a Partition's too, passes one check, _bin_edges.
+methods are the same code on a single bin. The Newton loop's restart
+blocks, which keep their edges increasing, read means alone through the
+unchecked _bin_means; a Partition fills its record of all three moments
+once, on first use, from one _bin_moments call. Both go through that one
+kernel per family, which forms a mass or a variance only when it is
+read. A dynamics run works in the frame its family's kernel works in,
+z = (x - offset)/scale with (offset, scale) = _frame: std units for a
+Gaussian, x itself for an exponential. It reads its means there through
+_frame_means, which calls the same kernel (_std_rule, or _bin_means), so
+no step maps edges or means between x and the frame. Every edge
+sequence, a Partition's too, passes one check, _bin_edges, and an edge
+that is not a number fails it as one out of order does.
 
 Numerical ground rules:
 
@@ -19,8 +25,9 @@ Numerical ground rules:
 - a Gaussian source has one bin kernel: a fixed Gauss-Legendre rule
   (_std_rule), run in each bin's own frame and with no per-bin loop. One
   pass gives every bin's mean, and its mass and variance only for a
-  caller that asks (SourceModel._bin_moments: the dynamics and the
-  Newton loop's restart blocks read means alone, bin_probs masses,
+  caller that asks (SourceModel._bin_moments: the Newton loop's
+  restart blocks read means alone, and _frame_means gives the dynamics
+  the same means in std units, bin_probs masses,
   bin_variances variances, a Partition record all three), and the means
   and edge slopes of the mean from which the Newton solve loop builds
   its residual and Jacobian (_std_interval_slopes, both ends in one
@@ -307,10 +314,13 @@ class SourceModel:
     def _bin_edges(self, edges) -> np.ndarray:
         """edges as a float array after the checks every bin method makes:
         one increasing edge sequence, or a 2-D array with one per row."""
-        e = np.asarray(edges, dtype=float)
-        # every adjacent pair must increase (NaN fails); a row of k edges
-        # has k - 1 pairs
-        if (e.ndim not in (1, 2) or e.shape[-1] < 2
+        try:
+            e = np.asarray(edges, dtype=float)
+        except (TypeError, ValueError):  # an edge that is not a number
+            e = None
+        # every adjacent pair must increase (NaN, and so None, fails); a
+        # row of k edges has k - 1 pairs
+        if (e is None or e.ndim not in (1, 2) or e.shape[-1] < 2
                 or np.count_nonzero(e[..., 1:] > e[..., :-1])
                 < e.size - e.size // e.shape[-1]):
             raise DomainError(
@@ -355,8 +365,28 @@ class SourceModel:
 
     def _bin_means(self, e: np.ndarray) -> np.ndarray:
         """bin_means on edges that are already checked: all that a
-        dynamics step or a restart block reads."""
+        restart block or an exponential dynamics step reads."""
         return self._bin_moments(e)[1]
+
+    @property
+    def _frame(self) -> tuple[float, float]:
+        """(offset, scale) of the frame z = (x - offset)/scale that this
+        family's bin kernel works in: std units for a Gaussian, as in
+        _std_rule, and x itself for an exponential, whose _exp_gap forms
+        rate*length on its own."""
+        if self.kind == EXPONENTIAL:
+            return 0.0, 1.0
+        return self.mean, self.std
+
+    def _frame_means(self, z: np.ndarray) -> np.ndarray:
+        """Bin means in the frame of _frame, on checked edges z in that
+        frame: all that a dynamics step reads. A Gaussian's are
+        near + E[u] from one _std_rule pass, with no map to x and back;
+        an exponential's are _bin_means."""
+        if self.kind == EXPONENTIAL:
+            return self._bin_means(z)
+        near, _, shift, _ = _std_rule(z[..., :-1], z[..., 1:])
+        return near + shift
 
     def _bin_moments(self, e: np.ndarray):
         """(probs, means, variances) on edges that are already checked:

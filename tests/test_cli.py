@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cheaptalk.cli import entry
+from cheaptalk.dynamics import _random_starts
 from cheaptalk.errors import DomainError
 from cheaptalk.sources import SourceModel
 
@@ -579,13 +580,13 @@ class TestDynamics:
     def test_crossed_initial_centroids_exit_zero(self, capsys, monkeypatch):
         # centroids that do not increase at step 0 (reversed here: the
         # kernels keep real ones inside their bins) are a collapse; the
-        # dynamics read the centroids from the unchecked _bin_means
-        bin_means = SourceModel._bin_means
+        # dynamics read the centroids, in their frame, from _frame_means
+        bin_means = SourceModel._frame_means
 
         def reversed_means(self, edges):
             return bin_means(self, edges)[..., ::-1]
 
-        monkeypatch.setattr(SourceModel, "_bin_means", reversed_means)
+        monkeypatch.setattr(SourceModel, "_frame_means", reversed_means)
         code, out, err = run(
             capsys, "dynamics", "--source", "gauss", "--bias", "0.1",
             "--bins", "5",
@@ -606,6 +607,17 @@ class TestDynamics:
         doc_a, doc_b = json.loads(out_a), json.loads(out_b)
         doc_a.pop("meta"), doc_b.pop("meta")  # wall-clock only
         assert doc_a == doc_b
+
+    def test_seeded_init_is_a_probe_start(self, capsys):
+        # the random init is the first start basin_probe would draw
+        code, out, err = run(capsys, "dynamics", "--source", "gauss",
+                             "--mean", "0.3", "--std", "1.7", "--bias", "0.2",
+                             "--bins", "4", "--seed", "9")
+        assert code == 0, err
+        (want,) = _random_starts(SourceModel.gaussian(0.3, 1.7), 4, 1,
+                                 np.random.default_rng(9))
+        assert [float(v) for v in json.loads(out)["init_edges"]] \
+            == want.tolist()
 
     def test_init_and_seed_are_exclusive(self, capsys):
         base = ("dynamics", "--source", "exp", "--rate", "1", "--bias",

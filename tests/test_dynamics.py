@@ -10,7 +10,7 @@ from cheaptalk.dynamics import (
     COLLAPSE_LENGTH,
     IterationOutcome,
     IterationTrace,
-    _random_start,
+    _random_starts,
     _run_rows,
     basin_probe,
     fixed_point_iterate,
@@ -45,8 +45,8 @@ def probe_one_at_a_time(source, bias, n_bins, n_inits, seed, method,
     start, distinct limits, cluster sizes)."""
     rng = np.random.default_rng(seed)
     outcomes, reps, sizes = [], [], []
-    for _ in range(n_inits):
-        init = _random_start(source, bias, n_bins, rng)
+    for edges in _random_starts(source, n_bins, n_inits, rng):
+        init = Partition(edges, source, bias)
         if method == "lloyd":
             trace = lloyd_method_i(source, bias, init, max_iter)
         else:
@@ -171,13 +171,13 @@ class TestCollapse:
         # each such bin's centroid inside it, so no real start reaches
         # this branch; reversed centroids stand in for centroids that do
         # not increase, which leave no decoder profile to start from; the
-        # dynamics read the centroids from the unchecked _bin_means
-        bin_means = SourceModel._bin_means
+        # dynamics read the centroids, in their frame, from _frame_means
+        bin_means = SourceModel._frame_means
 
         def reversed_means(self, edges):
             return bin_means(self, edges)[..., ::-1]
 
-        monkeypatch.setattr(SourceModel, "_bin_means", reversed_means)
+        monkeypatch.setattr(SourceModel, "_frame_means", reversed_means)
         edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
                  math.inf)
         init = Partition(edges, GAUSS, 0.1)
@@ -301,7 +301,7 @@ class TestStopPaths:
         # ones, here from the sixth step (step 5) on; the run stops at
         # that step with the edges it moved to, and its trace ends with
         # step 4
-        bin_means = SourceModel._bin_means
+        bin_means = SourceModel._frame_means
         calls = []
 
         def reversed_late(self, edges):
@@ -310,7 +310,7 @@ class TestStopPaths:
             return means if len(calls) <= 5 else means[..., ::-1]
 
         _, want = run_alone(GAUSS, 0.2, GAUSS_3, 0.5, max_iter=5)
-        monkeypatch.setattr(SourceModel, "_bin_means", reversed_late)
+        monkeypatch.setattr(SourceModel, "_frame_means", reversed_late)
         outcome, final = run_alone(GAUSS, 0.2, GAUSS_3, 0.5)
         assert (outcome.status, outcome.iteration, outcome.bin_index) \
             == ("collapsed", 5, None)
@@ -323,7 +323,7 @@ class TestStopPaths:
     def test_nan_centroid_mid_run(self, monkeypatch):
         # with no floor on mass, a mean that is not finite ends the run
         # through the same centroid test
-        bin_means = SourceModel._bin_means
+        bin_means = SourceModel._frame_means
         calls = []
 
         def nan_late(self, edges):
@@ -333,7 +333,7 @@ class TestStopPaths:
                 means[..., -1] = math.nan
             return means
 
-        monkeypatch.setattr(SourceModel, "_bin_means", nan_late)
+        monkeypatch.setattr(SourceModel, "_frame_means", nan_late)
         outcome, _ = run_alone(GAUSS, 0.2, GAUSS_3, 0.5)
         assert (outcome.status, outcome.iteration, outcome.bin_index) \
             == ("collapsed", 5, None)
@@ -359,9 +359,7 @@ def exps(monkeypatch):
 
 
 def three_starts(source):
-    rng = np.random.default_rng(5)
-    return np.array([_random_start(source, 0.2, 8, rng).edges
-                     for _ in range(3)])
+    return _random_starts(source, 8, 3, np.random.default_rng(5))
 
 
 class TestStepWork:
@@ -508,6 +506,7 @@ class TestBasinProbe:
         (EXP, 0.4, 10_000),
         (EXP, -0.35, 10_000),
         (EXP, -0.35, 5),
+        (SourceModel.gaussian(0.3, 1.7), 0.25, 10_000),
     ))
     def test_batched_starts_equal_one_at_a_time(self, source, bias,
                                                 max_iter, method):
@@ -529,3 +528,154 @@ class TestBasinProbe:
             mixed |= len({steps for _, steps in outcomes}) > 1
         # some batch had rows leave the loop at different steps
         assert mixed
+
+
+def old_random_start(source, n_bins, rng):
+    """The draw of one start as each start made it alone, solving its
+    own quantile box: sorted uniforms between the 0.001 and 0.999
+    quantiles, redrawn until strictly increasing."""
+    while True:
+        draws = np.sort(rng.uniform(source.quantile(0.001),
+                                    source.quantile(0.999), size=n_bins - 1))
+        if draws.size < 2 or np.all(np.diff(draws) > 0.0):
+            return (source.support[0], *draws.tolist(), source.support[1])
+
+
+class TestRandomStarts:
+    @pytest.mark.parametrize("source", (EXP, GAUSS,
+                                        SourceModel.gaussian(0.3, 1.7)))
+    @pytest.mark.parametrize("n_bins", (2, 3, 9))
+    def test_rows_are_the_draws_of_one_start_at_a_time(self, source, n_bins):
+        starts = _random_starts(source, n_bins, 5, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for row in starts:
+            assert tuple(row.tolist()) == old_random_start(source, n_bins, rng)
+
+    def test_a_tied_draw_is_redrawn_in_turn(self):
+        # ties among sorted uniforms do not happen in practice, so a
+        # scripted generator forces one in the first start's first draw
+        script = [np.array([0.7, 0.2, 0.7]), np.array([0.1, 0.6, 0.4]),
+                  np.array([0.5, 0.3, 0.9])]
+        calls = []
+
+        class Scripted:
+            def uniform(self, lo, hi, size):
+                calls.append((lo, hi, size))
+                return script[len(calls) - 1]
+
+        starts = _random_starts(EXP, 4, 2, Scripted())
+        box = (EXP.quantile(0.001), EXP.quantile(0.999), 3)
+        assert calls == [box] * 3
+        assert starts.tolist() == [[0.0, 0.1, 0.4, 0.6, math.inf],
+                                   [0.0, 0.3, 0.5, 0.9, math.inf]]
+
+    def test_a_probe_solves_one_quantile_box(self, monkeypatch):
+        levels = []
+        quantile = SourceModel.quantile
+
+        def counted(self, q):
+            levels.append(q)
+            return quantile(self, q)
+
+        monkeypatch.setattr(SourceModel, "quantile", counted)
+        basin_probe(GAUSS, 0.2, 4, 6, seed=1, max_iter=5)
+        assert levels == [0.001, 0.999]
+
+    def test_probe_rejects_a_bias_that_is_not_finite(self):
+        for bias in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="bias must be finite"):
+                basin_probe(GAUSS, bias, 3, 2, seed=1)
+
+
+SCALED = SourceModel.gaussian(0.3, 1.7)
+
+
+def ulps_apart(xs, ys):
+    return max((abs(x - y) / math.ulp(max(abs(x), abs(y)))
+                for x, y in zip(xs, ys) if x != y), default=0.0)
+
+
+class TestFrame:
+    """A Gaussian run works in std units, with its bias, tol and
+    COLLAPSE_LENGTH divided by the std, and maps back to x."""
+
+    @pytest.mark.parametrize("bias, interior, max_iter", (
+        (0.2, (-0.5, 0.7), 10_000),
+        (-0.35, (-2.0, -1.0, 0.0, 1.0, 2.0), 10_000),
+        (0.5, (-1.0, 0.0, 1.0), 40),
+    ))
+    @pytest.mark.parametrize("damping", (1.0, 0.5))
+    def test_scaled_run_is_the_unit_run_at_scaled_bias(self, bias, interior,
+                                                       max_iter, damping):
+        unit_start = Partition((-math.inf, *interior, math.inf), GAUSS,
+                               bias / 1.7)
+        unit = fixed_point_iterate(GAUSS, bias / 1.7, unit_start, damping,
+                                   max_iter, tol=1e-10 / 1.7)
+        start = Partition((-math.inf, *(0.3 + 1.7 * z for z in interior),
+                           math.inf), SCALED, bias)
+        run = fixed_point_iterate(SCALED, bias, start, damping, max_iter)
+        assert run.outcome == unit.outcome
+        assert run.recorded_steps == unit.recorded_steps
+        want = [0.3 + 1.7 * z for z in unit.final_partition.interior_edges]
+        assert ulps_apart(run.final_partition.interior_edges, want) <= 4
+        assert run.iterates[0] == start
+
+    @pytest.mark.parametrize("method", ("lloyd", "fixed-point"))
+    # at bias 0.6 the caps of 80 and 150 steps stop some starts of each
+    # method before they converge and not others
+    @pytest.mark.parametrize("bias, max_iter", ((0.2, 10_000), (-0.3, 10_000),
+                                                (0.6, 80), (0.6, 150)))
+    def test_scaled_probe_is_the_unit_probe_at_scaled_bias(self, method,
+                                                           bias, max_iter):
+        for n_bins in range(2, 7):
+            unit = basin_probe(GAUSS, bias / 1.7, n_bins, 4, seed=n_bins,
+                               method=method, max_iter=max_iter,
+                               tol=1e-10 / 1.7)
+            run = basin_probe(SCALED, bias, n_bins, 4, seed=n_bins,
+                              method=method, max_iter=max_iter)
+            assert (run.fraction_converged, run.collapsed, run.hit_max_iter,
+                    run.cluster_sizes) == (unit.fraction_converged,
+                                           unit.collapsed, unit.hit_max_iter,
+                                           unit.cluster_sizes)
+            for got, limit in zip(run.distinct_limits, unit.distinct_limits):
+                assert ulps_apart(got, [0.3 + 1.7 * z for z in limit]) <= 4
+
+    @pytest.mark.parametrize("width, collapses", ((5e-13, True),
+                                                  (2e-12, False)))
+    def test_collapse_length_stays_in_x(self, width, collapses):
+        # at std 1e-3 these bins are 5e-10 and 2e-9 std wide: the floor
+        # is COLLAPSE_LENGTH / std in the frame, not COLLAPSE_LENGTH
+        source = SourceModel.gaussian(0.3, 1e-3)
+        edges = (-math.inf, 0.3, 0.3 + width, math.inf)
+        trace = lloyd_method_i(source, 1e-4, Partition(edges, source, 1e-4))
+        if collapses:
+            assert (trace.outcome.status, trace.outcome.iteration,
+                    trace.outcome.bin_index) == ("collapsed", 0, 2)
+        else:
+            assert trace.outcome.status == "converged"
+            assert trace.recorded_steps[:2] == (0, 1)
+
+    @pytest.mark.parametrize("source, interior, bias", (
+        (SCALED, (-1.0, 0.5, 2.0), 0.2),
+        (SCALED, (-3.0, -1.0, 0.5, 2.0, 4.0), -0.3),
+        (SourceModel.exponential(2.5), (0.3, 0.7, 1.5), 0.1),
+    ))
+    @pytest.mark.parametrize("damping", (1.0, 0.5))
+    def test_residuals_are_in_x(self, source, interior, bias, damping):
+        # each recorded residual is the iterate's own certificate residual,
+        # in x units: to 1e-12 relative, or to a few ulps of the largest
+        # edge once the residual itself is that small (certify rounds its
+        # x edges, the run its std-unit ones); an exponential run works
+        # in x, so there they are the same number
+        lo, hi = source.support
+        init = Partition((lo, *interior, hi), source, bias)
+        trace = fixed_point_iterate(source, bias, init, damping)
+        assert trace.outcome.status == "converged"
+        for p, r in zip(trace.iterates, trace.residual_history):
+            c = certify(p).max_abs_residual
+            slack = 4 * math.ulp(max(map(abs, p.interior_edges)))
+            if source.kind == "exponential":
+                assert r == c
+            else:
+                assert abs(r - c) <= 1e-12 * c + slack
+        assert trace.residual_history[1] > 1e-3

@@ -1,7 +1,11 @@
 """Partitions, best responses, certificates, and cost reports."""
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +95,33 @@ class TestPartition:
         p = Partition((0.0, math.inf), EXP, -3.0)
         assert p.n_bins == 1
         assert p.interior_edges == ()
+
+    @pytest.mark.parametrize("make", (
+        tuple, list, np.array, lambda v: (x for x in v),
+        lambda v: [Fraction(x) if math.isfinite(x) else x for x in v],
+        lambda v: [Decimal(x) for x in v],
+        lambda v: [np.float32(x) for x in v],
+        lambda v: [int(x) if math.isfinite(x) else x for x in v],
+        lambda v: [mpmath.mpf(x) for x in v],
+    ))
+    def test_every_iterable_of_reals_is_read(self, make):
+        # the edges are converted once, by the source's check, whatever
+        # iterable of reals holds them
+        values = (0.0, 1.0, 3.0, math.inf)
+        p = Partition(make(values), EXP, 0.2)
+        assert p.edges == values
+        assert all(type(e) is float for e in p.edges)
+        assert p._edge_array.tolist() == list(values)
+
+    @pytest.mark.parametrize("bad", (None, "a", 1j))
+    def test_an_edge_that_is_not_a_number_is_a_domain_error(self, bad):
+        edges = (0.0, bad, math.inf)
+        with pytest.raises(DomainError, match=re.escape(repr(list(edges)))):
+            Partition(edges, EXP, 0.2)
+
+    def test_a_partition_has_one_edge_sequence(self):
+        with pytest.raises(DomainError, match="one edge sequence"):
+            Partition(np.array([[0.0, 1.0, math.inf]] * 2), EXP, 0.2)
 
     def test_edge_array_is_its_own_read_only_copy(self):
         values = (0.0, 0.4, 1.1, 2.0, math.inf)

@@ -8,13 +8,14 @@ such edges), plus quantiles and sampling. The scalar interval
 methods are the same code on a single bin. The Newton loop's restart
 blocks, which keep their edges increasing, read means alone through the
 unchecked _bin_means; a Partition fills its record of all three moments
-once, on first use, from one _bin_moments call. Both go through that one
-kernel per family, which forms a mass or a variance only when it is
-read. A dynamics run works in the frame its family's kernel works in,
-z = (x - offset)/scale with (offset, scale) = _frame: std units for a
-Gaussian, x itself for an exponential. It reads its means there through
-_frame_means, which calls the same kernel (_std_rule, or _bin_means), so
-no step maps edges or means between x and the frame. Every edge
+once, on first use, from one _bin_moments call, which forms a mass or a
+variance only when it is read. A dynamics run works in the frame its
+family's kernel works in, z = (x - offset)/scale with (offset, scale) =
+_frame: std units for a Gaussian, x itself for an exponential. It reads
+its means there through _frame_means, which forms means and nothing
+else: near + E[u] from one _std_rule pass, or _exp_window_mean on edges
+that start at the support's 0, with no clamp. So no step maps edges or
+means between x and the frame, builds a closure or forms a mass. Every edge
 sequence, a Partition's too, passes one check, _bin_edges, and an edge
 that is not a number fails it as one out of order does.
 
@@ -23,17 +24,21 @@ Numerical ground rules:
 - every ``exp(s) - 1`` is an ``expm1``, every ``exp(s) + exp(-s) - 2``
   is ``(2*sinh(s/2))**2``, so short intervals do not cancel;
 - a Gaussian source has one bin kernel: a fixed Gauss-Legendre rule
-  (_std_rule), run in each bin's own frame and with no per-bin loop. One
-  pass gives every bin's mean, and its mass and variance only for a
-  caller that asks (SourceModel._bin_moments: the Newton loop's
-  restart blocks read means alone, and _frame_means gives the dynamics
-  the same means in std units, bin_probs masses,
-  bin_variances variances, a Partition record all three), and the means
-  and edge slopes of the mean from which the Newton solve loop builds
-  its residual and Jacobian (_std_interval_slopes, both ends in one
+  (_std_rule), run in each bin's own frame and with no per-bin loop.
+  Bins are read reflected to za + zb >= 0, so reflection is exact, and
+  one pass returns unsigned pieces: the reflection mask, near, the
+  rule's integral, E[u] and the weighted nodes. Each reader signs only
+  what it reads, negating where the bin was reflected: _frame_means
+  forms the dynamics' means near + E[u] in std units;
+  SourceModel._bin_moments forms means, and masses and variances only
+  for a caller that asks (the Newton loop's restart blocks read means
+  alone, bin_probs masses, bin_variances variances, a Partition record
+  all three), none of which a reflection changes, so the variance is
+  taken about the unsigned E[u]; _std_interval_slopes signs near and
+  E[u] and gives the means and edge slopes of the mean from which the
+  Newton solve loop builds its residual and Jacobian (both ends in one
   stacked pass, with no np.errstate: ends cut 40 std out have slope
-  exactly 0, so no step overflows or forms 0 * inf). Bins are read
-  reflected to za + zb >= 0, so reflection is exact; the mass is
+  exactly 0, so no step overflows or forms 0 * inf). The mass is
   pdf(near) times an integral of exp(-u^2/2 - u*near) <= 1, so nothing
   cancels on short bins, and the mean near + E[u] stays accurate where
   the mass itself underflows. It is good to a few ulps on bins down to
@@ -66,6 +71,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = np.array(1e-300)
 _EXPM1_MAX = np.array(709.78)
 _END_MIN, _END_MAX = np.array(-40.0), np.array(40.0)
+_NORMAL_MIN = np.finfo(float).tiny
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
@@ -88,6 +94,13 @@ def _exp_gap(s, rate: float):
     return (1.0 / rate) / (np.expm1(t) / t) * (s < _EXPM1_MAX)
 
 
+def _exp_window_mean(start, length, rate: float):
+    """Mean of an exponential conditioned on [start, start + length],
+    elementwise, for windows inside the support (start >= 0):
+    start + 1/rate - _exp_gap(rate*length)."""
+    return start + 1.0 / rate - _exp_gap(rate * length, rate)
+
+
 # (sinh(s) - s)/s = sum_k s^(2k)/(2k+1)!, k = 1..9, as Horner reads it in
 # s^2; for s <= 1 the terms left out sum to under half an ulp
 _SINH_EXCESS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1))
@@ -105,18 +118,25 @@ def _exp_window_variance(length, rate: float):
     Past s = 350, where sinh nears overflow, d is exactly 1: the true
     variance is within 1e-300 of 1/rate^2. It divides by the rate twice,
     since rate^2 underflows below rate = 1.5e-154; a variance past DBL_MAX
-    is inf, under the same np.errstate, so it warns on no stream.
+    is inf, under the same np.errstate, so it warns on no stream. Below
+    s = 1.5e-154, where s^2 is subnormal or 0 and q loses its digits, the
+    variance is (length/2)^2 times 2*q/s^2, the series read without its
+    last factor s^2, so nothing underflows however small the rate.
     """
-    s = 0.5 * rate * np.asarray(length, dtype=float)
+    length = np.asarray(length, dtype=float)
+    s = 0.5 * rate * length
     t2 = np.minimum(s, 1.0) ** 2
-    q = 0.0
+    series = 0.0
     for coeff in _SINH_EXCESS:
-        q = q * t2 + coeff
-    q = q * t2
+        series = series * t2 + coeff
+    q = series * t2
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.where(s < 1.0, q / (1.0 + q),
                      np.where(s > 350.0, 1.0, 1.0 - s / np.sinh(s)))
-        return (d * (2.0 - d) / rate / rate)[()]
+        half = 0.5 * length
+        # where s^2 is not normal, 1 + q is 1 and d*(2 - d) is 2*q
+        return np.where(t2 < _NORMAL_MIN, half * (half * (2.0 * series)),
+                        d * (2.0 - d) / rate / rate)[()]
 
 
 def _std_interval_slopes(alpha, beta):
@@ -126,14 +146,17 @@ def _std_interval_slopes(alpha, beta):
     mass.
 
     Z, the mean and both densities come from one _std_rule pass in the
-    bin's own frame, where pdf(end)/Z = g(end - near)/integral of g,
+    bin's own frame; this reader signs the pass's near and E[u] where the
+    bin was reflected, and then pdf(end)/Z = g(end - near)/integral of g,
     g(u) = exp(u*(-u/2 - near)) <= exp(-u^2/2). Both ends go through one
     (2, bins) pass of that arithmetic, each cut to 40 from near: past
     that g < exp(-800) rounds to 0, so a far or infinite end has slope
     exactly 0 and nothing overflows or forms 0 * inf, hence no
     RuntimeWarning.
     """
-    near, mass, mean, _ = _std_rule(alpha, beta)
+    flip, near, mass, mean, _ = _std_rule(alpha, beta)
+    np.negative(near, out=near, where=flip)
+    np.negative(mean, out=mean, where=flip)
     ends = np.empty((2, *near.shape))
     np.subtract(alpha, near, out=ends[0])
     np.subtract(beta, near, out=ends[1])
@@ -190,30 +213,41 @@ _GL_W = np.concatenate((_GL_HALF[1][::-1], _GL_HALF[1]))
 
 def _std_rule(za, zb):
     """Standard normal bins [za, zb] by the fixed Gauss-Legendre rule,
-    elementwise over arrays: (near, integral of g, E[u], spread), spread
-    a function that reduces the same weighted nodes to Var u when called.
+    elementwise over arrays, unsigned: (flip, near, integral of g, E[u],
+    nodes), nodes the pair (u, weights) that a variance reduces.
 
-    The rule runs over each bin's _std_window in the bin's own frame
-    u = t - near, where the density relative to pdf(near) is
-    g(u) = exp(-u^2/2 - u*near) <= 1. So the bin's mass is pdf(near)
-    times the integral, its mean near + E[u] and its variance Var u, with
-    nothing cancelling on short bins or deep in a tail. Bins with
-    za + zb < 0 are evaluated reflected, as [-zb, -za], so reflection is
-    exact. Only callers that read the variance call spread; the dynamics,
-    the restart blocks and the Newton pass do not.
+    Bins with za + zb < 0 (flip) are evaluated reflected, as [-zb, -za],
+    so reflection is exact. The rule runs over each reflected bin's
+    _std_window in the bin's own frame u = t - near, where the density
+    relative to pdf(near) is g(u) = exp(-u^2/2 - u*near) <= 1. So the
+    bin's mass is pdf(near) times the integral, its mean near + E[u] and
+    its variance Var u, with nothing cancelling on short bins or deep in
+    a tail. Nothing here is signed: near >= 0 and E[u] are the reflected
+    bin's, and each reader negates only what it reads, where flip is set.
+    A mass and a variance are the same on a bin and its reflection, so
+    they are formed from the unsigned pieces. The nodes, the exponent
+    and the weights are formed in place, in three arrays of the nodes'
+    shape.
     """
     nza, nzb = -za, -zb
     flip = za < nzb
     near, lo, hi = _std_window(np.maximum(za, nzb), np.maximum(zb, nza))
     lo, hi = lo[..., None], hi[..., None]
     half = 0.5 * (hi - lo)
-    u = 0.5 * (hi + lo) + half * _GL_X
-    wg = half * _GL_W * np.exp(-0.5 * u * u - u * near[..., None])
-    mass = wg.sum(axis=-1)
-    mean = (wg * u).sum(axis=-1) / mass
-    sign = np.where(flip, -1.0, 1.0)
-    return (sign * near, mass, sign * mean,
-            lambda: (wg * (u - mean[..., None]) ** 2).sum(axis=-1) / mass)
+    u = half * _GL_X
+    u += 0.5 * (hi + lo)
+    g = -0.5 * u
+    g *= u
+    w = u * near[..., None]
+    g -= w
+    np.exp(g, out=g)
+    np.multiply(half, _GL_W, out=w)
+    w *= g
+    mass = w.sum(axis=-1)
+    np.multiply(w, u, out=g)
+    eu = g.sum(axis=-1)
+    eu /= mass
+    return flip, near, mass, eu, (u, w)
 
 
 @dataclass(frozen=True)
@@ -365,7 +399,7 @@ class SourceModel:
 
     def _bin_means(self, e: np.ndarray) -> np.ndarray:
         """bin_means on edges that are already checked: all that a
-        restart block or an exponential dynamics step reads."""
+        restart block reads."""
         return self._bin_moments(e)[1]
 
     @property
@@ -380,51 +414,59 @@ class SourceModel:
 
     def _frame_means(self, z: np.ndarray) -> np.ndarray:
         """Bin means in the frame of _frame, on checked edges z in that
-        frame: all that a dynamics step reads. A Gaussian's are
-        near + E[u] from one _std_rule pass, with no map to x and back;
-        an exponential's are _bin_means."""
+        frame whose first edge is at or inside the support: all that a
+        dynamics step reads, and nothing more. A Gaussian's are
+        near + E[u] from one _std_rule pass, negated where the bin was
+        reflected, with no map to x and back; an exponential's are
+        _exp_window_mean on the edges as they are, with no clamp at 0."""
+        start = z[..., :-1]
         if self.kind == EXPONENTIAL:
-            return self._bin_means(z)
-        near, _, shift, _ = _std_rule(z[..., :-1], z[..., 1:])
-        return near + shift
+            return _exp_window_mean(start, z[..., 1:] - start, self.rate)
+        flip, near, _, means, _ = _std_rule(start, z[..., 1:])
+        means += near
+        return np.negative(means, out=means, where=flip)
 
     def _bin_moments(self, e: np.ndarray):
         """(probs, means, variances) on edges that are already checked:
         means an array, probs and variances functions that form them when
         called, so a caller forms only what it reads.
 
-        An exponential bin takes the closed forms of its window. A
-        Gaussian source takes all three from one _std_rule pass: the mass
-        is pdf(near) times the rule's integral, the mean near + E[u], in
-        std units. pdf(near) takes |near| capped at 40, past which it is
-        exactly 0 anyway, so near^2 cannot overflow. A mass that rounds
-        above 1, as on bins reaching far below the mean up to +inf, is 1.
-        The whole line, which only a row of two edges can hold, gives
-        exactly (1, mean, std**2)."""
+        An exponential bin takes the closed forms of its window, clamped
+        to the support. A Gaussian source takes all three from one
+        _std_rule pass: the mass is pdf(near) times the rule's integral,
+        the mean near + E[u], negated where the bin was reflected, in std
+        units, and the variance Var u about the unsigned E[u], so masses
+        and variances need no sign. pdf(near) takes near capped at 40,
+        past which it is exactly 0 anyway, so near^2 cannot overflow. A
+        mass that rounds above 1, as on bins reaching far below the mean
+        up to +inf, is 1. The whole line, which only a row of two edges
+        can hold, gives exactly (1, mean, std**2)."""
         if self.kind == EXPONENTIAL:
             a = np.maximum(e, 0.0)
             start, length = a[..., :-1], a[..., 1:] - a[..., :-1]
-            s = self.rate * length
-            return (lambda: np.exp(-self.rate * start) * -np.expm1(-s),
-                    start + 1.0 / self.rate - _exp_gap(s, self.rate),
+            return (lambda: (np.exp(-self.rate * start)
+                             * -np.expm1(-self.rate * length)),
+                    _exp_window_mean(start, length, self.rate),
                     lambda: _exp_window_variance(length, self.rate))
         z = (e - self.mean) / self.std
         za, zb = z[..., :-1], z[..., 1:]
-        near, mass, shift, spread = _std_rule(za, zb)
+        flip, near, mass, eu, (u, w) = _std_rule(za, zb)
+        means = near + eu
+        np.negative(means, out=means, where=flip)
         sd2 = self.std * self.std
         whole = np.isinf(za) & np.isinf(zb) if z.shape[-1] == 2 else None
 
         def probs() -> np.ndarray:
-            capped = np.minimum(np.abs(near), 40.0)
+            capped = np.minimum(near, 40.0)
             p = np.minimum(mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI,
                            1.0)
             return p if whole is None else np.where(whole, 1.0, p)
 
         def variances() -> np.ndarray:
-            var = spread() * sd2
+            var = (w * (u - eu[..., None]) ** 2).sum(axis=-1) / mass * sd2
             return var if whole is None else np.where(whole, sd2, var)
 
-        return probs, self.mean + self.std * (near + shift), variances
+        return probs, self.mean + self.std * means, variances
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence

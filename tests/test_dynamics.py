@@ -350,9 +350,9 @@ def exps(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def exp(self, x):
+        def exp(self, x, *args, **kwargs):
             log.append(np.shape(x))
-            return np.exp(x)
+            return np.exp(x, *args, **kwargs)
 
     monkeypatch.setattr(sources, "np", LoggedNumpy())
     return log
@@ -369,18 +369,23 @@ class TestStepWork:
         # that pass to masses or variances; a Partition record does, once
         passes, spreads = [], []
         rule = sources._std_rule
+        moments = SourceModel._bin_moments
 
         def counted(za, zb):
-            near, mass, mean, spread = rule(za, zb)
             passes.append(za.shape)
+            return rule(za, zb)
 
-            def counted_spread():
-                spreads.append(za.shape)
-                return spread()
+        def counted_moments(self, e):
+            probs, means, variances = moments(self, e)
 
-            return near, mass, mean, counted_spread
+            def counted_variances():
+                spreads.append(e[..., 1:].shape)
+                return variances()
+
+            return probs, means, counted_variances
 
         monkeypatch.setattr(sources, "_std_rule", counted)
+        monkeypatch.setattr(SourceModel, "_bin_moments", counted_moments)
         starts = three_starts(GAUSS)
         outcomes, _ = _run_rows(GAUSS, 0.2, starts, 5, 1e-10, 1.0)
         assert [o.status for o in outcomes] == ["max_iter"] * 3

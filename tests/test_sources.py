@@ -12,8 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cheaptalk import sources
 from cheaptalk.dynamics import COLLAPSE_LENGTH
-from cheaptalk.equilibrium import Partition, decoder_cost
+from cheaptalk.equilibrium import (
+    Partition,
+    certify,
+    decoder_best_response,
+    decoder_cost,
+)
 from cheaptalk.errors import DomainError, ZeroProbabilityError
 from cheaptalk.sources import (
     _GL_HALF,
@@ -299,6 +305,28 @@ class TestExponentialMoments:
             [0.0, 1e150, 1.5936242600400402e200, INF])
         assert got[0] == pytest.approx(1e300 / 12.0, rel=1e-15)
         assert got[1:].tolist() == [INF, INF]
+
+    @pytest.mark.parametrize("rate", (1e-150, 1e-200, 1e-250, 1e-300))
+    def test_window_variance_at_tiny_rates(self, rate):
+        # below s = 1.5e-154, s^2 is subnormal or 0, and a variance formed
+        # as d*(2 - d)/rate^2 from d ~ s^2/3 lost its digits (0.0 at
+        # length 1e-100 and rate 1e-200); against 50-digit mpmath, with
+        # the working precision raised so that 1 - (s/sinh s)^2 keeps 50
+        # digits down to s = 1e-300
+        s = np.concatenate((np.logspace(-300.0, 0.0, 151),
+                            [1.4e-154, 1.5e-154, 3e-154, 4e-154]))
+        length = 2.0 * s / rate
+        got = _exp_window_variance(length, rate)
+        with mp.workdps(700):
+            for li, v in zip(length.tolist(), got.tolist()):
+                half = mp.mpf(rate) * mp.mpf(li) / 2
+                want = (1 - (half / mp.sinh(half)) ** 2) / mp.mpf(rate) ** 2
+                if want > sys.float_info.max:
+                    assert v == INF, li
+                else:
+                    assert abs(v - want) <= 2e-15 * want, li
+        assert _exp_window_variance(1e-100, 1e-200) == pytest.approx(
+            1e-200 / 12.0, rel=1e-15)
 
     def test_zero_probability_interval_raises(self):
         with pytest.raises(ZeroProbabilityError):
@@ -788,6 +816,72 @@ class TestIntervalSlopes:
         mirrored = _std_interval_slopes(-b, -a)[0]
         skew = a != -b
         assert np.array_equal(mirrored[skew], -means[skew])
+
+
+# rows of Gaussian edges for the reflection guard, each with half-infinite,
+# one-sided, straddling and 1e-12-wide bins; reflected about the mean 0
+# as -row[::-1], which negates every edge exactly. The first row is a
+# partition, and no bin is symmetric about 0, whose mean is 0 only to
+# rounding.
+REFLECTED_ROWS = np.array((
+    (-INF, -2.0, -0.3, 0.4, 0.4 + 1e-12, 1.5, 6.0, 40.5, INF),
+    (-3.0, -1e-12, 2e-12, 0.2, 0.2 + 1e-12, 5.0, 9.0, 30.0, INF),
+    (-INF, -35.0, -35.0 + 1e-12, -1.0, 0.25, 0.7, 2.0, 2.0 + 1e-12, 3.0),
+))
+
+
+def same_bits(a, b) -> bool:
+    return (a.shape == b.shape
+            and a.tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestReflectedReaders:
+    """Each reader of the one Gaussian rule pass signs only what it
+    reads: a reflected bin has the same mass and variance bit for bit,
+    and its mean exactly negated."""
+
+    @pytest.mark.parametrize("src", (GAUSS, SourceModel.gaussian(0.0, 1.7)))
+    def test_reflection_is_exact_in_every_reader(self, src):
+        mirror = -REFLECTED_ROWS[:, ::-1]
+        for e, m in ((REFLECTED_ROWS, mirror), (REFLECTED_ROWS[1], mirror[1])):
+            assert same_bits(src.bin_probs(m), src.bin_probs(e)[..., ::-1])
+            assert same_bits(src.bin_variances(m),
+                             src.bin_variances(e)[..., ::-1])
+            assert same_bits(src.bin_means(m), -src.bin_means(e)[..., ::-1])
+            z = e / src.std
+            assert same_bits(src._frame_means(-z[..., ::-1]),
+                             -src._frame_means(z)[..., ::-1])
+        p = Partition(REFLECTED_ROWS[0], src, 0.1)
+        q = Partition(mirror[0], src, -0.1)
+        for a, b, sign in zip(p._moments, q._moments, (1.0, -1.0, 1.0)):
+            assert same_bits(b, sign * a[::-1])
+
+    def test_readers_leave_their_inputs_alone(self):
+        src = SourceModel.gaussian(0.0, 1.7)
+        exp_rows = np.array(((0.0, 0.5, 0.5 + 1e-12, 2.0, INF),
+                             (0.0, 1e-12, 3.0, 40.0, 41.0)))
+        readers = (
+            (REFLECTED_ROWS, src.bin_probs), (REFLECTED_ROWS, src.bin_means),
+            (REFLECTED_ROWS, src.bin_variances),
+            (REFLECTED_ROWS, src._frame_means),
+            (REFLECTED_ROWS,
+             lambda e: _std_interval_slopes(e[..., :-1], e[..., 1:])),
+            (REFLECTED_ROWS,
+             lambda e: sources._std_rule(e[..., :-1], e[..., 1:])),
+            (exp_rows, EXP.bin_probs), (exp_rows, EXP.bin_means),
+            (exp_rows, EXP.bin_variances), (exp_rows, EXP._frame_means),
+        )
+        for rows, read in readers:
+            for e in (rows.copy(), rows[0].copy()):
+                kept = e.copy()
+                read(e)
+                assert same_bits(e, kept)
+        p = Partition(REFLECTED_ROWS[0], src, 0.1)
+        kept = p._edge_array.copy()
+        certify(p)
+        decoder_cost(p)
+        decoder_best_response(p)
+        assert same_bits(p._edge_array, kept)
 
 
 class TestQuadratureMoment:

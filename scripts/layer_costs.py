@@ -24,6 +24,10 @@ Random starts are dynamics._random_starts drawn with default_rng(1).
 - `newton n=12`: one iterate of gaussian._solve_edges on N(0, 1) at
   bias 0.1 from the default 12-bin start: a whole solve divided by its
   kernel passes, one per Newton iterate and line-search trial;
+- `restart step`: one damped step of gaussian._damped_midpoints, as a
+  restart block of the solve loop takes it, on N(0.3, 1.7) at bias 0.2
+  from the default 12-bin start, damping 0.5: 8 steps at tol 1e-300,
+  divided by 8;
 - `partition 40`: a fresh 40-bin Gaussian Partition (the default N(0, 1)
   start at bias 0.05) with certify, decoder_cost and
   decoder_best_response.
@@ -59,7 +63,8 @@ def layers():
     from cheaptalk.dynamics import _random_starts, _run_rows
     from cheaptalk.equilibrium import (Partition, certify,
                                        decoder_best_response, decoder_cost)
-    from cheaptalk.gaussian import _default_interior, _solve_edges
+    from cheaptalk.gaussian import (_damped_midpoints, _default_interior,
+                                    _solve_edges)
     from cheaptalk.sources import SourceModel
 
     gauss, exp1 = SourceModel.gaussian(0.0, 1.0), SourceModel.exponential(1.0)
@@ -95,6 +100,11 @@ def layers():
     yield ("newton n=12",
            lambda: _solve_edges(gauss, 0.1, start, 0.5, 100_000, 1e-10),
            len(passes))
+    shifted = SourceModel.gaussian(0.3, 1.7)
+    interior = np.array(_default_interior(0.3, 1.7, 0.2, 12))
+    yield ("restart step",
+           lambda: _damped_midpoints(shifted, 0.2, interior, 0.5, 8, 1e-300),
+           8)
     edges = (-math.inf, *_default_interior(0.0, 1.0, 0.05, 40), math.inf)
 
     def record():

@@ -50,6 +50,7 @@ import numpy as np
 
 from .equilibrium import (
     Partition,
+    _check_count,
     _check_iteration_params,
     _check_seed,
     _midpoints,
@@ -212,7 +213,7 @@ def fixed_point_iterate(source: SourceModel, bias: float, init: Partition,
     lloyd_method_i exactly. Same outcome contract as lloyd_method_i;
     edge-ordering violations are collapses, not exceptions.
     """
-    _check_iteration_params(damping, max_iter, tol)
+    max_iter = _check_iteration_params(damping, max_iter, tol)
     # Rebind the edges to this run's source and bias; validates support.
     start = Partition(init.edges, source, bias)
     rec = _Recorder(start)
@@ -365,14 +366,12 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
     """
     if method not in ("lloyd", "fixed-point"):
         raise DomainError(f"method must be 'lloyd' or 'fixed-point', got {method!r}")
-    if not (isinstance(n_inits, int) and n_inits >= 1):
-        raise DomainError(f"n_inits must be a positive integer, got {n_inits!r}")
-    if not (isinstance(n_bins, int) and n_bins >= 2):
-        raise DomainError(f"basin probing needs n_bins >= 2, got {n_bins!r}")
+    n_inits = _check_count(n_inits, 1, "n_inits must be a positive integer")
+    n_bins = _check_count(n_bins, 2, "basin probing needs n_bins >= 2")
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
     damping = damping if method == "fixed-point" else 1.0
-    _check_iteration_params(damping, max_iter, tol)
+    max_iter = _check_iteration_params(damping, max_iter, tol)
     _check_seed(seed)
     starts = _random_starts(source, n_bins, n_inits,
                             np.random.default_rng(seed))

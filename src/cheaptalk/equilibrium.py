@@ -131,8 +131,7 @@ class Partition:
         checked through the source; certify, decoder_cost and
         decoder_best_response read it. Not a field, so it changes neither
         equality nor hashing."""
-        probs, means, variances = self.source._bin_moments(self._edge_array)
-        moments = (probs(), means, variances())
+        moments = self.source._bin_moments(self._edge_array)
         for a in moments:
             a.flags.writeable = False
         return moments
@@ -203,13 +202,24 @@ def _midpoints(means: np.ndarray, bias: float) -> np.ndarray:
     return 0.5 * (means[..., :-1] + means[..., 1:]) + bias
 
 
-def _check_iteration_params(damping: float, max_iter: int, tol: float) -> None:
+def _check_iteration_params(damping: float, max_iter: int, tol: float) -> int:
+    """Checks the three iteration parameters; returns max_iter as an int."""
     if not (0.0 < damping <= 1.0):
         raise DomainError(f"damping must lie in (0, 1], got {damping!r}")
-    if not (isinstance(max_iter, int) and max_iter >= 1):
-        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = _check_count(max_iter, 1, "max_iter must be a positive integer")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    return max_iter
+
+
+def _check_count(count: int, low: int, message: str,
+                 high: float = math.inf) -> int:
+    """count as a Python int if it is an integer (numpy's included, a bool
+    not) with low <= count < high; else DomainError(message, got count)."""
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral)
+                                       and low <= count < high):
+        raise DomainError(f"{message}, got {count!r}")
+    return int(count)
 
 
 def _check_seed(seed: int) -> None:

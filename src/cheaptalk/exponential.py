@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .equilibrium import Partition
+from .equilibrium import Partition, _check_count
 from .errors import (
     BinCollapseError,
     DomainError,
@@ -176,8 +176,7 @@ def solve_n_bins(rate: float, bias: float, n_bins: int) -> Partition:
     _check_rate(rate)
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
-    if not (isinstance(n_bins, int) and n_bins >= 1):
-        raise DomainError(f"n_bins must be a positive integer, got {n_bins!r}")
+    n_bins = _check_count(n_bins, 1, "n_bins must be a positive integer")
     walk = _backward_lengths(rate, bias, n_bins - 1)
     if n_bins >= 2 and not walk:
         raise NoInformativeEquilibriumError(
@@ -271,8 +270,7 @@ def infinite_equilibrium(rate: float, bias: float, n_edges: int = 64) -> Partiti
     (its right neighbor should have been another finite bin) and is the
     one to exclude when certifying.
     """
-    if not (isinstance(n_edges, int) and n_edges >= 1):
-        raise DomainError(f"n_edges must be a positive integer, got {n_edges!r}")
+    n_edges = _check_count(n_edges, 1, "n_edges must be a positive integer")
     lstar = fixed_point_length(rate, bias)
     edges = (0.0, *(k * lstar for k in range(1, n_edges + 1)), math.inf)
     return Partition(edges, SourceModel.exponential(rate), bias)

@@ -37,6 +37,7 @@ import numpy as np
 from .equilibrium import (
     EquilibriumCertificate,
     Partition,
+    _check_count,
     _check_iteration_params,
     _midpoints,
     certify,
@@ -220,8 +221,8 @@ class TruncatedLadder:
             raise DomainError("a ladder needs at least one bin length")
         if not (all(map(math.isfinite, lengths)) and min(lengths) > 0.0):
             raise DomainError("ladder lengths must be finite and positive")
-        if not (isinstance(self.margin, int) and self.margin >= 0):
-            raise DomainError(f"margin must be a nonnegative integer, got {self.margin!r}")
+        object.__setattr__(self, "margin", _check_count(
+            self.margin, 0, "margin must be a nonnegative integer"))
 
     @property
     def n_edges(self) -> int:
@@ -273,11 +274,13 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
                       ladder_step: float = math.inf
                       ) -> tuple[np.ndarray, bool, int, float]:
     """Damped midpoint iteration from increasing edges; returns (edges,
-    converged, iterations, last_change). Bins are those of _full_edges."""
+    converged, iterations, last_change). Bins are those of _full_edges,
+    whose means it reads in std units through source._frame_means."""
+    mean, std = source.mean, source.std
     delta = math.inf
     for it in range(1, max_iter + 1):
-        rows = _midpoints(
-            source._bin_means(_full_edges(edges, ladder_step)), bias)
+        z = (_full_edges(edges, ladder_step) - mean) / std
+        rows = _midpoints(mean + std * source._frame_means(z), bias)
         new = (1.0 - damping) * edges + damping * rows
         if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(
@@ -429,22 +432,20 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     if not (math.isfinite(bias) and bias != 0.0):
         raise DomainError(
             f"the one-sided ladder needs a nonzero finite bias, got {bias!r}")
-    _check_iteration_params(damping, max_iter, tol)
+    max_iter = _check_iteration_params(damping, max_iter, tol)
     mean, std = source.mean, source.std
     if init is not None:
         margin = init.margin
         edges = init.edges_for(bias)
         n_edges = len(edges)
     else:
-        if not (isinstance(n_edges, int) and n_edges >= 2):
-            raise DomainError(f"n_edges must be an integer >= 2, got {n_edges!r}")
+        n_edges = _check_count(n_edges, 2, "n_edges must be an integer >= 2")
         width = max(2.0 * abs(bias), std / 4.0)
         anchor = _two_bin_edge(mean, std, bias)
         start = TruncatedLadder(anchor, (width,) * (n_edges - 1), margin)
         edges = start.edges_for(bias)
-    if not (isinstance(margin, int) and 0 <= margin < n_edges):
-        raise DomainError(
-            f"margin must satisfy 0 <= margin < n_edges, got {margin!r}")
+    margin = _check_count(margin, 0, "margin must satisfy 0 <= margin < n_edges",
+                          n_edges)
 
     flip = bias < 0.0
     work_bias = abs(bias)
@@ -499,9 +500,8 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     source = SourceModel.gaussian(mean, std)
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
-    if not (isinstance(n_bins, int) and n_bins >= 1):
-        raise DomainError(f"n_bins must be a positive integer, got {n_bins!r}")
-    _check_iteration_params(damping, max_iter, tol)
+    n_bins = _check_count(n_bins, 1, "n_bins must be a positive integer")
+    max_iter = _check_iteration_params(damping, max_iter, tol)
     if n_bins == 1:
         return Partition((-math.inf, math.inf), source, bias)
     if init is not None:

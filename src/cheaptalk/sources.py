@@ -2,53 +2,34 @@
 
 Solvers, certificates, and dynamics touch a distribution through the
 array methods here (bin_probs, bin_means, bin_variances: one value per
-bin of an increasing edge array, which may have infinite ends and need
-not span the support, or one row of values per row of a 2-D array of
-such edges), plus quantiles and sampling. The scalar interval
-methods are the same code on a single bin. The Newton loop's restart
-blocks, which keep their edges increasing, read means alone through the
-unchecked _bin_means; a Partition fills its record of all three moments
-once, on first use, from one _bin_moments call, which forms a mass or a
-variance only when it is read. A dynamics run works in the frame its
-family's kernel works in, z = (x - offset)/scale with (offset, scale) =
-_frame: std units for a Gaussian, x itself for an exponential. It reads
-its means there through _frame_means, which forms means and nothing
-else: near + E[u] from one _std_rule pass, or _exp_window_mean on edges
-that start at the support's 0, with no clamp. So no step maps edges or
-means between x and the frame, builds a closure or forms a mass. Every edge
-sequence, a Partition's too, passes one check, _bin_edges, and an edge
-that is not a number fails it as one out of order does.
+bin of an increasing edge array, or one row of values per row of a 2-D
+array of them), plus quantiles and sampling; the scalar interval
+methods are the same code on one bin. Every edge sequence, a
+Partition's too, passes one check, _bin_edges. Inside the package each
+loop then has one reader of checked edges:
+
+- _frame_means, the means alone, in the frame of _frame (std units for
+  a Gaussian, x for an exponential): each dynamics step and each
+  restart block of the Newton loop;
+- _std_interval_slopes, the means and their slopes in the edges: each
+  Newton iterate;
+- _bin_moments, (probs, means, variances) as arrays from one kernel
+  call: a Partition's record and the three public array methods.
 
 Numerical ground rules:
 
-- every ``exp(s) - 1`` is an ``expm1``, every ``exp(s) + exp(-s) - 2``
-  is ``(2*sinh(s/2))**2``, so short intervals do not cancel;
-- a Gaussian source has one bin kernel: a fixed Gauss-Legendre rule
-  (_std_rule), run in each bin's own frame and with no per-bin loop.
-  Bins are read reflected to za + zb >= 0, so reflection is exact, and
-  one pass returns unsigned pieces: the reflection mask, near, the
-  rule's integral, E[u] and the weighted nodes. Each reader signs only
-  what it reads, negating where the bin was reflected: _frame_means
-  forms the dynamics' means near + E[u] in std units;
-  SourceModel._bin_moments forms means, and masses and variances only
-  for a caller that asks (the Newton loop's restart blocks read means
-  alone, bin_probs masses, bin_variances variances, a Partition record
-  all three), none of which a reflection changes, so the variance is
-  taken about the unsigned E[u]; _std_interval_slopes signs near and
-  E[u] and gives the means and edge slopes of the mean from which the
-  Newton solve loop builds its residual and Jacobian (both ends in one
-  stacked pass, with no np.errstate: ends cut 40 std out have slope
-  exactly 0, so no step overflows or forms 0 * inf). The mass is
-  pdf(near) times an integral of exp(-u^2/2 - u*near) <= 1, so nothing
-  cancels on short bins, and the mean near + E[u] stays accurate where
-  the mass itself underflows. It is good to a few ulps on bins down to
-  1e-12 wide and out to |z| = 1e5, and its window keeps means and
-  variances right past |z| = 1e100. Adaptive quadrature serves only the
-  independent oracle quadrature_moment.
-
-Every runtime path runs on numpy alone. Only the oracle
-quadrature_moment needs scipy (scipy.integrate, imported on its first
-call), which the package's test extra installs.
+- every ``exp(s) - 1`` is an ``expm1``, and an exponential window's
+  variance reads 1 - s/sinh(s) from its series on short windows, so
+  short intervals do not cancel;
+- a Gaussian source has one bin kernel, the fixed Gauss-Legendre rule
+  of _std_rule, run in each bin's own frame with no per-bin loop, on
+  bins reflected to za + zb >= 0, so reflection is exact; each reader
+  signs only what it reads. It is good to a few ulps on bins down to
+  1e-12 wide and out to |z| = 1e5, and keeps means and variances right
+  past |z| = 1e100;
+- every runtime path runs on numpy alone. Adaptive quadrature serves
+  only the independent oracle quadrature_moment, which needs scipy
+  (scipy.integrate, imported on its first call) from the test extra.
 """
 
 from __future__ import annotations
@@ -383,7 +364,7 @@ class SourceModel:
         bins covering the line sum to 1 only within about n ulps: the two
         half-lines (-inf, 0, inf) give 1 + 2^-52.
         """
-        return self._bin_moments(self._bin_edges(edges))[0]()
+        return self._bin_moments(self._bin_edges(edges))[0]
 
     def bin_means(self, edges) -> np.ndarray:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
@@ -395,11 +376,6 @@ class SourceModel:
         """
         e = self._bin_edges(edges)
         self._check_support(e)
-        return self._bin_means(e)
-
-    def _bin_means(self, e: np.ndarray) -> np.ndarray:
-        """bin_means on edges that are already checked: all that a
-        restart block reads."""
         return self._bin_moments(e)[1]
 
     @property
@@ -415,10 +391,11 @@ class SourceModel:
     def _frame_means(self, z: np.ndarray) -> np.ndarray:
         """Bin means in the frame of _frame, on checked edges z in that
         frame whose first edge is at or inside the support: all that a
-        dynamics step reads, and nothing more. A Gaussian's are
-        near + E[u] from one _std_rule pass, negated where the bin was
-        reflected, with no map to x and back; an exponential's are
-        _exp_window_mean on the edges as they are, with no clamp at 0."""
+        dynamics step or a restart block of the Newton loop reads, and
+        nothing more. A Gaussian's are near + E[u] from one _std_rule
+        pass, negated where the bin was reflected, with no map to x and
+        back; an exponential's are _exp_window_mean on the edges as they
+        are, with no clamp at 0."""
         start = z[..., :-1]
         if self.kind == EXPONENTIAL:
             return _exp_window_mean(start, z[..., 1:] - start, self.rate)
@@ -427,9 +404,7 @@ class SourceModel:
         return np.negative(means, out=means, where=flip)
 
     def _bin_moments(self, e: np.ndarray):
-        """(probs, means, variances) on edges that are already checked:
-        means an array, probs and variances functions that form them when
-        called, so a caller forms only what it reads.
+        """(probs, means, variances) as arrays, on checked edges.
 
         An exponential bin takes the closed forms of its window, clamped
         to the support. A Gaussian source takes all three from one
@@ -444,29 +419,22 @@ class SourceModel:
         if self.kind == EXPONENTIAL:
             a = np.maximum(e, 0.0)
             start, length = a[..., :-1], a[..., 1:] - a[..., :-1]
-            return (lambda: (np.exp(-self.rate * start)
-                             * -np.expm1(-self.rate * length)),
+            return (np.exp(-self.rate * start) * -np.expm1(-self.rate * length),
                     _exp_window_mean(start, length, self.rate),
-                    lambda: _exp_window_variance(length, self.rate))
+                    _exp_window_variance(length, self.rate))
         z = (e - self.mean) / self.std
-        za, zb = z[..., :-1], z[..., 1:]
-        flip, near, mass, eu, (u, w) = _std_rule(za, zb)
+        flip, near, mass, eu, (u, w) = _std_rule(z[..., :-1], z[..., 1:])
         means = near + eu
         np.negative(means, out=means, where=flip)
-        sd2 = self.std * self.std
-        whole = np.isinf(za) & np.isinf(zb) if z.shape[-1] == 2 else None
-
-        def probs() -> np.ndarray:
-            capped = np.minimum(near, 40.0)
-            p = np.minimum(mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI,
+        capped = np.minimum(near, 40.0)
+        probs = np.minimum(mass * np.exp(-0.5 * capped * capped) / _SQRT_2PI,
                            1.0)
-            return p if whole is None else np.where(whole, 1.0, p)
-
-        def variances() -> np.ndarray:
-            var = (w * (u - eu[..., None]) ** 2).sum(axis=-1) / mass * sd2
-            return var if whole is None else np.where(whole, sd2, var)
-
-        return probs, self.mean + self.std * means, variances
+        sd2 = self.std * self.std
+        var = (w * (u - eu[..., None]) ** 2).sum(axis=-1) / mass * sd2
+        if z.shape[-1] == 2:
+            whole = np.isinf(z).all(axis=-1, keepdims=True)
+            probs, var = np.where(whole, 1.0, probs), np.where(whole, sd2, var)
+        return probs, self.mean + self.std * means, var
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -479,7 +447,7 @@ class SourceModel:
         """
         e = self._bin_edges(edges)
         self._check_support(e)
-        return self._bin_moments(e)[2]()
+        return self._bin_moments(e)[2]
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""

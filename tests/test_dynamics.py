@@ -16,7 +16,7 @@ from cheaptalk.dynamics import (
     fixed_point_iterate,
     lloyd_method_i,
 )
-from cheaptalk.equilibrium import Partition, certify
+from cheaptalk.equilibrium import Partition, _midpoints, certify
 from cheaptalk.errors import DomainError
 from cheaptalk.exponential import (
     empirical_max_bins,
@@ -26,6 +26,7 @@ from cheaptalk.exponential import (
 from cheaptalk.gaussian import (
     _damped_midpoints,
     _default_interior,
+    _full_edges,
     solve_n_bins_gauss,
 )
 from cheaptalk.sources import SourceModel
@@ -376,13 +377,9 @@ class TestStepWork:
             return rule(za, zb)
 
         def counted_moments(self, e):
-            probs, means, variances = moments(self, e)
-
-            def counted_variances():
-                spreads.append(e[..., 1:].shape)
-                return variances()
-
-            return probs, means, counted_variances
+            # the one place a pass is reduced to masses and variances
+            spreads.append(e[..., 1:].shape)
+            return moments(self, e)
 
         monkeypatch.setattr(sources, "_std_rule", counted)
         monkeypatch.setattr(SourceModel, "_bin_moments", counted_moments)
@@ -407,11 +404,20 @@ class TestStepWork:
         assert exps == [(8,)]
 
     def test_restart_block_step_forms_no_mass(self, exps):
-        edges = np.array(_default_interior(0.0, 1.0, 0.2, 8))
-        _, converged, steps, _ = _damped_midpoints(GAUSS, 0.2, edges, 0.5, 3,
-                                                   1e-300)
-        assert (converged, steps) == (False, 3)
-        assert exps == [(8, 48)] * 3
+        for source in (GAUSS, SourceModel.gaussian(0.3, 1.7)):
+            exps.clear()
+            edges = np.array(
+                _default_interior(source.mean, source.std, 0.2, 8))
+            _, converged, steps, _ = _damped_midpoints(source, 0.2, edges,
+                                                       0.5, 3, 1e-300)
+            assert (converged, steps) == (False, 3)
+            assert exps == [(8, 48)] * 3
+            # one step is the damped midpoint map of the public bin means
+            step, _, _, _ = _damped_midpoints(source, 0.2, edges, 0.5, 1,
+                                              1e-300)
+            means = source.bin_means(_full_edges(edges))
+            assert np.array_equal(
+                step, 0.5 * edges + 0.5 * _midpoints(means, 0.2))
 
 
 class TestTraceShape:

@@ -22,9 +22,19 @@ from cheaptalk.equilibrium import (
     encoder_best_response,
     monte_carlo_cost,
 )
+from cheaptalk.dynamics import basin_probe, lloyd_method_i
 from cheaptalk.errors import BinCollapseError, DomainError
-from cheaptalk.exponential import solve_n_bins, solve_two_bin
-from cheaptalk.gaussian import solve_n_bins_gauss, solve_two_bin_gauss
+from cheaptalk.exponential import (
+    infinite_equilibrium,
+    solve_n_bins,
+    solve_two_bin,
+)
+from cheaptalk.gaussian import (
+    TruncatedLadder,
+    solve_n_bins_gauss,
+    solve_truncated_ladder,
+    solve_two_bin_gauss,
+)
 from cheaptalk.sources import SourceModel
 
 EXP = SourceModel.exponential(1.0)
@@ -501,3 +511,37 @@ class TestMonteCarlo:
         expected = monte_carlo_cost(p, 1000, seed=4)
         assert monte_carlo_cost(p, 1000.0, seed=4) == expected
         assert monte_carlo_cost(p, np.int64(1000), seed=4) == expected
+
+
+# every count argument, as (call of the count, a valid count)
+COUNTS = {
+    "solve_n_bins n_bins": (lambda n: solve_n_bins(1.0, 0.5, n), 3),
+    "solve_n_bins_gauss n_bins": (
+        lambda n: solve_n_bins_gauss(0.0, 1.0, 0.1, n), 3),
+    "solve_n_bins_gauss max_iter": (
+        lambda n: solve_n_bins_gauss(0.0, 1.0, 0.1, 3, max_iter=n), 50),
+    "infinite_equilibrium n_edges": (
+        lambda n: infinite_equilibrium(1.0, 0.5, n), 4),
+    "solve_truncated_ladder n_edges": (
+        lambda n: solve_truncated_ladder(GAUSS, 0.2, n_edges=n), 10),
+    "solve_truncated_ladder margin": (
+        lambda n: solve_truncated_ladder(GAUSS, 0.2, n_edges=10, margin=n), 3),
+    "TruncatedLadder margin": (
+        lambda n: TruncatedLadder(0.5, (0.4, 0.4, 0.4), margin=n), 2),
+    "basin_probe n_bins": (lambda n: basin_probe(GAUSS, 0.2, n, 2, 1), 3),
+    "basin_probe n_inits": (lambda n: basin_probe(GAUSS, 0.2, 3, n, 1), 2),
+    "lloyd_method_i max_iter": (
+        lambda n: lloyd_method_i(EXP, 0.5, solve_n_bins(1.0, 0.5, 3),
+                                 max_iter=n), 5),
+}
+
+
+@pytest.mark.parametrize("call, count", COUNTS.values(), ids=COUNTS)
+def test_a_count_is_any_integer_but_a_bool(call, count):
+    # a numpy integer is read as the Python int (the result's repr would
+    # show an np.int64 kept anywhere), and True is not the count 1
+    expected = call(count)
+    got = call(np.int64(count))
+    assert got == expected and repr(got) == repr(expected)
+    with pytest.raises(DomainError):
+        call(True)

@@ -640,7 +640,7 @@ class TestVectorIntervalMean:
         for edges in (up, -up[:, ::-1]):
             probs = GAUSS.bin_probs(edges)[:, 0]
             assert probs.max() <= 1.0
-            assert np.array_equal(GAUSS._bin_moments(edges)[0]()[:, 0], probs)
+            assert np.array_equal(GAUSS._bin_moments(edges)[0][:, 0], probs)
         eps = np.finfo(float).eps
         with mp.workdps(40):
             for x, p in zip(a.tolist(), probs.tolist()):

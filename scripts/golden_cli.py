@@ -74,6 +74,10 @@ INVOCATIONS = [
     # u = rate*(2/rate + 2*bias) overflows to inf: lambert_w0_conjugate(inf)
     ("solve exp overflowing rate*bias", ("solve", *EXP, "--rate", "1e200",
                                          "--bias", "1e200", "--bins", "3")),
+    # s = rate*length is 3.5e-100: each mean offset is 1.7e100, where
+    # 1/rate - h(length) cancels to 0
+    ("solve exp ladder tiny rate", ("solve", *EXP, "--rate", "1e-200",
+                                    "--bias", "1", "--ladder", "--edges", "3")),
     ("solve gauss", ("solve", *GAUSS, "--mean", "0.3", "--std", "1.2",
                      "--bias", "0.15", "--bins", "5")),
     ("solve gauss 1 bin", ("solve", *GAUSS, "--bias", "0.1", "--bins", "1")),

@@ -30,7 +30,11 @@ Random starts are dynamics._random_starts drawn with default_rng(1).
   divided by 8;
 - `partition 40`: a fresh 40-bin Gaussian Partition (the default N(0, 1)
   start at bias 0.05) with certify, decoder_cost and
-  decoder_best_response.
+  decoder_best_response;
+- `exponential walk`: exponential._backward_lengths(1.0, -1e-6, 10**7),
+  the whole backward walk of 1 359 bins, one scalar h per bin;
+- `exponential record 40`: the same as `partition 40` on the 40-bin
+  exponential equilibrium solve_n_bins(0.7, 0.3/0.7, 40).
 
 Prints one JSON object: per layer and tree the median and quartiles of
 the round values, in raw microseconds on this host (compare within a
@@ -59,7 +63,7 @@ def layers():
 
     import numpy as np
 
-    from cheaptalk import sources
+    from cheaptalk import exponential, sources
     from cheaptalk.dynamics import _random_starts, _run_rows
     from cheaptalk.equilibrium import (Partition, certify,
                                        decoder_best_response, decoder_cost)
@@ -114,6 +118,17 @@ def layers():
         decoder_best_response(p)
 
     yield "partition 40", record, 1
+    yield ("exponential walk",
+           lambda: exponential._backward_lengths(1.0, -1e-6, 10**7), 1)
+    exp_edges = exponential.solve_n_bins(0.7, 0.3 / 0.7, 40).edges
+
+    def exp_record():
+        p = Partition(exp_edges, SourceModel.exponential(0.7), 0.3 / 0.7)
+        certify(p)
+        decoder_cost(p)
+        decoder_best_response(p)
+
+    yield "exponential record 40", exp_record, 1
 
 
 def child(src: str) -> dict:

@@ -11,7 +11,10 @@ a + 1/lam - h(l), so the equilibrium conditions reduce to a backward
 recursion in which each bin length solves g(length) = target, with the
 target driven by the next bin's length. Targets at or below g's
 infimum 1/lam have no solution, which is exactly the bin-collapse
-regime for negative bias.
+regime for negative bias. The walk reads h as a Python scalar; the bin
+moments (sources.SourceModel) read the same mean as a + E[u]/lam, E[u]
+the mean of a unit exponential on [0, lam*l], which does not cancel
+where lam*l is small and 1/lam - h(l) would.
 
 Every bin length at every bias is the closed-form inverse of g through
 the principal Lambert branch. The equal-length fixed point, whose
@@ -30,7 +33,7 @@ from .errors import (
     DomainError,
     NoInformativeEquilibriumError,
 )
-from .sources import SourceModel, _exp_gap, _exp_window_variance
+from .sources import _EXPM1_MAX, SourceModel, _exp_window_variance
 from .special import _newton, lambert_w0_conjugate
 
 __all__ = [
@@ -72,13 +75,17 @@ def h(length: float, rate: float) -> float:
 
     The conditional mean on a window of this length sits exactly
     h(length) below window-start + 1/rate. Strictly decreasing from
-    1/rate (the length -> 0 limit, returned at 0) to 0, evaluated
-    cancellation-free at both extremes.
+    1/rate (the length -> 0 limit, returned at 0) to 0. A Python float
+    scalar, (1/rate)*(s/expm1(s)) with s = rate*length: a subnormal s,
+    where expm1(s) is s, gives exactly 1/rate, and past
+    sources._EXPM1_MAX, where the true value is below 4e-306/rate, it
+    is exactly 0.
     """
     _check_rate(rate)
-    if math.isnan(length) or length < 0.0 or math.isinf(length):
+    if not 0.0 <= length < math.inf:  # NaN fails too
         raise DomainError(f"window length must be finite and >= 0, got {length!r}")
-    return float(_exp_gap(rate * length, rate))
+    s = rate * length
+    return 0.0 if s >= _EXPM1_MAX else 1.0 / rate * (s / math.expm1(s) if s else 1.0)
 
 
 def g(length: float, rate: float) -> float:

@@ -127,6 +127,24 @@ class TestSolve:
         cost = float(doc["meta"]["note"].rsplit(" ", 1)[1])
         assert cost == pytest.approx(9.999999996000001e-10, rel=1e-12)
 
+    def test_exp_ladder_at_tiny_rate(self, capsys):
+        # at rate 1e-200 each window is about 3.5e100 long, s = 3.5e-100,
+        # and its mean offset read as 1/rate - h cancelled to 0.0, so the
+        # centroids were not increasing (exit 1)
+        code, out, err = run(capsys, "solve", "--source", "exp", "--rate",
+                             "1e-200", "--bias", "1", "--ladder", "--edges",
+                             "3")
+        assert code == 0, err
+        eq = json.loads(out)["equilibrium"]
+        edges = [float(e) for e in eq["edges"]]
+        centroids = eq["centroids"]
+        assert all(a < b for a, b in zip(centroids, centroids[1:]))
+        assert all(lo < c < hi
+                   for lo, c, hi in zip(edges, centroids, edges[1:]))
+        assert centroids[0] == pytest.approx(1.7320508075688771e100,
+                                             rel=1e-15)
+        assert centroids[3] == pytest.approx(1e200, rel=1e-15)
+
     def test_gauss_ladder_converges(self, capsys):
         code, out, _ = run(capsys, "solve", "--source", "gauss", "--bias",
                            "0.3", "--ladder", "--edges", "30")

@@ -21,10 +21,13 @@ from cheaptalk.equilibrium import (
     decoder_cost,
 )
 from cheaptalk.errors import DomainError, ZeroProbabilityError
+from cheaptalk.exponential import h
 from cheaptalk.sources import (
+    _EXP_POWERS,
+    _EXP_SERIES,
     _GL_HALF,
     SourceModel,
-    _exp_gap,
+    _exp_unit_mean,
     _exp_window_variance,
     _std_interval_slopes,
 )
@@ -221,11 +224,17 @@ class TestExponentialMoments:
     def test_window_gap_limits(self):
         for rate in (0.3, 1.0, 2.0, 7.0):
             # zero-length window: conditional mean gap is the full 1/rate
-            assert _exp_gap(0.0, rate) == 1.0 / rate
+            assert h(0.0, rate) == 1.0 / rate
             # infinite window: memoryless tail, no gap at all
-            assert _exp_gap(INF, rate) == 0.0
-        # huge window: memoryless tail, gap -> 0
-        assert _exp_gap(1000.0, 1.0) == pytest.approx(0.0, abs=1e-300)
+            for a in (0.0, 0.25, 3.0, 1e10):
+                assert EXP.bin_means([a, INF])[0] == a + 1.0
+                src = SourceModel.exponential(rate)
+                assert src.bin_means([a, INF])[0] == a + 1.0 / rate
+        # huge window: memoryless tail, gap exactly 0
+        assert h(1000.0, 1.0) == 0.0
+        # the mean's kernel: 0 on an empty window, 1 on an infinite one
+        assert _exp_unit_mean(np.array([0.0, 709.78, 1e300, INF])).tolist() \
+            == [0.0, 1.0, 1.0, 1.0]
 
     def test_gap_against_mpmath(self):
         # s/expm1(s) at rate 1 on a log grid of s out to 700, plus 0,
@@ -235,24 +244,84 @@ class TestExponentialMoments:
         tiny = [0.0, 5e-324, 1e-310, 2e-308, 1e-16, 9.9e-17, 1.01e-16,
                 np.nextafter(1e-16, 0.0), np.nextafter(1e-16, 1.0)]
         s = np.concatenate((grid, tiny))
-        got = _exp_gap(s, 1.0)
+        got = [h(v, 1.0) for v in s.tolist()]
         with mp.workdps(50):
             exact = [mp.mpf(v) / mp.expm1(v) if v else mp.mpf(1) for v in s]
-            rel = [abs(mp.mpf(float(g)) / e - 1) for g, e in zip(got, exact)]
+            rel = [abs(mp.mpf(g) / e - 1) for g, e in zip(got, exact)]
         assert float(max(rel)) <= 2e-16
         # past s = 709.78 the gap is set to 0; the true gap s*exp(-s) is
         # already below 4e-306 there
-        far = np.array([709.79, 717.0, 745.0, 800.0, 1e300])
-        assert np.all(_exp_gap(far, 1.0) == 0.0)
+        far = [709.79, 717.0, 745.0, 800.0, 1e300]
+        assert all(h(v, 1.0) == 0.0 for v in far)
         with mp.workdps(50):
             assert all(mp.mpf(v) / mp.expm1(v) < 4e-306 for v in far)
+        # the mean's kernel 1 - s/expm1(s) on the same grid, in ulps of
+        # its value, with the working precision raised past the digits
+        # that 1 - s/expm1(s) cancels (measured 2.2 ulps); subnormal s
+        # gives s/2 correctly rounded
+        offsets = _exp_unit_mean(s).tolist()
+        for v, k in zip(s.tolist(), offsets):
+            with mp.workdps(50 + max(0, -int(math.log10(v))) if v else 50):
+                want = 1 - mp.mpf(v) / mp.expm1(v) if v else mp.mpf(0)
+                ulps = 0.5 if want < sys.float_info.min else 2.5
+                assert abs(k - want) <= ulps * mp.mpf(math.ulp(float(want))), v
+        assert _exp_unit_mean(np.array(far)).tolist() == [1.0] * len(far)
 
     def test_gap_small_window_taylor(self):
         # s/(e^s - 1) = 1 - s/2 + s^2/12 + O(s^4), scaled by 1/rate
         for rate in (1.0, 7.0):
             s = 1e-4
             taylor = (1.0 - s / 2.0 + s * s / 12.0) / rate
-            assert _exp_gap(s, rate) == pytest.approx(taylor, rel=1e-12)
+            assert h(s / rate, rate) == pytest.approx(taylor, rel=1e-12)
+            # and the mean's offset, (s/2 - s^2/12 + O(s^4))/rate
+            offset = EXP.bin_means([0.0, s])[0]
+            assert offset == pytest.approx(s / 2.0 - s * s / 12.0, rel=1e-12)
+
+    def test_unit_mean_series_regenerates_bit_for_bit(self):
+        # s/2 - sum_k B_2k s^2k/(2k)!, k = 8 down to 1, from mpmath's
+        # Bernoulli numbers, each correctly rounded
+        with mp.workdps(50):
+            want = [float(-mp.bernoulli(2 * k) / mp.factorial(2 * k))
+                    for k in range(8, 0, -1)] + [0.5]
+        assert _EXP_SERIES.tolist() == want
+        assert _EXP_POWERS.tolist() == [16.0, 14.0, 12.0, 10.0, 8.0, 6.0,
+                                        4.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("rate", (1e-300, 1e-200, 1e-100, 1e-3, 1.0, 1e3))
+    def test_bin_moments_against_mpmath(self, rate):
+        # 600 random bins per rate, rate*length from 1e-12 to 700, half of
+        # them starting at 0 and half at up to 50/rate, against 80-digit
+        # mpmath: every mean within 3 ulps and inside its bin (measured
+        # 2.3), every mass within 2 ulps scaled by 1 + rate*start, the
+        # conditioning of exp(-rate*start) (measured 1.3), every variance
+        # within 5 ulps (measured 4.2), or inf where it passes DBL_MAX.
+        # Before the mean read s = rate*length through one kernel, a bin
+        # [0, 1e-12/rate] had its mean some 1e12 ulps off
+        rng = np.random.default_rng(30)
+        s = 10.0 ** rng.uniform(-12.0, math.log10(700.0), 600)
+        lo = np.where(np.arange(600) % 2 == 0, 0.0,
+                      rng.uniform(0.0, 50.0, 600) / rate)
+        rows = np.stack((lo, lo + s / rate), -1)
+        src = SourceModel.exponential(rate)
+        probs, means, variances = (f(rows)[:, 0].tolist() for f in (
+            src.bin_probs, src.bin_means, src.bin_variances))
+        with mp.workdps(80):
+            r = mp.mpf(rate)
+            for (a, b), p, m, v in zip(rows.tolist(), probs, means,
+                                       variances):
+                start, length = mp.mpf(a), mp.mpf(b) - mp.mpf(a)
+                mass = mp.exp(-r * start) * -mp.expm1(-r * length)
+                mean = start + 1 / r - length / mp.expm1(r * length)
+                half = r * length / 2
+                var = (1 - (half / mp.sinh(half)) ** 2) / r ** 2
+                assert a <= m <= b, (a, b)
+                assert abs(m - mean) <= 3 * math.ulp(float(mean)), (a, b)
+                assert abs(p - mass) <= (
+                    2 * (1 + rate * a) * math.ulp(float(mass))), (a, b)
+                if var > sys.float_info.max:
+                    assert v == INF, (a, b)
+                else:
+                    assert abs(v - var) <= 5 * math.ulp(float(var)), (a, b)
 
     def test_truncated_mean_two_bin_identity(self):
         # the two-bin equilibrium edge sits exactly 1/rate above the
@@ -334,6 +403,24 @@ class TestExponentialMoments:
 
 
 class TestGaussianMoments:
+    def test_bins_past_dbl_max_in_std_units(self):
+        # at std 1e-300 the edges 1e10 and 1e20 are both +inf in std
+        # units: such a bin is a DomainError naming it, where it read as
+        # the whole line (mass 1, mean NaN); -1e10 to 1e10 is the whole
+        # line there, and nothing warns (RuntimeWarning fails the test)
+        src = SourceModel.gaussian(0.0, 1e-300)
+        for edges in ([1e10, 1e20], [-1.0, 1e10, 1e20], [-1e20, -1e10],
+                      [[-1.0, 0.0, 1.0], [-1.0, 1e10, 1e20]]):
+            for method in (src.bin_probs, src.bin_means, src.bin_variances):
+                with pytest.raises(DomainError, match=r"bin \[10000000000.0, "
+                                   r"1e\+20\]|bin \[-1e\+20, -10000000000.0\]"):
+                    method(edges)
+        assert src.bin_probs([-1e10, 1e10]).tolist() == [1.0]
+        assert src.bin_means([-1e10, 1e10]).tolist() == [0.0]
+        # e - mean itself overflows
+        with pytest.raises(DomainError, match="both ends at -inf"):
+            SourceModel.gaussian(1e308, 0.5).bin_means([-1e308, 0.0, 1e308])
+
     def test_half_line_means(self):
         root = math.sqrt(2.0 / math.pi)
         assert GAUSS.truncated_mean(-math.inf, 0.0) == pytest.approx(-root,

@@ -38,7 +38,6 @@ Numerical ground rules:
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -52,8 +51,7 @@ __all__ = ["SourceModel"]
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # exp(s) is finite up to s = log(DBL_MAX) = 709.7827. The 0-d arrays are ufunc
 # operands, which numpy takes faster than Python floats (0.9 against 1.3 us).
-_EXPM1_MAX = 709.78
-_EXP_CUT, _EXP_CAP = np.array(0.6), np.array(_EXPM1_MAX)
+_EXPM1_MAX, _EXP_CUT = 709.78, np.array(0.6)
 _END_MIN, _END_MAX = np.array(-40.0), np.array(40.0)
 _NORMAL_MIN = np.finfo(float).tiny
 
@@ -84,16 +82,19 @@ def _exp_unit_mean(s):
 
     The series is one matmul of the powers _EXP_POWERS with their
     coefficients _EXP_SERIES, smallest term first. _EXP_SERIES is a view
-    with a negative stride, which keeps the matmul in numpy's own loop,
-    summing term by term: BLAS sums in an order that depends on the
-    array's shape, so a row's means would not equal those of the same
-    bins in a 1-D call bit for bit.
+    with a negative stride, which numpy does not hand to BLAS, so each
+    row is summed term by term in numpy's own loop. A BLAS matrix-vector
+    product can round a row by how many rows it is given and where the
+    row sits among them, and then a row of a 2-D call would not equal
+    the 1-D call on the same bins bit for bit. numpy does not document
+    that dispatch; test_exponential_rows_of_every_length in
+    tests/test_sources.py checks the rows on 2-D arrays of 1 to 1000 bins
+    a row. A product and sum(-1) in place of the matmul keeps them equal
+    too, 2 us a call slower.
     """
     series = np.minimum(s, _EXP_CUT)[..., None] ** _EXP_POWERS @ _EXP_SERIES
-    c = np.minimum(np.maximum(s, _EXP_CUT), _EXP_CAP)
-    mean = 1.0 - c / np.expm1(c)
-    np.putmask(mean, s < _EXP_CUT, series)  # 0.65 us faster than np.where
-    return mean
+    c = np.minimum(np.maximum(s, _EXP_CUT), _EXPM1_MAX)
+    return np.where(s < _EXP_CUT, series, 1.0 - c / np.expm1(c))
 
 
 # (sinh(s) - s)/s = sum_k s^(2k)/(2k+1)!, k = 1..9, as Horner reads it in
@@ -357,15 +358,17 @@ class SourceModel:
                 f"least two values, got {edges!r}")
         return e
 
-    def _check_support(self, e: np.ndarray) -> None:
-        """Conditional moments need every bin to meet the support; with
-        increasing edges only an exponential's first bin can miss it."""
-        if self.kind != EXPONENTIAL:
-            return
-        row = e if e.ndim == 1 else e[e[:, 1].argmin()]
-        if row[1] <= 0.0:
-            raise ZeroProbabilityError(
-                f"[{row[0]}, {row[1]}] lies outside the exponential support")
+    def _supported_edges(self, edges) -> np.ndarray:
+        """_bin_edges(edges), every bin of which also meets the support, as
+        conditional moments need; with increasing edges only an
+        exponential's first bin can miss it (ZeroProbabilityError)."""
+        e = self._bin_edges(edges)
+        if self.kind == EXPONENTIAL:
+            row = e if e.ndim == 1 else e[e[:, 1].argmin()]
+            if row[1] <= 0.0:
+                raise ZeroProbabilityError(
+                    f"[{row[0]}, {row[1]}] lies outside the exponential support")
+        return e
 
     def bin_probs(self, edges) -> np.ndarray:
         """P(e_k < M < e_{k+1}) for every bin of an increasing edge array.
@@ -376,7 +379,10 @@ class SourceModel:
         rule of _std_rule, as their means and variances do. Each mass is
         good to a few ulps and none is renormalised, so the masses of n
         bins covering the line sum to 1 only within about n ulps: the two
-        half-lines (-inf, 0, inf) give 1 + 2^-52.
+        half-lines (-inf, 0, inf) give 1 + 2^-52. A Gaussian bin whose two
+        ends round to one value in std units, as two edges past DBL_MAX
+        std from the mean on one side do, or [1, 2] under N(1e20, 1),
+        raises DomainError, here and in bin_means and bin_variances.
         """
         return self._bin_moments(self._bin_edges(edges))[0]
 
@@ -384,13 +390,12 @@ class SourceModel:
         """E[M | e_k <= M <= e_{k+1}] for every bin, valid deep in either tail.
 
         Takes one edge sequence or a 2-D array of them, as bin_probs.
-        Raises ZeroProbabilityError only when a bin misses the support;
-        same-tail Gaussian bins stay well-defined even where their
-        probability underflows.
+        Raises ZeroProbabilityError when a bin misses the support, and
+        DomainError, as bin_probs, on a Gaussian bin whose ends meet in std
+        units; other same-tail Gaussian bins stay well-defined even where
+        their probability underflows.
         """
-        e = self._bin_edges(edges)
-        self._check_support(e)
-        return self._bin_moments(e)[1]
+        return self._bin_moments(self._supported_edges(edges))[1]
 
     @property
     def _frame(self) -> tuple[float, float]:
@@ -421,30 +426,26 @@ class SourceModel:
         """(probs, means, variances) as arrays, on checked edges.
 
         An exponential bin is clamped to the support; its mass is closed
-        form, its mean start + _exp_unit_mean(rate*length)/rate and its
-        variance _exp_window_variance. A Gaussian source takes all three
-        from one _std_rule pass: the mass is pdf(near) times the rule's
-        integral, the mean near + E[u], negated where the bin was
+        form, its mean _frame_means' start + _exp_unit_mean(rate*length)/rate
+        and its variance _exp_window_variance. A Gaussian source takes all
+        three from one _std_rule pass: the mass is pdf(near) times the
+        rule's integral, the mean near + E[u], negated where the bin was
         reflected, in std units, and the variance Var u about the unsigned
         E[u], so masses and variances need no sign. pdf(near) takes near
         capped at 40, past which it is exactly 0 anyway, so near^2 cannot
         overflow. A mass that rounds above 1, as on bins reaching far below
         the mean up to +inf, is 1. The whole line, which only a row of two
-        edges can hold, gives exactly (1, mean, std**2). A bin whose ends
-        meet in std units, as two edges past DBL_MAX std from the mean both
-        are +inf there, is a DomainError that names it. Only std < 1, or
-        |mean| >= 2^970 where e - mean can overflow, takes a finite edge
-        past DBL_MAX in std units, so only those form z under np.errstate
-        (4 us a call), and such an edge is the infinity it rounds to, with
-        no RuntimeWarning."""
+        edges can hold, gives exactly (1, mean, std**2). An edge past
+        DBL_MAX std from the mean is the infinity it rounds to there,
+        formed under np.errstate so that nothing warns, and a bin whose two
+        ends meet in std units, as two such edges on one side do, is a
+        DomainError that names it."""
         if self.kind == EXPONENTIAL:
             a = np.maximum(e, 0.0)
-            start, length = a[..., :-1], a[..., 1:] - a[..., :-1]
-            return (np.exp(-self.rate * start) * -np.expm1(-self.rate * length),
-                    start + _exp_unit_mean(self.rate * length) / self.rate,
-                    _exp_window_variance(length, self.rate))
-        risky = self.std < 1.0 or abs(self.mean) >= 2.0 ** 970
-        with np.errstate(over="ignore") if risky else contextlib.nullcontext():
+            length = a[..., 1:] - a[..., :-1]
+            return (np.exp(-self.rate * a[..., :-1]) * -np.expm1(-self.rate * length),
+                    self._frame_means(a), _exp_window_variance(length, self.rate))
+        with np.errstate(over="ignore"):
             z = (e - self.mean) / self.std
         za, zb = z[..., :-1], z[..., 1:]
         if np.count_nonzero(same := za == zb):
@@ -469,12 +470,11 @@ class SourceModel:
 
         Exponential bins have a closed form in their in-support length,
         Gaussian bins the fixed rule of _std_rule, all in one pass; the
-        whole line gives exactly std**2. Nothing here raises
-        QuadratureError; only the quadrature_moment oracle can.
+        whole line gives exactly std**2. Raises ZeroProbabilityError and
+        DomainError as bin_means does; nothing here raises
+        QuadratureError, only the quadrature_moment oracle can.
         """
-        e = self._bin_edges(edges)
-        self._check_support(e)
-        return self._bin_moments(e)[2]
+        return self._bin_moments(self._supported_edges(edges))[2]
 
     def interval_prob(self, lo: float, hi: float) -> float:
         """P(lo < M < hi). Intervals outside the support return 0."""
@@ -505,7 +505,7 @@ class SourceModel:
 
         if power not in (1, 2):
             raise DomainError(f"power must be 1 or 2, got {power!r}")
-        self._check_support(self._bin_edges((lo, hi)))
+        self._supported_edges((lo, hi))
 
         def integral(f, a: float, b: float, scale: float) -> float:
             val, err = quad(f, a, b, epsabs=1e-12 * scale, epsrel=1e-12,
@@ -518,16 +518,9 @@ class SourceModel:
         if self.kind == EXPONENTIAL:
             lam = self.rate
             a = max(lo, 0.0)
-            b = min(hi, a + 42.0 / lam)
-            if math.isinf(hi):
-                norm = 1.0
-            else:
-                norm = -math.expm1(-lam * (hi - a))
-
-            def integrand(x: float) -> float:
-                return x ** power * lam * math.exp(-lam * (x - a)) / norm
-
-            return integral(integrand, a, b, 1.0)
+            norm = -math.expm1(-lam * (hi - a))  # 1 at hi = inf
+            return integral(lambda x: x ** power * lam * math.exp(-lam * (x - a)) / norm,
+                            a, min(hi, a + 42.0 / lam), 1.0)
         za, zb = (lo - self.mean) / self.std, (hi - self.mean) / self.std
         sign = -1.0 if za + zb < 0.0 else 1.0
         near, u_lo, u_hi = (float(v) for v in _std_window(

@@ -420,6 +420,10 @@ class TestGaussianMoments:
         # e - mean itself overflows
         with pytest.raises(DomainError, match="both ends at -inf"):
             SourceModel.gaussian(1e308, 0.5).bin_means([-1e308, 0.0, 1e308])
+        # finite ends that round to one value in std units
+        with pytest.raises(DomainError, match=r"bin \[1.0, 2.0\] has both "
+                           r"ends at -1e\+20"):
+            SourceModel.gaussian(1e20, 1.0).bin_means([1.0, 2.0])
 
     def test_half_line_means(self):
         root = math.sqrt(2.0 / math.pi)
@@ -435,6 +439,15 @@ class TestGaussianMoments:
         assert GAUSS.truncated_mean(-math.inf, math.inf) == pytest.approx(
             0.0, abs=1e-15)
         assert GAUSS.truncated_variance(-math.inf, math.inf) == 1.0
+        # exactly (1, mean, std**2) for any source, alone and as a row of
+        # a 2-D call, where the rule's sums are a few ulps off
+        for mean, std in ((0.0, 1.0), (5.0, 2.0), (-3.0, 0.1),
+                          (1e300, 1e-300), (-2.5e-7, 3e150)):
+            src = SourceModel.gaussian(mean, std)
+            for edges in ([-INF, INF], [[-INF, INF], [-INF, INF]]):
+                assert src.bin_probs(edges).flat[0] == 1.0
+                assert src.bin_means(edges).flat[0] == mean
+                assert src.bin_variances(edges).flat[0] == std * std
 
     def test_symmetric_interval_mean_is_zero(self):
         for w in (0.3, 1.0, 4.0):
@@ -807,6 +820,27 @@ class TestVectorIntervalMean:
             assert got.shape == (len(rows), rows.shape[1] - 1)
             for row, values in zip(rows, got):
                 assert values.tobytes() == method(row).tobytes(), (method, row)
+
+    def test_exponential_rows_of_every_length(self):
+        # rows of 1 to 1000 bins, s = rate*length uniform on (0, 1.2),
+        # astride the kernel's series cut at 0.6: each row of a (3, n)
+        # kernel call, and of a (3, n + 1) _frame_means or bin_means call,
+        # equals the 1-D call on that row bit for bit. This rests on the
+        # series' matmul summing each row in numpy's own loop; one BLAS
+        # matrix-vector product over all 3n rows moved 38 of these
+        # kernel values by an ulp (the means absorb most such moves in
+        # their start)
+        src = SourceModel.exponential(1.7)
+        s = np.random.default_rng(7).uniform(1e-3, 1.2, 3000)
+        for n in range(1, 1001):
+            rows = s[:3 * n].reshape(3, n)
+            edges = np.zeros((3, n + 1))
+            edges[:, 1:] = np.cumsum(rows / 1.7, axis=1)
+            for method, arg in ((_exp_unit_mean, rows), (src._frame_means, edges),
+                                (src.bin_means, edges)):
+                got = method(arg)
+                for row, values in zip(arg, got):
+                    assert values.tobytes() == method(row).tobytes(), (n, method)
 
     def test_bins_outside_exponential_support(self):
         assert EXP.bin_probs((-3.0, -1.0, 2.0)).tolist() == [

@@ -27,7 +27,10 @@ Random starts are dynamics._random_starts drawn with default_rng(1).
 - `restart step`: one damped step of gaussian._damped_midpoints, as a
   restart block of the solve loop takes it, on N(0.3, 1.7) at bias 0.2
   from the default 12-bin start, damping 0.5: 8 steps at tol 1e-300,
-  divided by 8;
+  divided by 8. The loop takes its edges and bias in std units, so the
+  layer passes the solver's own seed there, the default start on N(0, 1)
+  at bias 0.2/1.7, and the bias as 0.2/1.7; a tree whose loop took x
+  edges reads the same numbers as x edges, with the same kernel passes;
 - `partition 40`: a fresh 40-bin Gaussian Partition (the default N(0, 1)
   start at bias 0.05) with certify, decoder_cost and
   decoder_best_response;
@@ -105,9 +108,10 @@ def layers():
            lambda: _solve_edges(gauss, 0.1, start, 0.5, 100_000, 1e-10),
            len(passes))
     shifted = SourceModel.gaussian(0.3, 1.7)
-    interior = np.array(_default_interior(0.3, 1.7, 0.2, 12))
+    interior = np.array(_default_interior(0.0, 1.0, 0.2 / 1.7, 12))
     yield ("restart step",
-           lambda: _damped_midpoints(shifted, 0.2, interior, 0.5, 8, 1e-300),
+           lambda: _damped_midpoints(shifted, 0.2 / 1.7, interior, 0.5, 8,
+                                     1e-300),
            8)
     edges = (-math.inf, *_default_interior(0.0, 1.0, 0.05, 40), math.inf)
 

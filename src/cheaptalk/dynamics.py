@@ -16,13 +16,16 @@ One loop (_run_rows) runs any number of starts together: each step moves
 every live start at once through the bin kernels, which give it the bin
 centroids and nothing else, and per-start tests take a start out at the
 step where it collapses, converges or reaches max_iter. The loop runs in
-the frame its source's kernel works in (SourceModel._frame): std units,
-z = (x - mean)/std, for a Gaussian, x itself for an exponential. Edges
-are mapped into it once per run, and the bias, tol and COLLAPSE_LENGTH
-divided by the std once, so no step maps edges or means between frames;
-edges and residuals come back to x once, when a run's results or trace
-are returned. At damping 1 a step's move is its targets themselves, with
-no blend. Where the map into the frame is exact (every exponential, and
+the frame its source's kernel works in: std units, z = (x - mean)/std,
+for a Gaussian, x itself for an exponential. SourceModel._to_frame maps
+the edges into it once per run, and the bias, tol and COLLAPSE_LENGTH
+are divided by the frame's _scale once, so no step maps edges or means
+between frames; SourceModel._from_frame maps edges back to x once, and
+residuals are scaled back once, when a run's results or trace are
+returned. A start with a bin whose ends meet in std units, as two edges
+past DBL_MAX std from the mean on one side do, is a DomainError that
+names the bin. At damping 1 a step's move is its targets themselves,
+with no blend. Where the frame is x itself (every exponential, and
 N(0, 1)) a run is bit for bit the run in x. One minimum over the step's
 edge gaps clears every start of crossed and dead bins at once; only a
 step that fails it runs the one collapse test, which names each failing
@@ -150,8 +153,8 @@ class _Recorder:
 
     def trace(self, outcome: IterationOutcome) -> IterationTrace:
         source, bias = self.start.source, self.start.bias
-        rows = _to_x(source, np.array(self.edges[1:])).tolist()
-        residuals = source._frame[1] * np.array(self.residuals)
+        rows = source._from_frame(np.array(self.edges[1:])).tolist()
+        residuals = source._scale * np.array(self.residuals)
         return IterationTrace(
             iterates=(self.start,
                       *(Partition(e, source, bias) for e in rows)),
@@ -160,13 +163,6 @@ class _Recorder:
             outcome=outcome,
             iterations=outcome.iteration,
         )
-
-
-def _to_x(source: SourceModel, z: np.ndarray) -> np.ndarray:
-    """Edges z of source's frame in x; a frame that is x itself returns
-    z, so every zero keeps its sign."""
-    offset, scale = source._frame
-    return z if (offset, scale) == (0.0, 1.0) else offset + scale * z
 
 
 def _random_starts(source: SourceModel, n_bins: int, n_inits: int,
@@ -229,22 +225,21 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
     """Run the dynamics from every row of edges in one loop.
 
     edges is (runs, n_bins + 1), each row a partition of the support.
-    The run maps them once into the frame its source's kernel works in,
-    z = (x - offset)/scale with (offset, scale) = source._frame (std
-    units for a Gaussian, x for an exponential), and divides the bias,
-    tol and COLLAPSE_LENGTH by the scale once, so each step maps nothing
-    and reads its means through source._frame_means. Each step moves
-    every live row at once, to its targets themselves at damping 1, and
-    tests on each row stop it at the step where its own run stops, so
-    every row ends bit for bit as it would alone. rec, given only with
-    one row, logs that row's thinned trace in the frame. Returns each
-    row's outcome and its edges, in x, at the step it stopped. The caller
+    The run maps them once into the frame its source's kernel works in
+    (source._to_frame: std units for a Gaussian, x for an exponential),
+    and divides the bias, tol and COLLAPSE_LENGTH by source._scale once,
+    so each step maps nothing and reads its means through
+    source._frame_means. Each step moves every live row at once, to its
+    targets themselves at damping 1, and tests on each row stop it at
+    the step where its own run stops, so every row ends bit for bit as
+    it would alone. rec, given only with one row, logs that row's
+    thinned trace in the frame. Returns each row's outcome and its
+    edges, in x (source._from_frame), at the step it stopped. The caller
     checks the iteration parameters.
     """
     outcomes: list[IterationOutcome] = [None] * len(edges)
-    offset, scale = source._frame
-    # x - 0.0 and x/1.0 are x itself, so an identity frame moves no bit
-    e = (np.array(edges, dtype=float) - offset) / scale
+    e = source._to_frame(np.array(edges, dtype=float))
+    scale = source._scale
     bias, tol, floor = bias / scale, tol / scale, COLLAPSE_LENGTH / scale
     final = np.empty_like(e)
     live = np.arange(len(edges))
@@ -322,7 +317,7 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                 break
     if live.size:
         stop(np.ones(live.size, dtype=bool), "max_iter")
-    return outcomes, _to_x(source, final)
+    return outcomes, source._from_frame(final)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,16 @@ side, extends the far side by one synthetic bin of the asymptotic length
 of edges nearest the cut from certification, where the truncation still
 distorts the map.
 
+The game on N(mean, std) at bias b is the game on N(0, 1) at bias
+b/std, moved to mean + std*z, so the solve loop runs in std units z:
+each solver forms its default start in z, or maps a given init into z
+once (SourceModel._to_frame), maps the result back once
+(SourceModel._from_frame), and divides the bias, the ladder's closing
+step and tol by the std once. tol stays a distance in x, tested as
+tol/std in z; every tolerance of the loop is in std units, so a game
+far from the origin in x solves as the same game at 0. A ladder of
+negative bias is solved reflected, as -z reversed, which is exact.
+
 Everything here runs on numpy alone: every bin moment, in Newton
 iterates and restart blocks alike, comes from the one Gaussian kernel,
 the fixed rule of sources._std_rule, and each Newton step solves its
@@ -258,7 +268,8 @@ class LadderResult:
 
 # damped steps in one restart block of the solve loop
 _RESTART_STEPS = 8
-# max|F| at or below this times |mean| + std + max|e| is rounding noise
+# max|F| at or below this times 1 + max|z|, in the std units the loop
+# works in, is rounding noise
 _F_FLOOR = 256.0 * np.finfo(float).eps
 
 
@@ -273,14 +284,13 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
                       damping: float, max_iter: int, tol: float,
                       ladder_step: float = math.inf
                       ) -> tuple[np.ndarray, bool, int, float]:
-    """Damped midpoint iteration from increasing edges; returns (edges,
-    converged, iterations, last_change). Bins are those of _full_edges,
-    whose means it reads in std units through source._frame_means."""
-    mean, std = source.mean, source.std
+    """Damped midpoint iteration from increasing edges in std units, with
+    bias, tol and ladder_step in std units too; returns (edges,
+    converged, iterations, last_change), in std units. Bins are those of
+    _full_edges, whose means it reads through source._frame_means."""
     delta = math.inf
     for it in range(1, max_iter + 1):
-        z = (_full_edges(edges, ladder_step) - mean) / std
-        rows = _midpoints(mean + std * source._frame_means(z), bias)
+        rows = _midpoints(source._frame_means(_full_edges(edges, ladder_step)), bias)
         new = (1.0 - damping) * edges + damping * rows
         if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(
@@ -342,7 +352,9 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
                  ladder_step: float = math.inf
                  ) -> tuple[np.ndarray, bool, int, float]:
     """The one solve loop, on F(e) = e - midpoints(e) with bins as in
-    _full_edges; returns (edges, converged, steps, final_change).
+    _full_edges; returns (edges, converged, steps, final_change). The
+    start, bias, tol and ladder_step are in std units, and so is what it
+    returns.
 
     Every iterate, line-search trials included, costs one kernel pass:
     _std_interval_slopes gives the bins' means, hence F and max|F|, and
@@ -357,19 +369,10 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     Newton and damped, count against max_iter. final_change is the
     smallest full Newton step (inf if none was finite).
     """
-    mean, std = source.mean, source.std
-    # the full edges in std units; the -inf end is set once, and the
-    # closing edge, +inf for a finite game, is written with each iterate
-    z = np.empty(start.size + 2)
-    z[0] = -np.inf
-    inner = z[1:-1]
-
     def residual(e):
-        np.subtract(e, mean, out=inner)
-        np.divide(inner, std, out=inner)
-        z[-1] = (e.item(-1) + ladder_step - mean) / std
+        z = _full_edges(e, ladder_step)
         means, lo, hi = _std_interval_slopes(z[:-1], z[1:])
-        f = e - _midpoints(mean + std * means, bias)
+        f = e - _midpoints(means, bias)
         return f, float(np.abs(f).max()), lo, hi
 
     # the start is checked here; the loop checks every later iterate
@@ -385,7 +388,7 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
             if size <= tol and (new[1:] > new[:-1]).all():
                 return new, True, steps + 1, size
             if size >= smallest and f_max <= _F_FLOOR * (
-                    abs(mean) + std + float(np.abs(edges).max())):
+                    1.0 + float(np.abs(edges).max())):
                 return edges, smallest <= tol, steps, smallest
             smallest = min(smallest, size)
             t = 1.0
@@ -419,13 +422,15 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     (Newton, with restart blocks of damped steps at this damping).
 
     Starts from init when given (its margin wins), otherwise from equal
-    spacing of width max(2|bias|, std/4) anchored at the two-bin edge.
-    Negative bias is handled by reflecting the game about the mean,
-    which flips the bias sign and leaves the source invariant; results
-    are mapped back, so the excluded margin sits on the left there.
-    max_iter caps Newton and damped steps together. Stopping short of
-    tol yields converged=False, not an exception; a damped step that
-    crosses edges raises EdgeOrderingError.
+    spacing of width max(2|bias|, std/4) anchored at the two-bin edge,
+    formed in std units. The loop runs in std units; negative bias is
+    handled by reflecting the game there, z to -z, which flips the bias
+    sign and leaves the source invariant; results are mapped back, so
+    the excluded margin sits on the left there. max_iter caps Newton and
+    damped steps together. Stopping short of tol yields converged=False,
+    not an exception; a damped step that crosses edges raises
+    EdgeOrderingError, and a ladder finer than x's resolution where it
+    sits raises DomainError.
     """
     if source.kind != GAUSSIAN:
         raise DomainError("truncated ladders apply to Gaussian sources only")
@@ -436,24 +441,22 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     mean, std = source.mean, source.std
     if init is not None:
         margin = init.margin
-        edges = init.edges_for(bias)
-        n_edges = len(edges)
+        z = source._to_frame(init.edges_for(bias))
+        n_edges = len(z)
     else:
         n_edges = _check_count(n_edges, 2, "n_edges must be an integer >= 2")
-        width = max(2.0 * abs(bias), std / 4.0)
-        anchor = _two_bin_edge(mean, std, bias)
+        width = max(2.0 * abs(bias) / std, 0.25)
+        anchor = _two_bin_edge(0.0, 1.0, bias / std)
         start = TruncatedLadder(anchor, (width,) * (n_edges - 1), margin)
-        edges = start.edges_for(bias)
+        z = start.edges_for(bias)
     margin = _check_count(margin, 0, "margin must satisfy 0 <= margin < n_edges",
                           n_edges)
 
     flip = bias < 0.0
-    work_bias = abs(bias)
-    work_edges = np.sort(2.0 * mean - edges) if flip else np.asarray(edges, float)
-    closing = asymptotic_bin_length(work_bias)
-    work_edges, converged, iterations, change = _solve_edges(
-        source, work_bias, work_edges, damping, max_iter, tol, closing)
-    final = np.sort(2.0 * mean - work_edges) if flip else work_edges
+    z, converged, iterations, change = _solve_edges(
+        source, abs(bias) / std, -z[::-1] if flip else z, damping, max_iter,
+        tol / std, asymptotic_bin_length(bias) / std)
+    final = _resolved(source._from_frame(-z[::-1] if flip else z), mean)
 
     anchor = float(final[-1] if flip else final[0])
     ladder = TruncatedLadder(anchor, tuple(np.diff(final)), margin)
@@ -463,13 +466,25 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     certificate = certify(partition, tol=cert_tol, excluded_edges=tuple(excluded))
     return LadderResult(ladder=ladder, partition=partition,
                         certificate=certificate, converged=converged,
-                        iterations=iterations, final_change=change)
+                        iterations=iterations, final_change=change * std)
+
+
+def _resolved(edges: np.ndarray, mean: float) -> np.ndarray:
+    """A solve's edges, mapped back to x, once each is above the last.
+    A Gaussian game's bins are sized in std units, and x cannot hold
+    them where they are finer than its resolution at the mean: 0.25-wide
+    bins at 1e20, where one ulp is 16384."""
+    if (edges[1:] > edges[:-1]).all():
+        return edges
+    raise DomainError(f"the bins are finer than x's resolution at mean {mean!r}, "
+                      f"where one ulp is {math.ulp(mean)!r}")
 
 
 def _default_interior(mean: float, std: float, bias: float,
                       n_bins: int) -> np.ndarray:
     """Default interior-edge seed for the finite-bin iteration, anchored
-    at the two-bin edge on the bounded side (centred at bias 0)."""
+    at the two-bin edge on the bounded side (centred at bias 0). The
+    solver takes it in std units, as the seed on N(0, 1) at bias/std."""
     width = max(2.0 * abs(bias), std / 4.0)
     count = n_bins - 1
     if bias == 0.0:
@@ -490,12 +505,14 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     Both extreme bins are genuinely half-infinite here. There is no
     closed form and no general existence result for n_bins >= 3, so the
     solve simply reports what it finds: a Partition once a Newton step
-    is at most tol; NonConvergenceError (carrying the last edges) when
+    is at most tol, a distance in x (the loop runs in std units and
+    tests tol/std); NonConvergenceError (carrying the last edges) when
     the loop stops short of tol, at max_iter (Newton and damped steps
     together) or at the rounding floor of F; EdgeOrderingError if a
-    damped step crosses edges. bias = 0 is
-    permitted and yields the classical mean-squared-optimal quantizer,
-    outside the strategic story but a useful anchor.
+    damped step crosses edges; DomainError if the bins are finer than
+    x's resolution at this mean. bias = 0 is permitted and yields the
+    classical mean-squared-optimal quantizer, outside the strategic
+    story but a useful anchor.
     """
     source = SourceModel.gaussian(mean, std)
     if not math.isfinite(bias):
@@ -508,12 +525,13 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
         if init.n_bins != n_bins:
             raise DomainError(
                 f"init has {init.n_bins} bins, expected {n_bins}")
-        edges = np.asarray(init.interior_edges, dtype=float)
+        z = source._to_frame(np.asarray(init.interior_edges, dtype=float))
     else:
-        edges = _default_interior(mean, std, bias, n_bins)
+        z = _default_interior(0.0, 1.0, bias / std, n_bins)
 
-    edges, converged, iterations, change = _solve_edges(
-        source, bias, edges, damping, max_iter, tol)
+    z, converged, iterations, change = _solve_edges(
+        source, bias / std, z, damping, max_iter, tol / std)
+    edges, change = _resolved(source._from_frame(z), mean), change * std
     if converged:
         return Partition((-math.inf, *edges, math.inf), source, bias)
     raise NonConvergenceError(

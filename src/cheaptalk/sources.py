@@ -8,13 +8,18 @@ methods are the same code on one bin. Every edge sequence, a
 Partition's too, passes one check, _bin_edges. Inside the package each
 loop then has one reader of checked edges:
 
-- _frame_means, the means alone, in the frame of _frame (std units for
-  a Gaussian, x for an exponential): each dynamics step and each
-  restart block of the Newton loop;
+- _frame_means, the means alone, in the kernel's frame: each dynamics
+  step and each restart block of the Newton loop;
 - _std_interval_slopes, the means and their slopes in the edges: each
   Newton iterate;
 - _bin_moments, (probs, means, variances) as arrays from one kernel
   call: a Partition's record and the three public array methods.
+
+The kernel's frame is std units, z = (x - mean)/std, for a Gaussian, and
+x itself for an exponential. One pair of methods, _to_frame and
+_from_frame, maps edges and means between x and that frame; no other
+code does, and a length (a bias, a tol) is divided by the frame's scale
+once.
 
 Numerical ground rules:
 
@@ -399,23 +404,46 @@ class SourceModel:
         return self._bin_moments(self._supported_edges(edges))[1]
 
     @property
-    def _frame(self) -> tuple[float, float]:
-        """(offset, scale) of the frame z = (x - offset)/scale that this
-        family's bin kernel works in: std units for a Gaussian, as in
-        _std_rule, and x itself for an exponential, whose _exp_unit_mean
-        forms rate*length on its own."""
+    def _scale(self) -> float:
+        """The length in x of one unit of the kernel's frame (see
+        _to_frame): the std for a Gaussian, 1 for an exponential."""
+        return 1.0 if self.kind == EXPONENTIAL else self.std
+
+    def _to_frame(self, x: np.ndarray) -> np.ndarray:
+        """Increasing edges x, one sequence or a row each, in the frame of
+        this family's bin kernel: z = (x - mean)/std for a Gaussian, as
+        _std_rule reads them, and x itself, returned as it is, for an
+        exponential, whose _exp_unit_mean forms rate*length on its own.
+        An edge past DBL_MAX std from the mean is the infinity it rounds
+        to there, formed under np.errstate so that nothing warns, and a
+        bin whose two ends meet in std units, as two such edges on one
+        side do, or [1, 2] under N(1e20, 1), is a DomainError that names
+        it."""
         if self.kind == EXPONENTIAL:
-            return 0.0, 1.0
-        return self.mean, self.std
+            return x
+        with np.errstate(over="ignore"):
+            z = (x - self.mean) / self.std
+        if np.count_nonzero(same := z[..., :-1] == z[..., 1:]):
+            raise DomainError(f"bin [{x[..., :-1][same][0]}, {x[..., 1:][same][0]}] "
+                              f"has both ends at {z[..., :-1][same][0]} in std units")
+        return z
+
+    def _from_frame(self, z: np.ndarray) -> np.ndarray:
+        """Edges or means z of the kernel's frame in x: mean + std*z for a
+        Gaussian. Where the frame is x itself, an exponential's or
+        N(0, 1)'s, z itself, so every zero keeps its sign."""
+        identity = self.kind == EXPONENTIAL or (self.mean, self.std) == (0.0, 1.0)
+        return z if identity else self.mean + self.std * z
 
     def _frame_means(self, z: np.ndarray) -> np.ndarray:
-        """Bin means in the frame of _frame, on checked edges z in that
-        frame whose first edge is at or inside the support: all that a
-        dynamics step or a restart block of the Newton loop reads, and
-        nothing more. A Gaussian's are near + E[u] from one _std_rule
-        pass, negated where the bin was reflected, with no map to x and
-        back; an exponential's are start + _exp_unit_mean(rate*length)/rate
-        on the edges as they are, with no clamp at 0."""
+        """Bin means in the kernel's frame (see _to_frame), on checked
+        edges z in that frame whose first edge is at or inside the
+        support: all that a dynamics step or a restart block of the
+        Newton loop reads, and nothing more. A Gaussian's are near + E[u]
+        from one _std_rule pass, negated where the bin was reflected,
+        with no map to x and back; an exponential's are
+        start + _exp_unit_mean(rate*length)/rate on the edges as they
+        are, with no clamp at 0."""
         start = z[..., :-1]
         if self.kind == EXPONENTIAL:
             return start + _exp_unit_mean(self.rate * (z[..., 1:] - start)) / self.rate
@@ -428,28 +456,23 @@ class SourceModel:
 
         An exponential bin is clamped to the support; its mass is closed
         form, _frame_means reads its mean, and _exp_window_variance gives
-        its variance. A Gaussian source takes all three from one _std_rule
-        pass: the mass is pdf(near) times the rule's integral, the mean
-        near + E[u], negated where the bin was reflected, in std units, and
-        the variance Var u about the unsigned E[u], so masses and variances
-        need no sign. pdf(near) takes near capped at 40, past which it is
-        exactly 0 anyway, so near^2 cannot overflow. A mass that rounds
-        above 1, as on bins reaching far below the mean up to +inf, is 1. The whole line, which only a row of two
-        edges can hold, gives exactly (1, mean, std**2). An edge past
-        DBL_MAX std from the mean is the infinity it rounds to there,
-        formed under np.errstate so that nothing warns, and a bin whose two
-        ends meet in std units, as two such edges on one side do, is a
-        DomainError that names it."""
+        its variance. A Gaussian source maps the edges to std units
+        (_to_frame, which raises on a bin whose ends meet there) and takes
+        all three from one _std_rule pass: the mass is pdf(near) times the
+        rule's integral, the mean near + E[u], negated where the bin was
+        reflected and mapped back by _from_frame, and the variance Var u
+        about the unsigned E[u], so masses and variances need no sign.
+        pdf(near) takes near capped at 40, past which it is exactly 0
+        anyway, so near^2 cannot overflow. A mass that rounds above 1, as
+        on bins reaching far below the mean up to +inf, is 1. The whole
+        line, which only a row of two edges can hold, gives exactly
+        (1, mean, std**2)."""
         if self.kind == EXPONENTIAL:
             a = np.maximum(e, 0.0)
             length = a[..., 1:] - a[..., :-1]
             return (np.exp(-self.rate * a[..., :-1]) * -np.expm1(-self.rate * length),
                     self._frame_means(a), _exp_window_variance(length, self.rate))
-        with np.errstate(over="ignore"):
-            z = (e - self.mean) / self.std
-        if np.count_nonzero(same := z[..., :-1] == z[..., 1:]):
-            raise DomainError(f"bin [{e[..., :-1][same][0]}, {e[..., 1:][same][0]}] "
-                              f"has both ends at {z[..., :-1][same][0]} in std units")
+        z = self._to_frame(e)
         flip, near, mass, eu, (u, w) = _std_rule(z[..., :-1], z[..., 1:])
         means = near + eu
         np.negative(means, out=means, where=flip)
@@ -461,7 +484,7 @@ class SourceModel:
         if z.shape[-1] == 2:
             whole = (z[..., :1] == -np.inf) & (z[..., 1:] == np.inf)
             probs, var = np.where(whole, 1.0, probs), np.where(whole, sd2, var)
-        return probs, self.mean + self.std * means, var
+        return probs, self._from_frame(means), var
 
     def bin_variances(self, edges) -> np.ndarray:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
@@ -524,7 +547,7 @@ class SourceModel:
                 return x ** power * lam * math.exp(-lam * (x - a)) / norm
 
             return integral(integrand, a, b, 1.0)
-        za, zb = (lo - self.mean) / self.std, (hi - self.mean) / self.std
+        za, zb = self._to_frame(np.array((lo, hi)))
         sign = -1.0 if za + zb < 0.0 else 1.0
         near, u_lo, u_hi = (float(v) for v in _std_window(
             *sorted((sign * za, sign * zb))))

@@ -637,6 +637,20 @@ class TestDynamics:
         assert [float(v) for v in json.loads(out)["init_edges"]] \
             == want.tolist()
 
+    def test_start_past_dbl_max_std_is_a_usage_error(self, capsys):
+        # at std 1e-300 both interior edges lie past DBL_MAX std from the
+        # mean: the run's frame cannot hold the bin between them, and the
+        # DomainError that names it is a usage error, with no
+        # RuntimeWarning (which Tier-1 turns into a failure)
+        code, out, err = run(capsys, "dynamics", "--source", "gauss", "--std",
+                             "1e-300", "--bias", "0.1", "--bins", "3",
+                             "--init=1e10,1e20")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: cheaptalk dynamics ")
+        assert ("bin [10000000000.0, 1e+20] has both ends at inf in std units"
+                in err)
+        assert "trace columns" not in err
+
     def test_init_and_seed_are_exclusive(self, capsys):
         base = ("dynamics", "--source", "exp", "--rate", "1", "--bias",
                 "0.5", "--bins", "3")

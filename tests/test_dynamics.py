@@ -406,18 +406,25 @@ class TestStepWork:
     def test_restart_block_step_forms_no_mass(self, exps):
         for source in (GAUSS, SourceModel.gaussian(0.3, 1.7)):
             exps.clear()
+            # a restart block runs in std units, as the solve loop does
             edges = np.array(
                 _default_interior(source.mean, source.std, 0.2, 8))
-            _, converged, steps, _ = _damped_midpoints(source, 0.2, edges,
+            z, bias = source._to_frame(edges), 0.2 / source.std
+            _, converged, steps, _ = _damped_midpoints(source, bias, z,
                                                        0.5, 3, 1e-300)
             assert (converged, steps) == (False, 3)
             assert exps == [(8, 48)] * 3
-            # one step is the damped midpoint map of the public bin means
-            step, _, _, _ = _damped_midpoints(source, 0.2, edges, 0.5, 1,
+            # one step is the damped midpoint map of the frame means
+            step, _, _, _ = _damped_midpoints(source, bias, z, 0.5, 1,
                                               1e-300)
-            means = source.bin_means(_full_edges(edges))
-            assert np.array_equal(
-                step, 0.5 * edges + 0.5 * _midpoints(means, 0.2))
+            means = source._frame_means(_full_edges(z))
+            assert np.array_equal(step, 0.5 * z + 0.5 * _midpoints(means, bias))
+            # and in x the map of the public bin means, to 2 ulps of each
+            # edge (1 ulp measured on N(0.3, 1.7); N(0, 1) is exact)
+            want = 0.5 * edges + 0.5 * _midpoints(
+                source.bin_means(_full_edges(edges)), 0.2)
+            assert np.all(np.abs(source._from_frame(step) - want)
+                          <= 2 * np.spacing(np.abs(want)))
 
 
 class TestTraceShape:
@@ -650,6 +657,17 @@ class TestFrame:
                                            unit.cluster_sizes)
             for got, limit in zip(run.distinct_limits, unit.distinct_limits):
                 assert ulps_apart(got, [0.3 + 1.7 * z for z in limit]) <= 4
+
+    def test_start_past_dbl_max_std_is_a_domain_error(self):
+        # 1e10 and 1e20 are past DBL_MAX std from the mean at std 1e-300:
+        # both map to +inf in std units, with no RuntimeWarning, and the
+        # bin between them is named
+        source = SourceModel.gaussian(0.0, 1e-300)
+        init = Partition((-math.inf, 1e10, 1e20, math.inf), source, 0.1)
+        for run in (lloyd_method_i, fixed_point_iterate):
+            with pytest.raises(DomainError, match=(
+                    r"bin \[10000000000\.0, 1e\+20\] has both ends at inf")):
+                run(source, 0.1, init)
 
     @pytest.mark.parametrize("width, collapses", ((5e-13, True),
                                                   (2e-12, False)))

@@ -266,6 +266,31 @@ class TestFiniteBins:
         p = solve_n_bins_gauss(1.0, 2.0, -0.3, 3)
         assert certify(p, tol=1e-8).verdict
 
+    @pytest.mark.parametrize("mean", [3e5, 1e6])
+    def test_far_mean_narrow_std_solves(self, mean):
+        # tol 1e-10 is under one ulp of x at 1e6; the loop tests it as
+        # tol/std in std units, where this is N(0, 1) at bias 0.1
+        p = solve_n_bins_gauss(mean, 1e-3, 1e-4, 6)
+        assert certify(p).verdict
+        res = solve_truncated_ladder(SourceModel.gaussian(mean, 1e-3), 1e-4)
+        assert res.converged and res.certificate.verdict
+
+    def test_non_convergence_payload_is_in_x(self):
+        # the loop stops at max_iter in std units; its last edges and its
+        # final change come back in x
+        with pytest.raises(NonConvergenceError) as unit:
+            solve_n_bins_gauss(0.0, 1.0, 0.3, 5, max_iter=3)
+        with pytest.raises(NonConvergenceError) as moved:
+            solve_n_bins_gauss(2.0, 1e-3, 3e-4, 5, max_iter=3, tol=1e-13)
+        assert moved.value.iterations == 3
+        # measured 5.5e-13 relative, about the seed's rounding in std
+        # units (eps*2/1e-3 = 4.4e-13), and 0 absolute
+        assert moved.value.final_change == pytest.approx(
+            1e-3 * unit.value.final_change, rel=2e-12)
+        gap = np.abs(np.array(moved.value.edges)
+                     - (2.0 + 1e-3 * np.array(unit.value.edges)))
+        assert float(gap.max()) <= 2e-15
+
     def test_single_bin(self):
         p = solve_n_bins_gauss(0.0, 1.0, 5.0, 1)
         assert p.edges == (-math.inf, math.inf)
@@ -312,17 +337,19 @@ class TestFiniteBins:
             init = solve_n_bins_gauss(0.0, 1.0, 0.2, 3)
             solve_n_bins_gauss(0.0, 1.0, 0.2, 4, init=init)
         # the default start's edges round together at this location
-        with pytest.raises(DomainError, match="strictly increasing"):
+        with pytest.raises(DomainError, match="finer than x's resolution"):
             solve_n_bins_gauss(1e20, 1.0, 0.1, 3)
 
 
 def damped_reference(mean, std, bias, n_bins, tol):
-    """The damped loop from solve_n_bins_gauss's default seed."""
+    """The damped loop from solve_n_bins_gauss's default seed, run in std
+    units as the solve loop runs, and mapped back to x."""
+    source = SourceModel.gaussian(mean, std)
     edges, converged, _, _ = _damped_midpoints(
-        SourceModel.gaussian(mean, std), bias,
-        _default_interior(mean, std, bias, n_bins), 0.5, 100_000, tol)
+        source, bias / std, _default_interior(0.0, 1.0, bias / std, n_bins),
+        0.5, 100_000, tol / std)
     assert converged
-    return edges
+    return source._from_frame(edges)
 
 
 def restart_blocks(monkeypatch):

@@ -15,7 +15,13 @@ the fixed rule of sources._std_rule, which moved them by at most 2.5e-14
 off at max_iter start from the two-bin edge, which moved by up to 6e-13
 when its balance solve went from a bracketed root finder stopping at
 1e-12 to Newton's method run to rounding; their edges and final changes
-were re-recorded then.
+were re-recorded then. The N(0.3, 1.7) literals were re-recorded when
+the Gaussian solve loop moved into std units (the seed formed there and
+the result mapped back once): the 6-bin edges moved by at most 2 ulps
+(1.8e-15), the ladder edges by at most 21 ulps (1.1e-14) and its final
+change from 9.483613894190057e-11 to 9.483400731369328e-11, with every
+iteration count and converged flag kept; the N(0, 1) literals did not
+move.
 """
 
 import math
@@ -192,42 +198,44 @@ def test_basin_probe_is_pinned():
 
 
 def damped_ladder(source, bias, n_edges, max_iter=100_000):
-    """The damped loop on the truncated ladder's default seed, in the
-    reflected frame solve_truncated_ladder works in for negative bias;
-    returns (spatial edges, converged, iterations, final change)."""
-    width = max(2.0 * abs(bias), source.std / 4.0)
-    anchor = solve_two_bin_gauss(source.mean, source.std, bias).edges[1]
-    edges = TruncatedLadder(anchor, (width,) * (n_edges - 1)).edges_for(bias)
+    """The damped loop on the truncated ladder's default seed, in the std
+    units solve_truncated_ladder works in, reflected there for negative
+    bias; returns (spatial edges, converged, iterations, final change),
+    mapped back to x."""
+    std = source.std
+    width = max(2.0 * abs(bias) / std, 0.25)
+    anchor = solve_two_bin_gauss(0.0, 1.0, bias / std).edges[1]
+    z = TruncatedLadder(anchor, (width,) * (n_edges - 1)).edges_for(bias)
     reflect = bias < 0.0
-    if reflect:
-        edges = np.sort(2.0 * source.mean - edges)
-    edges, converged, iterations, change = _damped_midpoints(
-        source, abs(bias), edges, 0.5, max_iter, 1e-10,
-        ladder_step=asymptotic_bin_length(bias))
-    if reflect:
-        edges = np.sort(2.0 * source.mean - edges)
-    return tuple(edges.tolist()), converged, iterations, change
+    z, converged, iterations, change = _damped_midpoints(
+        source, abs(bias) / std, -z[::-1] if reflect else z, 0.5, max_iter,
+        1e-10 / std, ladder_step=asymptotic_bin_length(bias) / std)
+    edges = source._from_frame(-z[::-1] if reflect else z)
+    return tuple(edges.tolist()), converged, iterations, change * std
 
 
 def damped_n_bins(mean, std, bias, n_bins, max_iter=100_000):
-    """The damped loop on solve_n_bins_gauss's default seed."""
-    return _damped_midpoints(
-        SourceModel.gaussian(mean, std), bias,
-        _default_interior(mean, std, bias, n_bins), 0.5, max_iter, 1e-10)
+    """The damped loop on solve_n_bins_gauss's default seed, in std units;
+    returns (edges, converged, iterations, final change) in x."""
+    source = SourceModel.gaussian(mean, std)
+    z, converged, iterations, change = _damped_midpoints(
+        source, bias / std, _default_interior(0.0, 1.0, bias / std, n_bins),
+        0.5, max_iter, 1e-10 / std)
+    return source._from_frame(z), converged, iterations, change * std
 
 
 FINITE_BINS = {
     (0.0, 1.0, 0.2, 3): (0.3367666237113246, 1.6827857220445075),
     (0.3, 1.7, -0.15, 6): (
-        -4.645833591570051, -3.4142972616098595, -2.1917988880274732,
+        -4.6458335915700495, -3.4142972616098604, -2.191798888027474,
         -0.8156281103788947, 0.9288280801817212),
 }
 
 LADDER_EDGES = (
-    -12.958316347490468, -12.089725846540466, -11.158191026264046,
-    -10.19491604791872, -9.196784696111932, -8.156927605753923,
-    -7.065660427927377, -5.908895183260421, -4.664733135362029,
-    -3.295649112595417, -1.7264715653318787, 0.24682895265269134)
+    -12.958316347490479, -12.089725846540471, -11.15819102626405,
+    -10.19491604791872, -9.196784696111932, -8.156927605753921,
+    -7.065660427927375, -5.908895183260418, -4.664733135362027,
+    -3.2956491125954166, -1.7264715653318772, 0.24682895265269192)
 
 
 def test_finite_bin_solver_is_bit_identical():
@@ -246,7 +254,7 @@ def test_ladder_solver_is_bit_identical():
     edges, converged, iterations, change = damped_ladder(
         SourceModel.gaussian(0.3, 1.7), -0.25, 12)
     assert (converged, iterations) == (True, 370)
-    assert change == 9.483613894190057e-11
+    assert change == 9.483400731369328e-11
     assert edges == LADDER_EDGES
     edges, converged, iterations, change = damped_ladder(
         GAUSS, 0.2, 10, max_iter=30)

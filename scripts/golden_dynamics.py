@@ -48,7 +48,7 @@ def runs():
 
     from cheaptalk.dynamics import basin_probe, fixed_point_iterate, lloyd_method_i
     from cheaptalk.equilibrium import Partition
-    from cheaptalk.gaussian import _default_interior
+    from cheaptalk.gaussian import solve_two_bin_gauss
     from cheaptalk.sources import SourceModel
 
     def engines(name, source, bias, edges, max_iter=MAX_ITER):
@@ -80,8 +80,10 @@ def runs():
     exp_start = (0.0, 1.0, 2.0, math.inf)
     yield from engines("pin edge-crossing", exp1, -0.4, exp_start)
     yield from engines("pin length-floor", exp1, -0.411601180487, exp_start)
+    # 23 edges 1/4 apart up from the two-bin edge, as the dynamics tests pin
+    anchor = solve_two_bin_gauss(0.0, 1.0, 0.05).edges[1]
     yield from engines("pin light-top-bin", gauss, 0.05,
-                       (-math.inf, *_default_interior(0.0, 1.0, 0.05, 24), math.inf),
+                       (-math.inf, *(anchor + 0.25 * k for k in range(23)), math.inf),
                        10_000)
     gauss_start = (-math.inf, -0.5, 0.7, math.inf)
     yield from engines("pin converged", gauss, 0.2, gauss_start, 10_000)

@@ -12,28 +12,38 @@ microseconds per call, each the median of SAMPLES samples; a sample
 times a fixed number of back-to-back calls.
 
 Random starts are dynamics._random_starts drawn with default_rng(1).
+The `equal-width start` of k edges at bias b is the two-bin edge of
+solve_two_bin_gauss on N(0, 1) at b plus 1/4 times 0..k-1, formed here
+from the public API, so both trees of a comparison start from the same
+edges.
 
 - `rule (3, 8)`, `rule (24,)`: one sources._std_rule pass over 3 rows of
-  8 bins (3 random N(0, 1) starts) and over the 24 bins of the default
-  N(0, 1) start at bias 0.1, in std units;
+  8 bins (3 random N(0, 1) starts) and over the 24 bins of the
+  equal-width start of 23 edges at bias 0.1, in std units;
 - `gaussian step lloyd`, `gaussian step damped`, `exponential step
   lloyd`, `exponential step damped`: one step of dynamics._run_rows on 3
   rows of 7 bins (3 random starts, N(0, 1) at bias 0.2 or exp(1) at
   bias 0.3), damping 1 or 0.5: a run of 200 steps at tol 1e-300,
   divided by its 201 steps (the script exits if a row stops early);
 - `newton n=12`: one iterate of gaussian._solve_edges on N(0, 1) at
-  bias 0.1 from the default 12-bin start: a whole solve divided by its
-  kernel passes, one per Newton iterate and line-search trial;
+  bias 0.1 from the equal-width start of 11 edges: a whole solve divided
+  by its kernel passes, one per Newton iterate and line-search trial;
+- `gaussian solve grid`: one solve_n_bins_gauss on N(0, 1) from its
+  default start, over the grid GRID of biases and bin counts: the whole
+  grid divided by its solves. The report also gives each tree's kernel
+  passes per solve on the grid (gaussian._std_interval_slopes calls,
+  one per Newton iterate and line-search trial), so the layer reads as
+  iterations times cost per iteration;
 - `restart step`: one damped step of gaussian._damped_midpoints, as a
   restart block of the solve loop takes it, on N(0.3, 1.7) at bias 0.2
-  from the default 12-bin start, damping 0.5: 8 steps at tol 1e-300,
-  divided by 8. The loop takes its edges and bias in std units, so the
-  layer passes the solver's own seed there, the default start on N(0, 1)
-  at bias 0.2/1.7, and the bias as 0.2/1.7; a tree whose loop took x
-  edges reads the same numbers as x edges, with the same kernel passes;
-- `partition 40`: a fresh 40-bin Gaussian Partition (the default N(0, 1)
-  start at bias 0.05) with certify, decoder_cost and
-  decoder_best_response;
+  from the equal-width start of 11 edges at bias 0.2/1.7, damping 0.5:
+  8 steps at tol 1e-300, divided by 8. The loop takes its edges and bias
+  in std units, so the layer passes the start and the bias 0.2/1.7
+  there; a tree whose loop took x edges reads the same numbers as x
+  edges, with the same kernel passes;
+- `partition 40`: a fresh 40-bin Gaussian Partition (the equal-width
+  start of 39 edges at bias 0.05 on N(0, 1)) with certify, decoder_cost
+  and decoder_best_response;
 - `exponential walk`: exponential._backward_lengths(1.0, -1e-6, 10**7),
   the whole backward walk of 1 359 bins, one scalar h per bin;
 - `exponential record 40`: the same as `partition 40` on the 40-bin
@@ -41,7 +51,8 @@ Random starts are dynamics._random_starts drawn with default_rng(1).
 
 Prints one JSON object: per layer and tree the median and quartiles of
 the round values, in raw microseconds on this host (compare within a
-layer only), and the ratio of the new median to the old. `--child SRC`
+layer only), and the ratio of the new median to the old, and under
+"passes per solve" each tree's count for the solve grid. `--child SRC`
 prints one process's object instead.
 """
 
@@ -58,26 +69,33 @@ import time
 SAMPLES = 25
 SAMPLE_S = 0.004  # each sample runs about this long
 STEPS = 200
+# (bias, n_bins) of the `gaussian solve grid` layer, on N(0, 1)
+GRID = tuple((bias, n) for bias in (0.05, -0.1, 0.2, -0.3, 0.5)
+             for n in (3, 8, 16, 24))
 
 
-def layers():
-    """(name, zero-argument call, calls it stands for) for every layer."""
+def layers(passes: dict):
+    """(name, zero-argument call, calls it stands for) for every layer;
+    fills passes with the kernel passes per solve of the solve grid."""
     import math
 
     import numpy as np
 
-    from cheaptalk import exponential, sources
+    from cheaptalk import exponential, gaussian, sources
     from cheaptalk.dynamics import _random_starts, _run_rows
     from cheaptalk.equilibrium import (Partition, certify,
                                        decoder_best_response, decoder_cost)
-    from cheaptalk.gaussian import (_damped_midpoints, _default_interior,
-                                    _solve_edges)
+    from cheaptalk.gaussian import (_damped_midpoints, _solve_edges,
+                                    solve_n_bins_gauss, solve_two_bin_gauss)
     from cheaptalk.sources import SourceModel
+
+    def equal_width(bias, count):
+        return (solve_two_bin_gauss(0.0, 1.0, bias).edges[1]
+                + 0.25 * np.arange(count))
 
     gauss, exp1 = SourceModel.gaussian(0.0, 1.0), SourceModel.exponential(1.0)
     rows = _random_starts(gauss, 8, 3, np.random.default_rng(1))
-    line = np.array((-math.inf, *_default_interior(0.0, 1.0, 0.1, 24),
-                     math.inf))
+    line = np.array((-math.inf, *equal_width(0.1, 23), math.inf))
     for name, z in (("rule (3, 8)", rows), ("rule (24,)", line)):
         za, zb = z[..., :-1], z[..., 1:]
         yield name, lambda za=za, zb=zb: sources._std_rule(za, zb), 1
@@ -91,29 +109,43 @@ def layers():
             yield (f"{source.kind} step {method}",
                    lambda s=source, b=bias, e=starts, d=damping:
                    _run_rows(s, b, e, STEPS, 1e-300, d), STEPS + 1)
-    start = np.array(_default_interior(0.0, 1.0, 0.1, 12))
-    passes = []
-    rule = sources._std_rule
 
-    def counted(za, zb):
-        passes.append(None)
-        return rule(za, zb)
+    def kernel_calls(module, name, call):
+        """Run call with module.name counted; return its call count."""
+        kernel, calls = getattr(module, name), []
 
-    sources._std_rule = counted
-    try:
+        def counted(za, zb):
+            calls.append(None)
+            return kernel(za, zb)
+
+        setattr(module, name, counted)
+        try:
+            call()
+        finally:
+            setattr(module, name, kernel)
+        return len(calls)
+
+    start = equal_width(0.1, 11)
+
+    def newton():
         _solve_edges(gauss, 0.1, start, 0.5, 100_000, 1e-10)
-    finally:
-        sources._std_rule = rule
-    yield ("newton n=12",
-           lambda: _solve_edges(gauss, 0.1, start, 0.5, 100_000, 1e-10),
-           len(passes))
+
+    yield "newton n=12", newton, kernel_calls(sources, "_std_rule", newton)
+
+    def grid():
+        for bias, n in GRID:
+            solve_n_bins_gauss(0.0, 1.0, bias, n)
+
+    passes["gaussian solve grid"] = kernel_calls(
+        gaussian, "_std_interval_slopes", grid) / len(GRID)
+    yield "gaussian solve grid", grid, len(GRID)
     shifted = SourceModel.gaussian(0.3, 1.7)
-    interior = np.array(_default_interior(0.0, 1.0, 0.2 / 1.7, 12))
+    interior = equal_width(0.2 / 1.7, 11)
     yield ("restart step",
            lambda: _damped_midpoints(shifted, 0.2 / 1.7, interior, 0.5, 8,
                                      1e-300),
            8)
-    edges = (-math.inf, *_default_interior(0.0, 1.0, 0.05, 40), math.inf)
+    edges = (-math.inf, *equal_width(0.05, 39), math.inf)
 
     def record():
         p = Partition(edges, gauss, 0.05)
@@ -137,8 +169,8 @@ def layers():
 
 def child(src: str) -> dict:
     sys.path.insert(0, os.path.abspath(src))
-    result = {}
-    for name, call, calls in layers():
+    result, passes = {}, {}
+    for name, call, calls in layers(passes):
         t0 = time.perf_counter()
         call()
         number = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-7)))
@@ -149,7 +181,7 @@ def child(src: str) -> dict:
                 call()
             samples.append((time.perf_counter() - t0) / number / calls)
         result[name] = 1e6 * statistics.median(samples)
-    return result
+    return {"us": result, "passes": passes}
 
 
 def run(src: str) -> dict:
@@ -184,9 +216,12 @@ def main() -> int:
         for side in order:
             sides[side].append(run(args.old_src if side == "old"
                                    else args.new_src))
-    report = {"rounds": args.rounds, "unit": "us per call, raw"}
-    for name in sides["old"][0]:
-        old, new = ({"runs": [r[name] for r in sides[s]]} for s in sides)
+    report = {"rounds": args.rounds, "unit": "us per call, raw",
+              "passes per solve": {name: {s: sides[s][0]["passes"][name]
+                                          for s in sides}
+                                   for name in sides["old"][0]["passes"]}}
+    for name in sides["old"][0]["us"]:
+        old, new = ({"runs": [r["us"][name] for r in sides[s]]} for s in sides)
         old.update(spread(old["runs"]))
         new.update(spread(new["runs"]))
         report[name] = {"old": old, "new": new,

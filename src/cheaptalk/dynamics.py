@@ -281,10 +281,11 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
             if rec is not None and worst[0] == 1:
                 rec.add(it, e[0], math.nan, force=True)
             keep = stop(worst > 0, "collapsed", rank.argmax(axis=1))
-            live, e, moved, old = live[keep], e[keep], moved[keep], old[keep]
+            live, e, moved, old, gaps = (
+                live[keep], e[keep], moved[keep], old[keep], gaps[keep])
             if not live.size:
                 break
-        means = source._frame_means(e)
+        means = source._frame_means(e, gaps)
         rising = means[:, 1:] > means[:, :-1]
         if np.count_nonzero(rising) < rising.size:
             # the centroids crossed: no valid decoder profile to continue

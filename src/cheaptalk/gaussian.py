@@ -12,6 +12,12 @@ of the shared midpoint map, which needs no derivative, moves the start
 before Newton tries again. The last bin closes one step past the last
 edge: +inf for a finite game, one synthetic bin for a truncated ladder.
 
+Both solvers start by default (_default_start) on the ladder's length
+law: edges climb from the two-bin edge by bin lengths near 2b + 2/z, the
+lengths criterion 09b measures for the ladder, b = |bias|/std. Every
+finite n-bin root lies close to the ladder's first edges, so Newton
+starts near the root and spends its steps converging, not approaching.
+
 An infinite ladder cannot be iterated whole. The artifact keeps a
 truncated window of edges anchored at the two-bin edge on the bounded
 side, extends the far side by one synthetic bin of the asymptotic length
@@ -95,14 +101,8 @@ def solve_two_bin_gauss(mean: float, std: float, bias: float) -> Partition:
     source = SourceModel.gaussian(mean, std)
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
-    return Partition((-math.inf, _two_bin_edge(mean, std, bias), math.inf),
-                     source, bias)
-
-
-def _two_bin_edge(mean: float, std: float, bias: float) -> float:
-    """solve_two_bin_gauss's edge on checked arguments, with no Partition:
-    what the default seeds anchor at."""
-    return mean + std * _solve_balance(2.0 * bias / std)
+    return Partition((-math.inf, mean + std * _solve_balance(2.0 * bias / std),
+                      math.inf), source, bias)
 
 
 def _solve_balance(y: float) -> float:
@@ -421,16 +421,16 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     """Truncated infinite-bin ladder by the solve loop _solve_edges
     (Newton, with restart blocks of damped steps at this damping).
 
-    Starts from init when given (its margin wins), otherwise from equal
-    spacing of width max(2|bias|, std/4) anchored at the two-bin edge,
-    formed in std units. The loop runs in std units; negative bias is
-    handled by reflecting the game there, z to -z, which flips the bias
-    sign and leaves the source invariant; results are mapped back, so
-    the excluded margin sits on the left there. max_iter caps Newton and
-    damped steps together. Stopping short of tol yields converged=False,
-    not an exception; a damped step that crosses edges raises
-    EdgeOrderingError, and a ladder finer than x's resolution where it
-    sits raises DomainError.
+    Starts from init when given (its margin wins), otherwise from
+    _default_start in std units: edges climbing from the two-bin edge by
+    the ladder's own length law. The loop runs in std units; negative
+    bias is handled by reflecting the game there, z to -z, which flips
+    the bias sign and leaves the source invariant; results are mapped
+    back, so the excluded margin sits on the left there. max_iter caps
+    Newton and damped steps together. Stopping short of tol yields
+    converged=False, not an exception; a damped step that crosses edges
+    raises EdgeOrderingError, and a ladder finer than x's resolution
+    where it sits raises DomainError.
     """
     if source.kind != GAUSSIAN:
         raise DomainError("truncated ladders apply to Gaussian sources only")
@@ -445,10 +445,7 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
         n_edges = len(z)
     else:
         n_edges = _check_count(n_edges, 2, "n_edges must be an integer >= 2")
-        width = max(2.0 * abs(bias) / std, 0.25)
-        anchor = _two_bin_edge(0.0, 1.0, bias / std)
-        start = TruncatedLadder(anchor, (width,) * (n_edges - 1), margin)
-        z = start.edges_for(bias)
+        z = _default_start(bias / std, n_edges)
     margin = _check_count(margin, 0, "margin must satisfy 0 <= margin < n_edges",
                           n_edges)
 
@@ -480,19 +477,38 @@ def _resolved(edges: np.ndarray, mean: float) -> np.ndarray:
                       f"where one ulp is {math.ulp(mean)!r}")
 
 
-def _default_interior(mean: float, std: float, bias: float,
-                      n_bins: int) -> np.ndarray:
-    """Default interior-edge seed for the finite-bin iteration, anchored
-    at the two-bin edge on the bounded side (centred at bias 0). The
-    solver takes it in std units, as the seed on N(0, 1) at bias/std."""
-    width = max(2.0 * abs(bias), std / 4.0)
-    count = n_bins - 1
+def _default_start(bias: float, count: int) -> np.ndarray:
+    """The default start of count increasing edges in std units, for the
+    game on N(0, 1) at this bias: an n-bin solve's n - 1 interior edges
+    or a truncated ladder's edges.
+
+    The edges climb from the two-bin edge, the anchor on the bounded
+    side, by bin lengths l(z) = max(1/4, 2b + min(1, 20b) * 2/sqrt(z^2 + 5))
+    at b = bias, each read at its bin's middle, located by the length at
+    the bin's lower edge. l is the law the ladder's lengths approach
+    far out, 2b + 2/z (criterion 09b measures it), made finite at the
+    mean by the 5 under the root and faded in below b = 0.05, where the
+    roots' bins fall short of it. Each edge is the anchor plus an
+    offset summed from the lengths, so below b = 0.0125, where every
+    length is 1/4, edge k is anchor + k/4 bit for bit. A negative bias
+    takes the start at -bias as -z reversed; bias 0 centres count edges
+    1/4 apart on the mean.
+    """
     if bias == 0.0:
-        return mean + width * (np.arange(1, count + 1) - 0.5 * n_bins)
-    anchor = _two_bin_edge(mean, std, bias)
-    if bias > 0.0:
-        return anchor + width * np.arange(count)
-    return anchor - width * np.arange(count - 1, -1, -1)
+        return 0.25 * (np.arange(1, count + 1) - 0.5 * (count + 1))
+    if bias < 0.0:
+        return -_default_start(-bias, count)[::-1]
+    anchor = _solve_balance(2.0 * bias)
+    fade = 2.0 * min(1.0, 20.0 * bias)
+
+    def length(z: float) -> float:
+        return max(0.25, 2.0 * bias + fade / math.sqrt(z * z + 5.0))
+
+    offsets = [0.0]
+    for _ in range(count - 1):
+        z = anchor + offsets[-1]
+        offsets.append(offsets[-1] + length(z + 0.5 * length(z)))
+    return anchor + np.array(offsets)
 
 
 def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
@@ -502,6 +518,9 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     """Finite-bin Gaussian equilibrium by the solve loop _solve_edges
     (Newton, with restart blocks of damped steps at this damping).
 
+    Starts from init when given, otherwise from _default_start in std
+    units: n_bins - 1 edges climbing from the two-bin edge by the
+    ladder's length law, near which every finite root lies.
     Both extreme bins are genuinely half-infinite here. There is no
     closed form and no general existence result for n_bins >= 3, so the
     solve simply reports what it finds: a Partition once a Newton step
@@ -527,7 +546,7 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
                 f"init has {init.n_bins} bins, expected {n_bins}")
         z = source._to_frame(np.asarray(init.interior_edges, dtype=float))
     else:
-        z = _default_interior(0.0, 1.0, bias / std, n_bins)
+        z = _default_start(bias / std, n_bins - 1)
 
     z, converged, iterations, change = _solve_edges(
         source, bias / std, z, damping, max_iter, tol / std)

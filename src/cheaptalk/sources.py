@@ -435,7 +435,8 @@ class SourceModel:
         identity = self.kind == EXPONENTIAL or (self.mean, self.std) == (0.0, 1.0)
         return z if identity else self.mean + self.std * z
 
-    def _frame_means(self, z: np.ndarray) -> np.ndarray:
+    def _frame_means(self, z: np.ndarray, gaps: np.ndarray | None = None
+                     ) -> np.ndarray:
         """Bin means in the kernel's frame (see _to_frame), on checked
         edges z in that frame whose first edge is at or inside the
         support: all that a dynamics step or a restart block of the
@@ -443,10 +444,13 @@ class SourceModel:
         from one _std_rule pass, negated where the bin was reflected,
         with no map to x and back; an exponential's are
         start + _exp_unit_mean(rate*length)/rate on the edges as they
-        are, with no clamp at 0."""
+        are, with no clamp at 0, where the lengths are gaps, the caller's
+        z[..., 1:] - z[..., :-1], when given."""
         start = z[..., :-1]
         if self.kind == EXPONENTIAL:
-            return start + _exp_unit_mean(self.rate * (z[..., 1:] - start)) / self.rate
+            if gaps is None:
+                gaps = z[..., 1:] - start
+            return start + _exp_unit_mean(self.rate * gaps) / self.rate
         flip, near, _, means, _ = _std_rule(start, z[..., 1:])
         means += near
         return np.negative(means, out=means, where=flip)
@@ -471,7 +475,8 @@ class SourceModel:
             a = np.maximum(e, 0.0)
             length = a[..., 1:] - a[..., :-1]
             return (np.exp(-self.rate * a[..., :-1]) * -np.expm1(-self.rate * length),
-                    self._frame_means(a), _exp_window_variance(length, self.rate))
+                    self._frame_means(a, length),
+                    _exp_window_variance(length, self.rate))
         z = self._to_frame(e)
         flip, near, mass, eu, (u, w) = _std_rule(z[..., :-1], z[..., 1:])
         means = near + eu

@@ -601,8 +601,8 @@ class TestDynamics:
         # dynamics read the centroids, in their frame, from _frame_means
         bin_means = SourceModel._frame_means
 
-        def reversed_means(self, edges):
-            return bin_means(self, edges)[..., ::-1]
+        def reversed_means(self, z, gaps=None):
+            return bin_means(self, z, gaps)[..., ::-1]
 
         monkeypatch.setattr(SourceModel, "_frame_means", reversed_means)
         code, out, err = run(

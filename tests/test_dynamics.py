@@ -25,9 +25,9 @@ from cheaptalk.exponential import (
 )
 from cheaptalk.gaussian import (
     _damped_midpoints,
-    _default_interior,
     _full_edges,
     solve_n_bins_gauss,
+    solve_two_bin_gauss,
 )
 from cheaptalk.sources import SourceModel
 
@@ -175,8 +175,8 @@ class TestCollapse:
         # dynamics read the centroids, in their frame, from _frame_means
         bin_means = SourceModel._frame_means
 
-        def reversed_means(self, edges):
-            return bin_means(self, edges)[..., ::-1]
+        def reversed_means(self, z, gaps=None):
+            return bin_means(self, z, gaps)[..., ::-1]
 
         monkeypatch.setattr(SourceModel, "_frame_means", reversed_means)
         edges = (-math.inf, -3.0, -3.0 + 5e-12, -3.0 + 1e-11, -3.0 + 1.5e-11,
@@ -203,7 +203,10 @@ def run_alone(source, bias, edges, damping, max_iter=10_000):
 
 
 GAUSS_3 = (-math.inf, -0.5, 0.7, math.inf)
-GAUSS_24 = (-math.inf, *_default_interior(0.0, 1.0, 0.05, 24), math.inf)
+# the equal-width seed the 24-bin solver took by default when the runs
+# below were pinned: 23 edges 1/4 apart up from the two-bin edge
+GAUSS_24 = (-math.inf, *solve_two_bin_gauss(0.0, 1.0, 0.05).edges[1]
+            + 0.25 * np.arange(23), math.inf)
 
 # name -> ((source, bias, start edges, damping, max_iter),
 #          (status, stop step, bin_index), final edges)
@@ -220,7 +223,7 @@ STOP_PATHS = {
                      ("collapsed", 3, 1),
                      (0.0, 4.4314552027913123e-13, 1.1964377735397966,
                       math.inf)),
-    # N(0, 1), 24 bins, b = 0.05, from the solver's default seed: both
+    # N(0, 1), 24 bins, b = 0.05, from the equal-width seed above: both
     # runs converge to the solver's equilibrium, whose top three bins
     # carry 1.0e-14, 1.0e-15 and 8.4e-17; no floor on mass stops them
     "light-top-bin-lloyd": (
@@ -305,8 +308,8 @@ class TestStopPaths:
         bin_means = SourceModel._frame_means
         calls = []
 
-        def reversed_late(self, edges):
-            means = bin_means(self, edges)
+        def reversed_late(self, z, gaps=None):
+            means = bin_means(self, z, gaps)
             calls.append(None)
             return means if len(calls) <= 5 else means[..., ::-1]
 
@@ -327,8 +330,8 @@ class TestStopPaths:
         bin_means = SourceModel._frame_means
         calls = []
 
-        def nan_late(self, edges):
-            means = bin_means(self, edges)
+        def nan_late(self, z, gaps=None):
+            means = bin_means(self, z, gaps)
             calls.append(None)
             if len(calls) > 5:
                 means[..., -1] = math.nan
@@ -407,8 +410,10 @@ class TestStepWork:
         for source in (GAUSS, SourceModel.gaussian(0.3, 1.7)):
             exps.clear()
             # a restart block runs in std units, as the solve loop does
-            edges = np.array(
-                _default_interior(source.mean, source.std, 0.2, 8))
+            # the 8-bin equal-width seed: 7 edges max(2b, std/4) apart in
+            # x up from the two-bin edge
+            edges = (solve_two_bin_gauss(source.mean, source.std, 0.2).edges[1]
+                     + max(0.4, source.std / 4.0) * np.arange(7))
             z, bias = source._to_frame(edges), 0.2 / source.std
             _, converged, steps, _ = _damped_midpoints(source, bias, z,
                                                        0.5, 3, 1e-300)

@@ -12,7 +12,7 @@ from cheaptalk.errors import DomainError, EdgeOrderingError, NonConvergenceError
 from cheaptalk.gaussian import (
     TruncatedLadder,
     _damped_midpoints,
-    _default_interior,
+    _default_start,
     _solve_edges,
     _thomas,
     asymptotic_bin_length,
@@ -315,16 +315,20 @@ class TestFiniteBins:
         assert len(err.value.edges) == 4
 
     def test_default_seed_anchor_is_the_two_bin_edge(self):
-        # the seed's edge on the bounded side is solve_two_bin_gauss's
-        # edge bit for bit
+        # the seed's edge on the bounded side, in std units, maps to
+        # solve_two_bin_gauss's edge bit for bit; below |bias|/std =
+        # 0.0125 the seed is the equal-width one, edges 1/4 apart
         rng = np.random.default_rng(19)
         for mean, std, size, sign in zip(
                 rng.uniform(-5.0, 5.0, 500), 10.0 ** rng.uniform(-2.0, 2.0, 500),
                 10.0 ** rng.uniform(-6.0, 0.5, 500), rng.choice([-1.0, 1.0], 500)):
             mean, std, bias = float(mean), float(std), float(sign * size * std)
-            seed = _default_interior(mean, std, bias, 6)
+            seed = _default_start(bias / std, 5)
             anchor = seed[0] if bias > 0.0 else seed[-1]
-            assert anchor == solve_two_bin_gauss(mean, std, bias).edges[1]
+            assert mean + std * anchor == solve_two_bin_gauss(mean, std, bias).edges[1]
+            if size <= 0.0125:
+                steps = np.arange(5) if bias > 0.0 else np.arange(-4, 1)
+                assert np.array_equal(seed, anchor + 0.25 * steps)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -341,12 +345,31 @@ class TestFiniteBins:
             solve_n_bins_gauss(1e20, 1.0, 0.1, 3)
 
 
+def equal_width(bias, count):
+    """The equal-width start the solvers took by default before the
+    ladder's length law, on N(0, 1): count edges max(2|bias|, 1/4) apart
+    from the two-bin edge, which bounds them on the bounded side."""
+    anchor = solve_two_bin_gauss(0.0, 1.0, bias).edges[1]
+    return TruncatedLadder(anchor, (max(2.0 * abs(bias), 0.25),) * (count - 1))
+
+
+def rounding_floor_start(bias, n_bins):
+    """The start of the rounding-floor tests: the default one at bias 0,
+    the equal-width one otherwise. From the default start at bias 0.1 the
+    8-bin solve lands on a float fixed point, a full step of exactly 0,
+    which any tol accepts."""
+    if bias == 0.0:
+        return None
+    edges = equal_width(bias, n_bins - 1).edges_for(bias)
+    return Partition((-math.inf, *edges, math.inf), STD_GAUSS, bias)
+
+
 def damped_reference(mean, std, bias, n_bins, tol):
     """The damped loop from solve_n_bins_gauss's default seed, run in std
     units as the solve loop runs, and mapped back to x."""
     source = SourceModel.gaussian(mean, std)
     edges, converged, _, _ = _damped_midpoints(
-        source, bias / std, _default_interior(0.0, 1.0, bias / std, n_bins),
+        source, bias / std, _default_start(bias / std, n_bins - 1),
         0.5, 100_000, tol / std)
     assert converged
     return source._from_frame(edges)
@@ -453,7 +476,7 @@ class TestNewton:
             monkeypatch.setattr(module, name, counted)
         blocks = restart_blocks(monkeypatch)
         _, converged, steps, _ = _solve_edges(
-            STD_GAUSS, 0.1, _default_interior(0.0, 1.0, 0.1, 24), 0.5,
+            STD_GAUSS, 0.1, _default_start(0.1, 23), 0.5,
             100_000, 1e-10)
         assert (converged, blocks) == (True, [])
         assert rules == slopes and len(rules) >= steps
@@ -486,7 +509,8 @@ class TestNewton:
         # the loop stops once they stop shrinking instead of running on
         # to max_iter
         with pytest.raises(NonConvergenceError) as err:
-            solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000)
+            solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000,
+                               init=rounding_floor_start(bias, n_bins))
         assert err.value.iterations < 30
         assert err.value.final_change > tol
         assert f"after {err.value.iterations} steps" in str(err.value)
@@ -498,7 +522,8 @@ class TestNewton:
         # the smallest full Newton step, the rounding floor these tols
         # sit just above, is 4.0e-15 and 9.99e-14 here; the first moves
         # with the last bits of the biased seed's two-bin anchor
-        p = solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000)
+        p = solve_n_bins_gauss(0.0, 1.0, bias, n_bins, tol=tol, max_iter=1000,
+                               init=rounding_floor_start(bias, n_bins))
         assert certify(p, tol=1e-14).verdict
 
     def test_ladder_tol_below_rounding_stops_fast(self):
@@ -506,6 +531,65 @@ class TestNewton:
         assert not res.converged
         assert res.iterations < 30
         assert res.final_change > 1e-15
+
+
+class TestDefaultStart:
+    """The default start follows the ladder's length law, so Newton takes
+    fewer kernel passes than from the equal-width start, and lands on the
+    same root. Passes are counted by wrapping the one kernel call each
+    Newton iterate and line-search trial makes, so the counts do not
+    depend on the host."""
+
+    BIASES = (0.05, 0.1, 0.2, 0.3, 0.5)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(za, zb, kernel=gaussian._std_interval_slopes):
+            calls.append(None)
+            return kernel(za, zb)
+
+        monkeypatch.setattr(gaussian, "_std_interval_slopes", counted)
+
+        def count(solve):
+            calls.clear()
+            result = solve()
+            return len(calls), result
+
+        return count
+
+    @staticmethod
+    def assert_same_root(got, want):
+        got, want = np.array(got), np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    def test_n_bin_solves_take_fewer_passes(self, passes):
+        counts = []
+        for bias in (s * b for b in self.BIASES for s in (1.0, -1.0)):
+            for n_bins in range(3, 25):
+                new, p = passes(lambda: solve_n_bins_gauss(0.0, 1.0, bias, n_bins))
+                init = Partition((-math.inf, *equal_width(bias, n_bins - 1)
+                                  .edges_for(bias), math.inf), STD_GAUSS, bias)
+                old, q = passes(lambda: solve_n_bins_gauss(0.0, 1.0, bias, n_bins,
+                                                           init=init))
+                assert new <= old, (bias, n_bins)
+                self.assert_same_root(p.interior_edges, q.interior_edges)
+                counts.append(new)
+        assert np.mean(counts) <= 4.6
+
+    def test_ladders_take_fewer_passes(self, passes):
+        counts = []
+        for bias in (s * b for b in self.BIASES for s in (1.0, -1.0)):
+            new, res = passes(lambda: solve_truncated_ladder(STD_GAUSS, bias))
+            old, ref = passes(lambda: solve_truncated_ladder(
+                STD_GAUSS, bias, init=equal_width(bias, 40)))
+            assert res.converged and ref.converged
+            assert new <= old, bias
+            self.assert_same_root(res.partition.interior_edges,
+                                  ref.partition.interior_edges)
+            counts.append(new)
+        assert np.mean(counts) <= 5.0
 
 
 class TestFloatingPointErrors:

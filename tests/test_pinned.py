@@ -5,7 +5,9 @@ evaluated every bin through the scalar SourceModel methods. The dynamics
 must reproduce each run's outcome, iteration count and recorded steps,
 with edges and residuals within 1e-12; the damped Gaussian loop must
 reproduce its edges bit for bit and its iteration counts exactly from the
-solvers' default seeds, and the solvers (Newton since then) must land
+equal-width seeds that the solvers started from by default when these
+were recorded (each helper below builds its own), and the solvers
+(Newton since then, from a start on the ladder's length law) must land
 within 1e-8 of those edges. The damped-loop edges were re-recorded when
 the Gaussian kernels moved from scipy.special to the numpy Chebyshev
 erfcx, which moved them by at most 1.5e-14 (iteration counts and final
@@ -34,7 +36,6 @@ from cheaptalk.equilibrium import Partition, certify
 from cheaptalk.gaussian import (
     TruncatedLadder,
     _damped_midpoints,
-    _default_interior,
     asymptotic_bin_length,
     solve_n_bins_gauss,
     solve_truncated_ladder,
@@ -198,10 +199,10 @@ def test_basin_probe_is_pinned():
 
 
 def damped_ladder(source, bias, n_edges, max_iter=100_000):
-    """The damped loop on the truncated ladder's default seed, in the std
-    units solve_truncated_ladder works in, reflected there for negative
-    bias; returns (spatial edges, converged, iterations, final change),
-    mapped back to x."""
+    """The damped loop on the equal-width seed that solve_truncated_ladder
+    took by default when these literals were recorded, in the std units
+    it works in, reflected there for negative bias; returns (spatial
+    edges, converged, iterations, final change), mapped back to x."""
     std = source.std
     width = max(2.0 * abs(bias) / std, 0.25)
     anchor = solve_two_bin_gauss(0.0, 1.0, bias / std).edges[1]
@@ -215,11 +216,17 @@ def damped_ladder(source, bias, n_edges, max_iter=100_000):
 
 
 def damped_n_bins(mean, std, bias, n_bins, max_iter=100_000):
-    """The damped loop on solve_n_bins_gauss's default seed, in std units;
-    returns (edges, converged, iterations, final change) in x."""
+    """The damped loop, in std units, on the equal-width seed that
+    solve_n_bins_gauss took by default when these literals were
+    recorded: n_bins - 1 edges max(2|b|, 1/4) apart, b = bias/std,
+    anchored at the two-bin edge on the bounded side; returns (edges,
+    converged, iterations, final change) in x."""
     source = SourceModel.gaussian(mean, std)
+    b = bias / std
+    anchor = solve_two_bin_gauss(0.0, 1.0, b).edges[1]
+    steps = np.arange(n_bins - 1) if b > 0.0 else np.arange(2 - n_bins, 1)
     z, converged, iterations, change = _damped_midpoints(
-        source, bias / std, _default_interior(0.0, 1.0, bias / std, n_bins),
+        source, b, anchor + max(2.0 * abs(b), 0.25) * steps,
         0.5, max_iter, 1e-10 / std)
     return source._from_frame(z), converged, iterations, change * std
 

@@ -290,7 +290,8 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
     _full_edges, whose means it reads through source._frame_means."""
     delta = math.inf
     for it in range(1, max_iter + 1):
-        rows = _midpoints(source._frame_means(_full_edges(edges, ladder_step)), bias)
+        means = source._frame_means(_full_edges(edges, ladder_step), None)
+        rows = _midpoints(means, bias)
         new = (1.0 - damping) * edges + damping * rows
         if not (new[1:] > new[:-1]).all():
             raise EdgeOrderingError(

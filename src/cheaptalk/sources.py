@@ -435,21 +435,20 @@ class SourceModel:
         identity = self.kind == EXPONENTIAL or (self.mean, self.std) == (0.0, 1.0)
         return z if identity else self.mean + self.std * z
 
-    def _frame_means(self, z: np.ndarray, gaps: np.ndarray | None = None
+    def _frame_means(self, z: np.ndarray, gaps: np.ndarray | None
                      ) -> np.ndarray:
         """Bin means in the kernel's frame (see _to_frame), on checked
         edges z in that frame whose first edge is at or inside the
         support: all that a dynamics step or a restart block of the
         Newton loop reads, and nothing more. A Gaussian's are near + E[u]
         from one _std_rule pass, negated where the bin was reflected,
-        with no map to x and back; an exponential's are
-        start + _exp_unit_mean(rate*length)/rate on the edges as they
-        are, with no clamp at 0, where the lengths are gaps, the caller's
-        z[..., 1:] - z[..., :-1], when given."""
+        with no map to x and back; it reads z alone, and its callers pass
+        gaps=None. An exponential's are start + _exp_unit_mean(rate*gaps)/rate
+        on the edges as they are, with no clamp at 0, where gaps are the
+        window lengths z[..., 1:] - z[..., :-1] that every caller has
+        already formed."""
         start = z[..., :-1]
         if self.kind == EXPONENTIAL:
-            if gaps is None:
-                gaps = z[..., 1:] - start
             return start + _exp_unit_mean(self.rate * gaps) / self.rate
         flip, near, _, means, _ = _std_rule(start, z[..., 1:])
         means += near

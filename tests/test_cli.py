@@ -601,7 +601,7 @@ class TestDynamics:
         # dynamics read the centroids, in their frame, from _frame_means
         bin_means = SourceModel._frame_means
 
-        def reversed_means(self, z, gaps=None):
+        def reversed_means(self, z, gaps):
             return bin_means(self, z, gaps)[..., ::-1]
 
         monkeypatch.setattr(SourceModel, "_frame_means", reversed_means)

@@ -27,9 +27,9 @@ from cheaptalk.gaussian import (
     _damped_midpoints,
     _full_edges,
     solve_n_bins_gauss,
-    solve_two_bin_gauss,
 )
 from cheaptalk.sources import SourceModel
+from seeds import equal_width
 
 EXP = SourceModel.exponential(1.0)
 GAUSS = SourceModel.gaussian(0.0, 1.0)
@@ -175,7 +175,7 @@ class TestCollapse:
         # dynamics read the centroids, in their frame, from _frame_means
         bin_means = SourceModel._frame_means
 
-        def reversed_means(self, z, gaps=None):
+        def reversed_means(self, z, gaps):
             return bin_means(self, z, gaps)[..., ::-1]
 
         monkeypatch.setattr(SourceModel, "_frame_means", reversed_means)
@@ -205,8 +205,7 @@ def run_alone(source, bias, edges, damping, max_iter=10_000):
 GAUSS_3 = (-math.inf, -0.5, 0.7, math.inf)
 # the equal-width seed the 24-bin solver took by default when the runs
 # below were pinned: 23 edges 1/4 apart up from the two-bin edge
-GAUSS_24 = (-math.inf, *solve_two_bin_gauss(0.0, 1.0, 0.05).edges[1]
-            + 0.25 * np.arange(23), math.inf)
+GAUSS_24 = (-math.inf, *equal_width(0.05, 23), math.inf)
 
 # name -> ((source, bias, start edges, damping, max_iter),
 #          (status, stop step, bin_index), final edges)
@@ -308,7 +307,7 @@ class TestStopPaths:
         bin_means = SourceModel._frame_means
         calls = []
 
-        def reversed_late(self, z, gaps=None):
+        def reversed_late(self, z, gaps):
             means = bin_means(self, z, gaps)
             calls.append(None)
             return means if len(calls) <= 5 else means[..., ::-1]
@@ -330,7 +329,7 @@ class TestStopPaths:
         bin_means = SourceModel._frame_means
         calls = []
 
-        def nan_late(self, z, gaps=None):
+        def nan_late(self, z, gaps):
             means = bin_means(self, z, gaps)
             calls.append(None)
             if len(calls) > 5:
@@ -409,12 +408,11 @@ class TestStepWork:
     def test_restart_block_step_forms_no_mass(self, exps):
         for source in (GAUSS, SourceModel.gaussian(0.3, 1.7)):
             exps.clear()
-            # a restart block runs in std units, as the solve loop does
-            # the 8-bin equal-width seed: 7 edges max(2b, std/4) apart in
-            # x up from the two-bin edge
-            edges = (solve_two_bin_gauss(source.mean, source.std, 0.2).edges[1]
-                     + max(0.4, source.std / 4.0) * np.arange(7))
-            z, bias = source._to_frame(edges), 0.2 / source.std
+            # a restart block runs in std units, as the solve loop does,
+            # here from the 8-bin equal-width seed
+            bias = 0.2 / source.std
+            z = equal_width(bias, 7)
+            edges = source._from_frame(z)
             _, converged, steps, _ = _damped_midpoints(source, bias, z,
                                                        0.5, 3, 1e-300)
             assert (converged, steps) == (False, 3)
@@ -422,7 +420,7 @@ class TestStepWork:
             # one step is the damped midpoint map of the frame means
             step, _, _, _ = _damped_midpoints(source, bias, z, 0.5, 1,
                                               1e-300)
-            means = source._frame_means(_full_edges(z))
+            means = source._frame_means(_full_edges(z), None)
             assert np.array_equal(step, 0.5 * z + 0.5 * _midpoints(means, bias))
             # and in x the map of the public bin means, to 2 ulps of each
             # edge (1 ulp measured on N(0.3, 1.7); N(0, 1) is exact)

@@ -26,6 +26,7 @@ from cheaptalk.gaussian import (
     two_bin_balance,
 )
 from cheaptalk.sources import SourceModel, _std_interval_slopes
+from seeds import equal_width, equal_width_ladder
 
 STD_GAUSS = SourceModel.gaussian(0.0, 1.0)
 
@@ -345,22 +346,14 @@ class TestFiniteBins:
             solve_n_bins_gauss(1e20, 1.0, 0.1, 3)
 
 
-def equal_width(bias, count):
-    """The equal-width start the solvers took by default before the
-    ladder's length law, on N(0, 1): count edges max(2|bias|, 1/4) apart
-    from the two-bin edge, which bounds them on the bounded side."""
-    anchor = solve_two_bin_gauss(0.0, 1.0, bias).edges[1]
-    return TruncatedLadder(anchor, (max(2.0 * abs(bias), 0.25),) * (count - 1))
-
-
 def rounding_floor_start(bias, n_bins):
     """The start of the rounding-floor tests: the default one at bias 0,
     the equal-width one otherwise. From the default start at bias 0.1 the
     8-bin solve lands on a float fixed point, a full step of exactly 0,
-    which any tol accepts."""
+    which any tol accepts (test_default_start_at_rounding_floor)."""
     if bias == 0.0:
         return None
-    edges = equal_width(bias, n_bins - 1).edges_for(bias)
+    edges = equal_width(bias, n_bins - 1)
     return Partition((-math.inf, *edges, math.inf), STD_GAUSS, bias)
 
 
@@ -526,6 +519,17 @@ class TestNewton:
                                init=rounding_floor_start(bias, n_bins))
         assert certify(p, tol=1e-14).verdict
 
+    def test_default_start_at_rounding_floor(self):
+        # from the default start at bias 0.1 the 8-bin loop lands on a
+        # float fixed point, a full Newton step of exactly 0, which meets
+        # a tol below the rounding floor
+        z, converged, _, change = _solve_edges(
+            STD_GAUSS, 0.1, _default_start(0.1, 7), 0.5, 1000, 1e-16)
+        assert (converged, change) == (True, 0.0)
+        p = solve_n_bins_gauss(0.0, 1.0, 0.1, 8, tol=1e-16, max_iter=1000)
+        assert p.interior_edges == tuple(z.tolist())
+        assert certify(p, tol=1e-14).verdict
+
     def test_ladder_tol_below_rounding_stops_fast(self):
         res = solve_truncated_ladder(STD_GAUSS, 0.3, tol=1e-15, max_iter=1000)
         assert not res.converged
@@ -569,8 +573,8 @@ class TestDefaultStart:
         for bias in (s * b for b in self.BIASES for s in (1.0, -1.0)):
             for n_bins in range(3, 25):
                 new, p = passes(lambda: solve_n_bins_gauss(0.0, 1.0, bias, n_bins))
-                init = Partition((-math.inf, *equal_width(bias, n_bins - 1)
-                                  .edges_for(bias), math.inf), STD_GAUSS, bias)
+                init = Partition((-math.inf, *equal_width(bias, n_bins - 1),
+                                  math.inf), STD_GAUSS, bias)
                 old, q = passes(lambda: solve_n_bins_gauss(0.0, 1.0, bias, n_bins,
                                                            init=init))
                 assert new <= old, (bias, n_bins)
@@ -583,7 +587,7 @@ class TestDefaultStart:
         for bias in (s * b for b in self.BIASES for s in (1.0, -1.0)):
             new, res = passes(lambda: solve_truncated_ladder(STD_GAUSS, bias))
             old, ref = passes(lambda: solve_truncated_ladder(
-                STD_GAUSS, bias, init=equal_width(bias, 40)))
+                STD_GAUSS, bias, init=equal_width_ladder(bias, 40)))
             assert res.converged and ref.converged
             assert new <= old, bias
             self.assert_same_root(res.partition.interior_edges,

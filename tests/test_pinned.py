@@ -34,14 +34,13 @@ import pytest
 from cheaptalk.dynamics import basin_probe, fixed_point_iterate, lloyd_method_i
 from cheaptalk.equilibrium import Partition, certify
 from cheaptalk.gaussian import (
-    TruncatedLadder,
     _damped_midpoints,
     asymptotic_bin_length,
     solve_n_bins_gauss,
     solve_truncated_ladder,
-    solve_two_bin_gauss,
 )
 from cheaptalk.sources import SourceModel
+from seeds import equal_width, equal_width_ladder
 
 EXP = SourceModel.exponential(1.0)
 GAUSS = SourceModel.gaussian(0.0, 1.0)
@@ -204,9 +203,7 @@ def damped_ladder(source, bias, n_edges, max_iter=100_000):
     it works in, reflected there for negative bias; returns (spatial
     edges, converged, iterations, final change), mapped back to x."""
     std = source.std
-    width = max(2.0 * abs(bias) / std, 0.25)
-    anchor = solve_two_bin_gauss(0.0, 1.0, bias / std).edges[1]
-    z = TruncatedLadder(anchor, (width,) * (n_edges - 1)).edges_for(bias)
+    z = equal_width_ladder(bias / std, n_edges).edges_for(bias)
     reflect = bias < 0.0
     z, converged, iterations, change = _damped_midpoints(
         source, abs(bias) / std, -z[::-1] if reflect else z, 0.5, max_iter,
@@ -218,15 +215,11 @@ def damped_ladder(source, bias, n_edges, max_iter=100_000):
 def damped_n_bins(mean, std, bias, n_bins, max_iter=100_000):
     """The damped loop, in std units, on the equal-width seed that
     solve_n_bins_gauss took by default when these literals were
-    recorded: n_bins - 1 edges max(2|b|, 1/4) apart, b = bias/std,
-    anchored at the two-bin edge on the bounded side; returns (edges,
-    converged, iterations, final change) in x."""
+    recorded; returns (edges, converged, iterations, final change) in
+    x."""
     source = SourceModel.gaussian(mean, std)
-    b = bias / std
-    anchor = solve_two_bin_gauss(0.0, 1.0, b).edges[1]
-    steps = np.arange(n_bins - 1) if b > 0.0 else np.arange(2 - n_bins, 1)
     z, converged, iterations, change = _damped_midpoints(
-        source, b, anchor + max(2.0 * abs(b), 0.25) * steps,
+        source, bias / std, equal_width(bias / std, n_bins - 1),
         0.5, max_iter, 1e-10 / std)
     return source._from_frame(z), converged, iterations, change * std
 

@@ -832,11 +832,15 @@ class TestVectorIntervalMean:
         # their start)
         src = SourceModel.exponential(1.7)
         s = np.random.default_rng(7).uniform(1e-3, 1.2, 3000)
+
+        def frame_means(e):
+            return src._frame_means(e, np.diff(e))
+
         for n in range(1, 1001):
             rows = s[:3 * n].reshape(3, n)
             edges = np.zeros((3, n + 1))
             edges[:, 1:] = np.cumsum(rows / 1.7, axis=1)
-            for method, arg in ((_exp_unit_mean, rows), (src._frame_means, edges),
+            for method, arg in ((_exp_unit_mean, rows), (frame_means, edges),
                                 (src.bin_means, edges)):
                 got = method(arg)
                 for row, values in zip(arg, got):
@@ -970,8 +974,8 @@ class TestReflectedReaders:
                              src.bin_variances(e)[..., ::-1])
             assert same_bits(src.bin_means(m), -src.bin_means(e)[..., ::-1])
             z = e / src.std
-            assert same_bits(src._frame_means(-z[..., ::-1]),
-                             -src._frame_means(z)[..., ::-1])
+            assert same_bits(src._frame_means(-z[..., ::-1], None),
+                             -src._frame_means(z, None)[..., ::-1])
         p = Partition(REFLECTED_ROWS[0], src, 0.1)
         q = Partition(mirror[0], src, -0.1)
         for a, b, sign in zip(p._moments, q._moments, (1.0, -1.0, 1.0)):
@@ -984,13 +988,14 @@ class TestReflectedReaders:
         readers = (
             (REFLECTED_ROWS, src.bin_probs), (REFLECTED_ROWS, src.bin_means),
             (REFLECTED_ROWS, src.bin_variances),
-            (REFLECTED_ROWS, src._frame_means),
+            (REFLECTED_ROWS, lambda e: src._frame_means(e, None)),
             (REFLECTED_ROWS,
              lambda e: _std_interval_slopes(e[..., :-1], e[..., 1:])),
             (REFLECTED_ROWS,
              lambda e: sources._std_rule(e[..., :-1], e[..., 1:])),
             (exp_rows, EXP.bin_probs), (exp_rows, EXP.bin_means),
-            (exp_rows, EXP.bin_variances), (exp_rows, EXP._frame_means),
+            (exp_rows, EXP.bin_variances),
+            (exp_rows, lambda e: EXP._frame_means(e, np.diff(e))),
         )
         for rows, read in readers:
             for e in (rows.copy(), rows[0].copy()):

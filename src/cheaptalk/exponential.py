@@ -12,9 +12,9 @@ recursion in which each bin length solves g(length) = target, with the
 target driven by the next bin's length. Targets at or below g's
 infimum 1/lam have no solution, which is exactly the bin-collapse
 regime for negative bias. The walk reads h as a Python scalar; the bin
-moments (sources.SourceModel) read the same mean as a + E[u]/lam, E[u]
-the mean of a unit exponential on [0, lam*l], which does not cancel
-where lam*l is small and 1/lam - h(l) would.
+moments (sources.SourceModel) read the same mean as a + l*phi(lam*l),
+phi(s) = 1/s - 1/expm1(s) from its Bernoulli series on short windows,
+which does not cancel where lam*l is small and 1/lam - h(l) would.
 
 Every bin length at every bias is the closed-form inverse of g through
 the principal Lambert branch. The equal-length fixed point, whose

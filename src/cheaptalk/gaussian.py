@@ -239,13 +239,13 @@ class TruncatedLadder:
         return len(self.lengths) + 1
 
     def edges_for(self, bias: float) -> np.ndarray:
-        """The edge positions this ladder describes, ordered ascending."""
+        """The edge positions this ladder describes, ordered ascending,
+        laid down from the anchor, so its edge is anchor_edge exactly."""
+        offsets = np.concatenate(([0.0], np.cumsum(self.lengths)))
         if bias > 0.0:
-            return self.anchor_edge + np.concatenate(
-                ([0.0], np.cumsum(self.lengths)))
+            return self.anchor_edge + offsets
         if bias < 0.0:
-            offsets = np.concatenate(([0.0], np.cumsum(self.lengths)))
-            return self.anchor_edge - offsets[-1] + offsets
+            return self.anchor_edge - (offsets[-1] - offsets)
         raise DomainError("a one-sided ladder is undefined at bias = 0")
 
 
@@ -288,12 +288,12 @@ def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
     bias, tol and ladder_step in std units too; returns (edges,
     converged, iterations, last_change), in std units. Bins are those of
     _full_edges, whose means it reads through source._frame_means."""
-    delta = math.inf
+    delta, z = math.inf, _full_edges(edges, ladder_step)
     for it in range(1, max_iter + 1):
-        means = source._frame_means(_full_edges(edges, ladder_step), None)
-        rows = _midpoints(means, bias)
+        rows = _midpoints(source._frame_means(z, None), bias)
         new = (1.0 - damping) * edges + damping * rows
-        if not (new[1:] > new[:-1]).all():
+        z = _full_edges(new, ladder_step)
+        if not (z[1:] > z[:-1]).all():
             raise EdgeOrderingError(
                 f"edges crossed at iteration {it}", iteration=it)
         delta = float(np.abs(new - edges).max())
@@ -360,7 +360,8 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     Every iterate, line-search trials included, costs one kernel pass:
     _std_interval_slopes gives the bins' means, hence F and max|F|, and
     the slopes that _newton_step's Jacobian needs. Newton steps are
-    halved until the edges stay increasing and max|F| does not grow; a
+    halved until every bin keeps a positive width and max|F| does not
+    grow (a ladder's closing step can round away on the last edge); a
     full step of at most tol, once taken, converges.
     Once max|F| is rounding noise (_F_FLOOR), a full step no smaller
     than the smallest so far is noise too, and the loop stops. On a
@@ -370,23 +371,23 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     Newton and damped, count against max_iter. final_change is the
     smallest full Newton step (inf if none was finite).
     """
-    def residual(e):
-        z = _full_edges(e, ladder_step)
+    def residual(z):
         means, lo, hi = _std_interval_slopes(z[:-1], z[1:])
-        f = e - _midpoints(means, bias)
+        f = z[1:-1] - _midpoints(means, bias)
         return f, float(np.abs(f).max()), lo, hi
 
     # the start is checked here; the loop checks every later iterate
-    source._bin_edges(_full_edges(start, ladder_step))
     edges = damped = start
-    f, f_max, lo, hi = residual(edges)
+    z = source._bin_edges(_full_edges(start, ladder_step))
+    f, f_max, lo, hi = residual(z)
     steps, smallest = 0, math.inf
     while steps < max_iter:
         step = _newton_step(f, lo, hi)
         if step is not None:
             size = float(np.abs(step).max())
             new = edges + step
-            if size <= tol and (new[1:] > new[:-1]).all():
+            z = _full_edges(new, ladder_step)
+            if size <= tol and (z[1:] > z[:-1]).all():
                 return new, True, steps + 1, size
             if size >= smallest and f_max <= _F_FLOOR * (
                     1.0 + float(np.abs(edges).max())):
@@ -394,12 +395,13 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
             smallest = min(smallest, size)
             t = 1.0
             while t >= 2.0 ** -20:
-                if (new[1:] > new[:-1]).all():
-                    trial = residual(new)
+                if (z[1:] > z[:-1]).all():
+                    trial = residual(z)
                     if trial[1] <= f_max:
                         break
                 t *= 0.5
                 new = edges + t * step
+                z = _full_edges(new, ladder_step)
             else:
                 step = None
         if step is None:
@@ -407,7 +409,7 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
                 source, bias, damped, damping,
                 min(_RESTART_STEPS, max_iter - steps), tol, ladder_step)
             edges, steps = damped, steps + taken
-            f, f_max, lo, hi = residual(edges)
+            f, f_max, lo, hi = residual(_full_edges(edges, ladder_step))
         else:
             edges, (f, f_max, lo, hi), steps = new, trial, steps + 1
     return edges, False, steps, smallest

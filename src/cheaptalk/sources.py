@@ -23,13 +23,12 @@ once.
 
 Numerical ground rules:
 
-- every ``exp(s) - 1`` is an ``expm1``, and an exponential window's
-  variance reads 1 - s/sinh(s) from its series on short windows, so
-  short intervals do not cancel;
-- an exponential source has one mean kernel, _exp_unit_mean of
-  s = rate*length alone: a bin's mean is start + _exp_unit_mean(s)/rate,
-  from the Bernoulli series of 1 - s/expm1(s) below s = 0.6 and from the
-  closed form above it, exactly 1/rate past the start from s = 709.78;
+- every ``exp(s) - 1`` is an ``expm1``;
+- an exponential bin's mean offset past its start, _exp_window_mean,
+  and its variance, _exp_window_variance, are its in-support length l
+  times a Bernoulli series in s = rate*l on short windows, so nothing
+  cancels or is divided by the rate there, subnormal s included, and a
+  clamped closed form in s above, 1/rate and 1/rate^2 on infinite ones;
 - a Gaussian source has one bin kernel, the fixed Gauss-Legendre rule
   of _std_rule, run in each bin's own frame with no per-bin loop, on
   bins reflected to za + zb >= 0, so reflection is exact; each reader
@@ -55,90 +54,88 @@ __all__ = ["SourceModel"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # exp(s) is finite up to s = log(DBL_MAX) = 709.7827; _EXPM1_MAX is a float for
-# the scalar exponential.h. The 0-d arrays are ufunc operands, which numpy
-# takes faster than Python floats (0.9 against 1.3 us).
-_EXPM1_MAX, _EXP_CUT = 709.78, np.array(0.6)
+# the scalar exponential.h, and _S_MAX the same bound for the array kernels.
+# The 0-d arrays are ufunc operands, which numpy takes faster than Python
+# floats (0.9 against 1.3 us).
+_EXPM1_MAX = 709.78
+_S_MAX = np.array(_EXPM1_MAX)
 _END_MIN, _END_MAX = np.array(-40.0), np.array(40.0)
-_NORMAL_MIN = np.finfo(float).tiny
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
 
 
-_EXP_POWERS = np.array((16.0, 14.0, 12.0, 10.0, 8.0, 6.0, 4.0, 2.0, 1.0))
-_EXP_SERIES = np.array((0.5, -1 / 12, 1 / 720, -1 / 30240, 1 / 1209600, -1 / 47900160,
-                        691 / 1307674368000, -1 / 74724249600,
-                        3617 / 10670622842880000))[::-1]
+# phi(s) = 1/s - 1/expm1(s) in s^0, s^1, s^3, ... and psi(s) = Var(u)/s^2,
+# u ~ Exp(1) on [0, s], in s^0, s^2, ...: scripts/exp_series.py's tables
+_PHI_SERIES = np.array((
+    0.5, -0.08333333333333333, 0.001388888888888889,
+    -3.306878306878307e-05, 8.267195767195768e-07, -2.08767569878681e-08,
+    5.284190138687493e-10, -1.3382536530684679e-11, 3.3896802963225827e-13,
+    -8.586062056277845e-15, 2.174868698558062e-16, -5.5090028283602295e-18,
+    1.3954464685812522e-19, -3.534707039629467e-21, 8.953517427037546e-23,
+))[::-1]
+_PSI_SERIES = np.array((
+    0.08333333333333333, -0.004166666666666667, 0.00016534391534391533,
+    -5.787037037037037e-06, 1.8789081289081288e-07, -5.812609152556243e-09,
+    1.7397297489890083e-10, -5.084520444483875e-12, 1.4596305495672335e-13,
+    -4.1322505272603176e-15, 1.1568905939556482e-16, -3.2095268777368804e-18,
+    8.836767599073669e-20, -2.4174497053001377e-21, 6.577062111779281e-23,
+    -1.780885107350383e-24, 4.8020691695290543e-26, -1.2900982292328585e-27,
+    3.454591675125167e-29, -9.223587421232456e-31, 2.456175422617675e-32,
+    -6.525056003213648e-34, 1.7296911564543848e-35, -4.5760859441439445e-37,
+    1.2084610516583336e-38, -3.1860091383285793e-40, 8.386736029661804e-42,
+    -2.2045505272719146e-43, 5.787253237674647e-45, -1.5173644533627043e-46,
+))[::-1]
+_PHI_CUT, _PSI_CUT = np.array(1.5), np.array(3.0)
+_PHI_POWERS = np.array((0.0, *range(1, 2 * len(_PHI_SERIES) - 2, 2)))[::-1]
+_PSI_POWERS = np.arange(0.0, 2 * len(_PSI_SERIES), 2.0)[::-1]
 
 
-def _exp_unit_mean(s):
-    """E[u] for u ~ Exp(1) conditioned on [0, s], elementwise over an
-    array s >= 0: 1 - s/expm1(s), rising from 0 at s = 0 to 1 at s = inf.
+def _exp_window_mean(length, rate: float):
+    """The offset past a window's start of the mean of an exponential at
+    this rate conditioned on the window, elementwise over an array of
+    lengths: length*phi(s), s = rate*length.
 
-    An exponential at rate r on [a, a + l] has its mean at
-    a + _exp_unit_mean(r*l)/r. Below s = 0.6 this is the Bernoulli series
-    s/2 - sum_k B_2k s^2k/(2k)! = s/2 - s^2/12 + s^4/720 - ..., whose
-    terms past s^16 sum to under 0.02 ulp there, so a short window keeps
-    every digit of its offset, where 1/r - l/expm1(r*l) cancelled. From
-    0.6, where the value is above 1/4, it is the closed form, and from
-    _EXPM1_MAX, where s/expm1(s) is below 4e-306, exactly 1, so inf gives
-    1 with no NaN and no overflow. Within 2.3 ulps of 80-digit mpmath
-    from s = 1e-300 to 709; where s is subnormal it is s/2, correctly
-    rounded.
+    Below s = 1.5 it is length times phi's series, to s^27; a subnormal s
+    gives length/2. From 1.5 it is (1 - c/expm1(c))/rate, c = s clamped to
+    [1.5, _S_MAX], which is within 1.8 ulps there (3.6 off at s = 0.7) and
+    exactly 1/rate from _S_MAX on, infinite windows included. No mask
+    picks the branch: the offset rises with s and phi falls, so each
+    branch read past its cut is too large, and the offset is the smaller.
 
-    The series is one matmul of the powers _EXP_POWERS with their
-    coefficients _EXP_SERIES, smallest term first. _EXP_SERIES is a view
-    with a negative stride, which numpy does not hand to BLAS, so each
-    row is summed term by term in numpy's own loop. A BLAS matrix-vector
-    product can round a row by how many rows it is given and where the
-    row sits among them, and then a row of a 2-D call would not equal
-    the 1-D call on the same bins bit for bit. numpy does not document
-    that dispatch; test_exponential_rows_of_every_length in
-    tests/test_sources.py checks the rows on 2-D arrays of 1 to 1000 bins
-    a row. A product and sum(-1) in place of the matmul, which no BLAS
-    runs, took 2 us a call more.
+    Each series is one matmul of a pow table of s, powers descending, and
+    a negative-stride view of its coefficients, which numpy sums smallest
+    term first in its own loop, not in BLAS, whose rounding can depend on
+    a row's place in a 2-D call; test_exponential_rows_of_every_length
+    checks that each row is the 1-D call on its bins bit for bit.
     """
-    series = np.minimum(s, _EXP_CUT)[..., None] ** _EXP_POWERS @ _EXP_SERIES
-    c = np.minimum(np.maximum(s, _EXP_CUT), _EXPM1_MAX)
-    return np.where(s < _EXP_CUT, series, 1.0 - c / np.expm1(c))
-
-
-# (sinh(s) - s)/s = sum_k s^(2k)/(2k+1)!, k = 1..9, as Horner reads it in
-# s^2; for s <= 1 the terms left out sum to under half an ulp
-_SINH_EXCESS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1))
+    s = rate * length
+    series = length * (np.minimum(s, _PHI_CUT)[..., None] ** _PHI_POWERS
+                       @ _PHI_SERIES)
+    c = np.minimum(np.maximum(s, _PHI_CUT), _S_MAX)
+    return np.minimum(series, (1.0 - c / np.expm1(c)) / rate)
 
 
 def _exp_window_variance(length, rate: float):
-    """Variance of an exponential conditioned on a window of this length.
+    """The variance of an exponential at this rate conditioned on a window
+    of this length, elementwise over an array of lengths:
+    length*(length*psi(s)), s = rate*length.
 
-    Elementwise; depends on the window only through its length. With
-    s = rate*length/2 and d = 1 - s/sinh(s) it is d*(2 - d)/rate^2, the
-    closed form (1 - (s/sinh(s))^2)/rate^2 with no difference of nearly
-    equal squares. Below s = 1, d = q/(1 + q) with q = (sinh(s) - s)/s
-    from its series, so d keeps every digit as s -> 0 (the series reads s
-    clamped to 1, so long and infinite windows form no inf or NaN there).
-    Past s = 350, where sinh nears overflow, d is exactly 1: the true
-    variance is within 1e-300 of 1/rate^2. It divides by the rate twice,
-    since rate^2 underflows below rate = 1.5e-154; a variance past DBL_MAX
-    is inf, under the same np.errstate, so it warns on no stream. Below
-    s = 1.5e-154, where s^2 is subnormal or 0 and q loses its digits, the
-    variance is (length/2)^2 times 2*q/s^2, the series read without its
-    last factor s^2, so nothing underflows however small the rate.
+    Below s = 3 it is psi's series, to s^58. From 3 it is
+    (1 - q*(q + c))/rate/rate, c = s clamped to [3, _S_MAX] and
+    q = c/expm1(c): within 3 ulps there (6.1 off on [2, 2.5], and 3.9 off
+    on [3, 3.5] as d*(2 - d), d = 1 - (c/2)/sinh(c/2)), and dividing by
+    the rate twice, as rate^2 underflows. It is the smaller branch, as the
+    mean is: it rises with s and psi falls. Past DBL_MAX it is inf, under
+    np.errstate, so nothing warns.
     """
-    length = np.asarray(length, dtype=float)
-    s = 0.5 * rate * length
-    t2 = np.minimum(s, 1.0) ** 2
-    series = 0.0
-    for coeff in _SINH_EXCESS:
-        series = series * t2 + coeff
-    q = series * t2
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.where(s < 1.0, q / (1.0 + q),
-                     np.where(s > 350.0, 1.0, 1.0 - s / np.sinh(s)))
-        half = 0.5 * length
-        # where s^2 is not normal, 1 + q is 1 and d*(2 - d) is 2*q
-        return np.where(t2 < _NORMAL_MIN, half * (half * (2.0 * series)),
-                        d * (2.0 - d) / rate / rate)[()]
+    s = rate * length
+    c = np.minimum(np.maximum(s, _PSI_CUT), _S_MAX)
+    q = c / np.expm1(c)
+    with np.errstate(over="ignore"):
+        series = length * (length * (np.minimum(s, _PSI_CUT)[..., None]
+                                     ** _PSI_POWERS @ _PSI_SERIES))
+        return np.minimum(series, (1.0 - q * (q + c)) / rate / rate)
 
 
 def _std_interval_slopes(alpha, beta):
@@ -413,7 +410,7 @@ class SourceModel:
         """Increasing edges x, one sequence or a row each, in the frame of
         this family's bin kernel: z = (x - mean)/std for a Gaussian, as
         _std_rule reads them, and x itself, returned as it is, for an
-        exponential, whose _exp_unit_mean forms rate*length on its own.
+        exponential, whose kernels form rate*length on their own.
         An edge past DBL_MAX std from the mean is the infinity it rounds
         to there, formed under np.errstate so that nothing warns, and a
         bin whose two ends meet in std units, as two such edges on one
@@ -443,13 +440,13 @@ class SourceModel:
         Newton loop reads, and nothing more. A Gaussian's are near + E[u]
         from one _std_rule pass, negated where the bin was reflected,
         with no map to x and back; it reads z alone, and its callers pass
-        gaps=None. An exponential's are start + _exp_unit_mean(rate*gaps)/rate
+        gaps=None. An exponential's are start + _exp_window_mean(gaps, rate)
         on the edges as they are, with no clamp at 0, where gaps are the
         window lengths z[..., 1:] - z[..., :-1] that every caller has
         already formed."""
         start = z[..., :-1]
         if self.kind == EXPONENTIAL:
-            return start + _exp_unit_mean(self.rate * gaps) / self.rate
+            return start + _exp_window_mean(gaps, self.rate)
         flip, near, _, means, _ = _std_rule(start, z[..., 1:])
         means += near
         return np.negative(means, out=means, where=flip)
@@ -494,8 +491,8 @@ class SourceModel:
         """Var(M | e_k <= M <= e_{k+1}) for every bin, of one edge sequence
         or of each row of a 2-D array, as bin_probs.
 
-        Exponential bins have a closed form in their in-support length,
-        Gaussian bins the fixed rule of _std_rule, all in one pass; the
+        Exponential bins take _exp_window_variance of their in-support
+        length, Gaussian bins the fixed rule of _std_rule, all in one pass; the
         whole line gives exactly std**2. Raises ZeroProbabilityError and
         DomainError as bin_means does; nothing here raises
         QuadratureError, only the quadrature_moment oracle can.

@@ -176,6 +176,20 @@ class TestTruncatedLadderType:
         with pytest.raises(DomainError):
             ladder.edges_for(0.0)
 
+    def test_edges_for_hits_the_anchor_exactly(self):
+        # 2 000 random ladders of each sign: the anchor edge, first for
+        # positive bias and last for negative, is anchor_edge bit for bit;
+        # laid down from the far end, the negative-bias ladders missed it
+        # by rounding in 1 434 of these 2 000
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            anchor = float(rng.uniform(-5.0, 5.0))
+            lengths = rng.uniform(0.01, 3.0, int(rng.integers(1, 60)))
+            ladder = TruncatedLadder(anchor, tuple(lengths))
+            up, down = ladder.edges_for(0.3), ladder.edges_for(-0.3)
+            assert (up[0], down[-1]) == (anchor, anchor)
+            assert (np.diff(up) > 0.0).all() and (np.diff(down) > 0.0).all()
+
     def test_n_edges(self):
         assert TruncatedLadder(0.0, (1.0, 1.0, 1.0)).n_edges == 4
 
@@ -627,6 +641,19 @@ class TestFloatingPointErrors:
             res = solve_truncated_ladder(STD_GAUSS, scale)
         assert certify(p).verdict
         assert res.ladder.n_edges == 40
+
+    def test_ladder_keeps_its_closing_bin(self):
+        # at bias 1e-12 the ladder's closing step, 2e-12 in std units, is
+        # under half an ulp of a last edge past |z| = 32768, where Newton's
+        # line search takes it: once a trial's closing edge rounded onto
+        # its last edge, the kernel divided that bin's 0 by its 0 mass.
+        # The trial is rejected now, and the solve stops at max_iter
+        with np.errstate(**self.RAISE):
+            res = solve_truncated_ladder(STD_GAUSS, 1e-12, n_edges=10,
+                                         max_iter=300)
+        assert not res.converged and res.iterations == 300
+        last = res.partition.edges[-2]
+        assert last + 2e-12 > last
 
     def test_solve_through_a_restart_block(self, monkeypatch):
         blocks = restart_blocks(monkeypatch)

@@ -23,11 +23,13 @@ from cheaptalk.equilibrium import (
 from cheaptalk.errors import DomainError, ZeroProbabilityError
 from cheaptalk.exponential import h
 from cheaptalk.sources import (
-    _EXP_POWERS,
-    _EXP_SERIES,
     _GL_HALF,
+    _PHI_POWERS,
+    _PHI_SERIES,
+    _PSI_POWERS,
+    _PSI_SERIES,
     SourceModel,
-    _exp_unit_mean,
+    _exp_window_mean,
     _exp_window_variance,
     _std_interval_slopes,
 )
@@ -232,9 +234,11 @@ class TestExponentialMoments:
                 assert src.bin_means([a, INF])[0] == a + 1.0 / rate
         # huge window: memoryless tail, gap exactly 0
         assert h(1000.0, 1.0) == 0.0
-        # the mean's kernel: 0 on an empty window, 1 on an infinite one
-        assert _exp_unit_mean(np.array([0.0, 709.78, 1e300, INF])).tolist() \
-            == [0.0, 1.0, 1.0, 1.0]
+        # the mean's kernel: 0 on an empty window, 1/rate on an infinite one
+        for rate in (1.0, 0.25):
+            far = np.array([0.0, 709.78, 1e300, INF]) / rate
+            assert _exp_window_mean(far, rate).tolist() \
+                == [0.0, 1.0 / rate, 1.0 / rate, 1.0 / rate]
 
     def test_gap_against_mpmath(self):
         # s/expm1(s) at rate 1 on a log grid of s out to 700, plus 0,
@@ -255,17 +259,17 @@ class TestExponentialMoments:
         assert all(h(v, 1.0) == 0.0 for v in far)
         with mp.workdps(50):
             assert all(mp.mpf(v) / mp.expm1(v) < 4e-306 for v in far)
-        # the mean's kernel 1 - s/expm1(s) on the same grid, in ulps of
-        # its value, with the working precision raised past the digits
-        # that 1 - s/expm1(s) cancels (measured 2.2 ulps); subnormal s
-        # gives s/2 correctly rounded
-        offsets = _exp_unit_mean(s).tolist()
+        # the mean's kernel at rate 1, 1 - s/expm1(s), on the same grid,
+        # in ulps of its value, with the working precision raised past the
+        # digits that 1 - s/expm1(s) cancels (measured 0.7 ulps);
+        # subnormal s gives s/2 correctly rounded
+        offsets = _exp_window_mean(s, 1.0).tolist()
         for v, k in zip(s.tolist(), offsets):
             with mp.workdps(50 + max(0, -int(math.log10(v))) if v else 50):
                 want = 1 - mp.mpf(v) / mp.expm1(v) if v else mp.mpf(0)
                 ulps = 0.5 if want < sys.float_info.min else 2.5
                 assert abs(k - want) <= ulps * mp.mpf(math.ulp(float(want))), v
-        assert _exp_unit_mean(np.array(far)).tolist() == [1.0] * len(far)
+        assert _exp_window_mean(np.array(far), 1.0).tolist() == [1.0] * len(far)
 
     def test_gap_small_window_taylor(self):
         # s/(e^s - 1) = 1 - s/2 + s^2/12 + O(s^4), scaled by 1/rate
@@ -277,24 +281,37 @@ class TestExponentialMoments:
             offset = EXP.bin_means([0.0, s])[0]
             assert offset == pytest.approx(s / 2.0 - s * s / 12.0, rel=1e-12)
 
-    def test_unit_mean_series_regenerates_bit_for_bit(self):
-        # s/2 - sum_k B_2k s^2k/(2k)!, k = 8 down to 1, from mpmath's
-        # Bernoulli numbers, each correctly rounded
+    def test_series_tables_regenerate_bit_for_bit(self):
+        # scripts/exp_series.py forms the Bernoulli numbers exactly, as
+        # fractions; every committed coefficient is its value correctly
+        # rounded, and so is mpmath's Bernoulli number for it
+        script = Path(__file__).resolve().parents[1] / "scripts" / "exp_series.py"
+        spec = importlib.util.spec_from_file_location("exp_series", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        phi, psi = (tuple(c[::-1].tolist()) for c in (_PHI_SERIES, _PSI_SERIES))
+        assert module.tables() == (phi, psi)
         with mp.workdps(50):
-            want = [float(-mp.bernoulli(2 * k) / mp.factorial(2 * k))
-                    for k in range(8, 0, -1)] + [0.5]
-        assert _EXP_SERIES.tolist() == want
-        assert _EXP_POWERS.tolist() == [16.0, 14.0, 12.0, 10.0, 8.0, 6.0,
-                                        4.0, 2.0, 1.0]
+            assert list(phi) == [0.5] + [
+                float(-mp.bernoulli(2 * k) / mp.factorial(2 * k))
+                for k in range(1, len(phi))]
+            assert list(psi) == [
+                float((2 * k - 1) * mp.bernoulli(2 * k) / mp.factorial(2 * k))
+                for k in range(1, len(psi) + 1)]
+        # each table's powers, descending, and its coefficients as a view
+        # with a negative stride: s^27, ..., s^3, s, 1 and s^58, ..., s^2, 1
+        assert _PHI_POWERS.tolist() == [*range(2 * len(phi) - 3, 0, -2), 0]
+        assert _PSI_POWERS.tolist() == list(range(2 * len(psi) - 2, -1, -2))
+        assert _PHI_SERIES.strides[0] < 0 and _PSI_SERIES.strides[0] < 0
 
     @pytest.mark.parametrize("rate", (1e-300, 1e-200, 1e-100, 1e-3, 1.0, 1e3))
     def test_bin_moments_against_mpmath(self, rate):
         # 600 random bins per rate, rate*length from 1e-12 to 700, half of
         # them starting at 0 and half at up to 50/rate, against 80-digit
         # mpmath: every mean within 3 ulps and inside its bin (measured
-        # 2.3), every mass within 2 ulps scaled by 1 + rate*start, the
+        # 1.0), every mass within 2 ulps scaled by 1 + rate*start, the
         # conditioning of exp(-rate*start) (measured 1.3), every variance
-        # within 5 ulps (measured 4.2), or inf where it passes DBL_MAX.
+        # within 5 ulps (measured 2.8), or inf where it passes DBL_MAX.
         # Before the mean read s = rate*length through one kernel, a bin
         # [0, 1e-12/rate] had its mean some 1e12 ulps off
         rng = np.random.default_rng(30)
@@ -323,6 +340,53 @@ class TestExponentialMoments:
                 else:
                     assert abs(v - var) <= 5 * math.ulp(float(var)), (a, b)
 
+    def test_bin_moments_on_a_random_grid_against_mpmath(self):
+        # 1 500 random bins, rate log-uniform on [1e-300, 1e3] and
+        # s = rate*length log-uniform on [1e-320, 700], so subnormal s
+        # (below 2.2e-308) is some 4% of them, half starting at 0 and half
+        # at up to 50/rate where the bin stays wider than an ulp there.
+        # Three bins are added: at rate 1e-300, [0, 1.3423763597506668e-20]
+        # and [0, 1e-10], whose means, formed as E[u]/rate from a
+        # subnormal s, were 3.3e12 and 358 ulps off, and at rate 1e-3 the
+        # bin [0, 5.263692558638725e-05], whose variance, formed from s/2
+        # and divided by the rate twice, was 5.4 ulps off (at start 3 the
+        # end rounds to another length). Against mpmath at 50 digits more
+        # than the two moments cancel, as test_bin_moments_against_mpmath
+        # bounds them: every mean within 3 ulps (measured 0.9), every mass
+        # within 2 ulps scaled by 1 + rate*start (measured 0.9) and every
+        # variance within 5 ulps (measured 1.6), or inf where it passes
+        # DBL_MAX
+        rng = np.random.default_rng(33)
+        rates = 10.0 ** rng.uniform(-300.0, 3.0, 1500)
+        s = 10.0 ** rng.uniform(-320.0, math.log10(700.0), 1500)
+        lo = np.where((np.arange(1500) % 2 == 1) & (s > 1e-9),
+                      rng.uniform(0.0, 50.0, 1500) / rates, 0.0)
+        bins = [(r, a, a + si / r)
+                for r, a, si in zip(rates.tolist(), lo.tolist(), s.tolist())]
+        bins += [(1e-300, 0.0, 1.3423763597506668e-20), (1e-300, 0.0, 1e-10),
+                 (1e-3, 0.0, 5.263692558638725e-05)]
+        assert sum(r * (b - a) < sys.float_info.min for r, a, b in bins) > 30
+        for rate, a, b in bins:
+            src = SourceModel.exponential(rate)
+            p, m, v = (float(f([a, b])[0]) for f in (
+                src.bin_probs, src.bin_means, src.bin_variances))
+            lost = max(0, -math.floor(math.log10(rate * (b - a))))
+            with mp.workdps(50 + 2 * lost):
+                r, start = mp.mpf(rate), mp.mpf(a)
+                length = mp.mpf(b) - start
+                s_ = r * length
+                mass = mp.exp(-r * start) * -mp.expm1(-s_)
+                mean = start + length * (1 / s_ - 1 / mp.expm1(s_))
+                var = length ** 2 * (1 - (s_ / 2 / mp.sinh(s_ / 2)) ** 2) / s_ ** 2
+                assert a <= m <= b, (rate, a, b)
+                assert abs(m - mean) <= 3 * math.ulp(float(mean)), (rate, a, b)
+                assert abs(p - mass) <= (
+                    2 * (1 + rate * a) * math.ulp(float(mass))), (rate, a, b)
+                if var > sys.float_info.max:
+                    assert v == INF, (rate, a, b)
+                else:
+                    assert abs(v - var) <= 5 * math.ulp(float(var)), (rate, a, b)
+
     def test_truncated_mean_two_bin_identity(self):
         # the two-bin equilibrium edge sits exactly 1/rate above the
         # lower conditional mean
@@ -348,11 +412,12 @@ class TestExponentialMoments:
 
     def test_window_variance_series_and_saturation(self):
         # (1 - (s/sinh s)^2)/rate^2, s = rate*length/2, in 50-digit mpmath,
-        # to 2e-15 relative from s = 1e-12 to 1e3, through the series
-        # cut at s = 1 and the saturation at 350 (measured 6.3e-16)
+        # to 2e-15 relative from s = 1e-12 to 1e3, through the series cut
+        # at s = 1.5 (rate*length = 3) and the clamp at rate*length =
+        # 709.78 (measured 2.7e-16)
         rate = 0.37
         s = np.concatenate((np.logspace(-12.0, 3.0, 301),
-                            [np.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-12, 350.0]))
+                            [np.nextafter(1.5, 0.0), 1.5, 1.5 + 1e-12, 354.89]))
         got = _exp_window_variance(2.0 * s / rate, rate)
         with mp.workdps(50):
             for si, v in zip((2.0 * s / rate).tolist(), got.tolist()):
@@ -377,9 +442,9 @@ class TestExponentialMoments:
 
     @pytest.mark.parametrize("rate", (1e-150, 1e-200, 1e-250, 1e-300))
     def test_window_variance_at_tiny_rates(self, rate):
-        # below s = 1.5e-154, s^2 is subnormal or 0, and a variance formed
-        # as d*(2 - d)/rate^2 from d ~ s^2/3 lost its digits (0.0 at
-        # length 1e-100 and rate 1e-200); against 50-digit mpmath, with
+        # below s = 1.5e-154, s^2 is subnormal or 0, where a variance
+        # formed as d*(2 - d)/rate^2 from d ~ s^2/3 loses its digits (0.0
+        # at length 1e-100 and rate 1e-200); against 50-digit mpmath, with
         # the working precision raised so that 1 - (s/sinh s)^2 keeps 50
         # digits down to s = 1e-300
         s = np.concatenate((np.logspace(-300.0, 0.0, 151),
@@ -822,26 +887,34 @@ class TestVectorIntervalMean:
                 assert values.tobytes() == method(row).tobytes(), (method, row)
 
     def test_exponential_rows_of_every_length(self):
-        # rows of 1 to 1000 bins, s = rate*length uniform on (0, 1.2),
-        # astride the kernel's series cut at 0.6: each row of a (3, n)
-        # kernel call, and of a (3, n + 1) _frame_means or bin_means call,
-        # equals the 1-D call on that row bit for bit. This rests on the
-        # series' matmul summing each row in numpy's own loop; one BLAS
-        # matrix-vector product over all 3n rows moved 38 of these
-        # kernel values by an ulp (the means absorb most such moves in
-        # their start)
-        src = SourceModel.exponential(1.7)
-        s = np.random.default_rng(7).uniform(1e-3, 1.2, 3000)
+        # rows of 1 to 1000 bins, s = rate*length uniform on (0, 3.6),
+        # astride the mean's series cut at 1.5 and the variance's at 3:
+        # each row of a (3, n) call of either kernel, and of a (3, n + 1)
+        # _frame_means, bin_means or bin_variances call, equals the 1-D
+        # call on that row bit for bit. This rests on each series' matmul
+        # summing each row in numpy's own loop; one BLAS matrix-vector
+        # product over all 3n rows moved 38 of the mean kernel's values by
+        # an ulp
+        rate = 1.7
+        src = SourceModel.exponential(rate)
+        lengths = np.random.default_rng(7).uniform(1e-3, 3.6, 3000) / rate
 
         def frame_means(e):
             return src._frame_means(e, np.diff(e))
 
+        def window_mean(length):
+            return _exp_window_mean(length, rate)
+
+        def window_variance(length):
+            return _exp_window_variance(length, rate)
+
         for n in range(1, 1001):
-            rows = s[:3 * n].reshape(3, n)
+            rows = lengths[:3 * n].reshape(3, n)
             edges = np.zeros((3, n + 1))
-            edges[:, 1:] = np.cumsum(rows / 1.7, axis=1)
-            for method, arg in ((_exp_unit_mean, rows), (frame_means, edges),
-                                (src.bin_means, edges)):
+            edges[:, 1:] = np.cumsum(rows, axis=1)
+            for method, arg in ((window_mean, rows), (window_variance, rows),
+                                (frame_means, edges), (src.bin_means, edges),
+                                (src.bin_variances, edges)):
                 got = method(arg)
                 for row, values in zip(arg, got):
                     assert values.tobytes() == method(row).tobytes(), (n, method)

@@ -112,6 +112,9 @@ INVOCATIONS = [
                                    "--tol", "-1")),
     ("usage: solve ladder margin", ("solve", *GAUSS, "--bias", "0.3", "--ladder",
                                     "--margin", "40")),
+    # 2|bias|/std overflows to inf
+    ("usage: gauss bias over std", ("solve", *GAUSS, "--std", "1e-300", "--bias",
+                                    "1e10", "--bins", "2")),
     ("usage: unwritable out", ("solve", *EXP, "--rate", "1", "--bias", "0.2",
                                "--bins", "3", "--out", "{dir}/missing/out.json")),
     # 2/rate overflows: the scale 2/rate + 2*bias is not finite
@@ -152,6 +155,9 @@ INVOCATIONS = [
                              "--bins", "2")),
     ("usage: sweep zero std", ("sweep", *GAUSS, "--std", "0", "--vary", "bias",
                                "--from", "0", "--to", "0.5", "--steps", "3")),
+    ("sweep gauss bias over std", ("sweep", *GAUSS, "--std", "1e-300", "--vary",
+                                   "bias", "--from", "1e9", "--to", "1e10",
+                                   "--steps", "2")),
     ("dynamics exp lloyd", ("dynamics", *EXP, "--rate", "1", "--bias", "0.5",
                             "--bins", "4", "--init", "1,2,3", "--method", "lloyd")),
     ("dynamics exp fixed-point", ("dynamics", *EXP, "--rate", "1.3", "--bias", "0.2",

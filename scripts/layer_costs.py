@@ -34,13 +34,10 @@ edges.
   passes per solve on the grid (gaussian._std_interval_slopes calls,
   one per Newton iterate and line-search trial), so the layer reads as
   iterations times cost per iteration;
-- `restart step`: one damped step of gaussian._damped_midpoints, as a
-  restart block of the solve loop takes it, on N(0.3, 1.7) at bias 0.2
-  from the equal-width start of 11 edges at bias 0.2/1.7, damping 0.5:
-  8 steps at tol 1e-300, divided by 8. The loop takes its edges and bias
-  in std units, so the layer passes the start and the bias 0.2/1.7
-  there; a tree whose loop took x edges reads the same numbers as x
-  edges, with the same kernel passes;
+- `restart round`: one whole gaussian._solve_edges on N(0, 1) at bias
+  -0.4 from the start (-1.4, 1.4, 1.8, 2.0, 3.1), damping 0.5, max_iter
+  100 000, tol 1e-10: Newton breaks down there after 11 steps, and one
+  restart round of 8 damped steps takes it to the root;
 - `partition 40`: a fresh 40-bin Gaussian Partition (the equal-width
   start of 39 edges at bias 0.05 on N(0, 1)) with certify, decoder_cost
   and decoder_best_response;
@@ -85,8 +82,8 @@ def layers(passes: dict):
     from cheaptalk.dynamics import _random_starts, _run_rows
     from cheaptalk.equilibrium import (Partition, certify,
                                        decoder_best_response, decoder_cost)
-    from cheaptalk.gaussian import (_damped_midpoints, _solve_edges,
-                                    solve_n_bins_gauss, solve_two_bin_gauss)
+    from cheaptalk.gaussian import (_solve_edges, solve_n_bins_gauss,
+                                    solve_two_bin_gauss)
     from cheaptalk.sources import SourceModel
 
     def equal_width(bias, count):
@@ -139,12 +136,10 @@ def layers(passes: dict):
     passes["gaussian solve grid"] = kernel_calls(
         gaussian, "_std_interval_slopes", grid) / len(GRID)
     yield "gaussian solve grid", grid, len(GRID)
-    shifted = SourceModel.gaussian(0.3, 1.7)
-    interior = equal_width(0.2 / 1.7, 11)
-    yield ("restart step",
-           lambda: _damped_midpoints(shifted, 0.2 / 1.7, interior, 0.5, 8,
-                                     1e-300),
-           8)
+    breakdown = np.array((-1.4, 1.4, 1.8, 2.0, 3.1))
+    yield ("restart round",
+           lambda: _solve_edges(gauss, -0.4, breakdown, 0.5, 100_000, 1e-10),
+           1)
     edges = (-math.inf, *equal_width(0.05, 39), math.inf)
 
     def record():

@@ -18,10 +18,17 @@ game by its own default: None in older trees, +inf since the closing
 step became a plain float.
 
 Each Newton breakdown starts one restart round of damped steps, so the
-rounds of a start are the breakdowns it handled; they are counted by
-wrapping gaussian._damped_midpoints. Every start is also run through
-_damped_midpoints alone to tol 1e-14, the damped reference. Prints one
-JSON object:
+rounds of a start are the breakdowns it handled. They are counted
+through what every tree's loop does, with no hook of its own: each
+Newton attempt calls gaussian._newton_step, and each damped step
+multiplies the damping by the midpoints, so the damping passed in is a
+float that logs its products. A round is a run of damped steps between
+two Newton attempts; a step that crosses edges is counted too. Kernel
+passes are counted as sources._std_rule calls, which every pass of
+every tree makes once. Every start is also run through the damped loop
+alone to tol 1e-14, the damped reference, a copy here of the loop the
+restart rounds take, reading SourceModel._frame_means. Prints one JSON
+object:
 
 - broke: the starts with at least one breakdown, per kind;
 - steps, edges: the loop's step count and edges by start index, so two
@@ -30,6 +37,7 @@ JSON object:
 - failed: the loop's error, or its final change if it did not converge;
 - gap: the largest edge distance to the damped reference, or the
   reference's error;
+- passes: the loop's kernel passes by start;
 - breakdown_seconds: wall time of the loop on the starts that broke.
 
 SRC (default: this checkout's src) is put first on sys.path.
@@ -37,7 +45,9 @@ SRC (default: this checkout's src) is put first on sys.path.
 Given two trees, the script runs each in its own `python` process, side
 by side, and compares them start by start: it prints every start whose
 steps, edges, restarts, failure or gap differ, then a count, and exits 1
-on any difference. Only breakdown_seconds is not compared.
+on any difference. Passes and breakdown_seconds are not compared; the
+report gives how many starts take how many passes fewer in the new
+tree, and on how many the drop equals the old tree's restart rounds.
 """
 
 from __future__ import annotations
@@ -54,27 +64,62 @@ STARTS = 1500
 COMPARED = ("steps", "edges", "restarts", "failed", "gap")
 
 
+def damped_reference(source, bias, edges, damping, max_iter, tol,
+                     ladder_step=float("inf")):
+    """Damped midpoint iteration in std units from increasing edges,
+    (1 - damping)*e + damping*midpoints(e), to the first move of at most
+    tol; returns (edges, converged). Raises EdgeOrderingError where a step
+    crosses edges."""
+    import numpy as np
+    from cheaptalk.equilibrium import _midpoints
+    from cheaptalk.errors import EdgeOrderingError
+
+    def full(e):
+        return np.concatenate(([-np.inf], e, [e[-1] + ladder_step]))
+
+    z = full(edges)
+    for it in range(1, max_iter + 1):
+        rows = _midpoints(source._frame_means(z, None), bias)
+        new = (1.0 - damping) * edges + damping * rows
+        z = full(new)
+        if not (z[1:] > z[:-1]).all():
+            raise EdgeOrderingError(
+                f"edges crossed at iteration {it}", iteration=it)
+        delta, edges = float(np.abs(new - edges).max()), new
+        if delta <= tol:
+            return edges, True
+    return edges, False
+
+
 def dump(src: str, seed: int) -> dict:
     """The JSON object above for one tree."""
     sys.path.insert(0, src)
     import numpy as np
-    from cheaptalk import gaussian
+    from cheaptalk import gaussian, sources
     from cheaptalk.errors import CheapTalkError, EdgeOrderingError
     from cheaptalk.sources import SourceModel
 
-    damped = gaussian._damped_midpoints
-    rounds = []
+    # "N" per Newton attempt, "D" per damped step, "P" per kernel pass
+    events = []
 
-    def counted(*call_args):
-        result = damped(*call_args)
-        rounds.append(result[2])
-        return result
+    class Damping(float):
+        def __mul__(self, other):
+            events.append("D")
+            return float(self) * other
 
-    gaussian._damped_midpoints = counted
+    def logged(name, kernel):
+        def call(*call_args):
+            events.append(name)
+            return kernel(*call_args)
+        return call
+
+    gaussian._newton_step = logged("N", gaussian._newton_step)
+    sources._std_rule = logged("P", sources._std_rule)
     source = SourceModel.gaussian(0.0, 1.0)
     rng = np.random.default_rng(seed)
     out = {"broke": {"n-bin": [], "ladder": []}, "steps": {}, "edges": {},
-           "restarts": {}, "failed": {}, "gap": {}, "breakdown_seconds": 0.0}
+           "restarts": {}, "failed": {}, "gap": {}, "passes": {},
+           "breakdown_seconds": 0.0}
     for i in range(STARTS):
         bias = rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.6)
         if i < 1200:
@@ -86,11 +131,11 @@ def dump(src: str, seed: int) -> dict:
             closing = (2.0 * bias,)
             anchor, lengths = rng.uniform(-4.0, 4.0), rng.uniform(0.05, 1.0, 39)
             edges = anchor + np.concatenate(([0.0], np.cumsum(lengths)))
-        rounds.clear()
+        events.clear()
         started = time.perf_counter()
         try:
             final, converged, steps, change = gaussian._solve_edges(
-                source, bias, edges, 0.5, 100_000, 1e-10, *closing)
+                source, bias, edges, Damping(0.5), 100_000, 1e-10, *closing)
         except CheapTalkError as err:
             final, out["failed"][i] = None, f"{type(err).__name__}: {err}"
         else:
@@ -98,14 +143,18 @@ def dump(src: str, seed: int) -> dict:
             out["edges"][i] = final.tolist()
             if not converged:
                 out["failed"][i] = change
+        elapsed = time.perf_counter() - started
+        out["passes"][i] = events.count("P")
+        rounds = [len(run) for run in
+                  "".join(e for e in events if e != "P").split("N") if run]
         if rounds:
-            out["breakdown_seconds"] += time.perf_counter() - started
+            out["breakdown_seconds"] += elapsed
             out["broke"][kind].append(i)
             out["restarts"][i] = {"rounds": len(rounds),
                                   "damped_steps": sum(rounds)}
         try:
-            want, converged, _, _ = damped(source, bias, edges, 0.5, 100_000,
-                                           1e-14, *closing)
+            want, converged = damped_reference(source, bias, edges, 0.5,
+                                               100_000, 1e-14, *closing)
         except EdgeOrderingError as err:
             out["gap"][i] = f"reference: {err}"
             continue
@@ -146,6 +195,16 @@ def compare(old_src: str, new_src: str, seed: int) -> int:
             print(f"start {i}: " + "; ".join(
                 difference(key, old[key].get(i), new[key].get(i))
                 for key in fields))
+    drops = {}
+    for i in map(str, range(STARTS)):
+        drop = old["passes"][i] - new["passes"][i]
+        drops[drop] = drops.get(drop, 0) + 1
+    rounds = sum(old["passes"][i] - new["passes"][i]
+                 == old["restarts"].get(i, {}).get("rounds", 0)
+                 for i in map(str, range(STARTS)))
+    print(f"passes fewer in the new tree: starts by count "
+          f"{dict(sorted(drops.items()))}; equal to the old tree's restart "
+          f"rounds on {rounds} starts")
     print(f"{STARTS} starts: {differ} differ")
     return 1 if differ else 0
 

@@ -369,6 +369,8 @@ def basin_probe(source: SourceModel, bias: float, n_bins: int, n_inits: int,
     damping = damping if method == "fixed-point" else 1.0
     max_iter = _check_iteration_params(damping, max_iter, tol)
     _check_seed(seed)
+    if not cluster_tol >= 0.0:
+        raise DomainError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
     starts = _random_starts(source, n_bins, n_inits,
                             np.random.default_rng(seed))
     outcomes, final = _run_rows(source, bias, starts, max_iter, tol, damping)

@@ -7,8 +7,8 @@ Finite bin counts above two and the (truncated) infinite ladder have no
 closed form. One loop (_solve_edges) finds both by Newton's method on
 the equilibrium condition F(e) = e - midpoints(e) in the interior edges,
 whose Jacobian is tridiagonal: each conditional mean moves only with its
-own two edges. Where Newton breaks down, a short block of damped steps
-of the shared midpoint map, which needs no derivative, moves the start
+own two edges. Where Newton breaks down, the same loop takes a short
+round of damped steps of the midpoint map, which needs no derivative,
 before Newton tries again. The last bin closes one step past the last
 edge: +inf for a finite game, one synthetic bin for a truncated ladder.
 
@@ -35,12 +35,12 @@ tol/std in z; every tolerance of the loop is in std units, so a game
 far from the origin in x solves as the same game at 0. A ladder of
 negative bias is solved reflected, as -z reversed, which is exact.
 
-Everything here runs on numpy alone: every bin moment, in Newton
-iterates and restart blocks alike, comes from the one Gaussian kernel,
-the fixed rule of sources._std_rule, and each Newton step solves its
-tridiagonal system by a Thomas sweep (_thomas). Below a few dozen bins
-an iterate costs a fixed count of numpy calls, not work per bin, and the
-loop forms nothing it does not read.
+Everything here runs on numpy alone: every pass of the loop, Newton
+iterate, line-search trial or damped step, is one call of
+sources._std_interval_slopes, the fixed rule of sources._std_rule read
+as means and edge slopes, and each Newton step solves its tridiagonal
+system by a Thomas sweep (_thomas). Below a few dozen bins a pass costs
+a fixed count of numpy calls, not work per bin.
 """
 
 from __future__ import annotations
@@ -99,10 +99,18 @@ def solve_two_bin_gauss(mean: float, std: float, bias: float) -> Partition:
     bias/std; the returned edge is mean + std*c.
     """
     source = SourceModel.gaussian(mean, std)
+    c = _solve_balance(2.0 * _std_bias(bias, std))
+    return Partition((-math.inf, mean + std * c, math.inf), source, bias)
+
+
+def _std_bias(bias: float, std: float) -> float:
+    """bias/std, the bias in std units that every Gaussian solve reads;
+    DomainError unless bias and 2|bias|/std, the balance's side, are finite."""
     if not math.isfinite(bias):
         raise DomainError(f"bias must be finite, got {bias!r}")
-    return Partition((-math.inf, mean + std * _solve_balance(2.0 * bias / std),
-                      math.inf), source, bias)
+    if not math.isfinite(2.0 * (bias / std)):
+        raise DomainError(f"2|bias|/std overflows at bias={bias!r}, std={std!r}")
+    return bias / std
 
 
 def _solve_balance(y: float) -> float:
@@ -167,14 +175,17 @@ def half_line_bin_bound(std: float, bias: float) -> int:
 
     For bias < 0 the cap applies to bins contained in [mean, inf), for
     bias > 0 to bins in (-inf, mean]. Zero means no interior edge fits
-    on that side at all.
+    on that side at all; a cap past DBL_MAX is a DomainError.
     """
     if not (math.isfinite(std) and std > 0.0):
         raise DomainError(f"std must be a finite positive real, got {std!r}")
     if not math.isfinite(bias) or bias == 0.0:
         raise DomainError(
             f"the half-line bound needs a nonzero finite bias, got {bias!r}")
-    return int(math.floor(std / (2.0 * abs(bias))))
+    cap = std / (2.0 * abs(bias))
+    if cap == math.inf:
+        raise DomainError(f"std/(2|bias|) overflows at std={std!r}, bias={bias!r}")
+    return int(cap)
 
 
 def asymptotic_bin_length(bias: float) -> float:
@@ -193,12 +204,7 @@ def ladder_boxes(mean: float, std: float,
     first interval and all its bin lengths in the second; the boxes for
     negative bias are the positive-bias ones reflected about the mean.
     """
-    if not (math.isfinite(std) and std > 0.0):
-        raise DomainError(f"std must be a finite positive real, got {std!r}")
-    if not (math.isfinite(bias) and bias != 0.0):
-        raise DomainError(f"ladder boxes need a nonzero finite bias, got {bias!r}")
-    w = abs(bias)
-    k = half_line_bin_bound(std, bias)
+    k, w = half_line_bin_bound(std, bias), abs(bias)
     span = k * (2.0 * std - 2.0 * w) + 2.0 * std
     if bias > 0.0:
         anchor = (mean - span, mean + 2.0 * w + std)
@@ -266,7 +272,7 @@ class LadderResult:
     final_change: float
 
 
-# damped steps in one restart block of the solve loop
+# damped steps in one restart round of the solve loop
 _RESTART_STEPS = 8
 # max|F| at or below this times 1 + max|z|, in the std units the loop
 # works in, is rounding noise
@@ -278,29 +284,6 @@ def _full_edges(edges: np.ndarray, ladder_step: float = math.inf) -> np.ndarray:
     interior edges: +inf closes a finite game, 2|bias| a truncated
     ladder."""
     return np.concatenate(([-np.inf], edges, [edges[-1] + ladder_step]))
-
-
-def _damped_midpoints(source: SourceModel, bias: float, edges: np.ndarray,
-                      damping: float, max_iter: int, tol: float,
-                      ladder_step: float = math.inf
-                      ) -> tuple[np.ndarray, bool, int, float]:
-    """Damped midpoint iteration from increasing edges in std units, with
-    bias, tol and ladder_step in std units too; returns (edges,
-    converged, iterations, last_change), in std units. Bins are those of
-    _full_edges, whose means it reads through source._frame_means."""
-    delta, z = math.inf, _full_edges(edges, ladder_step)
-    for it in range(1, max_iter + 1):
-        rows = _midpoints(source._frame_means(z, None), bias)
-        new = (1.0 - damping) * edges + damping * rows
-        z = _full_edges(new, ladder_step)
-        if not (z[1:] > z[:-1]).all():
-            raise EdgeOrderingError(
-                f"edges crossed at iteration {it}", iteration=it)
-        delta = float(np.abs(new - edges).max())
-        edges = new
-        if delta <= tol:
-            return edges, True, it, delta
-    return edges, False, max_iter, delta
 
 
 def _thomas(sub, diag, sup, rhs) -> list[float] | None:
@@ -357,30 +340,34 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     start, bias, tol and ladder_step are in std units, and so is what it
     returns.
 
-    Every iterate, line-search trials included, costs one kernel pass:
-    _std_interval_slopes gives the bins' means, hence F and max|F|, and
-    the slopes that _newton_step's Jacobian needs. Newton steps are
-    halved until every bin keeps a positive width and max|F| does not
-    grow (a ladder's closing step can round away on the last edge); a
-    full step of at most tol, once taken, converges.
-    Once max|F| is rounding noise (_F_FLOOR), a full step no smaller
-    than the smallest so far is noise too, and the loop stops. On a
-    breakdown (a non-finite F or step, or one halved below 2^-20) it
-    takes _RESTART_STEPS damped steps, from the start at first and then
-    from the last damped iterate, and retries Newton. Steps taken,
-    Newton and damped, count against max_iter. final_change is the
-    smallest full Newton step (inf if none was finite).
+    Every step of any kind, and every line-search trial, costs one
+    kernel pass: _std_interval_slopes gives the bins' means, hence the
+    midpoints, F and max|F|, and the slopes of _newton_step's Jacobian.
+    Newton steps are halved until every bin keeps a positive width and
+    max|F| does not grow (a ladder's closing step can round away on the
+    last edge); a full step of at most tol, once taken, converges. Once
+    max|F| is rounding noise (_F_FLOOR), a full step no smaller than the
+    smallest so far is noise too, and the loop stops. On a breakdown (a
+    non-finite F or step, or one halved below 2^-20) it takes up to
+    _RESTART_STEPS damped steps (1 - damping)*e + damping*midpoints(e),
+    each on the pass before it, from the start at first and then from
+    the last damped iterate, to a move of at most tol; a step that
+    crosses edges raises EdgeOrderingError. Newton then resumes from
+    the last pass. Steps taken, Newton and damped, count against
+    max_iter. final_change is the smallest full Newton step (inf if
+    none was finite).
     """
     def residual(z):
         means, lo, hi = _std_interval_slopes(z[:-1], z[1:])
-        f = z[1:-1] - _midpoints(means, bias)
-        return f, float(np.abs(f).max()), lo, hi
+        mid = _midpoints(means, bias)
+        f = z[1:-1] - mid
+        return f, float(np.abs(f).max()), lo, hi, mid
 
     # the start is checked here; the loop checks every later iterate
-    edges = damped = start
-    z = source._bin_edges(_full_edges(start, ladder_step))
-    f, f_max, lo, hi = residual(z)
-    steps, smallest = 0, math.inf
+    edges, z = start, source._bin_edges(_full_edges(start, ladder_step))
+    f, f_max, lo, hi, mid = residual(z)
+    # the last damped iterate and its midpoints, the start's at first
+    damped, steps, smallest = (edges, mid), 0, math.inf
     while steps < max_iter:
         step = _newton_step(f, lo, hi)
         if step is not None:
@@ -405,13 +392,20 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
             else:
                 step = None
         if step is None:
-            damped, _, taken, _ = _damped_midpoints(
-                source, bias, damped, damping,
-                min(_RESTART_STEPS, max_iter - steps), tol, ladder_step)
-            edges, steps = damped, steps + taken
-            f, f_max, lo, hi = residual(_full_edges(edges, ladder_step))
+            edges, mid = damped
+            for it in range(1, min(_RESTART_STEPS, max_iter - steps) + 1):
+                new = (1.0 - damping) * edges + damping * mid
+                z = _full_edges(new, ladder_step)
+                if not (z[1:] > z[:-1]).all():
+                    raise EdgeOrderingError(
+                        f"edges crossed at iteration {it}", iteration=it)
+                move = float(np.abs(new - edges).max())
+                edges, (f, f_max, lo, hi, mid) = new, residual(z)
+                if move <= tol:
+                    break
+            damped, steps = (edges, mid), steps + it
         else:
-            edges, (f, f_max, lo, hi), steps = new, trial, steps + 1
+            edges, (f, f_max, lo, hi, mid), steps = new, trial, steps + 1
     return edges, False, steps, smallest
 
 
@@ -422,7 +416,7 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
                            tol: float = 1e-10,
                            cert_tol: float = 1e-8) -> LadderResult:
     """Truncated infinite-bin ladder by the solve loop _solve_edges
-    (Newton, with restart blocks of damped steps at this damping).
+    (Newton, with restart rounds of damped steps at this damping).
 
     Starts from init when given (its margin wins), otherwise from
     _default_start in std units: edges climbing from the two-bin edge by
@@ -442,20 +436,21 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
             f"the one-sided ladder needs a nonzero finite bias, got {bias!r}")
     max_iter = _check_iteration_params(damping, max_iter, tol)
     mean, std = source.mean, source.std
+    b = _std_bias(bias, std)
     if init is not None:
         margin = init.margin
         z = source._to_frame(init.edges_for(bias))
         n_edges = len(z)
     else:
         n_edges = _check_count(n_edges, 2, "n_edges must be an integer >= 2")
-        z = _default_start(bias / std, n_edges)
+        z = _default_start(b, n_edges)
     margin = _check_count(margin, 0, "margin must satisfy 0 <= margin < n_edges",
                           n_edges)
 
     flip = bias < 0.0
     z, converged, iterations, change = _solve_edges(
-        source, abs(bias) / std, -z[::-1] if flip else z, damping, max_iter,
-        tol / std, asymptotic_bin_length(bias) / std)
+        source, abs(b), -z[::-1] if flip else z, damping, max_iter,
+        tol / std, asymptotic_bin_length(b))
     final = _resolved(source._from_frame(-z[::-1] if flip else z), mean)
 
     anchor = float(final[-1] if flip else final[0])
@@ -519,7 +514,7 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
                        damping: float = 0.5, max_iter: int = 100_000,
                        tol: float = 1e-10) -> Partition:
     """Finite-bin Gaussian equilibrium by the solve loop _solve_edges
-    (Newton, with restart blocks of damped steps at this damping).
+    (Newton, with restart rounds of damped steps at this damping).
 
     Starts from init when given, otherwise from _default_start in std
     units: n_bins - 1 edges climbing from the two-bin edge by the
@@ -537,8 +532,7 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     story but a useful anchor.
     """
     source = SourceModel.gaussian(mean, std)
-    if not math.isfinite(bias):
-        raise DomainError(f"bias must be finite, got {bias!r}")
+    b = _std_bias(bias, std)
     n_bins = _check_count(n_bins, 1, "n_bins must be a positive integer")
     max_iter = _check_iteration_params(damping, max_iter, tol)
     if n_bins == 1:
@@ -549,10 +543,10 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
                 f"init has {init.n_bins} bins, expected {n_bins}")
         z = source._to_frame(np.asarray(init.interior_edges, dtype=float))
     else:
-        z = _default_start(bias / std, n_bins - 1)
+        z = _default_start(b, n_bins - 1)
 
     z, converged, iterations, change = _solve_edges(
-        source, bias / std, z, damping, max_iter, tol / std)
+        source, b, z, damping, max_iter, tol / std)
     edges, change = _resolved(source._from_frame(z), mean), change * std
     if converged:
         return Partition((-math.inf, *edges, math.inf), source, bias)

@@ -9,9 +9,9 @@ Partition's too, passes one check, _bin_edges. Inside the package each
 loop then has one reader of checked edges:
 
 - _frame_means, the means alone, in the kernel's frame: each dynamics
-  step and each restart block of the Newton loop;
+  step, and an exponential record's means;
 - _std_interval_slopes, the means and their slopes in the edges: each
-  Newton iterate;
+  pass of the Gaussian solve loop, Newton or damped;
 - _bin_moments, (probs, means, variances) as arrays from one kernel
   call: a Partition's record and the three public array methods.
 
@@ -436,8 +436,8 @@ class SourceModel:
                      ) -> np.ndarray:
         """Bin means in the kernel's frame (see _to_frame), on checked
         edges z in that frame whose first edge is at or inside the
-        support: all that a dynamics step or a restart block of the
-        Newton loop reads, and nothing more. A Gaussian's are near + E[u]
+        support: all that a dynamics step reads, and nothing more; an
+        exponential record takes its means here too. A Gaussian's are near + E[u]
         from one _std_rule pass, negated where the bin was reflected,
         with no map to x and back; it reads z alone, and its callers pass
         gaps=None. An exponential's are start + _exp_window_mean(gaps, rate)

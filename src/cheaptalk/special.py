@@ -241,9 +241,10 @@ _ERFCX_CLENSHAW = _ERFCX_CHEB[::-1]
 def erfcx(x: float) -> float:
     """exp(x^2) * erfc(x) for a Python float, to a few ulps.
 
-    x >= 0 sums the Chebyshev series by Clenshaw's recurrence; x < 0
-    uses erfcx(x) = 2 exp(x^2) - erfcx(-x), which overflows to inf below
-    about -26.6; erfcx(inf) = 0.
+    x >= 0 sums the Chebyshev series of (1 + 2x) erfcx(x) by Clenshaw's
+    recurrence and divides it by 1 + 2x as half of it by 0.5 + x, which
+    stays finite up to DBL_MAX; x < 0 uses erfcx(x) = 2 exp(x^2) -
+    erfcx(-x), which overflows to inf below about -26.6; erfcx(inf) = 0.
     """
     if x < 0.0:
         if x * x > 709.78:
@@ -256,7 +257,7 @@ def erfcx(x: float) -> float:
     b1 = b2 = 0.0
     for c in _ERFCX_CLENSHAW:
         b1, b2 = c + t2 * b1 - b2, b1
-    return (_ERFCX_C0 + t * b1 - b2) / (1.0 + 2.0 * x)
+    return 0.5 * (_ERFCX_C0 + t * b1 - b2) / (0.5 + x)
 
 
 def std_normal_quantile(q: float) -> float:
@@ -297,8 +298,9 @@ def mills_ratio(x: float) -> float:
 
     Uses the scaled complementary error function, so the ratio never
     degrades to 0/0 even where the tail probability itself underflows.
+    Far out it is about x; at inf it is inf.
     """
-    return _SQRT_2_OVER_PI / erfcx(x / _SQRT2)
+    return x if x == math.inf else _SQRT_2_OVER_PI / erfcx(x / _SQRT2)
 
 
 def _newton(step_at: Callable[[float], float], x: float) -> float:

@@ -286,6 +286,16 @@ class TestSolve:
         assert err.startswith("usage: cheaptalk solve ")
         assert err.endswith("cheaptalk solve: error: refused\n")
 
+    def test_bias_over_std_that_overflows_is_a_usage_error(self, capsys):
+        for shape in (("--bins", "2"), ("--bins", "3"), ("--ladder",)):
+            code, out, err = run(capsys, "solve", "--source", "gauss", "--std",
+                                 "1e-300", "--bias", "1e10", *shape)
+            assert code == 1 and out == "", shape
+            assert err.startswith("usage: cheaptalk solve "), shape
+            assert err.endswith(
+                "cheaptalk solve: error: 2|bias|/std overflows at "
+                "bias=10000000000.0, std=1e-300\n"), shape
+
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         good = tmp_path / "eq.json"
         assert run(capsys, "solve", "--source", "exp", "--rate", "1", "--bias",
@@ -411,6 +421,13 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert [r["status"] for r in rows] == ["invalid"] * 2
         assert all(r["max_bins"] is None for r in rows)
+
+    def test_bias_over_std_that_overflows_row_is_invalid(self, capsys):
+        code, out, err = run(capsys, "sweep", "--source", "gauss", "--std",
+                             "1e-300", "--vary", "bias", "--from", "1e9",
+                             "--to", "1e10", "--steps", "2", "--format", "json")
+        assert code == 0, err
+        assert [r["status"] for r in json.loads(out)["rows"]] == ["invalid"] * 2
 
     def test_empty_grid_exits_one(self, capsys):
         code, _, _ = run(capsys, "sweep", "--source", "exp", "--rate", "1",

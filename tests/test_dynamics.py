@@ -24,8 +24,8 @@ from cheaptalk.exponential import (
     solve_two_bin,
 )
 from cheaptalk.gaussian import (
-    _damped_midpoints,
     _full_edges,
+    _solve_edges,
     solve_n_bins_gauss,
 )
 from cheaptalk.sources import SourceModel
@@ -405,27 +405,37 @@ class TestStepWork:
         Partition(starts[0], EXP, 0.2)._moments
         assert exps == [(8,)]
 
-    def test_restart_block_step_forms_no_mass(self, exps):
+    def test_restart_block_step_forms_no_mass(self, monkeypatch, exps):
+        # a restart round's damped step reads its midpoints from a pass of
+        # the solve loop, as a Newton iterate does: the rule's exp and
+        # the edge slopes', no mass. The loop runs in std units; from this
+        # start Newton breaks down after 11 steps, so a cap of 12 leaves
+        # one damped step, from the start
+        passes = []
+        rule = sources._std_rule
+
+        def counted(za, zb):
+            passes.append(za.shape)
+            return rule(za, zb)
+
+        monkeypatch.setattr(sources, "_std_rule", counted)
+        z, bias = np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), -0.4
         for source in (GAUSS, SourceModel.gaussian(0.3, 1.7)):
             exps.clear()
-            # a restart block runs in std units, as the solve loop does,
-            # here from the 8-bin equal-width seed
-            bias = 0.2 / source.std
-            z = equal_width(bias, 7)
-            edges = source._from_frame(z)
-            _, converged, steps, _ = _damped_midpoints(source, bias, z,
-                                                       0.5, 3, 1e-300)
-            assert (converged, steps) == (False, 3)
-            assert exps == [(8, 48)] * 3
+            passes.clear()
+            step, converged, steps, _ = _solve_edges(source, bias, z, 0.5,
+                                                     12, 1e-10)
+            assert (converged, steps) == (False, 12)
+            assert passes == [(6,)] * len(passes)
+            assert exps == [(6, 48), (2, 6)] * len(passes)
             # one step is the damped midpoint map of the frame means
-            step, _, _, _ = _damped_midpoints(source, bias, z, 0.5, 1,
-                                              1e-300)
             means = source._frame_means(_full_edges(z), None)
             assert np.array_equal(step, 0.5 * z + 0.5 * _midpoints(means, bias))
             # and in x the map of the public bin means, to 2 ulps of each
             # edge (1 ulp measured on N(0.3, 1.7); N(0, 1) is exact)
+            edges = source._from_frame(z)
             want = 0.5 * edges + 0.5 * _midpoints(
-                source.bin_means(_full_edges(edges)), 0.2)
+                source.bin_means(_full_edges(edges)), bias * source.std)
             assert np.all(np.abs(source._from_frame(step) - want)
                           <= 2 * np.spacing(np.abs(want)))
 
@@ -606,6 +616,20 @@ class TestRandomStarts:
         for bias in (math.nan, math.inf):
             with pytest.raises(DomainError, match="bias must be finite"):
                 basin_probe(GAUSS, bias, 3, 2, seed=1)
+
+    def test_probe_rejects_a_cluster_tol_that_is_nan_or_negative(
+            self, monkeypatch):
+        # no limit is within NaN or -1 of another, so each run would read
+        # as its own limit: 3 here, where the default reads 1
+        assert basin_probe(EXP, 0.3, 3, 3, seed=1).n_distinct == 1
+
+        def run_rows(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("cheaptalk.dynamics._run_rows", run_rows)
+        for cluster_tol in (math.nan, -1.0):
+            with pytest.raises(DomainError, match="cluster_tol"):
+                basin_probe(EXP, 0.3, 3, 3, seed=1, cluster_tol=cluster_tol)
 
 
 SCALED = SourceModel.gaussian(0.3, 1.7)

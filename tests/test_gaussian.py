@@ -11,7 +11,6 @@ from cheaptalk.equilibrium import Partition, certify
 from cheaptalk.errors import DomainError, EdgeOrderingError, NonConvergenceError
 from cheaptalk.gaussian import (
     TruncatedLadder,
-    _damped_midpoints,
     _default_start,
     _solve_edges,
     _thomas,
@@ -26,7 +25,7 @@ from cheaptalk.gaussian import (
     two_bin_balance,
 )
 from cheaptalk.sources import SourceModel, _std_interval_slopes
-from seeds import equal_width, equal_width_ladder
+from seeds import damped_midpoints, equal_width, equal_width_ladder
 
 STD_GAUSS = SourceModel.gaussian(0.0, 1.0)
 
@@ -118,6 +117,23 @@ class TestTwoBin:
             c = solve_two_bin_gauss(0.0, 1.0, bias).interior_edges[0]
             assert two_bin_balance(c) == pytest.approx(2.0 * bias, abs=1e-11)
 
+    def test_balance_near_dbl_max(self):
+        # 2*bias/std = 1.6e308 is finite; far out the balance map is
+        # c - 1/c, so the root is 2*bias to the last bit
+        assert solve_two_bin_gauss(0.0, 1.0, 8e307).edges[1] == 1.6e308
+        assert solve_two_bin_gauss(0.0, 1.0, -8e307).edges[1] == -1.6e308
+
+    def test_bias_over_std_that_overflows_is_a_domain_error(self):
+        for solve in (
+                lambda: solve_two_bin_gauss(0.0, 1.0, 1e308),
+                lambda: solve_two_bin_gauss(0.0, 1e-300, -1e10),
+                lambda: solve_n_bins_gauss(0.0, 1e-300, 1e10, 3),
+                lambda: solve_truncated_ladder(SourceModel.gaussian(0.0, 1e-300),
+                                               1e10)):
+            with pytest.raises(DomainError, match=r"2\|bias\|/std overflows "
+                               r"at bias=.*, std="):
+                solve()
+
 
 class TestSideCaps:
     def test_half_line_bound_values(self):
@@ -132,6 +148,13 @@ class TestSideCaps:
             half_line_bin_bound(1.0, math.inf)
         with pytest.raises(DomainError):
             half_line_bin_bound(0.0, 0.5)
+
+    def test_bounds_past_dbl_max_are_domain_errors(self):
+        # std/(2|bias|) is inf, which no int holds
+        for bound in (lambda: half_line_bin_bound(1.0, 1e-320),
+                      lambda: ladder_boxes(0.0, 1e308, 1e-5)):
+            with pytest.raises(DomainError, match=r"std/\(2\|bias\|\) overflows"):
+                bound()
 
     def test_asymptotic_length(self):
         assert asymptotic_bin_length(-0.3) == pytest.approx(0.6)
@@ -375,24 +398,46 @@ def damped_reference(mean, std, bias, n_bins, tol):
     """The damped loop from solve_n_bins_gauss's default seed, run in std
     units as the solve loop runs, and mapped back to x."""
     source = SourceModel.gaussian(mean, std)
-    edges, converged, _, _ = _damped_midpoints(
+    edges, converged, _, _ = damped_midpoints(
         source, bias / std, _default_start(bias / std, n_bins - 1),
         0.5, 100_000, tol / std)
     assert converged
     return source._from_frame(edges)
 
 
-def restart_blocks(monkeypatch):
-    """Record the max_iter of every damped restart block the solve loop
-    runs."""
-    blocks = []
+def kernel_passes(monkeypatch):
+    """Record the interior edges of every kernel pass the solve loop
+    makes, in order, the start's first."""
+    passes = []
 
-    def block(*args):
-        blocks.append(args[4])
-        return _damped_midpoints(*args)
+    def counted(za, zb, kernel=gaussian._std_interval_slopes):
+        passes.append(za[1:].copy())
+        return kernel(za, zb)
 
-    monkeypatch.setattr(gaussian, "_damped_midpoints", block)
-    return blocks
+    monkeypatch.setattr(gaussian, "_std_interval_slopes", counted)
+    return passes
+
+
+def restart_rounds(passes, bias, ladder_step=math.inf):
+    """The damped steps of each restart round among a solve's kernel
+    passes, on N(0, 1) in std units at damping 0.5: a pass is a damped
+    step where it is, bit for bit, the reference's damped step from the
+    last damped iterate (the start at first), and a run of them is one
+    round. No solve here runs two rounds back to back."""
+    rounds, damped, last = [], passes[0], None
+    for i, edges in enumerate(passes[1:], 1):
+        try:
+            step = damped_midpoints(STD_GAUSS, bias, damped, 0.5, 1, 0.0,
+                                    ladder_step)[0]
+        except EdgeOrderingError:
+            break
+        if edges.tolist() == step.tolist():
+            if last == i - 1:
+                rounds[-1] += 1
+            else:
+                rounds.append(1)
+            damped, last = edges, i
+    return rounds
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -430,28 +475,33 @@ class TestNewton:
 
     @pytest.mark.parametrize("bias,start,crosses", [
         # Newton drives two edges together (a collapsing bin) and breaks
-        # down after 11 steps; one restart block of 8 damped steps, then
+        # down after 11 steps; one restart round of 8 damped steps, then
         # Newton again, reaches the root
         (-0.4, (-1.4, 1.4, 1.8, 2.0, 3.1), False),
         # three bins one ulp wide deep in the lower tail: their centroids
         # round onto the shared edges, so Newton breaks down and the
-        # restart block's first damped step crosses edges
+        # restart round's first damped step crosses edges
         (0.1, (-3.0, -2.9999999999999996, -2.999999999999999,
                -2.9999999999999987, -2.0), True),
     ])
     def test_breakdown_restarts_with_damped_steps(self, monkeypatch, bias,
                                                   start, crosses):
-        blocks = restart_blocks(monkeypatch)
+        passes = kernel_passes(monkeypatch)
         init = Partition((-math.inf, *start, math.inf), STD_GAUSS, bias)
         if crosses:
             with pytest.raises(EdgeOrderingError) as err:
                 solve_n_bins_gauss(0.0, 1.0, bias, len(start) + 1, init=init)
-            assert (blocks, err.value.iteration) == ([8], 1)
+            # the round from the start crosses where the reference does
+            with pytest.raises(EdgeOrderingError) as want:
+                damped_midpoints(STD_GAUSS, bias, np.array(start), 0.5, 8,
+                                 1e-10)
+            assert (restart_rounds(passes, bias), err.value.iteration,
+                    str(err.value)) == ([], 1, str(want.value))
             return
         p = solve_n_bins_gauss(0.0, 1.0, bias, len(start) + 1, init=init)
-        assert blocks == [8]
+        assert restart_rounds(passes, bias) == [8]
         assert certify(p, tol=1e-12).verdict
-        want, converged, _, _ = _damped_midpoints(
+        want, converged, _, _ = damped_midpoints(
             STD_GAUSS, bias, np.array(start), 0.5, 100_000, 1e-14)
         assert converged
         assert float(np.abs(np.array(p.interior_edges) - want).max()) <= 1e-11
@@ -459,51 +509,78 @@ class TestNewton:
     def test_ladder_breakdown_restarts_with_damped_steps(self, monkeypatch):
         # a ladder packed into the lower tail, far below its anchor,
         # breaks Newton down
-        blocks = restart_blocks(monkeypatch)
+        passes = kernel_passes(monkeypatch)
         init = TruncatedLadder(-3.0, (0.05,) * 10)
         res = solve_truncated_ladder(STD_GAUSS, 0.3, init=init, cert_tol=1e-12)
-        assert blocks == [8]
+        assert restart_rounds(passes, 0.3, 0.6) == [8]
         assert res.converged and res.certificate.verdict
-        want, converged, _, _ = _damped_midpoints(
+        want, converged, _, _ = damped_midpoints(
             STD_GAUSS, 0.3, init.edges_for(0.3), 0.5, 100_000, 1e-14, 0.6)
         assert converged
         gap = np.abs(np.array(res.partition.interior_edges) - want)
         assert float(gap.max()) <= 1e-11
 
     def test_newton_iterates_make_one_rule_pass(self, monkeypatch):
-        # F comes from the rule pass that gives the Jacobian, and each
-        # damped step of a restart block makes one rule pass of its own
-        rules, slopes = [], []
-        for module, name, calls in ((sources, "_std_rule", rules),
-                                    (gaussian, "_std_interval_slopes", slopes)):
-            def counted(za, zb, kernel=getattr(module, name), calls=calls):
-                calls.append(za.shape)
-                return kernel(za, zb)
+        # every pass, Newton iterate or damped step of a restart round,
+        # is one rule pass that comes through the slopes
+        passes = kernel_passes(monkeypatch)
+        rules = []
 
-            monkeypatch.setattr(module, name, counted)
-        blocks = restart_blocks(monkeypatch)
+        def counted(za, zb, kernel=sources._std_rule):
+            rules.append(za.shape)
+            return kernel(za, zb)
+
+        monkeypatch.setattr(sources, "_std_rule", counted)
         _, converged, steps, _ = _solve_edges(
             STD_GAUSS, 0.1, _default_start(0.1, 23), 0.5,
             100_000, 1e-10)
-        assert (converged, blocks) == (True, [])
-        assert rules == slopes and len(rules) >= steps
+        # the rounds are read after the count: the reference makes passes
+        assert rules == [(p.size + 1,) for p in passes]
+        assert len(rules) >= steps
+        assert (converged, restart_rounds(passes, 0.1)) == (True, [])
         rules.clear()
-        slopes.clear()
+        passes.clear()
         _, converged, _, _ = _solve_edges(
             STD_GAUSS, -0.4, np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), 0.5,
             100_000, 1e-10)
-        assert converged and blocks == [8]
-        assert len(rules) == len(slopes) + 8
+        assert rules == [(p.size + 1,) for p in passes]
+        assert converged and restart_rounds(passes, -0.4) == [8]
+
+    def test_rounds_chain_and_stop_early(self, monkeypatch):
+        # Newton breaks down twice from this random 22-bin start (the
+        # first of scripts/newton_starts.py): the second round runs on
+        # from the last iterate of the first
+        passes = kernel_passes(monkeypatch)
+        bias, start = 0.24394006895528345, np.array((
+            -3.981395711260517, -3.8515485397243836, -3.7831322230713864,
+            -3.7275572408301674, -3.447825226971937, -3.05738295178375,
+            -3.0474640624465517, -2.9146457342356156, -2.7541798717200257,
+            -2.607210731704635, -2.0314932557522907, 1.330517308213829,
+            1.8071984409419555, 1.8727023297972352, 2.1050643617211433,
+            2.159630778158257, 2.2425790976821904, 2.5457426922365443,
+            2.872204119396275, 2.9479513869144114, 3.753753136704475))
+        _, converged, steps, _ = _solve_edges(STD_GAUSS, bias, start, 0.5,
+                                              100_000, 1e-10)
+        assert (converged, steps) == (True, 38)
+        assert restart_rounds(passes, bias) == [8, 8]
+        # at tol 0.3 the round from the collapsing start stops at its
+        # fourth move (0.274), the first of at most tol, and Newton
+        # takes over from there
+        passes.clear()
+        _, converged, _, _ = _solve_edges(
+            STD_GAUSS, -0.4, np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), 0.5,
+            100_000, 0.3)
+        assert converged and restart_rounds(passes, -0.4) == [4]
 
     def test_damped_steps_count_against_max_iter(self, monkeypatch):
         # the collapsing start above takes 11 Newton steps before its
-        # breakdown, so a cap of 14 leaves a restart block of 3
-        blocks = restart_blocks(monkeypatch)
+        # breakdown, so a cap of 14 leaves a restart round of 3
+        passes = kernel_passes(monkeypatch)
         start = np.array((-1.4, 1.4, 1.8, 2.0, 3.1))
         edges, converged, steps, change = _solve_edges(
             STD_GAUSS, -0.4, start, 0.5, 14, 1e-10)
-        assert (blocks, converged, steps) == ([3], False, 14)
-        want = _damped_midpoints(STD_GAUSS, -0.4, start, 0.5, 3, 1e-10)[0]
+        assert (restart_rounds(passes, -0.4), converged, steps) == ([3], False, 14)
+        want = damped_midpoints(STD_GAUSS, -0.4, start, 0.5, 3, 1e-10)[0]
         assert edges.tolist() == want.tolist()
         # the smallest full Newton step, taken before the breakdown
         assert 1e-10 < change < math.inf
@@ -656,12 +733,12 @@ class TestFloatingPointErrors:
         assert last + 2e-12 > last
 
     def test_solve_through_a_restart_block(self, monkeypatch):
-        blocks = restart_blocks(monkeypatch)
+        passes = kernel_passes(monkeypatch)
         with np.errstate(**self.RAISE):
             _, converged, _, _ = _solve_edges(
                 STD_GAUSS, -0.4, np.array((-1.4, 1.4, 1.8, 2.0, 3.1)), 0.5,
                 100_000, 1e-10)
-        assert converged and blocks == [8]
+        assert converged and restart_rounds(passes, -0.4) == [8]
 
 
 def dense(sub, diag, sup):

@@ -34,13 +34,12 @@ import pytest
 from cheaptalk.dynamics import basin_probe, fixed_point_iterate, lloyd_method_i
 from cheaptalk.equilibrium import Partition, certify
 from cheaptalk.gaussian import (
-    _damped_midpoints,
     asymptotic_bin_length,
     solve_n_bins_gauss,
     solve_truncated_ladder,
 )
 from cheaptalk.sources import SourceModel
-from seeds import equal_width, equal_width_ladder
+from seeds import damped_midpoints, equal_width, equal_width_ladder
 
 EXP = SourceModel.exponential(1.0)
 GAUSS = SourceModel.gaussian(0.0, 1.0)
@@ -205,7 +204,7 @@ def damped_ladder(source, bias, n_edges, max_iter=100_000):
     std = source.std
     z = equal_width_ladder(bias / std, n_edges).edges_for(bias)
     reflect = bias < 0.0
-    z, converged, iterations, change = _damped_midpoints(
+    z, converged, iterations, change = damped_midpoints(
         source, abs(bias) / std, -z[::-1] if reflect else z, 0.5, max_iter,
         1e-10 / std, ladder_step=asymptotic_bin_length(bias) / std)
     edges = source._from_frame(-z[::-1] if reflect else z)
@@ -218,7 +217,7 @@ def damped_n_bins(mean, std, bias, n_bins, max_iter=100_000):
     recorded; returns (edges, converged, iterations, final change) in
     x."""
     source = SourceModel.gaussian(mean, std)
-    z, converged, iterations, change = _damped_midpoints(
+    z, converged, iterations, change = damped_midpoints(
         source, bias / std, equal_width(bias / std, n_bins - 1),
         0.5, max_iter, 1e-10 / std)
     return source._from_frame(z), converged, iterations, change * std

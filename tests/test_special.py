@@ -234,6 +234,13 @@ class TestNormalHelpers:
         assert r == pytest.approx(40.0 + 1.0 / 40.0, rel=1e-3)
         assert mills_ratio(-40.0) == pytest.approx(0.0, abs=1e-300)
 
+    def test_mills_ratio_near_dbl_max_and_at_infinity(self):
+        # pdf/sf is x + 1/x far out; erfcx is subnormal here, good to
+        # about 1e-15 relative
+        for x in (1e300, 1.3e308, 1.5e308):
+            assert mills_ratio(x) == pytest.approx(x, rel=1e-14)
+        assert mills_ratio(math.inf) == math.inf
+
 
 def mp_erfcx(x):
     with mp.workdps(50):
@@ -273,6 +280,15 @@ class TestErfcx:
         assert erfcx(1e200) == pytest.approx(1e-200 / math.sqrt(math.pi),
                                              rel=1e-15)
         assert erfcx(math.inf) == 0.0
+
+    def test_near_dbl_max(self):
+        # the series is divided by 0.5 + x, which stays finite: erfcx is
+        # 1/(x sqrt(pi)) there to one subnormal ulp, where 1 + 2x
+        # overflows from about 9e307
+        for x in (9e307, 1e308, 1.7e308, 1.7976931348623157e308):
+            with mp.workdps(50):
+                want = 1 / (mp.mpf(x) * mp.sqrt(mp.pi))
+            assert abs(mp.mpf(erfcx(x)) - want) <= math.ulp(0.0), x
 
     def test_negative_arguments_down_to_overflow(self):
         # 2 exp(x^2) - erfcx(-x): exp(x^2) inherits the rounding of x^2,

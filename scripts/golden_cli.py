@@ -115,6 +115,16 @@ INVOCATIONS = [
     # 2|bias|/std overflows to inf
     ("usage: gauss bias over std", ("solve", *GAUSS, "--std", "1e-300", "--bias",
                                     "1e10", "--bins", "2")),
+    # 2|bias|/std is finite, but the default start's edges pass DBL_MAX
+    ("usage: gauss start past DBL_MAX", ("solve", *GAUSS, "--bias", "8e307",
+                                         "--bins", "3")),
+    # the two-bin edge is finite in std units, but not in x
+    ("usage: gauss edge past DBL_MAX in x", ("solve", *GAUSS, "--std", "10",
+                                             "--bias", "1e308", "--bins", "2")),
+    # near the edges is past DBL_MAX/40, where near times a 40-wide end
+    # offset would overflow the slope exponent
+    ("solve gauss near DBL_MAX", ("solve", *GAUSS, "--bias", "1e307",
+                                  "--bins", "3")),
     ("usage: unwritable out", ("solve", *EXP, "--rate", "1", "--bias", "0.2",
                                "--bins", "3", "--out", "{dir}/missing/out.json")),
     # 2/rate overflows: the scale 2/rate + 2*bias is not finite

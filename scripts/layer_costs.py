@@ -20,6 +20,11 @@ edges.
 - `rule (3, 8)`, `rule (24,)`: one sources._std_rule pass over 3 rows of
   8 bins (3 random N(0, 1) starts) and over the 24 bins of the
   equal-width start of 23 edges at bias 0.1, in std units;
+- `slope pass (24,)`: one sources._std_interval_slopes pass, the rule
+  read as means and edge slopes, over the same 24 bins;
+- `two-bin balance`: one gaussian._solve_balance, the root of
+  two_bin_balance(c) = y that every default start is anchored on, at
+  y = 2|b| for each bias b of GRID: the five roots divided by five;
 - `gaussian step lloyd`, `gaussian step damped`, `exponential step
   lloyd`, `exponential step damped`: one step of dynamics._run_rows on 3
   rows of 7 bins (3 random starts, N(0, 1) at bias 0.2 or exp(1) at
@@ -96,6 +101,15 @@ def layers(passes: dict):
     for name, z in (("rule (3, 8)", rows), ("rule (24,)", line)):
         za, zb = z[..., :-1], z[..., 1:]
         yield name, lambda za=za, zb=zb: sources._std_rule(za, zb), 1
+    yield ("slope pass (24,)",
+           lambda: sources._std_interval_slopes(line[:-1], line[1:]), 1)
+    balance = sorted({2.0 * abs(bias) for bias, _ in GRID})
+
+    def roots():
+        for y in balance:
+            gaussian._solve_balance(y)
+
+    yield "two-bin balance", roots, len(balance)
     for source, bias in ((gauss, 0.2), (exp1, 0.3)):
         starts = _random_starts(source, 7, 3, np.random.default_rng(1))
         for method, damping in (("lloyd", 1.0), ("damped", 0.5)):

@@ -38,9 +38,13 @@ negative bias is solved reflected, as -z reversed, which is exact.
 Everything here runs on numpy alone: every pass of the loop, Newton
 iterate, line-search trial or damped step, is one call of
 sources._std_interval_slopes, the fixed rule of sources._std_rule read
-as means and edge slopes, and each Newton step solves its tridiagonal
-system by a Thomas sweep (_thomas). Below a few dozen bins a pass costs
-a fixed count of numpy calls, not work per bin.
+as means and edge slopes, and each Newton step (_newton_step) solves its
+tridiagonal system by one Thomas sweep on Python floats that forms the
+rows as it goes. Below a few dozen bins a pass costs a fixed count of
+numpy calls, not work per bin.
+
+A default start or a result whose edges pass DBL_MAX, in std units or
+in x, is a DomainError that names bias and std (_check_edges).
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .sources import GAUSSIAN, SourceModel, _std_interval_slopes
-from .special import _newton, mills_ratio, std_normal_cdf, std_normal_pdf
+from .special import _mills_pair, _newton, std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "two_bin_balance",
@@ -87,20 +91,24 @@ def two_bin_balance(c: float) -> float:
     Setting this equal to 2*bias/std characterizes the normalized
     two-bin edge c = (m_1 - mean)/std. The two Mills terms are the
     distances from the edge to the two conditional means, so the value
-    is (edge minus action midpoint) rescaled.
+    is (edge minus action midpoint) rescaled. Both come from one
+    special._mills_pair call, which sums erfcx's series once.
     """
-    return 2.0 * c - mills_ratio(c) + mills_ratio(-c)
+    upper, lower = _mills_pair(c)
+    return 2.0 * c - upper + lower
 
 
 def solve_two_bin_gauss(mean: float, std: float, bias: float) -> Partition:
     """The two-bin equilibrium, which exists for every bias.
 
     The normalized edge shares the sign of the bias and depends only on
-    bias/std; the returned edge is mean + std*c.
+    bias/std; the returned edge is mean + std*c, a DomainError where that
+    passes DBL_MAX.
     """
     source = SourceModel.gaussian(mean, std)
-    c = _solve_balance(2.0 * _std_bias(bias, std))
-    return Partition((-math.inf, mean + std * c, math.inf), source, bias)
+    edge = mean + std * _solve_balance(2.0 * _std_bias(bias, std))
+    _check_edges(edge, edge, "x", bias, std)
+    return Partition((-math.inf, edge, math.inf), source, bias)
 
 
 def _std_bias(bias: float, std: float) -> float:
@@ -113,6 +121,16 @@ def _std_bias(bias: float, std: float) -> float:
     return bias / std
 
 
+def _check_edges(low: float, high: float, frame: str, bias: float,
+                 std: float) -> None:
+    """DomainError naming bias and std unless low and high, a solve's
+    lowest and highest edge in this frame ("std units" for a start, "x"
+    for a result), are finite: between them every edge is."""
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise DomainError(f"the edges pass DBL_MAX in {frame} at "
+                          f"bias={bias!r}, std={std!r}")
+
+
 def _solve_balance(y: float) -> float:
     """Root of two_bin_balance(c) = y; oddness reduces to y >= 0.
 
@@ -120,7 +138,8 @@ def _solve_balance(y: float) -> float:
     2 - M(c)(M(c) - c) - M(-c)(M(-c) + c), M = mills_ratio, which stays
     within [0.72, 1.06]: each step shrinks the error to at most half, so
     the steps shrink until rounding noise sets their size, and the loop
-    stops at the first step that does not shrink.
+    stops at the first step that does not shrink or leaves c as it is.
+    Each step reads M(c) and M(-c) from one special._mills_pair call.
     """
     if y == 0.0:
         return 0.0
@@ -128,7 +147,7 @@ def _solve_balance(y: float) -> float:
         return -_solve_balance(-y)
 
     def step(c: float) -> float:
-        upper, lower = mills_ratio(c), mills_ratio(-c)
+        upper, lower = _mills_pair(c)
         return ((2.0 * c - upper + lower - y)
                 / (2.0 - upper * (upper - c) - lower * (lower + c)))
 
@@ -277,58 +296,60 @@ _RESTART_STEPS = 8
 # max|F| at or below this times 1 + max|z|, in the std units the loop
 # works in, is rounding noise
 _F_FLOOR = 256.0 * np.finfo(float).eps
+_OPEN = np.array((-math.inf,))
 
 
 def _full_edges(edges: np.ndarray, ladder_step: float = math.inf) -> np.ndarray:
     """Bins (-inf, e_0), ..., (e_last, e_last + ladder_step) of the
     interior edges: +inf closes a finite game, 2|bias| a truncated
     ladder."""
-    return np.concatenate(([-np.inf], edges, [edges[-1] + ladder_step]))
-
-
-def _thomas(sub, diag, sup, rhs) -> list[float] | None:
-    """Solve a tridiagonal system by the Thomas sweep, without pivoting:
-    row i holds sub[i-1], diag[i] and sup[i] (sequences of floats).
-    Returns the solution as a list, or None on a zero or non-finite
-    pivot."""
-    ratios, values = [], []
-    ratio = value = 0.0
-    for a, b, c, r in zip((0.0, *sub), diag, (*sup, 0.0), rhs):
-        pivot = b - a * ratio
-        if pivot == 0.0 or not math.isfinite(pivot):
-            return None
-        ratio = c / pivot
-        value = (r - a * value) / pivot
-        ratios.append(ratio)
-        values.append(value)
-    x = 0.0
-    for i in range(len(values) - 1, -1, -1):
-        x = values[i] = values[i] - ratios[i] * x
-    return values
+    return np.concatenate((_OPEN, edges, [edges[-1] + ladder_step]))
 
 
 def _newton_step(f: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> np.ndarray | None:
-    """The full Newton step -J^-1 F, or None if it is not finite, as it
-    is not wherever F is not. J is tridiagonal: each mean moves only with
-    its own two edges, by the slopes lo and hi of each full bin's mean
-    in its lower and upper edge, which _std_interval_slopes gives in the
-    pass that gives F (the fixed rule of sources._std_rule, right on bins
-    down to 1e-12 wide); the closing edge moves with the last edge,
-    adding its slope, exactly 0 at +inf, to the last row. A bin's two
-    slopes sum to 1 - Var, Var its variance in std^2 units, so each row's
-    diagonal exceeds the sum of its off-diagonals by the mean of its two
-    bins' Var, closing row included: the Thomas sweep needs no pivoting.
-    It runs on Python floats, so the step becomes an array once, when it
-    is known to be finite."""
-    diag = (1.0 - 0.5 * (hi[:-1] + lo[1:])).tolist()
-    diag[-1] -= 0.5 * hi.item(-1)
-    # a non-finite entry shows up as a non-finite pivot or step
-    step = _thomas((-0.5 * lo[1:-1]).tolist(), diag,
-                   (-0.5 * hi[1:-1]).tolist(), (-f).tolist())
-    if step is None or not all(map(math.isfinite, step)):
+                 hi: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The full Newton step -J^-1 F and its largest move, or None if the
+    step is not finite, as it is not wherever F is not. J is
+    tridiagonal: each mean moves only with its own two edges, by the
+    slopes lo and hi of each full bin's mean in its lower and upper edge,
+    which _std_interval_slopes gives in the pass that gives F (the fixed
+    rule of sources._std_rule, right on bins down to 1e-12 wide); the
+    closing edge moves with the last edge, adding its slope, exactly 0 at
+    +inf, to the last row. A bin's two slopes sum to 1 - Var, Var its
+    variance in std^2 units, so each row's diagonal exceeds the sum of its
+    off-diagonals by the mean of its two bins' Var, closing row included:
+    the Thomas sweep needs no pivoting.
+
+    One sweep on Python floats forms each row as it goes, row i being
+    -lo[i]/2, 1 - (hi[i] + lo[i+1])/2 and -hi[i+1]/2 against -f[i], and
+    returns None on a zero or non-finite pivot. Back substitution carries
+    a non-finite value down to the first entry, so that entry alone shows
+    whether the step is finite; the step becomes an array once, when it
+    is known to be.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    last = len(hi) - 2
+    ratios, values = [], []
+    ratio = value = sub = 0.0
+    for i, r in enumerate(f.tolist()):
+        diag = 1.0 - 0.5 * (hi[i] + lo[i + 1])
+        sup = -0.5 * hi[i + 1]
+        if i == last:
+            diag, sup = diag + sup, 0.0
+        pivot = diag - sub * ratio
+        if pivot == 0.0 or not math.isfinite(pivot):
+            return None
+        ratio = sup / pivot
+        value = (-r - sub * value) / pivot
+        ratios.append(ratio)
+        values.append(value)
+        sub = -0.5 * lo[i + 1]
+    x = 0.0
+    for i in range(last, -1, -1):
+        x = values[i] = values[i] - ratios[i] * x
+    if not math.isfinite(x):
         return None
-    return np.array(step)
+    return np.array(values), max(map(abs, values))
 
 
 def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
@@ -369,9 +390,9 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
     # the last damped iterate and its midpoints, the start's at first
     damped, steps, smallest = (edges, mid), 0, math.inf
     while steps < max_iter:
-        step = _newton_step(f, lo, hi)
-        if step is not None:
-            size = float(np.abs(step).max())
+        newton = _newton_step(f, lo, hi)
+        if newton is not None:
+            step, size = newton
             new = edges + step
             z = _full_edges(new, ladder_step)
             if size <= tol and (z[1:] > z[:-1]).all():
@@ -390,8 +411,8 @@ def _solve_edges(source: SourceModel, bias: float, start: np.ndarray,
                 new = edges + t * step
                 z = _full_edges(new, ladder_step)
             else:
-                step = None
-        if step is None:
+                newton = None
+        if newton is None:
             edges, mid = damped
             for it in range(1, min(_RESTART_STEPS, max_iter - steps) + 1):
                 new = (1.0 - damping) * edges + damping * mid
@@ -427,7 +448,8 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     Newton and damped steps together. Stopping short of tol yields
     converged=False, not an exception; a damped step that crosses edges
     raises EdgeOrderingError, and a ladder finer than x's resolution
-    where it sits raises DomainError.
+    where it sits, or whose edges pass DBL_MAX in std units or in x,
+    raises DomainError.
     """
     if source.kind != GAUSSIAN:
         raise DomainError("truncated ladders apply to Gaussian sources only")
@@ -444,6 +466,7 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     else:
         n_edges = _check_count(n_edges, 2, "n_edges must be an integer >= 2")
         z = _default_start(b, n_edges)
+        _check_edges(z.item(0), z.item(-1), "std units", bias, std)
     margin = _check_count(margin, 0, "margin must satisfy 0 <= margin < n_edges",
                           n_edges)
 
@@ -451,7 +474,7 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
     z, converged, iterations, change = _solve_edges(
         source, abs(b), -z[::-1] if flip else z, damping, max_iter,
         tol / std, asymptotic_bin_length(b))
-    final = _resolved(source._from_frame(-z[::-1] if flip else z), mean)
+    final = _resolved(source, -z[::-1] if flip else z, bias)
 
     anchor = float(final[-1] if flip else final[0])
     ladder = TruncatedLadder(anchor, tuple(np.diff(final)), margin)
@@ -464,11 +487,16 @@ def solve_truncated_ladder(source: SourceModel, bias: float,
                         iterations=iterations, final_change=change * std)
 
 
-def _resolved(edges: np.ndarray, mean: float) -> np.ndarray:
-    """A solve's edges, mapped back to x, once each is above the last.
-    A Gaussian game's bins are sized in std units, and x cannot hold
-    them where they are finer than its resolution at the mean: 0.25-wide
-    bins at 1e20, where one ulp is 16384."""
+def _resolved(source: SourceModel, z: np.ndarray, bias: float) -> np.ndarray:
+    """A solve's edges z, mapped back to x, once each is finite there
+    (_check_edges, on the two ends as Python floats, so nothing warns)
+    and above the last. A Gaussian game's bins are sized in std units,
+    and x cannot hold them where they are finer than its resolution at
+    the mean: 0.25-wide bins at 1e20, where one ulp is 16384."""
+    mean, std = source.mean, source.std
+    _check_edges(mean + std * z.item(0), mean + std * z.item(-1), "x",
+                 bias, std)
+    edges = source._from_frame(z)
     if (edges[1:] > edges[:-1]).all():
         return edges
     raise DomainError(f"the bins are finer than x's resolution at mean {mean!r}, "
@@ -490,23 +518,23 @@ def _default_start(bias: float, count: int) -> np.ndarray:
     offset summed from the lengths, so below b = 0.0125, where every
     length is 1/4, edge k is anchor + k/4 bit for bit. A negative bias
     takes the start at -bias as -z reversed; bias 0 centres count edges
-    1/4 apart on the mean.
+    1/4 apart on the mean. The edges are summed as Python floats, so an
+    edge past DBL_MAX is inf, with no warning, for the solver to reject
+    (_check_edges).
     """
     if bias == 0.0:
         return 0.25 * (np.arange(1, count + 1) - 0.5 * (count + 1))
     if bias < 0.0:
         return -_default_start(-bias, count)[::-1]
     anchor = _solve_balance(2.0 * bias)
-    fade = 2.0 * min(1.0, 20.0 * bias)
-
-    def length(z: float) -> float:
-        return max(0.25, 2.0 * bias + fade / math.sqrt(z * z + 5.0))
-
-    offsets = [0.0]
+    floor, fade = 2.0 * bias, 2.0 * min(1.0, 20.0 * bias)
+    edges, offset = [anchor], 0.0
     for _ in range(count - 1):
-        z = anchor + offsets[-1]
-        offsets.append(offsets[-1] + length(z + 0.5 * length(z)))
-    return anchor + np.array(offsets)
+        z = edges[-1]
+        z += 0.5 * max(0.25, floor + fade / math.sqrt(z * z + 5.0))
+        offset += max(0.25, floor + fade / math.sqrt(z * z + 5.0))
+        edges.append(anchor + offset)
+    return np.array(edges)
 
 
 def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
@@ -527,7 +555,8 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
     the loop stops short of tol, at max_iter (Newton and damped steps
     together) or at the rounding floor of F; EdgeOrderingError if a
     damped step crosses edges; DomainError if the bins are finer than
-    x's resolution at this mean. bias = 0 is permitted and yields the
+    x's resolution at this mean, or the edges pass DBL_MAX in std units
+    or in x. bias = 0 is permitted and yields the
     classical mean-squared-optimal quantizer, outside the strategic
     story but a useful anchor.
     """
@@ -544,10 +573,11 @@ def solve_n_bins_gauss(mean: float, std: float, bias: float, n_bins: int,
         z = source._to_frame(np.asarray(init.interior_edges, dtype=float))
     else:
         z = _default_start(b, n_bins - 1)
+        _check_edges(z.item(0), z.item(-1), "std units", bias, std)
 
     z, converged, iterations, change = _solve_edges(
         source, b, z, damping, max_iter, tol / std)
-    edges, change = _resolved(source._from_frame(z), mean), change * std
+    edges, change = _resolved(source, z, bias), change * std
     if converged:
         return Partition((-math.inf, *edges, math.inf), source, bias)
     raise NonConvergenceError(

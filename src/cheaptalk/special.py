@@ -55,6 +55,8 @@ BRANCH_POINT = -math.exp(-1.0)
 
 # Inputs this far below -1/e are treated as rounding noise and clamped.
 _BRANCH_SLACK = 1e-12
+# exp(x) is finite up to x = log(DBL_MAX) = 709.7827
+_EXP_MAX = 709.78
 
 
 def _branch_series(p: float) -> float:
@@ -247,7 +249,7 @@ def erfcx(x: float) -> float:
     erfcx(-x), which overflows to inf below about -26.6; erfcx(inf) = 0.
     """
     if x < 0.0:
-        if x * x > 709.78:
+        if x * x > _EXP_MAX:
             return math.inf
         return 2.0 * math.exp(x * x) - erfcx(-x)
     if x == math.inf:
@@ -303,17 +305,43 @@ def mills_ratio(x: float) -> float:
     return x if x == math.inf else _SQRT_2_OVER_PI / erfcx(x / _SQRT2)
 
 
+def _mills_pair(x: float) -> tuple[float, float]:
+    """(mills_ratio(x), mills_ratio(-x)) bit for bit, from one sum of
+    erfcx's series: at h = |x|/sqrt(2) > 0, mills_ratio(|x|) reads the
+    series erfcx(h), and mills_ratio(-|x|) the reflection erfcx takes at
+    -h, 2 exp(h^2) - erfcx(h), as (-h)^2 = h^2 exactly. At h = 0 both
+    read the series, and at h = inf they are inf and 0."""
+    h = abs(x) / _SQRT2
+    if h == math.inf:
+        upper, lower = math.inf, 0.0
+    else:
+        tail = erfcx(h)
+        upper = _SQRT_2_OVER_PI / tail
+        if h == 0.0:
+            lower = upper
+        elif h * h > _EXP_MAX:
+            lower = 0.0
+        else:
+            lower = _SQRT_2_OVER_PI / (2.0 * math.exp(h * h) - tail)
+    return (upper, lower) if x >= 0.0 else (lower, upper)
+
+
 def _newton(step_at: Callable[[float], float], x: float) -> float:
     """Take Newton steps x -> x - step_at(x) until one does not shrink.
 
     On a root where the steps contract, they shrink until rounding noise
     sets their size, so the first step no shorter than the one before it
     (or a NaN step) marks the root to rounding; that iterate is returned
-    without the step.
+    without the step. A step that leaves x as it is ends the loop at
+    once: the next one, at the same x, would be the same step, which
+    does not shrink.
     """
     last = math.inf
     while True:
         step = step_at(x)
         if not abs(step) < last:
             return x
-        x, last = x - step, abs(step)
+        new = x - step
+        if new == x:
+            return new
+        x, last = new, abs(step)

@@ -12,8 +12,8 @@ from cheaptalk.errors import DomainError, EdgeOrderingError, NonConvergenceError
 from cheaptalk.gaussian import (
     TruncatedLadder,
     _default_start,
+    _newton_step,
     _solve_edges,
-    _thomas,
     asymptotic_bin_length,
     balance_derivative_floor,
     half_line_bin_bound,
@@ -708,16 +708,49 @@ class TestFloatingPointErrors:
             res = solve_truncated_ladder(STD_GAUSS, bias)
         assert res.converged and res.certificate.verdict
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e307])
     def test_far_scale_solves(self, scale):
         # bias/std = scale: the outer bins span more than 1e154 std, where
-        # an unbounded end offset would overflow the slope exponent. The
-        # ladder does not converge at these scales; it must still return.
+        # an unbounded end offset would overflow the slope exponent, and
+        # at 1e307 so would near times a 40-wide end offset. The ladder
+        # does not converge at these scales; it must still return.
         with np.errstate(**self.RAISE):
             p = solve_n_bins_gauss(0.0, 1.0, scale, 3)
-            res = solve_truncated_ladder(STD_GAUSS, scale)
+            if scale < 1e307:
+                res = solve_truncated_ladder(STD_GAUSS, scale)
         assert certify(p).verdict
-        assert res.ladder.n_edges == 40
+        if scale < 1e307:
+            assert res.ladder.n_edges == 40
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_n_bins_gauss(0.0, 1.0, 8e307, 3),
+        lambda: solve_truncated_ladder(STD_GAUSS, 1e307),
+        lambda: solve_truncated_ladder(STD_GAUSS, 8e307),
+        lambda: solve_n_bins_gauss(0.0, 1.0, -8e307, 3),
+        lambda: solve_truncated_ladder(STD_GAUSS, -1e307),
+    ], ids=["3 bins at 8e307", "ladder at 1e307", "ladder at 8e307",
+            "3 bins at -8e307", "ladder at -1e307"])
+    def test_far_scale_start_past_dbl_max(self, solve):
+        # 2|bias|/std is finite, but the default start's edges climb past
+        # DBL_MAX std units: a DomainError naming bias and std
+        with np.errstate(**self.RAISE):
+            with pytest.raises(DomainError, match="DBL_MAX in std units at "
+                                                  "bias=.*, std=1.0"):
+                solve()
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_two_bin_gauss(0.0, 10.0, 1e308),
+        lambda: solve_two_bin_gauss(0.0, 10.0, -1e308),
+        lambda: solve_n_bins_gauss(0.0, 10.0, 5e307, 3),
+        lambda: solve_truncated_ladder(SourceModel.gaussian(0.0, 10.0), 5e307,
+                                       n_edges=4, margin=1),
+    ], ids=["two bins", "two bins below", "3 bins", "ladder"])
+    def test_far_scale_edges_past_dbl_max_in_x(self, solve):
+        # the solve in std units is finite, but std times its edges is not
+        with np.errstate(**self.RAISE):
+            with pytest.raises(DomainError, match="DBL_MAX in x at "
+                                                  "bias=.*, std=10.0"):
+                solve()
 
     def test_ladder_keeps_its_closing_bin(self):
         # at bias 1e-12 the ladder's closing step, 2e-12 in std units, is
@@ -741,29 +774,40 @@ class TestFloatingPointErrors:
         assert converged and restart_rounds(passes, -0.4) == [8]
 
 
-def dense(sub, diag, sup):
-    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+def dense(lo, hi):
+    """The Newton Jacobian of _newton_step's docstring, as (sub, diag,
+    sup) and dense: row i holds -lo[i]/2, 1 - (hi[i] + lo[i+1])/2 and
+    -hi[i+1]/2, and the last row adds the closing edge's -hi[-1]/2 to
+    its diagonal."""
+    sub, sup = -0.5 * lo[1:-1], -0.5 * hi[1:-1]
+    diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
+    diag[-1] -= 0.5 * hi[-1]
+    return (sub, diag, sup), np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
 class TestThomas:
+    """_newton_step's Thomas sweep, which forms J's rows as it goes."""
+
     def test_matches_dense_solve(self):
-        # random systems whose rows are diagonally dominant, as every
-        # Newton Jacobian's are
+        # random slopes whose bins have lo + hi = 1 - Var < 1, as every
+        # real bin's do, so each row is diagonally dominant
         rng = np.random.default_rng(11)
         for n in range(1, 201):
-            sub, sup = rng.uniform(-0.5, 0.5, (2, n - 1))
-            diag = (rng.uniform(0.01, 1.0, n) + np.abs(np.r_[0.0, sub])
-                    + np.abs(np.r_[sup, 0.0]))
-            rhs = rng.normal(size=n)
-            got = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-            want = np.linalg.solve(dense(sub, diag, sup), rhs)
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            keep = 1.0 - rng.uniform(0.01, 1.0, n + 1)
+            share = rng.uniform(0.0, 1.0, n + 1)
+            lo, hi = share * keep, (1.0 - share) * keep
+            f = rng.normal(size=n)
+            step, size = _newton_step(f, lo, hi)
+            want = np.linalg.solve(dense(lo, hi)[1], -f)
+            assert np.allclose(step, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+            assert size == np.abs(step).max()
 
     @pytest.mark.parametrize("bias, n_bins",
                              [(0.05, None), (0.3, None), (0.5, None), (0.3, 12)],
                              ids=["0.05", "0.3", "0.5", "12-bin game"])
     def test_ladder_jacobian_with_its_closing_row(self, bias, n_bins):
-        # the Jacobian _newton_step builds at a solved ladder, closing
+        # the Jacobian _newton_step solves at a solved ladder, closing
         # edge e_last + 2b included, or at a finite game, closing at +inf:
         # each row's diagonal exceeds its off-diagonals by the mean
         # variance of its two bins
@@ -780,22 +824,32 @@ class TestThomas:
         if n_bins is not None:
             # the closing row's added slope is exactly +0.0 at +inf
             assert hi[-1] == 0.0 and math.copysign(1.0, hi[-1]) == 1.0
-        sub, sup = -0.5 * lo[1:-1], -0.5 * hi[1:-1]
-        diag = 1.0 - 0.5 * (hi[:-1] + lo[1:])
-        diag[-1] -= 0.5 * hi[-1]
+        (sub, diag, sup), jac = dense(lo, hi)
         var = STD_GAUSS.bin_variances(z)
         margin = diag - np.abs(np.r_[0.0, sub]) - np.abs(np.r_[sup, 0.0])
         assert np.allclose(margin, 0.5 * (var[:-1] + var[1:]), rtol=0.0,
                            atol=1e-13)
         rhs = np.linspace(-1.0, 1.0, edges.size)
-        got = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-        want = np.linalg.solve(dense(sub, diag, sup), rhs)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        step, _ = _newton_step(-rhs, lo, hi)
+        want = np.linalg.solve(jac, rhs)
+        assert np.allclose(step, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_zero_or_non_finite_pivot_gives_none(self):
-        assert _thomas([], [0.0], [], [1.0]) is None
-        # the second pivot is 1 - 1*1 = 0
-        assert _thomas([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]) is None
-        assert _thomas([math.inf], [1.0, 1.0], [1.0], [1.0, 2.0]) is None
-        assert _thomas([0.5], [math.nan, 1.0], [0.5], [1.0, 2.0]) is None
-        assert _thomas([], [2.0], [], [1.0]) == [0.5]
+        # one edge, whose pivot is 1 - (hi[0] + lo[1])/2 - hi[1]/2 = 0
+        assert _newton_step(np.array([-1.0]), np.array([0.0, 1.0]),
+                            np.array([1.0, 0.0])) is None
+        # two edges: the second pivot is 1 - 1*1 = 0
+        assert _newton_step(np.array([-1.0, -2.0]), np.array([0.0, -2.0, 2.0]),
+                            np.array([2.0, -2.0, 0.0])) is None
+        for bad in (math.inf, math.nan):
+            # a non-finite pivot in the first row and in the second
+            assert _newton_step(np.array([-1.0]), np.array([0.0, bad]),
+                                np.zeros(2)) is None
+            assert _newton_step(np.array([-1.0, -2.0]),
+                                np.array([0.0, 0.0, bad]), np.zeros(3)) is None
+            # finite pivots, but a step that is not finite
+            assert _newton_step(np.array([bad, 1.0]), np.zeros(3),
+                                np.zeros(3)) is None
+        step, size = _newton_step(np.array([-1.0]), np.zeros(2),
+                                  np.array([-2.0, 0.0]))
+        assert step.tolist() == [0.5] and size == 0.5

@@ -241,6 +241,24 @@ class TestNormalHelpers:
             assert mills_ratio(x) == pytest.approx(x, rel=1e-14)
         assert mills_ratio(math.inf) == math.inf
 
+    def test_mills_pair_is_both_ratios_bit_for_bit(self):
+        # |x| from 0 to 1e3, through sqrt(2*709.78) = 37.68, where the near
+        # side's reflection turns to inf and its ratio to 0, and beyond
+        rng = np.random.default_rng(5)
+        edge = math.sqrt(2.0 * 709.78)
+        grid = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.75, 26.6, 1e3,
+                1e300, math.inf, *np.linspace(0.0, 1e3, 2001),
+                *np.nextafter(edge, [-math.inf] * 3 + [math.inf] * 3)
+                * np.array([1.0, 1.0 - 1e-15, 1.0 - 1e-12] * 2),
+                *rng.uniform(0.0, 50.0, 2000), *10.0 ** rng.uniform(-12, 3, 1000)]
+        bits = np.array(0.0).view(np.int64).dtype
+        for c in grid:
+            for x in (float(c), -float(c)):
+                got = np.array(special._mills_pair(x)).view(bits)
+                want = np.array((mills_ratio(x), mills_ratio(-x))).view(bits)
+                assert (got == want).all(), x
+        assert all(map(math.isnan, special._mills_pair(math.nan)))
+
 
 def mp_erfcx(x):
     with mp.workdps(50):
@@ -360,3 +378,20 @@ class TestNewton:
     def test_zero_step_returns_the_iterate(self):
         # an exact root (f == 0) steps by 0, and the next 0 does not shrink
         assert special._newton(lambda x: 0.0, 3.0) == 3.0
+
+    def test_a_step_that_leaves_x_stops_the_loop(self):
+        # a step under half an ulp of x leaves it as it is; the next step,
+        # at the same x, would be the same and not shrink, so the loop
+        # ends without it
+        calls = []
+
+        def step_at(x):
+            calls.append(x)
+            return 1e-3 if len(calls) == 1 else 1e-20
+
+        assert special._newton(step_at, 1.0) == 1.0 - 1e-3
+        assert calls == [1.0, 1.0 - 1e-3]
+        # -0.0 - -0.0 is +0.0, equal to x but not x: the loop returns the
+        # moved iterate, as the step after it would
+        got = special._newton(lambda x: -0.0, -0.0)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0

@@ -30,6 +30,10 @@ edges.
   rows of 7 bins (3 random starts, N(0, 1) at bias 0.2 or exp(1) at
   bias 0.3), damping 1 or 0.5: a run of 200 steps at tol 1e-300,
   divided by its 201 steps (the script exits if a row stops early);
+- `basin probe`: one whole dynamics.basin_probe, `fixed-point` at
+  damping 0.5, 6 bins, 3 starts, seed 1, max_iter 2 000 and tol 1e-10,
+  as the benchmark's `basin` ops run it: the probe on N(0, 1) at bias
+  0.2 and the probe on exp(1) at bias 0.3, divided by two;
 - `newton n=12`: one iterate of gaussian._solve_edges on N(0, 1) at
   bias 0.1 from the equal-width start of 11 edges: a whole solve divided
   by its kernel passes, one per Newton iterate and line-search trial;
@@ -84,7 +88,7 @@ def layers(passes: dict):
     import numpy as np
 
     from cheaptalk import exponential, gaussian, sources
-    from cheaptalk.dynamics import _random_starts, _run_rows
+    from cheaptalk.dynamics import _random_starts, _run_rows, basin_probe
     from cheaptalk.equilibrium import (Partition, certify,
                                        decoder_best_response, decoder_cost)
     from cheaptalk.gaussian import (_solve_edges, solve_n_bins_gauss,
@@ -120,6 +124,13 @@ def layers(passes: dict):
             yield (f"{source.kind} step {method}",
                    lambda s=source, b=bias, e=starts, d=damping:
                    _run_rows(s, b, e, STEPS, 1e-300, d), STEPS + 1)
+
+    def probes():
+        for source, bias in ((gauss, 0.2), (exp1, 0.3)):
+            basin_probe(source, bias, 6, 3, 1, "fixed-point",
+                        max_iter=2000, tol=1e-10)
+
+    yield "basin probe", probes, 2
 
     def kernel_calls(module, name, call):
         """Run call with module.name counted; return its call count."""

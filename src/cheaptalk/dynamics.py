@@ -26,10 +26,18 @@ returned. A start with a bin whose ends meet in std units, as two edges
 past DBL_MAX std from the mean on one side do, is a DomainError that
 names the bin. At damping 1 a step's move is its targets themselves,
 with no blend. Where the frame is x itself (every exponential, and
-N(0, 1)) a run is bit for bit the run in x. One minimum over the step's
-edge gaps clears every start of crossed and dead bins at once; only a
-step that fails it runs the one collapse test, which names each failing
-start at its first crossed edge gap, else at its first dead bin. A bin
+N(0, 1)) a run is bit for bit the run in x. A step is a short, fixed
+list of numpy calls, each a ufunc or its reduce called directly on
+arrays the step holds. The interior edges live in contiguous arrays, on
+which numpy takes its fast loops, and each step writes them into the
+rows the kernels read through a view made once per set of live rows.
+Each stop test is one reduction over every start: one minimum over the
+step's edge gaps clears every start of crossed and dead bins at once;
+only a step that fails it runs the one collapse test, which names each
+failing start at its first crossed edge gap, else at its first dead
+bin. One count clears every start of crossed centroids, and one
+NaN-safe minimum of the residuals decides whether any start may have
+converged; only then are the movements measured. A bin
 is dead when it is shorter than COLLAPSE_LENGTH in x, never for its mass
 alone: the kernels resolve the centroid of a far-tail bin whose mass
 underflows, and Gaussian equilibria hold such bins. basin_probe draws
@@ -76,6 +84,8 @@ COLLAPSE_LENGTH = 1e-12
 
 _THIN_AFTER = 1000
 _THIN_STRIDE = 10
+# a random start whose sorted draws tie is drawn again, at most this often
+_MAX_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -169,16 +179,33 @@ def _random_starts(source: SourceModel, n_bins: int, n_inits: int,
                    rng: np.random.Generator) -> np.ndarray:
     """(n_inits, n_bins + 1) start edges, one row per start in turn: its
     interior edges drawn as sorted uniforms between the 0.001 and 0.999
-    source quantiles, redrawn until strictly increasing."""
+    source quantiles, redrawn until strictly increasing.
+
+    A DomainError, before any draw, where that range is not finite (a
+    quantile is infinite, or their distance overflows) or holds fewer
+    than n_bins - 1 floats, and where a start's draws still tie after
+    _MAX_DRAWS draws, as in a range that is only just wide enough."""
     lo, hi = source.quantile(0.001), source.quantile(0.999)
+    box = f"[{lo!r}, {hi!r}] between the 0.001 and 0.999 quantiles"
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"random starts need a finite range, got {box}")
+    top = lo
+    for _ in range(n_bins - 2):
+        top = math.nextafter(top, math.inf)
+    if top > hi:
+        raise DomainError(f"the range {box} holds fewer than {n_bins - 1} "
+                          f"floats, one for each interior edge")
     starts = np.empty((n_inits, n_bins + 1))
     starts[:, 0], starts[:, -1] = source.support
     for row in starts:
-        while True:
+        for _ in range(_MAX_DRAWS):
             draws = np.sort(rng.uniform(lo, hi, size=n_bins - 1))
             if draws.size < 2 or np.all(np.diff(draws) > 0.0):
                 row[1:-1] = draws
                 break
+        else:
+            raise DomainError(f"{_MAX_DRAWS} draws of {n_bins - 1} interior "
+                              f"edges from the range {box} all tied")
     return starts
 
 
@@ -232,20 +259,38 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
     source._frame_means. Each step moves every live row at once, to its
     targets themselves at damping 1, and tests on each row stop it at
     the step where its own run stops, so every row ends bit for bit as
-    it would alone. rec, given only with one row, logs that row's
-    thinned trace in the frame. Returns each row's outcome and its
-    edges, in x (source._from_frame), at the step it stopped. The caller
-    checks the iteration parameters.
+    it would alone.
+
+    The interior edges of the step and of the step before are two
+    contiguous arrays, moved and old; each step writes moved into the
+    rows e through the view inner, and forms its edge gaps from the
+    views upper and lower, all three made again only when rows stop.
+    The targets are formed in place, the bias a 0-d operand, and the
+    blend at damping below 1 in place in them. Each test is one
+    reduction over all rows: np.minimum.reduce of the gaps, a count of
+    the rising pairs of means, and np.fmin.reduce of the residuals, which
+    skips a NaN residual; the per-row stop masks, and the movement, are
+    formed only when a test flags some row. rec, given only with one row,
+    logs that row's thinned trace in the frame. Returns each row's
+    outcome and its edges, in x (source._from_frame), at the step it
+    stopped. The caller checks the iteration parameters.
     """
     outcomes: list[IterationOutcome] = [None] * len(edges)
     e = source._to_frame(np.array(edges, dtype=float))
     scale = source._scale
-    bias, tol, floor = bias / scale, tol / scale, COLLAPSE_LENGTH / scale
+    bias, tol = np.array(bias / scale), tol / scale
+    floor = COLLAPSE_LENGTH / scale
+    keep_old, take_new = np.array(1.0 - damping), np.array(damping)
     final = np.empty_like(e)
     live = np.arange(len(edges))
-    # each step writes its moved edges into e, so moved and old hold
-    # copies of them, not views
     moved = old = e[:, 1:-1].copy()
+
+    def views(e: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The views of the rows e that a step reads (upper and lower
+        ends) and writes (inner, the interior)."""
+        return e[:, 1:], e[:, :-1], e[:, 1:-1]
+
+    upper, lower, inner = views(e)
 
     def stop(rows: np.ndarray, status: str, bins=None) -> np.ndarray:
         """Finish the flagged live rows at the current step, with their
@@ -259,18 +304,20 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
 
     for it in range(max_iter + 1):
         if it:
-            # at damping 1 the blend is targets bit for bit: old is
-            # finite, and targets, formed from increasing means, is never
-            # -0.0, so 0.0 * old + targets is targets
             old = moved
-            moved = (targets if damping == 1.0
-                     else (1.0 - damping) * old + damping * targets)
-            e[:, 1:-1] = moved
+            if damping == 1.0:
+                moved = targets
+            else:
+                # (1 - damping)*old + damping*targets, added in the other
+                # order, which is the same sum
+                moved = np.multiply(targets, take_new, out=targets)
+                moved += np.multiply(old, keep_old)
+            inner[...] = moved
         # a > b exactly when a - b > 0, for every pair of floats, so one
         # minimum over the gaps, which fails on NaN, clears the step of
         # crossed and of short bins; almost every step passes it
-        gaps = e[:, 1:] - e[:, :-1]
-        if not gaps.min() >= floor:
+        gaps = np.subtract(upper, lower)
+        if not np.minimum.reduce(gaps, None) >= floor:
             # a failing row is named at its first crossed gap (an edge off
             # the support or past a neighbor, NaN included), else at its
             # first short one, so crossed gaps rank 3 and short ones 1;
@@ -285,8 +332,9 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                 live[keep], e[keep], moved[keep], old[keep], gaps[keep])
             if not live.size:
                 break
+            upper, lower, inner = views(e)
         means = source._frame_means(e, gaps)
-        rising = means[:, 1:] > means[:, :-1]
+        rising = np.greater(means[:, 1:], means[:, :-1])
         if np.count_nonzero(rising) < rising.size:
             # the centroids crossed: no valid decoder profile to continue
             # from; a trace always holds its initial state, so a crossing
@@ -298,24 +346,31 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
                 live[keep], e[keep], moved[keep], old[keep], means[keep])
             if not live.size:
                 break
+            upper, lower, inner = views(e)
         targets = _midpoints(means, bias)
-        residual = np.abs(moved - targets).max(axis=1, initial=0.0)
-        done = residual <= tol
-        converged = 0
-        # the movement is only worth measuring once some residual is small
-        if it and np.count_nonzero(done):
-            done &= np.abs(moved - old).max(axis=1, initial=0.0) <= tol
-            converged = np.count_nonzero(done)
+        gap = np.subtract(moved, targets)
+        residual = np.maximum.reduce(np.abs(gap, out=gap), axis=1,
+                                     initial=0.0)
+        converged = False
+        # one NaN-safe minimum: a row with a NaN residual hides no small
+        # one; the movement is only worth measuring once one is small
+        if it and np.fmin.reduce(residual) <= tol:
+            np.subtract(moved, old, out=gap)
+            done = residual <= tol
+            done &= np.maximum.reduce(np.abs(gap, out=gap), axis=1,
+                                      initial=0.0) <= tol
+            converged = done.any()
         if rec is not None:
             # the traced row is the only row, so it stops when any row does
             rec.add(it, e[0], float(residual[0]),
-                    force=it in (0, max_iter) or converged > 0)
+                    force=it in (0, max_iter) or converged)
         if converged:
             keep = stop(done, "converged")
             live, e, moved, targets = (
                 live[keep], e[keep], moved[keep], targets[keep])
             if not live.size:
                 break
+            upper, lower, inner = views(e)
     if live.size:
         stop(np.ones(live.size, dtype=bool), "max_iter")
     return outcomes, source._from_frame(final)

@@ -249,7 +249,8 @@ def fixed_point_length(rate: float, bias: float) -> float:
     right side) and tanh(1 + rate*bias) lie right of the root, so Newton
     steps from the smaller fall monotonically onto it, to within a few
     ulps at every bias. A seed that rounds to 1 puts the root within an
-    ulp of c. DomainError where c is not finite.
+    ulp of c. DomainError where c is not finite, and where rate*bias
+    underflows to 0, which leaves the root no term to be told from 0 by.
     """
     _check_rate(rate)
     if not (math.isfinite(bias) and bias > 0.0):
@@ -257,6 +258,10 @@ def fixed_point_length(rate: float, bias: float) -> float:
             f"the equal-length fixed point needs bias > 0, got {bias!r}")
     c = _scale(rate, bias)
     rb = rate * bias
+    if rb == 0.0:
+        raise DomainError(f"rate*bias underflows to 0 at rate {rate!r} and "
+                          f"bias {bias!r}; the equal-length fixed point is "
+                          f"not resolved there")
     y = min(math.sqrt(3.0 * rb), math.tanh(1.0 + rb))
     if y >= 1.0:
         return math.nextafter(c, 0.0)

@@ -63,7 +63,9 @@ _S_MAX = np.array(_EXPM1_MAX)
 _END_MIN, _END_MAX = np.array(-40.0), np.array(40.0)
 _NEAR_MIN, _NEAR_MAX = np.array(-1e306), np.array(1e306)
 _ZERO, _HALF, _MINUS_HALF = np.array(0.0), np.array(0.5), np.array(-0.5)
-_REACH, _REACH_FROM = np.array(50.0), np.array(5.0)
+_ONE = np.array(1.0)
+_REACH, _MINUS_REACH = np.array(50.0), np.array(-50.0)
+_REACH_FROM = np.array(5.0)
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
@@ -112,12 +114,21 @@ def _exp_window_mean(length, rate: float):
     term first in its own loop, not in BLAS, whose rounding can depend on
     a row's place in a 2-D call; test_exponential_rows_of_every_length
     checks that each row is the 1-D call on its bins bit for bit.
+
+    length is an array; the rate is taken as a 0-d operand, and each step
+    after s works in place on the arrays the function forms itself.
     """
+    rate = np.array(rate)
     s = rate * length
-    series = length * (np.minimum(s, _PHI_CUT)[..., None] ** _PHI_POWERS
-                       @ _PHI_SERIES)
-    c = np.minimum(np.maximum(s, _PHI_CUT), _S_MAX)
-    return np.minimum(series, (1.0 - c / np.expm1(c)) / rate)
+    c = np.maximum(s, _PHI_CUT)
+    np.minimum(c, _S_MAX, out=c)
+    np.minimum(s, _PHI_CUT, out=s)
+    series = s[..., None] ** _PHI_POWERS @ _PHI_SERIES
+    series *= length
+    c /= np.expm1(c)
+    np.subtract(_ONE, c, out=c)
+    c /= rate
+    return np.minimum(series, c, out=series)
 
 
 def _exp_window_variance(length, rate: float):
@@ -187,10 +198,18 @@ def _std_window(za, zb):
     distance, so a cut at e^-40 still moved deep half-line variances by
     5e-15. The offsets are never formed as near + reach, which rounds to
     near once reach is below half an ulp of near (near past about 6.7e8).
+
+    za and zb must be arrays of the caller's own: the offsets are formed
+    in place in them, za - near cut at -reach, which is formed as
+    -50/max(near, 5) (exactly -(50/max(near, 5))), and zb - near at reach.
     """
     near = np.maximum(za, _ZERO)
-    reach = _REACH / np.maximum(near, _REACH_FROM)
-    return near, np.maximum(za - near, -reach), np.minimum(zb - near, reach)
+    t = np.maximum(near, _REACH_FROM)
+    za -= near
+    np.maximum(za, _MINUS_REACH / t, out=za)
+    zb -= near
+    np.minimum(zb, np.divide(_REACH, t, out=t), out=zb)
+    return near, za, zb
 
 
 # The 48-point Gauss-Legendre rule on [-1, 1]: its positive nodes and
@@ -232,17 +251,30 @@ def _std_rule(za, zb):
     a tail. Nothing here is signed: near >= 0 and E[u] are the reflected
     bin's, and each reader negates only what it reads, where flip is set.
     A mass and a variance are the same on a bin and its reflection, so
-    they are formed from the unsigned pieces. The nodes, the exponent
-    and the weights are formed in place, in three arrays of the nodes'
-    shape.
+    they are formed from the unsigned pieces.
+
+    The prelude reads each end once into a contiguous array (a no-op for
+    one that is already; numpy runs every later call on a strided view,
+    as a dynamics step's rows give, some 0.4 us slower) and then works in
+    place: the reflected ends are written over the negated edges they are
+    read from, _std_window forms the offsets over those, and the
+    half-length and centre of each window are halved where they were
+    summed. The nodes, the exponent and the weights are formed
+    in place too, in three arrays of the nodes' shape, and each sum is
+    np.add.reduce, the same sum as .sum without its wrappers.
     """
+    za, zb = np.ascontiguousarray(za), np.ascontiguousarray(zb)
     nza, nzb = -za, -zb
     flip = za < nzb
-    near, lo, hi = _std_window(np.maximum(za, nzb), np.maximum(zb, nza))
+    near, lo, hi = _std_window(np.maximum(za, nzb, out=nzb),
+                               np.maximum(zb, nza, out=nza))
     lo, hi = lo[..., None], hi[..., None]
-    half = _HALF * (hi - lo)
+    half = hi - lo
+    half *= _HALF
+    centre = hi + lo
+    centre *= _HALF
     u = half * _GL_X
-    u += _HALF * (hi + lo)
+    u += centre
     g = _MINUS_HALF * u
     g *= u
     w = u * near[..., None]
@@ -250,9 +282,9 @@ def _std_rule(za, zb):
     np.exp(g, out=g)
     np.multiply(half, _GL_W, out=w)
     w *= g
-    mass = w.sum(axis=-1)
+    mass = np.add.reduce(w, axis=-1)
     np.multiply(w, u, out=g)
-    eu = g.sum(axis=-1)
+    eu = np.add.reduce(g, axis=-1)
     eu /= mass
     return flip, near, mass, eu, (u, w)
 
@@ -454,7 +486,9 @@ class SourceModel:
         already formed."""
         start = z[..., :-1]
         if self.kind == EXPONENTIAL:
-            return start + _exp_window_mean(gaps, self.rate)
+            means = _exp_window_mean(gaps, self.rate)
+            means += start
+            return means
         flip, near, _, means, _ = _std_rule(start, z[..., 1:])
         means += near
         return np.negative(means, out=means, where=flip)
@@ -556,10 +590,10 @@ class SourceModel:
                 return x ** power * lam * math.exp(-lam * (x - a)) / norm
 
             return integral(integrand, a, b, 1.0)
-        za, zb = self._to_frame(np.array((lo, hi)))
-        sign = -1.0 if za + zb < 0.0 else 1.0
-        near, u_lo, u_hi = (float(v) for v in _std_window(
-            *sorted((sign * za, sign * zb))))
+        z = self._to_frame(np.array((lo, hi)))
+        sign = -1.0 if z[0] + z[1] < 0.0 else 1.0
+        z = np.sort(sign * z)
+        near, u_lo, u_hi = (v.item() for v in _std_window(z[:1], z[1:]))
         mass = integral(lambda u: math.exp(-u * (near + 0.5 * u)), u_lo, u_hi,
                         0.0)
         reach = max(-u_lo, u_hi)

@@ -286,6 +286,18 @@ class TestSolve:
         assert err.startswith("usage: cheaptalk solve ")
         assert err.endswith("cheaptalk solve: error: refused\n")
 
+    def test_ladder_whose_rate_times_bias_underflows_is_a_usage_error(
+            self, capsys):
+        code, out, err = run(capsys, "solve", "--source", "exp", "--rate",
+                             "3.9e-277", "--bias", "2.2e-308", "--ladder",
+                             "--edges", "9")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: cheaptalk solve ")
+        assert err.endswith(
+            "cheaptalk solve: error: rate*bias underflows to 0 at rate "
+            "3.9e-277 and bias 2.2e-308; the equal-length fixed point is "
+            "not resolved there\n")
+
     def test_bias_over_std_that_overflows_is_a_usage_error(self, capsys):
         for shape in (("--bins", "2"), ("--bins", "3"), ("--ladder",)):
             code, out, err = run(capsys, "solve", "--source", "gauss", "--std",
@@ -642,6 +654,26 @@ class TestDynamics:
         doc_a, doc_b = json.loads(out_a), json.loads(out_b)
         doc_a.pop("meta"), doc_b.pop("meta")  # wall-clock only
         assert doc_a == doc_b
+
+    @pytest.mark.parametrize("source, message", (
+        # both quantiles round to the mean: one float for 4 edges
+        (("--source", "gauss", "--mean", "1.7e11", "--std", "5e-125",
+          "--bins", "5", "--bias", "1e-126"),
+         "the range [170000000000.0, 170000000000.0] between the 0.001 and "
+         "0.999 quantiles holds fewer than 4 floats, one for each interior "
+         "edge"),
+        # both quantiles are inf
+        (("--source", "exp", "--rate", "5e-324", "--bins", "3", "--bias",
+          "0.1"),
+         "random starts need a finite range, got [inf, inf] between the "
+         "0.001 and 0.999 quantiles"),
+    ))
+    def test_seeded_init_from_a_range_too_narrow_is_a_usage_error(
+            self, capsys, source, message):
+        code, out, err = run(capsys, "dynamics", *source, "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: cheaptalk dynamics ")
+        assert err.endswith(f"cheaptalk dynamics: error: {message}\n")
 
     def test_seeded_init_is_a_probe_start(self, capsys):
         # the random init is the first start basin_probe would draw

@@ -7,10 +7,12 @@ import pytest
 
 from cheaptalk import sources
 from cheaptalk.dynamics import (
+    _MAX_DRAWS,
     COLLAPSE_LENGTH,
     IterationOutcome,
     IterationTrace,
     _random_starts,
+    _Recorder,
     _run_rows,
     basin_probe,
     fixed_point_iterate,
@@ -29,6 +31,7 @@ from cheaptalk.gaussian import (
     solve_n_bins_gauss,
 )
 from cheaptalk.sources import SourceModel
+import seeds
 from seeds import equal_width
 
 EXP = SourceModel.exponential(1.0)
@@ -612,6 +615,63 @@ class TestRandomStarts:
         basin_probe(GAUSS, 0.2, 4, 6, seed=1, max_iter=5)
         assert levels == [0.001, 0.999]
 
+    @pytest.mark.parametrize("source", (
+        SourceModel.exponential(5e-324),   # both quantiles are inf
+        SourceModel.gaussian(0.0, 1e308),  # so are both here
+        SourceModel.gaussian(0.0, 5e307),  # finite ends 3.1e308 apart
+    ))
+    def test_a_range_that_is_not_finite_is_refused_before_a_draw(self,
+                                                                 source):
+        class NoDraws:
+            def uniform(self, lo, hi, size):
+                raise AssertionError("a start was drawn")
+
+        with pytest.raises(DomainError, match="need a finite range"):
+            _random_starts(source, 3, 2, NoDraws())
+        with pytest.raises(DomainError, match="need a finite range"):
+            basin_probe(source, 0.1, 3, 2, seed=1)
+
+    def test_a_range_of_too_few_floats_is_refused_before_a_draw(self):
+        # both quantiles of N(1.7e11, 5e-125) round to the mean itself
+        source = SourceModel.gaussian(1.7e11, 5e-125)
+        assert source.quantile(0.001) == source.quantile(0.999) == 1.7e11
+        with pytest.raises(DomainError, match="fewer than 4 floats"):
+            basin_probe(source, 1e-126, 5, 3, seed=1)
+        # one float is enough for the one interior edge of two bins
+        assert basin_probe(source, 1e-126, 2, 3, seed=1).n_inits == 3
+
+    def test_the_range_needs_one_float_per_interior_edge(self, monkeypatch):
+        # a range of exactly four floats holds the 4 edges of 5 bins,
+        # not the 5 of 6; a draw of 4 distinct ones is taken
+        top = math.nextafter(math.nextafter(math.nextafter(1.0, 2.0), 2.0),
+                             2.0)
+        monkeypatch.setattr(SourceModel, "quantile",
+                            lambda self, q: 1.0 if q < 0.5 else top)
+        draws = np.array((top, 1.0, math.nextafter(1.0, 2.0),
+                          math.nextafter(top, 0.0)))
+
+        class Drawn:
+            def uniform(self, lo, hi, size):
+                assert (lo, hi, size) == (1.0, top, 4)
+                return draws
+
+        (row,) = _random_starts(EXP, 5, 1, Drawn())
+        assert row[1:-1].tolist() == sorted(draws.tolist())
+        with pytest.raises(DomainError, match="fewer than 5 floats"):
+            _random_starts(EXP, 6, 1, Drawn())
+
+    def test_draws_that_keep_tying_end_in_a_domain_error(self):
+        calls = []
+
+        class Tied:
+            def uniform(self, lo, hi, size):
+                calls.append(size)
+                return np.full(size, 0.5)
+
+        with pytest.raises(DomainError, match=f"{_MAX_DRAWS} draws of 3 "):
+            _random_starts(EXP, 4, 2, Tied())
+        assert calls == [3] * _MAX_DRAWS
+
     def test_probe_rejects_a_bias_that_is_not_finite(self):
         for bias in (math.nan, math.inf):
             with pytest.raises(DomainError, match="bias must be finite"):
@@ -735,3 +795,72 @@ class TestFrame:
             else:
                 assert abs(r - c) <= 1e-12 * c + slack
         assert trace.residual_history[1] > 1e-3
+
+
+class TestAgainstReference:
+    """The loop and the Gaussian rule give back the plainer references in
+    tests/seeds.py bit for bit: outcomes, final edges, traces and every
+    output of the rule."""
+
+    SOURCES = ((EXP, (-0.35, 0.3)), (SourceModel.exponential(2.5), (-0.2, 0.3)),
+               (GAUSS, (-0.2, 0.1)), (SCALED, (-0.2, 0.1)))
+    MAX_ITER = 80
+
+    def test_runs_are_the_reference_runs(self):
+        # exp(1) has no 3-bin equilibrium below bias -0.291, so its runs
+        # at -0.35 collapse; 80 steps stop some runs short of tol
+        statuses = set()
+        for source, biases in self.SOURCES:
+            for bias in biases:
+                for n_bins in range(2, 13):
+                    starts = _random_starts(source, n_bins, 2,
+                                            np.random.default_rng(n_bins))
+                    for damping in (1.0, 0.5):
+                        args = (source, bias, starts, self.MAX_ITER, 1e-10,
+                                damping)
+                        outcomes, edges = _run_rows(*args)
+                        want, want_edges = seeds.run_rows(*args)
+                        assert outcomes == want
+                        assert edges.tobytes() == want_edges.tobytes()
+                        statuses.update(o.status for o in outcomes)
+        assert statuses == {"converged", "collapsed", "max_iter"}
+
+    def test_traces_are_the_reference_traces(self):
+        for source, biases in self.SOURCES:
+            for bias in biases:
+                for n_bins in (2, 5, 12):
+                    (edges,) = _random_starts(source, n_bins, 1,
+                                              np.random.default_rng(n_bins))
+                    init = Partition(edges, source, bias)
+                    for damping in (1.0, 0.5):
+                        trace = fixed_point_iterate(source, bias, init,
+                                                    damping, self.MAX_ITER)
+                        rec = _Recorder(init)
+                        (outcome,), _ = seeds.run_rows(
+                            source, bias, np.array([init.edges]),
+                            self.MAX_ITER, 1e-10, damping, rec)
+                        want = rec.trace(outcome)
+                        assert trace.outcome == want.outcome
+                        assert trace.recorded_steps == want.recorded_steps
+                        assert np.array(trace.residual_history).tobytes() \
+                            == np.array(want.residual_history).tobytes()
+                        assert np.array([p.edges for p in trace.iterates]
+                                        ).tobytes() \
+                            == np.array([p.edges for p in want.iterates]
+                                        ).tobytes()
+
+    def test_rule_outputs_are_the_reference_outputs(self):
+        # rows of sorted edges at scales out to 1e5 std, open at -inf and,
+        # on every other row, at +inf; read as strided views of the rows
+        # and as each row's own contiguous bins
+        rng = np.random.default_rng(36)
+        scales = rng.choice((0.3, 1.0, 10.0, 1e3, 1e5), size=(40, 1))
+        z = np.sort(rng.standard_normal((40, 12)) * scales, axis=1)
+        z[:, 0] = -math.inf
+        z[::2, -1] = math.inf
+        for za, zb in ((z[:, :-1], z[:, 1:]),
+                       *((row[:-1], row[1:]) for row in z)):
+            got, want = sources._std_rule(za, zb), seeds.std_rule(za, zb)
+            for a, b in zip((*got[:4], *got[4]), (*want[:4], *want[4])):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()

@@ -333,6 +333,17 @@ class TestEqualLengthLadder:
         with pytest.raises(DomainError):
             fixed_point_length(1.0, -0.1)
 
+    def test_fixed_point_refuses_a_rate_times_bias_that_underflows(self):
+        # 3.9e-277 * 2.2e-308 rounds to 0, which leaves the root's
+        # equation 0 = 0; a subnormal product still puts the root at
+        # sqrt(3*rate*bias)*c, to leading order
+        with pytest.raises(DomainError, match="rate\\*bias underflows to 0"):
+            fixed_point_length(3.9e-277, 2.2e-308)
+        rb = 1e-300 * 1e-23
+        assert 0.0 < rb < 2.3e-308
+        lstar = fixed_point_length(1e-300, 1e-23)
+        assert lstar == pytest.approx(math.sqrt(3.0 * rb) * 2e300, rel=1e-12)
+
     def test_fixed_point_survives_large_bias(self):
         # exp(rate * length) overflows a float here; the solve must not
         lstar = fixed_point_length(1.0, 400.0)

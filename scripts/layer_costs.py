@@ -57,9 +57,11 @@ edges.
 
 Prints one JSON object: per layer and tree the median and quartiles of
 the round values, in raw microseconds on this host (compare within a
-layer only), and the ratio of the new median to the old, and under
-"passes per solve" each tree's count for the solve grid. `--child SRC`
-prints one process's object instead.
+layer only), the ratio of the new median to the old, and the median of
+the rounds' own new/old ratios, which follows the change where host
+speed drifts within a run (the two trees of a round run back to back),
+and under "passes per solve" each tree's count for the solve grid.
+`--child SRC` prints one process's object instead.
 """
 
 from __future__ import annotations
@@ -245,7 +247,9 @@ def main() -> int:
         old.update(spread(old["runs"]))
         new.update(spread(new["runs"]))
         report[name] = {"old": old, "new": new,
-                        "ratio": new["median"] / old["median"]}
+                        "ratio": new["median"] / old["median"],
+                        "paired ratio": statistics.median(
+                            b / a for a, b in zip(old["runs"], new["runs"]))}
     print(json.dumps(report, indent=1))
     return 0
 

@@ -283,6 +283,8 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
     keep_old, take_new = np.array(1.0 - damping), np.array(damping)
     final = np.empty_like(e)
     live = np.arange(len(edges))
+    # each step writes its moved edges into e, so moved and old hold
+    # copies of them, not views, on which numpy takes its fast loops
     moved = old = e[:, 1:-1].copy()
 
     def views(e: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -306,6 +308,9 @@ def _run_rows(source: SourceModel, bias: float, edges: np.ndarray,
         if it:
             old = moved
             if damping == 1.0:
+                # the blend would be targets bit for bit: old is finite,
+                # and targets, formed from increasing means, is never
+                # -0.0, so 0.0 * old + targets is targets
                 moved = targets
             else:
                 # (1 - damping)*old + damping*targets, added in the other
